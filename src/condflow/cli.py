@@ -4,7 +4,8 @@ Subcommands: scale, transform, simulate, hitting, condition, verify.
 Configuration is flat `key = value` text in INI sections ([spec], [sim],
 [scenario], [output]); expression values may be quoted.  A JSON file with
 the same section/key layout is accepted as well.  Command-line flags
-(--seed, --n, --out, --threads) override the file.
+(--seed, --n, --out) override the file; --threads is accepted and changes
+nothing, because every run uses one thread.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error, 3 numeric failure.  JSON reports are UTF-8 with sorted keys and carry
@@ -293,7 +294,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None, metavar="U64")
         cmd.add_argument("--n", type=int, default=None, metavar="INT")
         cmd.add_argument("--out", default=None, metavar="PATH")
-        cmd.add_argument("--threads", type=int, default=None, metavar="INT")
+        cmd.add_argument("--threads", type=int, default=None, metavar="INT",
+                         help="accepted and ignored: every run uses one thread")
         if name == "verify":
             cmd.add_argument("scenario", choices=sorted(SCENARIOS))
     return parser

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NeedLongerHorizonError
+from .errors import EvalDomainError, NeedLongerHorizonError
 from .htransform import Direction, transform
 from .model import DiffusionSpec, McEstimate, bm, gbm
 from .scale import GridConfig, Normalization, compute_scale
@@ -244,7 +244,9 @@ def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functiona
     stopped value, so exactly x0/level on the acceptance event and a small
     weight on diverged paths.  Horizon-truncated paths stay in the weighted
     sample at x0 over their horizon value, which keeps the stopped
-    reciprocal-martingale identity exact.
+    reciprocal-martingale identity exact.  A path stopped at 0 (absorbed at
+    a reachable boundary there) would carry an infinite weight, so any such
+    path raises EvalDomainError.
     """
     if not spec_q.interval.l < level <= x0 < spec_q.interval.r:
         raise ValueError("need l < level <= x0 < r")
@@ -264,7 +266,13 @@ def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functiona
         tie_count=res.tie_count,
         acceptance=McEstimate.from_binomial(int(np.sum(accepted)), res.n),
     )
-    weights = x0 / res.final_values
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = x0 / res.final_values
+    infinite = int(np.count_nonzero(~np.isfinite(weights)))
+    if infinite:
+        raise EvalDomainError(
+            f"condition_downward: {infinite} of {res.n} paths stopped at 0, where the "
+            f"weight x0/value is not finite")
     weighted = ConditioningReport(
         mode=Mode.WEIGHTED,
         n_total=res.n,

@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .errors import NeedLongerHorizonError
 from .model import NEVER, McEstimate, PathSample
-from .simulate import SimConfig, _phases
+from .simulate import SimConfig, _crossings, _phases
 from .stats import KsResult, effective_sample_size, ks_weighted
 
 __all__ = [
@@ -42,12 +42,6 @@ __all__ = [
 
 _REGIME_SWITCH_HI = 0.75
 _REGIME_SWITCH_LO = 0.25
-
-_STREAM_NORMAL = 0
-_STREAM_ABSORB = 1
-_STREAM_TILDE_LEVEL = 8
-_STREAM_SWITCH_HI = 16
-_STREAM_SWITCH_LO = 17
 
 
 @dataclass(frozen=True)
@@ -134,20 +128,15 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> T
                 break
             t_next = t + dt
             xa = x[active]
-            z = rng.normals(keys[active], k, _STREAM_NORMAL)
+            ka = keys[active]
+            z = rng.normals(ka, k, rng.STREAM_TILDE_NORMAL)
             x_new = xa + sqrt_dt * z
 
             # base-path absorption at 0 (discrete or bridge)
             absorb = x_new <= 0.0
             if cfg.bridge_correction:
-                same_side = ~absorb
-                if np.any(same_side):
-                    with np.errstate(over="ignore"):
-                        p = np.where(same_side, np.exp(-2.0 * xa * x_new / dt), 0.0)
-                    live = p > 1e-16
-                    if np.any(live):
-                        u = rng.uniforms(keys[active], k, _STREAM_ABSORB)
-                        absorb = absorb | (live & (u < p))
+                gap = xa * x_new  # (0 - xa)(0 - x_new)
+                absorb[_crossings(gap, dt, ~absorb, ka, k, rng.STREAM_TILDE_ABSORB)] = True
             np.maximum(x_new, 0.0, out=x_new)
             x_new[absorb] = 0.0
 
@@ -161,14 +150,9 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> T
             tp = tilde_prev[active]
             crossed = (tp - a) * (tilde_new - a) <= 0.0
             if cfg.bridge_correction:
-                maybe = ~crossed & ~absorb
                 gap = (lvl_x - xa) * (lvl_x - x_new)
-                with np.errstate(over="ignore"):
-                    p = np.where(maybe & (gap > 0), np.exp(-2.0 * gap / dt), 0.0)
-                live = p > 1e-16
-                if np.any(live):
-                    u = rng.uniforms(keys[active], k, _STREAM_TILDE_LEVEL)
-                    crossed = crossed | (live & (u < p))
+                maybe = ~crossed & ~absorb & (gap > 0)
+                crossed[_crossings(gap, dt, maybe, ka, k, rng.STREAM_TILDE_LEVEL)] = True
 
             tie_count += int(np.sum(crossed & absorb))
             hit_a = crossed  # ties break toward the upper level
@@ -197,20 +181,14 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> T
             def _switched(level, stream, eligible):
                 crossed = eligible & (x_new <= level)
                 if cfg.bridge_correction:
-                    maybe = eligible & ~crossed & (xa > level)
-                    if np.any(maybe):
-                        gap = (level - xa) * (level - x_new)
-                        with np.errstate(over="ignore"):
-                            p = np.where(maybe & (gap > 0), np.exp(-2.0 * gap / dt), 0.0)
-                        live = p > 1e-16
-                        if np.any(live):
-                            u = rng.uniforms(keys[active], k, stream)
-                            crossed = crossed | (live & (u < p))
+                    gap = (level - xa) * (level - x_new)
+                    maybe = eligible & ~crossed & (xa > level) & (gap > 0)
+                    crossed[_crossings(gap, dt, maybe, ka, k, stream)] = True
                 return crossed
 
-            up1 = _switched(_REGIME_SWITCH_HI, _STREAM_SWITCH_HI, regime[active] == 0)
+            up1 = _switched(_REGIME_SWITCH_HI, rng.STREAM_SWITCH_HI, regime[active] == 0)
             regime[active[up1]] = 1
-            up2 = _switched(_REGIME_SWITCH_LO, _STREAM_SWITCH_LO, regime[active] == 1)
+            up2 = _switched(_REGIME_SWITCH_LO, rng.STREAM_SWITCH_LO, regime[active] == 1)
             regime[active[up2]] = 2
 
             active = active[~stopping]

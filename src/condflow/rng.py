@@ -16,23 +16,51 @@ from scipy.special import ndtri
 
 __all__ = [
     "STREAM_STEP_NORMAL",
-    "STREAM_BRIDGE",
+    "STREAM_BRIDGE_LOWER",
+    "STREAM_BRIDGE_UPPER",
+    "STREAM_WATCH",
+    "STREAM_TILDE_NORMAL",
+    "STREAM_TILDE_ABSORB",
+    "STREAM_TILDE_LEVEL",
+    "STREAM_SWITCH_HI",
+    "STREAM_SWITCH_LO",
     "STREAM_WALK",
     "path_keys",
     "uniforms",
     "normals",
 ]
 
-# Distinct purposes draw from distinct streams so adding a draw site never
-# perturbs the others.
-STREAM_STEP_NORMAL = 0
-STREAM_BRIDGE = 1      # stream id: STREAM_BRIDGE + watch-level index
-STREAM_WALK = 64       # lattice-walk uniforms
+# Every stream id in the package.  Distinct purposes within one simulator draw
+# from distinct streams, so adding a draw site never perturbs the others; the
+# simulators never share keys and step counters, so ids may repeat across them.
+#
+# simulate
+STREAM_STEP_NORMAL = 0    # Euler increment
+STREAM_BRIDGE_LOWER = 1   # bridge crossing of the lower boundary
+STREAM_BRIDGE_UPPER = 2   # bridge crossing of the upper boundary
+STREAM_WATCH = 3          # bridge crossing of watch level j: STREAM_WATCH + j
+# counterexample
+STREAM_TILDE_NORMAL = 0   # increment of the base Brownian path
+STREAM_TILDE_ABSORB = 1   # bridge absorption of the base path at 0
+STREAM_TILDE_LEVEL = 8    # bridge crossing of the transformed process's level
+STREAM_SWITCH_HI = 16     # bridge crossing of the first regime switch (3/4)
+STREAM_SWITCH_LO = 17     # bridge crossing of the second regime switch (1/4)
+# jumpwalk
+STREAM_WALK = 64          # lattice-walk uniforms
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MULT_A = np.uint64(0xBF58476D1CE4E5B9)
-_MULT_B = np.uint64(0x94D049BB133111EB)
+_M64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MULT_A_INT = 0xBF58476D1CE4E5B9
+_MULT_B_INT = 0x94D049BB133111EB
+
+_GAMMA = np.uint64(_GAMMA_INT)
+_MULT_A = np.uint64(_MULT_A_INT)
+_MULT_B = np.uint64(_MULT_B_INT)
 _SEED_SALT = np.uint64(0x2545F4914F6CDD1D)
+_SHIFT_A = np.uint64(30)
+_SHIFT_B = np.uint64(27)
+_SHIFT_C = np.uint64(31)
+_SHIFT_U = np.uint64(11)
 
 _U64_INV = 2.0 ** -53
 _U64_HALF = 2.0 ** -54
@@ -40,9 +68,23 @@ _U64_HALF = 2.0 ** -54
 
 def _mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     x = x + _GAMMA
-    x = (x ^ (x >> np.uint64(30))) * _MULT_A
-    x = (x ^ (x >> np.uint64(27))) * _MULT_B
-    return x ^ (x >> np.uint64(31))
+    x = (x ^ (x >> _SHIFT_A)) * _MULT_A
+    x = (x ^ (x >> _SHIFT_B)) * _MULT_B
+    return x ^ (x >> _SHIFT_C)
+
+
+def _mix64_int(x: int) -> int:
+    """`_mix64` of one word held in a Python int, modulo 2**64."""
+    x = (x + _GAMMA_INT) & _M64
+    x = ((x ^ (x >> 30)) * _MULT_A_INT) & _M64
+    x = ((x ^ (x >> 27)) * _MULT_B_INT) & _M64
+    return x ^ (x >> 31)
+
+
+def _counter(step_index: int, stream: int) -> int:
+    """The counter word folded into every key of one call:
+    _mix64(step_index * GAMMA + stream) modulo 2**64."""
+    return _mix64_int((step_index * _GAMMA_INT + stream) & _M64)
 
 
 def path_keys(seed: int, path_indices: np.ndarray) -> np.ndarray:
@@ -52,22 +94,34 @@ def path_keys(seed: int, path_indices: np.ndarray) -> np.ndarray:
     for every step of those paths.
     """
     with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _SEED_SALT)
+        s = _mix64(np.uint64(seed & _M64) ^ _SEED_SALT)
         return _mix64(s + np.asarray(path_indices, dtype=np.uint64) * _GAMMA)
 
 
 def _raw(keys: np.ndarray, step_index: int, stream: int) -> np.ndarray:
+    """_mix64(keys + counter), with the mix's leading add folded into the
+    scalar and the rest done in place on one array."""
+    c = np.uint64((_counter(step_index, stream) + _GAMMA_INT) & _M64)
     with np.errstate(over="ignore"):
-        c = _mix64(np.uint64(step_index) * _GAMMA + np.uint64(stream))
-        return _mix64(keys + c)
+        x = keys + c
+        x ^= x >> _SHIFT_A
+        x *= _MULT_A
+        x ^= x >> _SHIFT_B
+        x *= _MULT_B
+        x ^= x >> _SHIFT_C
+    return x
 
 
 def uniforms(keys: np.ndarray, step_index: int, stream: int) -> np.ndarray:
     """Uniform(0,1) draws, one per key; never exactly 0 or 1."""
     bits = _raw(keys, step_index, stream)
-    return (bits >> np.uint64(11)).astype(np.float64) * _U64_INV + _U64_HALF
+    u = (bits >> _SHIFT_U).astype(np.float64)
+    u *= _U64_INV
+    u += _U64_HALF
+    return u
 
 
 def normals(keys: np.ndarray, step_index: int, stream: int = STREAM_STEP_NORMAL) -> np.ndarray:
     """Standard-normal draws via the inverse CDF of the uniform stream."""
-    return ndtri(uniforms(keys, step_index, stream))
+    u = uniforms(keys, step_index, stream)
+    return ndtri(u, out=u)

@@ -2,12 +2,21 @@
 
 Scheme: Euler-Maruyama on a fixed step grid, one standard normal per path
 per step from the counter-based generator, so a path is a pure function of
-(seed, path_index) no matter how paths are chunked or threaded.
+(seed, path_index): the first m paths of an n-path ensemble equal an m-path
+run.
+
+All paths run as one cohort in one thread.  The kernel holds the running
+paths in compacted arrays (value, key, index, per-level "not yet hit" flag,
+running time integral) and writes the full per-path arrays only when paths
+stop, at snapshot times and at the horizon, so a step costs work in
+proportion to the paths still running.
 
 Level crossings between grid points are recovered with the Brownian-bridge
 crossing probability exp(-2 (level-y0)(level-y1) / (a(y0) dt)), with the
 diffusion coefficient frozen at the step's left endpoint; detected hits are
-reported at the step's right endpoint.  A crossing of both watched levels
+reported at the step's right endpoint.  A bridge uniform is drawn only where
+that probability exceeds 1e-16; draws are keyed by (path, step, stream), so
+the skipped ones change no other.  A crossing of both watched levels
 detected on the same step counts toward the upper level; such ties are
 counted and reported.
 
@@ -25,8 +34,6 @@ the boundary and the path frozen.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,11 +50,6 @@ __all__ = [
     "estimate_hitting_prob",
 ]
 
-_STREAM_NORMAL = rng.STREAM_STEP_NORMAL
-_STREAM_BRIDGE_L = 1
-_STREAM_BRIDGE_R = 2
-_STREAM_WATCH = 3
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -59,6 +61,10 @@ class SimConfig:
     times record the path value at t AND stop, i.e. frozen at absorption, at
     cap exceedance or, when `stop_at_first_hit` is set, at the first
     watched-level crossing.
+
+    `n_threads` and `chunk_size` are accepted and ignored: every run is one
+    cohort of all `n_paths` in one thread, and its result does not depend on
+    either value.
     """
 
     dt: float
@@ -86,12 +92,6 @@ class SimConfig:
         for t in self.snapshot_times:
             if not 0.0 < t <= self.horizon:
                 raise ValueError("snapshot times must lie in (0, horizon]")
-
-    def threads(self) -> int:
-        if self.n_threads is not None:
-            return max(1, self.n_threads)
-        env = os.environ.get("CONDFLOW_THREADS", "")
-        return max(1, int(env)) if env.isdigit() and env else 1
 
 
 @dataclass
@@ -140,7 +140,7 @@ def _phases(cfg: SimConfig) -> list[tuple[int, float]]:
     return phases
 
 
-def _coeffs(spec: DiffusionSpec, xa: np.ndarray, ids: np.ndarray, t: float):
+def _coeffs(spec: DiffusionSpec, xa: np.ndarray, t: float, pos: np.ndarray, first_id: int):
     try:
         b = np.asarray(spec.drift(xa), dtype=np.float64)
         a = np.asarray(spec.diffusion(xa), dtype=np.float64)
@@ -150,33 +150,60 @@ def _coeffs(spec: DiffusionSpec, xa: np.ndarray, ids: np.ndarray, t: float):
     if np.any(bad):
         i = int(np.argmax(bad))
         raise EvalDomainError(
-            f"coefficient failure on path {int(ids[i])} at t={t}, y={float(xa[i])}")
+            f"coefficient failure on path {first_id + int(pos[i])} at t={t}, y={float(xa[i])}")
     return b, a
 
 
-def _simulate_chunk(spec: DiffusionSpec, x0: float, cfg: SimConfig,
-                    idx_lo: int, idx_hi: int, trajectory: bool = False):
-    n = idx_hi - idx_lo
-    ids = np.arange(idx_lo, idx_hi, dtype=np.int64)
-    keys = rng.path_keys(cfg.seed, ids)
+def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
+               stream: int) -> np.ndarray:
+    """Indices of the `candidates` whose Brownian bridge crosses a level
+    between two grid values y0 and y1.
+
+    `gap` is (level - y0)(level - y1) and `a_dt` the step variance a(y0) dt,
+    per path or scalar; the crossing probability is exp(-2 gap / (a dt)).  exp
+    is evaluated only where the exponent exceeds -37 (below it exp is under
+    1e-16), and a uniform is drawn only where the probability exceeds 1e-16.
+    Draws are keyed by (path, step, stream), so skipping the others changes no
+    draw.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = -2.0 * gap / a_dt
+    idx = np.flatnonzero(candidates & (expo > -37.0))
+    if idx.size:
+        p = np.exp(expo[idx])
+        live = p > 1e-16
+        idx, p = idx[live], p[live]
+        if idx.size:
+            idx = idx[rng.uniforms(keys[idx], step, stream) < p]
+    return idx
+
+
+def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: int,
+              trajectory: bool = False):
+    """Run paths first_id .. first_id + n - 1 as one cohort."""
     l, r = spec.interval.l, spec.interval.r
     clamp = cfg.boundary_clamp
     watch = tuple(cfg.watch_levels)
+    boundaries = [(boundary, side, stream) for boundary, side, stream in
+                  ((l, -1.0, rng.STREAM_BRIDGE_LOWER), (r, 1.0, rng.STREAM_BRIDGE_UPPER))
+                  if math.isfinite(boundary)]
     # watch levels sitting on an absorbing boundary share its crossing events
-    on_boundary = {level: (level == l or level == r) for level in watch}
-    interior = [level for level in watch if not on_boundary[level]]
-    watch_stream = {level: j for j, level in enumerate(watch)}
+    interior = [level for level in watch if level != l and level != r]
+    on_boundary = [level for level in watch if level == l or level == r]
+    watch_stream = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)}
     stop_set = set(watch if cfg.stop_levels is None else cfg.stop_levels)
-    # higher level wins a same-step tie; process candidates from the top
-    interior_desc = sorted((lv for lv in interior if lv in stop_set), reverse=True)
+    # levels that stop a path in stop_at_first_hit mode; the higher level wins
+    # a same-step tie, so they are processed from the top
+    stop_desc = (sorted((lv for lv in interior if lv in stop_set), reverse=True)
+                 if cfg.stop_at_first_hit else [])
 
-    x = np.full(n, float(x0))
+    # full per-path results, written when paths stop, at snapshots and at the end
     final = np.full(n, float(x0))
     stop_t = np.full(n, np.nan)
     absorbed = np.full(n, np.nan)
     hit_t = {level: np.full(n, np.nan) for level in watch}
-    snap_pending = sorted(cfg.snapshot_times)
-    snaps = {t: np.full(n, np.nan) for t in snap_pending}
+    snap_times = sorted(cfg.snapshot_times)
+    snaps = {t: np.full(n, np.nan) for t in snap_times}
     tint = np.zeros(n) if cfg.track_time_average else None
     tie_count = 0
 
@@ -184,40 +211,44 @@ def _simulate_chunk(spec: DiffusionSpec, x0: float, cfg: SimConfig,
         if level == x0:
             hit_t[level][:] = 0.0
 
-    active = np.arange(n)
+    # compacted state of the running paths, in path order
+    pos = np.arange(n)
+    keys = rng.path_keys(cfg.seed, np.arange(first_id, first_id + n, dtype=np.int64))
+    xa = np.full(n, float(x0))
+    unhit = {level: np.full(n, level != x0) for level in interior}
+    tint_a = np.zeros(n) if tint is not None else None
     if cfg.stop_at_first_hit and any(level == x0 for level in stop_set):
         stop_t[:] = 0.0
-        active = active[:0]
+        pos, keys, xa = pos[:0], keys[:0], xa[:0]
+        unhit = {level: flag[:0] for level, flag in unhit.items()}
+        tint_a = tint_a[:0] if tint_a is not None else None
 
+    all_phases = _phases(cfg)
     traj_t = traj_x = None
     if trajectory:
-        total_steps = sum(ns for ns, _ in _phases(cfg))
+        total_steps = sum(ns for ns, _ in all_phases)
         traj_t = np.zeros(total_steps + 1)
         traj_x = np.full(total_steps + 1, float(x0))
 
     t = 0.0
     k = 0  # global step index, the RNG counter
     snap_i = 0
-    all_phases = _phases(cfg)
-    horizon = sum(ns * dt for ns, dt in all_phases)
     for n_steps, dt in all_phases:
         sqrt_dt = math.sqrt(dt)
         for _ in range(n_steps):
-            if not active.size and not trajectory:
-                t = horizon
+            if not pos.size and not trajectory:
                 break
             t_next = t + dt
-            if active.size:
-                xa = x[active]
-                z = rng.normals(keys[active], k, _STREAM_NORMAL)
-                b, a = _coeffs(spec, xa, ids[active], t)
+            if pos.size:
+                z = rng.normals(keys, k, rng.STREAM_STEP_NORMAL)
+                b, a = _coeffs(spec, xa, t, pos, first_id)
                 prop = xa + b * dt + np.sqrt(a) * sqrt_dt * z
 
                 # halving guard at boundaries the drift repels from
-                for boundary, side in ((l, -1.0), (r, 1.0)):
-                    if not math.isfinite(boundary):
-                        continue
-                    fix = ((prop - boundary) * side > clamp) & (b * side < 0)
+                repels = {}
+                for boundary, side, _stream in boundaries:
+                    repels[boundary] = b * side < 0
+                    fix = ((prop - boundary) * side > clamp) & repels[boundary]
                     if np.any(fix):
                         sub = np.where(fix)[0]
                         h = dt
@@ -231,109 +262,115 @@ def _simulate_chunk(spec: DiffusionSpec, x0: float, cfg: SimConfig,
                             prop[sub] = boundary  # give up: absorb there
 
                 # boundary absorption (discrete overshoot or bridge crossing)
+                a_dt = a * dt
                 absorb = {}
-                for boundary, side, stream in ((l, -1.0, _STREAM_BRIDGE_L),
-                                               (r, 1.0, _STREAM_BRIDGE_R)):
-                    if not math.isfinite(boundary):
-                        continue
+                for boundary, side, stream in boundaries:
                     crossed = (prop - boundary) * side >= -clamp
                     if cfg.bridge_correction:
-                        same_side = ~crossed & ((xa - boundary) * side < 0) & ~(b * side < 0)
-                        if np.any(same_side):
-                            gap = (boundary - xa) * (boundary - prop)
-                            with np.errstate(over="ignore", invalid="ignore"):
-                                p = np.where(same_side, np.exp(-2.0 * gap / (a * dt)), 0.0)
-                            live = p > 1e-16
-                            if np.any(live):
-                                u = rng.uniforms(keys[active], k, stream)
-                                crossed = crossed | (live & (u < p))
+                        same_side = ~crossed & ((xa - boundary) * side < 0) & ~repels[boundary]
+                        gap = (boundary - xa) * (boundary - prop)
+                        crossed[_crossings(gap, a_dt, same_side, keys, k, stream)] = True
                     absorb[boundary] = crossed
-
-                absorb_l = absorb.get(l, np.zeros(active.size, dtype=bool))
-                absorb_r = absorb.get(r, np.zeros(active.size, dtype=bool))
-                any_absorb = absorb_l | absorb_r
-                capped = (prop >= cfg.cap) & ~any_absorb
+                absorb_l = absorb.get(l)
+                absorb_r = absorb.get(r)
 
                 # interior watched levels: discrete or bridge crossings
                 cross = {}
                 for level in interior:
-                    j = watch_stream[level]
-                    unhit = ~np.isfinite(hit_t[level][active])
-                    crossed = unhit & ((xa - level) * (prop - level) <= 0.0)
+                    gap = (xa - level) * (prop - level)
+                    crossed = unhit[level] & (gap <= 0.0)
                     if cfg.bridge_correction:
-                        maybe = unhit & ~crossed
-                        if np.any(maybe):
-                            gap = (level - xa) * (level - prop)
-                            with np.errstate(over="ignore", invalid="ignore"):
-                                p = np.where(maybe, np.exp(-2.0 * gap / (a * dt)), 0.0)
-                            live = p > 1e-16
-                            if np.any(live):
-                                u = rng.uniforms(keys[active], k, _STREAM_WATCH + j)
-                                crossed = crossed | (live & (u < p))
+                        maybe = unhit[level] & ~crossed
+                        crossed[_crossings(gap, a_dt, maybe, keys, k, watch_stream[level])] = True
                     cross[level] = crossed
 
-                # record first-crossing times (boundary-sitting levels follow absorption)
-                n_events = any_absorb.astype(np.int64) + capped.astype(np.int64)
+                # a step's events: absorption, cap exceedance, level crossings
+                any_absorb = None
+                for flags in absorb.values():
+                    any_absorb = flags if any_absorb is None else any_absorb | flags
+                over_cap = prop >= cfg.cap
+                event = over_cap if any_absorb is None else over_cap | any_absorb
                 for level in interior:
-                    n_events += cross[level].astype(np.int64)
-                tie_count += int(np.sum(n_events >= 2))
-                for level in interior:
-                    if np.any(cross[level]):
-                        sel = active[cross[level]]
-                        hit_t[level][sel] = t_next
-                for level in watch:
-                    if on_boundary[level]:
-                        fired = absorb[level] & ~np.isfinite(hit_t[level][active])
+                    event = event | cross[level]
+
+                if tint_a is not None:
+                    tint_a += xa * dt
+
+                stopping = None
+                if np.any(event):
+                    sel = np.flatnonzero(event)
+                    ps = pos[sel]
+                    absorbed_now = (np.zeros(sel.size, dtype=bool) if any_absorb is None
+                                    else any_absorb[sel])
+                    capped = over_cap[sel] & ~absorbed_now
+                    hits = {level: cross[level][sel] for level in interior}
+                    n_events = absorbed_now.astype(np.int64) + capped
+                    for level in interior:
+                        n_events += hits[level]
+                    tie_count += int(np.count_nonzero(n_events >= 2))
+
+                    # first-crossing times (boundary-sitting levels follow absorption)
+                    for level, fired in hits.items():
                         if np.any(fired):
-                            hit_t[level][active[fired]] = t_next
+                            hit_t[level][ps[fired]] = t_next
+                            unhit[level][sel[fired]] = False
+                    for level in on_boundary:
+                        if level in absorb:
+                            hit_t[level][ps[absorb[level][sel]]] = t_next
 
-                # stopping: absorption and cap always stop; watched levels
-                # stop only in stop_at_first_hit mode (upper level wins ties)
-                stop_value = np.where(absorb_l, l, np.where(absorb_r, r, prop))
-                stopping = any_absorb | capped
-                if cfg.stop_at_first_hit:
-                    for level in interior_desc:
-                        newly = cross[level] & ~stopping
-                        stop_value = np.where(newly, level, stop_value)
-                        stopping = stopping | newly
-
-                if np.any(stopping):
-                    sel = active[stopping]
-                    val = stop_value[stopping]
-                    final[sel] = val
-                    stop_t[sel] = t_next
-                    absorbed[sel] = np.where(absorb_l[stopping], l,
-                                             np.where(absorb_r[stopping], r,
-                                                      np.where(capped[stopping], math.inf, np.nan)))
-                    for col in snaps.values():
-                        unset = np.isnan(col[sel])
-                        col[sel[unset]] = val[unset]
-
-                if tint is not None:
-                    tint[active] += xa * dt
+                    # stopping: absorption and cap always stop; watched levels
+                    # stop only in stop_at_first_hit mode (upper level wins ties)
+                    claimed = absorbed_now | capped
+                    val = prop[sel]
+                    for level in stop_desc:
+                        newly = hits[level] & ~claimed
+                        val[newly] = level
+                        claimed |= newly
+                    absorbed_val = np.where(capped, math.inf, np.nan)
+                    for flags, boundary in ((absorb_r, r), (absorb_l, l)):  # lower wins
+                        if flags is not None:
+                            val[flags[sel]] = boundary
+                            absorbed_val[flags[sel]] = boundary
+                    if np.any(claimed):
+                        stopping = sel[claimed]
+                        ps = ps[claimed]
+                        val = val[claimed]
+                        final[ps] = val
+                        stop_t[ps] = t_next
+                        absorbed[ps] = absorbed_val[claimed]
+                        for snap_t in snap_times[snap_i:]:
+                            snaps[snap_t][ps] = val
+                        if tint is not None:
+                            tint[ps] = tint_a[stopping]
 
                 if math.isfinite(l):
                     np.maximum(prop, l, out=prop)
                 if math.isfinite(r):
                     np.minimum(prop, r, out=prop)
-                x[active] = np.where(stopping, stop_value, prop)
-                active = active[~stopping]
+                xa = prop
+                if stopping is not None:
+                    keep = np.ones(pos.size, dtype=bool)
+                    keep[stopping] = False
+                    pos, keys, xa = pos[keep], keys[keep], xa[keep]
+                    unhit = {level: flag[keep] for level, flag in unhit.items()}
+                    if tint_a is not None:
+                        tint_a = tint_a[keep]
 
             t = t_next
             k += 1
             if trajectory:
                 traj_t[k] = t
-                traj_x[k] = x[0]
-            while snap_i < len(snap_pending) and t >= snap_pending[snap_i] - 1e-12:
-                col = snaps[snap_pending[snap_i]]
-                col[active] = x[active]
+                traj_x[k] = xa[0] if pos.size else final[0]
+            while snap_i < len(snap_times) and t >= snap_times[snap_i] - 1e-12:
+                snaps[snap_times[snap_i]][pos] = xa
                 snap_i += 1
 
     truncated = np.zeros(n, dtype=bool)
-    truncated[active] = True
-    final[active] = x[active]
-    stop_t[active] = t
-    stop_t[np.isnan(stop_t)] = t
+    truncated[pos] = True
+    final[pos] = xa
+    stop_t[pos] = t
+    if tint is not None:
+        tint[pos] = tint_a
     for col in snaps.values():
         still = np.isnan(col)
         col[still] = final[still]
@@ -352,45 +389,18 @@ def _simulate_chunk(spec: DiffusionSpec, x0: float, cfg: SimConfig,
     return (result, (traj_t, traj_x)) if trajectory else result
 
 
-def _merge(chunks: list[EnsembleResult]) -> EnsembleResult:
-    cat = np.concatenate
-    return EnsembleResult(
-        n=sum(c.n for c in chunks),
-        final_values=cat([c.final_values for c in chunks]),
-        stop_times=cat([c.stop_times for c in chunks]),
-        absorbed_at=cat([c.absorbed_at for c in chunks]),
-        truncated=cat([c.truncated for c in chunks]),
-        hit_times={level: cat([c.hit_times[level] for c in chunks])
-                   for level in chunks[0].hit_times},
-        snapshots={t: cat([c.snapshots[t] for c in chunks])
-                   for t in chunks[0].snapshots},
-        time_integral=(cat([c.time_integral for c in chunks])
-                       if chunks[0].time_integral is not None else None),
-        tie_count=sum(c.tie_count for c in chunks),
-    )
-
-
 def simulate_ensemble(spec: DiffusionSpec, x0: float, cfg: SimConfig) -> EnsembleResult:
     """Simulate cfg.n_paths paths and return per-path summaries.
 
-    Chunk boundaries are fixed by cfg.chunk_size, never by the worker count,
-    and each chunk is a pure function of (seed, index range), so the merged
-    result is identical for any number of threads.
+    Every path is a pure function of (seed, path_index), so the first m paths
+    of an n-path run equal an m-path run.
     """
     if not spec.interval.contains(x0):
         raise ValueError(f"x0={x0} outside the open interval")
     for level in cfg.watch_levels:
         if not (spec.interval.l <= level <= spec.interval.r):
             raise ValueError(f"watch level {level} outside [l, r]")
-    bounds = list(range(0, cfg.n_paths, cfg.chunk_size)) + [cfg.n_paths]
-    jobs = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    n_threads = cfg.threads()
-    if n_threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            chunks = list(pool.map(lambda job: _simulate_chunk(spec, x0, cfg, *job), jobs))
-    else:
-        chunks = [_simulate_chunk(spec, x0, cfg, lo, hi) for lo, hi in jobs]
-    return _merge(chunks)
+    return _simulate(spec, x0, cfg, 0, cfg.n_paths)
 
 
 def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: int) -> PathSample:
@@ -401,9 +411,7 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
     """
     if not spec.interval.contains(x0):
         raise ValueError(f"x0={x0} outside the open interval")
-    one = replace(cfg, n_paths=1)
-    summary, (times, values) = _simulate_chunk(spec, x0, one, path_index, path_index + 1,
-                                               trajectory=True)
+    summary, (times, values) = _simulate(spec, x0, cfg, path_index, 1, trajectory=True)
     hits = []
     for level in cfg.watch_levels:
         ht = summary.hit_times[level][0]

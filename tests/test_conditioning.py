@@ -6,6 +6,7 @@ import pytest
 from condflow.conditioning import (
     Mode,
     StoppedValueAt,
+    TerminalValue,
     TimeAverageUntilStop,
     ValueAtTimeOrLevel,
     compare_reports,
@@ -15,7 +16,7 @@ from condflow.conditioning import (
     verify_identity_of_measures,
     verify_local_martingality_of_reciprocal,
 )
-from condflow.errors import NeedLongerHorizonError
+from condflow.errors import NeedLongerHorizonError, NumericFailure
 from condflow.model import bessel3, bm
 from condflow.simulate import SimConfig
 from condflow.stats import ecdf, ks_two_sample, weighted_ecdf
@@ -148,3 +149,11 @@ def test_identity_scenarios_smoke():
     assert differ["pass"] and differ["measures_differ"]
     with pytest.raises(ValueError):
         verify_identity_of_measures("NO_SUCH", cfg)
+
+
+def test_downward_rejects_infinite_weight():
+    # Brownian motion absorbed at 0: with dt = 0.5 some paths jump from above
+    # the level to below 0 in one step, stop at 0 and would weigh x0/0
+    cfg = SimConfig(dt=0.5, horizon=50.0, seed=3, n_paths=400)
+    with pytest.raises(NumericFailure, match=r"condition_downward: [1-9][0-9]* of 400 paths"):
+        condition_downward(bm(), 1.0, 0.9, TerminalValue(), cfg)

@@ -23,6 +23,18 @@ def test_chunking_does_not_change_draws():
     np.testing.assert_array_equal(whole, parts)
 
 
+def test_int_counter_mix_matches_numpy_formula():
+    steps = (0, 1, 2**32, 2**63 - 1, 2**64 - 1)
+    streams = (0, 1, 3, 17, 64, 2**20)
+    keys = rng.path_keys(8, np.arange(64, dtype=np.int64))
+    with np.errstate(over="ignore"):
+        for step in steps:
+            for stream in streams:
+                c = rng._mix64(np.uint64(step) * rng._GAMMA + np.uint64(stream))
+                assert rng._counter(step, stream) == int(c)
+                np.testing.assert_array_equal(rng._raw(keys, step, stream), rng._mix64(keys + c))
+
+
 def test_streams_and_steps_decorrelate():
     keys = rng.path_keys(5, np.arange(4096, dtype=np.int64))
     a = rng.normals(keys, 0, stream=0)

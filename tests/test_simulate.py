@@ -84,6 +84,25 @@ def test_reproducible_across_threads_and_chunks():
         np.testing.assert_array_equal(runs[0].time_integral, other.time_integral)
 
 
+def test_prefix_of_ensemble_equals_smaller_run():
+    cfg = SimConfig(dt=1e-2, horizon=5.0, seed=21, n_paths=3_000,
+                    watch_levels=(1.5, 0.0), snapshot_times=(0.5, 2.0),
+                    track_time_average=True)
+    whole = simulate_ensemble(bm(), 1.0, cfg)
+    m = 700
+    part = simulate_ensemble(bm(), 1.0, replace(cfg, n_paths=m))
+    for name in ("final_values", "stop_times", "absorbed_at", "truncated"):
+        np.testing.assert_array_equal(getattr(whole, name)[:m], getattr(part, name))
+    for level in cfg.watch_levels:
+        np.testing.assert_array_equal(whole.hit_times[level][:m], part.hit_times[level])
+    for t in cfg.snapshot_times:
+        np.testing.assert_array_equal(whole.snapshots[t][:m], part.snapshots[t])
+    np.testing.assert_array_equal(whole.time_integral[:m], part.time_integral)
+    # the run exercises stops, a level hit without stopping, and the horizon
+    assert np.any(np.isfinite(part.absorbed_at)) and np.any(part.truncated)
+    assert np.any(np.isfinite(part.hit_times[1.5]))
+
+
 def test_single_path_matches_ensemble_entry():
     cfg = SimConfig(dt=1e-3, horizon=5.0, seed=3, n_paths=8, watch_levels=(2.0, 0.0))
     res = simulate_ensemble(bm(), 1.0, cfg)
