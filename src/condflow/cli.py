@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import json
 import math
 import sys
@@ -132,7 +133,6 @@ def _build_sim(conf, args) -> SimConfig:
             watch_levels=levels,
             seed=seed,
             n_paths=n,
-            n_threads=args.threads,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -173,10 +173,9 @@ def cmd_scale(conf, args) -> int:
             s = compute_scale(spec, y0, grid, Normalization.L)
         except ValueError:
             s = compute_scale(spec, y0, grid, Normalization.R)
-    lines = ["y,s,s_prime"]
-    lines += [f"{float(y)!r},{float(v)!r},{float(d)!r}"
-              for y, v, d in zip(s.grid, s.values, s.derivs)]
-    _emit("\n".join(lines) + "\n", args.out)
+    table = io.StringIO()
+    s.to_csv(table)
+    _emit(table.getvalue(), args.out)
     sys.stderr.write(f"classification: {classify_boundaries(s).value}\n")
     return 0
 
@@ -263,8 +262,6 @@ def cmd_verify(conf, args) -> int:
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if args.threads is not None:
-        kwargs["threads"] = args.threads
     if args.n is not None and args.scenario != "roundtrip":
         kwargs["n"] = args.n
     report = run_scenario(args.scenario, **kwargs)

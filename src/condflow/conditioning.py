@@ -3,11 +3,12 @@
 * REJECTION keeps the paths on which the conditioning event happened, at
   uniform weight.
 * WEIGHTED keeps every resolved path, weighted by the stopped martingale
-  value (upward) or its reciprocal (downward) relative to the start point.
+  relative to the start point: (X_stop - l)/(x0 - l) upward, x0/X_stop
+  downward.
 * DIRECT simulates the transformed dynamics outright.
 
 All three produce a ConditioningReport carrying one functional sample per
-path; reports are compared with a two-sample KS statistic.  The operations
+path; reports are compared with the weighted KS statistic.  The operations
 run in local-martingale coordinates: pass dynamics whose coordinate process
 is itself a nonnegative local martingale (map a general diffusion through
 its scale function first).
@@ -21,6 +22,7 @@ unresolved raises NeedLongerHorizonError.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,47 +194,63 @@ def _check_horizon(res: EnsembleResult, what: str) -> float:
     return trunc
 
 
-def condition_upward(spec: DiffusionSpec, x0: float, a: float, functional,
-                     cfg: SimConfig) -> tuple[ConditioningReport, ConditioningReport]:
-    """Condition a nonnegative local martingale to hit `a` before the lower
-    boundary; returns (REJECTION, WEIGHTED) reports.
-
-    Rejection keeps paths whose first hit among {a, lower boundary} is `a`;
-    weighting assigns each resolved path its stopped value over x0, which is
-    a/x0 on the acceptance event and the boundary value off it.
-    """
-    if not spec.interval.l < x0 <= a < spec.interval.r:
-        raise ValueError("need l < x0 <= a < r")
-    res = _run(spec, x0, functional, cfg, stop_level=a)
-    trunc = _check_horizon(res, "condition_upward")
-    samples = functional.extract(res)
-    accepted = np.isfinite(res.hit_times[a])
-    resolved = ~res.truncated
-
-    rejection = ConditioningReport(
-        mode=Mode.REJECTION,
+def _unit_report(mode: Mode, res: EnsembleResult, samples: np.ndarray, trunc: float,
+                 acceptance: McEstimate | None = None) -> ConditioningReport:
+    """Unit-weight report: rejection's accepted paths or a direct sample."""
+    return ConditioningReport(
+        mode=mode,
         n_total=res.n,
-        n_accepted=int(np.sum(accepted)),
-        weights=np.ones(int(np.sum(accepted))),
-        functional_samples=samples[accepted],
-        ess=float(np.sum(accepted)),
+        n_accepted=samples.size,
+        weights=np.ones(samples.size),
+        functional_samples=samples,
+        ess=float(samples.size),
         truncated_fraction=trunc,
         tie_count=res.tie_count,
-        acceptance=McEstimate.from_binomial(int(np.sum(accepted)), res.n),
+        acceptance=acceptance,
     )
-    weights = res.final_values[resolved] / x0
+
+
+def _rejection_and_weighted(res: EnsembleResult, functional, level: float, trunc: float,
+                            weights: np.ndarray, keep) -> tuple[ConditioningReport, ...]:
+    """The (REJECTION, WEIGHTED) pair of one run stopped at `level`: rejection
+    keeps the paths that hit `level`, weighting keeps rows `keep` of the
+    functional sample at `weights`."""
+    samples = functional.extract(res)
+    accepted = np.isfinite(res.hit_times[level])
+    acceptance = McEstimate.from_binomial(int(np.sum(accepted)), res.n)
+    rejection = _unit_report(Mode.REJECTION, res, samples[accepted], trunc, acceptance)
     weighted = ConditioningReport(
         mode=Mode.WEIGHTED,
         n_total=res.n,
-        n_accepted=int(np.sum(accepted)),
+        n_accepted=rejection.n_accepted,
         weights=weights,
-        functional_samples=samples[resolved],
+        functional_samples=samples[keep],
         ess=effective_sample_size(weights),
         truncated_fraction=trunc,
         tie_count=res.tie_count,
-        acceptance=rejection.acceptance,
+        acceptance=acceptance,
     )
     return rejection, weighted
+
+
+def condition_upward(spec: DiffusionSpec, x0: float, a: float, functional,
+                     cfg: SimConfig) -> tuple[ConditioningReport, ConditioningReport]:
+    """Condition a local martingale to hit `a` before the finite lower
+    boundary l; returns (REJECTION, WEIGHTED) reports.
+
+    Rejection keeps paths whose first hit among {a, l} is `a`; weighting
+    assigns each resolved path the h-transform weight (X_stop - l)/(x0 - l),
+    which is (a - l)/(x0 - l) on the acceptance event and 0 on absorption at
+    l.  At l = 0 this is the stopped value over x0.
+    """
+    l = spec.interval.l
+    if not (math.isfinite(l) and l < x0 <= a < spec.interval.r):
+        raise ValueError("need a finite l and l < x0 <= a < r")
+    res = _run(spec, x0, functional, cfg, stop_level=a)
+    trunc = _check_horizon(res, "condition_upward")
+    resolved = ~res.truncated
+    weights = (res.final_values[resolved] - l) / (x0 - l)
+    return _rejection_and_weighted(res, functional, a, trunc, weights, resolved)
 
 
 def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functional,
@@ -252,20 +270,6 @@ def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functiona
         raise ValueError("need l < level <= x0 < r")
     res = _run(spec_q, x0, functional, cfg, stop_level=level)
     trunc = _check_horizon(res, "condition_downward")
-    samples = functional.extract(res)
-    accepted = np.isfinite(res.hit_times[level])
-
-    rejection = ConditioningReport(
-        mode=Mode.REJECTION,
-        n_total=res.n,
-        n_accepted=int(np.sum(accepted)),
-        weights=np.ones(int(np.sum(accepted))),
-        functional_samples=samples[accepted],
-        ess=float(np.sum(accepted)),
-        truncated_fraction=trunc,
-        tie_count=res.tie_count,
-        acceptance=McEstimate.from_binomial(int(np.sum(accepted)), res.n),
-    )
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = x0 / res.final_values
     infinite = int(np.count_nonzero(~np.isfinite(weights)))
@@ -273,18 +277,7 @@ def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functiona
         raise EvalDomainError(
             f"condition_downward: {infinite} of {res.n} paths stopped at 0, where the "
             f"weight x0/value is not finite")
-    weighted = ConditioningReport(
-        mode=Mode.WEIGHTED,
-        n_total=res.n,
-        n_accepted=int(np.sum(accepted)),
-        weights=weights,
-        functional_samples=samples,
-        ess=effective_sample_size(weights),
-        truncated_fraction=trunc,
-        tie_count=res.tie_count,
-        acceptance=rejection.acceptance,
-    )
-    return rejection, weighted
+    return _rejection_and_weighted(res, functional, level, trunc, weights, slice(None))
 
 
 def direct_sample(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
@@ -297,27 +290,17 @@ def direct_sample(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
     """
     res = _run(spec, x0, functional, cfg, stop_level=stop_level)
     trunc = res.truncated_fraction() if allow_truncated else _check_horizon(res, "direct_sample")
-    samples = functional.extract(res)
-    return ConditioningReport(
-        mode=Mode.DIRECT,
-        n_total=res.n,
-        n_accepted=res.n,
-        weights=np.ones(res.n),
-        functional_samples=samples,
-        ess=float(res.n),
-        truncated_fraction=trunc,
-        tie_count=res.tie_count,
-    )
+    return _unit_report(Mode.DIRECT, res, functional.extract(res), trunc)
 
 
 def compare_reports(left: ConditioningReport, right: ConditioningReport) -> KsResult:
-    """KS between two reports' functional samples (weighted ECDF when the
-    left report carries nonuniform weights); stored on both reports."""
-    uniform = left.weights.size == 0 or np.all(left.weights == left.weights[0])
-    if uniform:
-        ks = ks_two_sample(left.functional_samples, right.functional_samples)
-    else:
-        ks = ks_weighted(left.functional_samples, left.weights, right.functional_samples)
+    """KS between the left report's weighted sample and the right report's
+    functional samples; stored on both reports.
+
+    Unit weights give the plain two-sample statistic to the last bit.  A
+    left report without positive weight raises InsufficientSamplesError.
+    """
+    ks = ks_weighted(left.functional_samples, left.weights, right.functional_samples)
     left.comparison = ks
     right.comparison = ks
     return ks

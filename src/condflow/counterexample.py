@@ -98,18 +98,24 @@ class TildeEnsemble:
     tie_count: int
 
 
+def _switched(xa, x_new, level, eligible, dt, keys, step, stream, bridge):
+    """Paths whose X reaches `level` from above this step (overshoot, or the
+    bridge when `bridge`), among `eligible`."""
+    crossed = eligible & (x_new <= level)
+    if bridge:
+        gap = (level - xa) * (level - x_new)
+        maybe = eligible & ~crossed & (xa > level) & (gap > 0)
+        crossed[_crossings(gap, dt, maybe, keys, step, stream)] = True
+    return crossed
+
+
 def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> TildeEnsemble:
     """Walk Brownian paths from 1, tracking the transformed process, until
     the transformed process hits `a` or the base path is absorbed at 0."""
     if a <= 1.0:
         raise ValueError("a must exceed the start point 1")
     n = cfg.n_paths
-    ids = np.arange(n, dtype=np.int64)
-    keys = rng.path_keys(cfg.seed, ids)
-
-    x = np.ones(n)
-    tilde_prev = np.ones(n)
-    regime = np.zeros(n, dtype=np.int64)
+    bridge = cfg.bridge_correction
     hit_a_time = np.full(n, np.nan)
     absorbed = np.zeros(n, dtype=bool)
     weight_x = np.full(n, np.nan)
@@ -117,91 +123,82 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> T
     tilde_at_snap = np.full(n, np.nan)
     snap_done = False
     tie_count = 0
-    active = np.arange(n)
+
+    # compacted state of the running paths, in path order
+    pos = np.arange(n, dtype=np.int64)
+    keys = rng.path_keys(cfg.seed, pos)
+    xa = np.ones(n)
+    tp = np.ones(n)
+    ra = np.zeros(n, dtype=np.int64)
 
     t = 0.0
     k = 0
     for n_steps, dt in _phases(cfg):
         sqrt_dt = math.sqrt(dt)
         for _ in range(n_steps):
-            if not active.size:
+            if not pos.size:
                 break
             t_next = t + dt
-            xa = x[active]
-            ka = keys[active]
-            z = rng.normals(ka, k, rng.STREAM_TILDE_NORMAL)
+            z = rng.normals(keys, k, rng.STREAM_TILDE_NORMAL)
             x_new = xa + sqrt_dt * z
 
             # base-path absorption at 0 (discrete or bridge)
             absorb = x_new <= 0.0
-            if cfg.bridge_correction:
+            if bridge:
                 gap = xa * x_new  # (0 - xa)(0 - x_new)
-                absorb[_crossings(gap, dt, ~absorb, ka, k, rng.STREAM_TILDE_ABSORB)] = True
+                absorb[_crossings(gap, dt, ~absorb, keys, k, rng.STREAM_TILDE_ABSORB)] = True
             np.maximum(x_new, 0.0, out=x_new)
             x_new[absorb] = 0.0
-
-            ra = regime[active]
-            before_hi = ra == 0
-            between = ra == 1
-            tilde_new = _tilde_formula(x_new, before_hi, between)
+            tilde_new = _tilde_formula(x_new, ra == 0, ra == 1)
 
             # transformed process crossing `a`
             lvl_x = _x_level(a, ra)
-            tp = tilde_prev[active]
             crossed = (tp - a) * (tilde_new - a) <= 0.0
-            if cfg.bridge_correction:
+            if bridge:
                 gap = (lvl_x - xa) * (lvl_x - x_new)
                 maybe = ~crossed & ~absorb & (gap > 0)
-                crossed[_crossings(gap, dt, maybe, ka, k, rng.STREAM_TILDE_LEVEL)] = True
+                crossed[_crossings(gap, dt, maybe, keys, k, rng.STREAM_TILDE_LEVEL)] = True
 
             tie_count += int(np.sum(crossed & absorb))
             hit_a = crossed  # ties break toward the upper level
             absorb_now = absorb & ~hit_a
             stopping = hit_a | absorb_now
-            if np.any(stopping):
-                sel = active[stopping]
-                hit_sel = active[hit_a]
+            stopped = bool(np.any(stopping))
+            if stopped:
+                hit_sel = pos[hit_a]
                 hit_a_time[hit_sel] = t_next
                 weight_x[hit_sel] = lvl_x[hit_a]
                 regime_at_stop[hit_sel] = ra[hit_a]
-                ab_sel = active[absorb_now]
+                ab_sel = pos[absorb_now]
                 absorbed[ab_sel] = True
                 weight_x[ab_sel] = 0.0
                 regime_at_stop[ab_sel] = ra[absorb_now]
+                sel = pos[stopping]
                 still = np.isnan(tilde_at_snap[sel])
-                stop_tilde = np.where(hit_a[stopping], a, 0.0)
-                tilde_at_snap[sel[still]] = stop_tilde[still]
-
-            x[active] = x_new
-            tilde_prev[active] = tilde_new
+                tilde_at_snap[sel[still]] = np.where(hit_a[stopping], a, 0.0)[still]
 
             # regime upgrades apply from the next sample on; detecting the
             # switch with the bridge as well as by overshoot balances the
             # rebasing error of the two affine maps around the level
-            def _switched(level, stream, eligible):
-                crossed = eligible & (x_new <= level)
-                if cfg.bridge_correction:
-                    gap = (level - xa) * (level - x_new)
-                    maybe = eligible & ~crossed & (xa > level) & (gap > 0)
-                    crossed[_crossings(gap, dt, maybe, ka, k, stream)] = True
-                return crossed
+            ra[_switched(xa, x_new, _REGIME_SWITCH_HI, ra == 0, dt, keys, k,
+                         rng.STREAM_SWITCH_HI, bridge)] = 1
+            ra[_switched(xa, x_new, _REGIME_SWITCH_LO, ra == 1, dt, keys, k,
+                         rng.STREAM_SWITCH_LO, bridge)] = 2
 
-            up1 = _switched(_REGIME_SWITCH_HI, rng.STREAM_SWITCH_HI, regime[active] == 0)
-            regime[active[up1]] = 1
-            up2 = _switched(_REGIME_SWITCH_LO, rng.STREAM_SWITCH_LO, regime[active] == 1)
-            regime[active[up2]] = 2
-
-            active = active[~stopping]
+            xa, tp = x_new, tilde_new
+            if stopped:
+                go_on = ~stopping
+                pos, keys, ra, xa, tp = pos[go_on], keys[go_on], ra[go_on], xa[go_on], tp[go_on]
             t = t_next
             k += 1
             if not snap_done and t >= t_snap - 1e-12:
-                tilde_at_snap[active] = tilde_prev[active]
+                tilde_at_snap[pos] = tp
                 snap_done = True
 
     truncated = np.zeros(n, dtype=bool)
-    truncated[active] = True
-    still = np.isnan(tilde_at_snap)
-    tilde_at_snap[still] = tilde_prev[still]
+    truncated[pos] = True
+    still = np.isnan(tilde_at_snap[pos])
+    tilde_at_snap[pos[still]] = tp[still]
     return TildeEnsemble(
         n=n,
         hit_a_time=hit_a_time,

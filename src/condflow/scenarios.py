@@ -64,12 +64,12 @@ def _exact_linear_scale(y_lo: float = 1e-3, y_hi: float = 50.0) -> ScaleFunction
 
 
 def scenario_bm_bessel(n: int = 100_000, n_ks: int = 10_000, dt: float = 1e-3,
-                       seed: int = 2024, threads: int | None = None) -> dict:
+                       seed: int = 2024) -> dict:
     """Hitting identity for the coordinate martingale, and upward
     conditioning against directly simulated conditioned dynamics."""
     checks = []
     for a, horizon in ((2.0, 20.0), (4.0, 40.0)):
-        cfg = SimConfig(dt=dt, horizon=horizon, seed=seed, n_paths=n, n_threads=threads)
+        cfg = SimConfig(dt=dt, horizon=horizon, seed=seed, n_paths=n)
         est, rep = estimate_hitting_prob(bm(), 1.0, a, 0.0, cfg)
         target = 1.0 / a
         tol = 4.0 * max(est.stderr, 1e-12)
@@ -81,7 +81,7 @@ def scenario_bm_bessel(n: int = 100_000, n_ks: int = 10_000, dt: float = 1e-3,
         ))
 
     # the rejection side keeps about half its paths, so run twice as many
-    cfg = SimConfig(dt=dt, horizon=20.0, seed=seed + 1, n_paths=2 * n_ks, n_threads=threads)
+    cfg = SimConfig(dt=dt, horizon=20.0, seed=seed + 1, n_paths=2 * n_ks)
     rejection, _weighted = condition_upward(bm(), 1.0, 2.0, StoppedValueAt(0.25), cfg)
     direct = direct_sample(bessel3(), 1.0,
                            StoppedValueAt(0.25),
@@ -97,19 +97,18 @@ def scenario_bm_bessel(n: int = 100_000, n_ks: int = 10_000, dt: float = 1e-3,
     return _bundle("bm-bessel", checks)
 
 
-def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025,
-                       threads: int | None = None) -> dict:
+def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025) -> dict:
     """Downward conditioning of the conditioned dynamics recovers the base
     law, plus reciprocal-martingale and divergence checks."""
     checks = []
     # conditioned dynamics run to a long horizon; hits of the low level are
     # detected on the fine early grid, the slow divergence on a coarse one
     cfg_down = SimConfig(
-        dt=dt, horizon=10_000.0, cap=100.0, seed=seed, n_paths=n, n_threads=threads,
+        dt=dt, horizon=10_000.0, cap=100.0, seed=seed, n_paths=n,
         dt_schedule=((1.0, dt), (10.0, 10 * dt), (10_000.0, 0.25)),
     )
     rejection, weighted = condition_downward(bessel3(), 1.0, 0.5, StoppedValueAt(0.1), cfg_down)
-    cfg_ref = SimConfig(dt=dt, horizon=0.2, seed=seed + 1, n_paths=n, n_threads=threads)
+    cfg_ref = SimConfig(dt=dt, horizon=0.2, seed=seed + 1, n_paths=n)
     reference = direct_sample(bm(), 1.0, StoppedValueAt(0.1), cfg_ref, stop_level=0.5,
                               allow_truncated=True)
     ks = compare_reports(weighted, reference)
@@ -126,7 +125,7 @@ def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025,
         acceptance=acc.value, stderr=acc.stderr, target=0.5,
     ))
 
-    cfg_band = SimConfig(dt=dt, horizon=2.0, seed=seed + 2, n_paths=n, n_threads=threads)
+    cfg_band = SimConfig(dt=dt, horizon=2.0, seed=seed + 2, n_paths=n)
     recip = verify_local_martingality_of_reciprocal(
         bessel3(), cfg_band, x0=1.0, band=(0.1, 10.0), t=1.0,
         divergence_level=10.0, divergence_horizon=200.0)
@@ -144,8 +143,7 @@ def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025,
     return _bundle("bessel-bm", checks)
 
 
-def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026,
-                 threads: int | None = None) -> dict:
+def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
     """Unit-drift transform of geometric Brownian motion, and the strict
     difference between base and transformed laws."""
     checks = []
@@ -156,8 +154,7 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026,
     drift_err = float(np.max(np.abs(result.drift(grid) - grid)))
     checks.append(_check("transformed-drift-is-y", drift_err <= 1e-6, max_error=drift_err))
 
-    cfg = SimConfig(dt=dt, horizon=1.0 + dt, seed=seed, n_paths=n, n_threads=threads,
-                    snapshot_times=(1.0,))
+    cfg = SimConfig(dt=dt, horizon=1.0 + dt, seed=seed, n_paths=n, snapshot_times=(1.0,))
     run = simulate_ensemble(result, 1.0, cfg)
     logs = np.log(run.snapshots[1.0])
     mean = float(np.mean(logs))
@@ -170,16 +167,15 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026,
 
     ident = verify_identity_of_measures(
         "GBM_B_POSITIVE_NOT_UI",
-        SimConfig(dt=dt, horizon=1.0 + dt, seed=seed + 1, n_paths=n, n_threads=threads))
+        SimConfig(dt=dt, horizon=1.0 + dt, seed=seed + 1, n_paths=n))
     checks.append(_check("p-and-q-measures-differ", ident["pass"], **ident["ks"]))
     return _bundle("gbm", checks)
 
 
-def scenario_stopped_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2027,
-                        threads: int | None = None) -> dict:
+def scenario_stopped_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2027) -> dict:
     """Rejection conditioning on absorption at the top equals the
     transformed dynamics when the coordinate is a bounded martingale."""
-    cfg = SimConfig(dt=dt, horizon=30.0, seed=seed, n_paths=n, n_threads=threads)
+    cfg = SimConfig(dt=dt, horizon=30.0, seed=seed, n_paths=n)
     ident = verify_identity_of_measures("STOPPED_BM_POSITIVE_B", cfg)
     checks = [
         _check("rejection-matches-transformed", ident["ks"]["pass"], **ident["ks"]),
@@ -192,11 +188,10 @@ def scenario_stopped_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2027,
     return _bundle("stopped-bm", checks)
 
 
-def scenario_counterexample(n: int = 10_000, dt: float = 1e-3, seed: int = 2028,
-                            threads: int | None = None) -> dict:
+def scenario_counterexample(n: int = 10_000, dt: float = 1e-3, seed: int = 2028) -> dict:
     """Two approximating sequences of the same nullset induce different
     conditional measures."""
-    cfg = SimConfig(dt=dt, horizon=60.0, seed=seed, n_paths=n, n_threads=threads,
+    cfg = SimConfig(dt=dt, horizon=60.0, seed=seed, n_paths=n,
                     dt_schedule=((2.0, dt), (60.0, 10 * dt)))
     rep = compare_conditionings(cfg, a=2.0, t_snap=0.5)
     checks = [
@@ -209,8 +204,7 @@ def scenario_counterexample(n: int = 10_000, dt: float = 1e-3, seed: int = 2028,
     return _bundle("counterexample", checks)
 
 
-def scenario_jumpwalk(n: int = 10_000, seed: int = 2029, n_ks: int = 10_000,
-                      threads: int | None = None) -> dict:
+def scenario_jumpwalk(n: int = 10_000, seed: int = 2029, n_ks: int = 10_000) -> dict:
     """Exact lattice identities, generator convergence, positivity of the
     conditioned walk, and the diffusion-limit smoke check."""
     checks = []
@@ -259,7 +253,7 @@ def scenario_jumpwalk(n: int = 10_000, seed: int = 2029, n_ks: int = 10_000,
     return _bundle("jumpwalk", checks)
 
 
-def scenario_roundtrip(seed: int = 2030, threads: int | None = None) -> dict:
+def scenario_roundtrip(seed: int = 2030) -> dict:
     """Generator identity at finite differences, its second-order error law,
     and the up-then-down drift round trip."""
     checks = []
@@ -310,8 +304,9 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, **kwargs) -> dict:
-    """Run one named scenario; unknown names raise KeyError."""
+def run_scenario(name: str, threads: int | None = None, **kwargs) -> dict:
+    """Run one named scenario; unknown names raise KeyError.  `threads` is
+    accepted and ignored: every run uses one thread."""
     try:
         runner = SCENARIOS[name]
     except KeyError:

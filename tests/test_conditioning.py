@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from condflow.conditioning import (
+    ConditioningReport,
     Mode,
     StoppedValueAt,
     TerminalValue,
@@ -16,7 +17,7 @@ from condflow.conditioning import (
     verify_identity_of_measures,
     verify_local_martingality_of_reciprocal,
 )
-from condflow.errors import NeedLongerHorizonError, NumericFailure
+from condflow.errors import InsufficientSamplesError, NeedLongerHorizonError, NumericFailure
 from condflow.model import bessel3, bm
 from condflow.simulate import SimConfig
 from condflow.stats import ecdf, ks_two_sample, weighted_ecdf
@@ -157,3 +158,36 @@ def test_downward_rejects_infinite_weight():
     cfg = SimConfig(dt=0.5, horizon=50.0, seed=3, n_paths=400)
     with pytest.raises(NumericFailure, match=r"condition_downward: [1-9][0-9]* of 400 paths"):
         condition_downward(bm(), 1.0, 0.9, TerminalValue(), cfg)
+
+
+def test_upward_weights_with_nonzero_lower_end():
+    # on (-1, inf) the h-transform weight is (X_stop + 1)/(x0 + 1): 0 on
+    # absorption at -1, never the negative X_stop/x0
+    cfg = SimConfig(dt=1e-3, horizon=20.0, seed=64, n_paths=2_000)
+    rejection, weighted = condition_upward(bm(-1.0, math.inf), 0.5, 1.0, StoppedValueAt(0.25), cfg)
+    assert np.all(weighted.weights >= 0.0)
+    mean = float(np.mean(weighted.weights))
+    stderr = float(np.std(weighted.weights, ddof=1) / math.sqrt(weighted.weights.size))
+    assert abs(mean - 1.0) <= 4 * stderr
+    probes = np.linspace(-1.0, 1.0, 401)
+    left = weighted_ecdf(weighted.functional_samples, weighted.weights)(probes)
+    right = ecdf(rejection.functional_samples)(probes)
+    np.testing.assert_allclose(left, right, atol=1e-12)
+
+
+def test_upward_requires_finite_lower_end():
+    cfg = SimConfig(dt=1e-3, horizon=5.0, seed=65, n_paths=100)
+    with pytest.raises(ValueError):
+        condition_upward(bm(-math.inf, math.inf), 0.5, 1.0, StoppedValueAt(0.25), cfg)
+
+
+def _report(weights, samples):
+    return ConditioningReport(mode=Mode.WEIGHTED, n_total=samples.size, n_accepted=0,
+                              weights=weights, functional_samples=samples, ess=0.0,
+                              truncated_fraction=0.0)
+
+
+def test_compare_reports_rejects_all_zero_weights():
+    samples = np.linspace(0.0, 1.0, 400)
+    with pytest.raises(InsufficientSamplesError):
+        compare_reports(_report(np.zeros(400), samples), _report(np.ones(400), samples))

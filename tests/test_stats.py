@@ -139,3 +139,25 @@ def test_effective_sample_size():
     assert effective_sample_size(np.array([3.0])) == pytest.approx(1.0)
     assert effective_sample_size(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
     assert effective_sample_size(np.zeros(3)) == 0.0
+
+
+def test_ks_weighted_rejects_negative_weights():
+    xs = np.linspace(0.0, 1.0, 200)
+    ws = np.where(xs < 0.5, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        ks_weighted(xs, ws, xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from([1, 4, 50]))
+def test_unit_weights_are_exact(seed, grain):
+    # rounding to a coarse grid makes ties within and across the samples
+    rs = np.random.RandomState(seed)
+    xs = np.round(rs.normal(size=rs.randint(50, 300)) * grain) / grain
+    ys = np.round(rs.normal(size=rs.randint(50, 300)) * grain) / grain
+    plain = ks_two_sample(xs, ys)
+    unit = ks_weighted(xs, np.ones_like(xs), ys)
+    assert (plain.statistic, plain.n1, plain.n2, plain.critical_1pct, plain.passed) == \
+        (unit.statistic, unit.n1, unit.n2, unit.critical_1pct, unit.passed)
+    probes = np.concatenate([xs, ys, np.linspace(-4.0, 4.0, 33)])
+    np.testing.assert_array_equal(ecdf(xs)(probes), weighted_ecdf(xs, np.ones_like(xs))(probes))
