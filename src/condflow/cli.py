@@ -9,8 +9,8 @@ nothing, because every run uses one thread.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error, 3 numeric failure.  JSON reports are UTF-8 with sorted keys and carry
-"schema": 1; CSV output is comma-separated with a header row and '.' as the
-decimal mark.
+"schema": 1 (condition: "schema": 2, with its three reports); CSV output
+is comma-separated with a header row and '.' as the decimal mark.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conditioning import StoppedValueAt, compare_reports, condition_downward, condition_upward
+from .conditioning import (StoppedValueAt, compare_reports, condition_downward, condition_upward,
+                           direct_sample)
 from .errors import ConfigError, NumericFailure
 from .exprparse import ParseError, parse_expr
 from .htransform import Direction, transform
@@ -147,6 +148,11 @@ def _grid_bounds(conf, spec: DiffusionSpec, y0: float) -> tuple[float, float]:
     return y_min, y_max
 
 
+def _scale_grid(conf, spec: DiffusionSpec, y0: float) -> GridConfig:
+    y_min, y_max = _grid_bounds(conf, spec, y0)
+    return GridConfig(y_min=y_min, y_max=y_max, n=_get(conf, "scenario", "n_grid", 257, int))
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -162,9 +168,7 @@ def _json_report(payload: dict) -> str:
 def cmd_scale(conf, args) -> int:
     spec = _build_spec(conf)
     y0 = _get(conf, "scenario", "y0", 1.0, float)
-    y_min, y_max = _grid_bounds(conf, spec, y0)
-    grid = GridConfig(y_min=y_min, y_max=y_max,
-                      n=_get(conf, "scenario", "n_grid", 257, int))
+    grid = _scale_grid(conf, spec, y0)
     requested = _get(conf, "scenario", "normalization")
     if requested is not None:
         s = compute_scale(spec, y0, grid, Normalization[requested])
@@ -186,8 +190,7 @@ def cmd_transform(conf, args) -> int:
     direction = Direction[_get(conf, "scenario", "direction", "UPWARD").upper()]
     norm = Normalization.L if direction is Direction.UPWARD else Normalization.R
     y_min, y_max = _grid_bounds(conf, spec, y0)
-    s = compute_scale(spec, y0, GridConfig(y_min=y_min, y_max=y_max,
-                                           n=_get(conf, "scenario", "n_grid", 257, int)), norm)
+    s = compute_scale(spec, y0, _scale_grid(conf, spec, y0), norm)
     result = transform(spec, s, direction).result
     grid = np.linspace(y_min, y_max, _get(conf, "scenario", "n_table", 101, int))
     base_b = np.asarray(spec.drift(grid), dtype=float)
@@ -239,16 +242,24 @@ def cmd_condition(conf, args) -> int:
     functional = StoppedValueAt(_get(conf, "scenario", "t", 0.25, float))
     if direction == "upward":
         level = _get(conf, "scenario", "a_level", 2.0, float)
-        rejection, weighted = condition_upward(spec, x0, level, functional, cfg)
+        condition, norm, sense = condition_upward, Normalization.L, Direction.UPWARD
     elif direction == "downward":
         level = _get(conf, "scenario", "level", 0.5, float)
-        rejection, weighted = condition_downward(spec, x0, level, functional, cfg)
+        condition, norm, sense = condition_downward, Normalization.R, Direction.DOWNWARD
     else:
         raise ConfigError(f"direction must be upward or downward, got {direction!r}")
-    ks = compare_reports(weighted, rejection)
+    # the h-transformed dynamics, simulated on their own noise, are the
+    # independent reference for the weighted sample; building them first
+    # refuses a spec that cannot be normalized before any simulation
+    s = compute_scale(spec, x0, _scale_grid(conf, spec, x0), norm)
+    transformed = transform(spec, s, sense).result
+    rejection, weighted = condition(spec, x0, level, functional, cfg)
+    direct = direct_sample(transformed, x0, functional, replace(cfg, seed=cfg.seed + 1),
+                           stop_level=level)
+    ks = compare_reports(weighted, direct)
     payload = {
-        "schema": 1,
-        "reports": [rejection.as_dict(), weighted.as_dict()],
+        "schema": 2,
+        "reports": [rejection.as_dict(), weighted.as_dict(), direct.as_dict()],
         "ks": ks.as_dict(),
         "acceptance": rejection.acceptance.value,
     }

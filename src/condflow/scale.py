@@ -4,12 +4,26 @@ A scale function s is a strictly increasing solution of
 
     b(y) s'(y) + (1/2) a(y) s''(y) = 0,
 
-so s'(y) = exp(-int_{y0}^{y} 2 b(v)/a(v) dv) and s is its antiderivative.
-The boundary limits s(l+), s(r-) decide which ends the diffusion can reach;
-we estimate them by extending the quadrature grid geometrically toward the
-boundary with a tail extrapolation, and classify per the finite/infinite
-pattern.  Computed scale functions are shifted so the declared normalization
-holds: L pins s(l) = 0, R pins s(r) = 0.
+so s'(y) = exp(-int_{y0}^{y} phi) with phi = 2 b/a, and s is its
+antiderivative.
+
+Every integral is taken by vectorized adaptive Gauss-Kronrod (G7/K15)
+panels: one coefficient call evaluates the 15 nodes of all open panels, a
+panel is accepted once |K15 - G7| <= panel_rel_tol * |K15|, and the others
+are bisected together, level by level.  On the master grid, log s' is the
+negative cumulative sum of the phi panel integrals, anchored at y0.  On each
+grid panel [g_j, g_j+1], s'(u) = exp(log s'(g_j) - int_{g_j}^u phi), with
+the inner phi integrals of all outer nodes taken in the same vector pass;
+s is the cumulative sum of these panel integrals.
+
+The boundary limits s(l+), s(r-) decide which ends the diffusion can reach.
+They are probed by extending the grid geometrically toward each boundary,
+one panel per extension.  A limit is finite once the increments fall below
+a relative threshold (a geometric tail estimate is added) and infinite once,
+over a window, the increments stop shrinking and their ratios stop falling,
+which catches logarithmic divergence without waiting for the partial sums to
+grow large.  Computed scale functions are shifted so the declared
+normalization holds: L pins s(l) = 0, R pins s(r) = 0.
 """
 
 from __future__ import annotations
@@ -20,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import QuadratureError
 from .model import DiffusionSpec, Interval
@@ -52,14 +65,23 @@ class BoundaryClass(enum.Enum):
 class GridConfig:
     """Grid span and quadrature thresholds for compute_scale.
 
-    The master grid covers [y_min, y_max] and clusters geometrically toward
-    finite interval ends.  Boundary limits are probed by extending beyond the
-    span: toward a finite end the remaining gap is halved each iteration,
-    toward an infinite end the reach is doubled.  A limit is declared
-    infinite once the partial sums pass `divergence_threshold` with
-    non-decreasing increment ratios, and finite once increments drop below
-    `tail_rel` of the running scale, after which a geometric tail estimate is
-    added.
+    The master grid covers [y_min, y_max] with n points, clustered
+    geometrically toward finite interval ends; its intervals are the outer
+    quadrature panels.  Each integral is accepted per panel once the
+    Gauss-Kronrod error estimate |K15 - G7| is at most `panel_rel_tol` of
+    |K15| (or at the rounding level); other panels are bisected, at most
+    40 times.
+
+    Boundary limits are probed by extending beyond the span: toward a finite
+    end the remaining gap is halved each iteration, toward an infinite end
+    the reach is doubled.  A limit is declared infinite once each of the
+    last 8 increments is at least 0.999 times the one before it and the
+    ratios of successive increments do not fall (so a constant increment
+    under geometric extension, the mark of a logarithmic divergence, counts
+    as infinite, while a decaying tail whose increments still grow over the
+    window does not), and finite once an increment drops below `tail_rel`
+    of the running scale, after which a geometric tail estimate is added.
+    Neither within `max_extensions` raises QuadratureError.
     """
 
     y_min: float
@@ -67,8 +89,59 @@ class GridConfig:
     n: int = 257
     panel_rel_tol: float = 1e-10
     tail_rel: float = 1e-10
-    divergence_threshold: float = 1e8
     max_extensions: int = 500
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant (PCHIP) on a strictly
+    increasing grid, extrapolating the end cubics.
+
+    Interior slopes are the weighted harmonic means of the adjacent secant
+    slopes (0 at a local extremum), end slopes the shape-preserving one-sided
+    three-point estimate.  The arithmetic follows scipy's PchipInterpolator
+    operation for operation, so values agree with it to the bit, without
+    importing scipy.interpolate (tens of MB of resident memory).
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        h = np.diff(x)
+        slope = np.diff(y) / h
+        d = np.empty_like(y)
+        if y.size == 2:
+            d[:] = slope[0]
+        else:
+            flat = ((np.sign(slope[1:]) != np.sign(slope[:-1]))
+                    | (slope[1:] == 0) | (slope[:-1] == 0))
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                harmonic = (w1 / slope[:-1] + w2 / slope[1:]) / (w1 + w2)
+                d[1:-1] = np.where(flat, 0.0, 1.0 / harmonic)
+            d[0] = self._end_slope(h[0], h[1], slope[0], slope[1])
+            d[-1] = self._end_slope(h[-1], h[-2], slope[-1], slope[-2])
+        t = (d[:-1] + d[1:] - 2 * slope) / h
+        self._x = x
+        self._coeffs = (t / h, (slope - d[:-1]) / h - t, d[:-1], y[:-1])
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1) -> float:
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        # cubic i spans [x_i, x_i+1); the end cubics extend outward
+        i = np.searchsorted(self._x[1:-1], y, side="right")
+        s = y - self._x[i]
+        c3, c2, c1, c0 = (c[i] for c in self._coeffs)
+        s2 = s * s
+        return np.asarray(0.0 + c0 + c1 * s + c2 * s2 + c3 * (s2 * s))
 
 
 @dataclass(frozen=True)
@@ -117,14 +190,14 @@ class ScaleFunction:
     def _spline(self):
         spline = getattr(self, "_spline_cache", None)
         if spline is None:
-            spline = PchipInterpolator(self.grid, self.values, extrapolate=True)
+            spline = _Pchip(self.grid, self.values)
             object.__setattr__(self, "_spline_cache", spline)
         return spline
 
     def _dspline(self):
         spline = getattr(self, "_dspline_cache", None)
         if spline is None:
-            spline = PchipInterpolator(self.grid, self.derivs, extrapolate=True)
+            spline = _Pchip(self.grid, self.derivs)
             object.__setattr__(self, "_dspline_cache", spline)
         return spline
 
@@ -177,39 +250,80 @@ def exact_scale(
 
 # --- quadrature --------------------------------------------------------------
 
-
-def _simpson(f: Callable, a: float, b: float, fa: float, fb: float, rel_tol: float,
-             depth: int = 0) -> float:
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, m, b, fa, fm, fb, whole, rel_tol, depth)
-
-
-def _simpson_step(f, a, m, b, fa, fm, fb, whole, rel_tol, depth) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth >= 40:
-        return left + right
-    if abs(left + right - whole) <= 15.0 * rel_tol * (abs(left + right) + 1e-300):
-        return left + right + (left + right - whole) / 15.0
-    half_tol = rel_tol  # relative tolerance need not shrink with the panels
-    return (_simpson_step(f, a, lm, m, fa, flm, fm, left, half_tol, depth + 1)
-            + _simpson_step(f, m, rm, b, fm, frm, fb, right, half_tol, depth + 1))
+# Gauss-Kronrod 7/15 on [-1, 1] (QUADPACK qk15): the 15 Kronrod nodes hold the
+# 7 Gauss nodes at their odd positions
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_K15 = np.array(_WGK[:-1] + _WGK[::-1])
+_G7 = np.zeros(15)
+_G7[1::2] = _WG[:-1] + _WG[::-1]
+_MAX_DEPTH = 40     # bisection levels before a panel is accepted as it is
+_MAX_OPEN = 1 << 15  # open panels in one call; more means the error test cannot pass
+_BLOCK = 16         # outer panels integrated together when building s
+_DIVERGENCE_WINDOW = 8   # probe increments that must not shrink for +inf
+_RATIO_TOL = 1e-6         # nor may their ratios fall by more than this, relative
 
 
-def _integrate(f: Callable, a: float, b: float, rel_tol: float) -> float:
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    return sign * _simpson(f, a, b, f(a), f(b), rel_tol)
+def _panels(f: Callable, a, b, rel_tol: float) -> np.ndarray:
+    """Integrals of f over the panels [a[i], b[i]] by adaptive G7/K15.
+
+    f(x, owner) takes a 1-D array of nodes and, for each node, the index i of
+    the panel it lies in.  Each level evaluates all open panels in one call
+    and accepts the K15 sum of a panel once |K15 - G7| <= rel_tol * |K15|, or
+    once the difference is at the rounding level of the panel's |f| integral;
+    the others are bisected, up to _MAX_DEPTH levels.  b < a integrates with
+    the sign reversed.  An integrand the error test cannot settle (noise at
+    the rounding level of its own operands, say) raises QuadratureError once
+    more than _MAX_OPEN panels are open, which bounds time and memory.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    total = np.zeros(a.size)
+    owner = np.arange(a.size)
+    for depth in range(_MAX_DEPTH + 1):
+        if a.size > _MAX_OPEN:
+            raise QuadratureError(
+                f"quadrature did not converge: {a.size} panels still open after {depth} bisections")
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        x = mid[:, None] + half[:, None] * _NODES
+        fx = np.asarray(f(x.ravel(), np.repeat(owner, _NODES.size)),
+                        dtype=np.float64).reshape(x.shape)
+        kronrod = half * (fx * _K15).sum(axis=1)
+        err = np.abs(half * (fx * (_K15 - _G7)).sum(axis=1))
+        rounding = 50.0 * np.finfo(np.float64).eps * np.abs(half) * (np.abs(fx) * _K15).sum(axis=1)
+        done = (err <= np.maximum(rel_tol * np.abs(kronrod), rounding)) | (depth == _MAX_DEPTH)
+        total += np.bincount(owner[done], weights=kronrod[done], minlength=total.size)
+        if done.all():
+            break
+        open_ = ~done
+        a, mid, b, owner = a[open_], mid[open_], b[open_], owner[open_]
+        a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.tile(owner, 2)
+    return total
+
+
+def _sprime_integrals(phi: Callable, anchors, logsp, ends, rel_tol: float) -> np.ndarray:
+    """int_{anchors[i]}^{ends[i]} s'(u) du with s'(u) = exp(logsp[i] - int_{anchors[i]}^u phi).
+
+    The inner phi integrals of every outer node are one `_panels` call.
+    """
+    anchors = np.asarray(anchors, dtype=np.float64)
+    logsp = np.asarray(logsp, dtype=np.float64)
+
+    def sprime(u, owner):
+        inner = _panels(phi, anchors[owner], u, rel_tol)
+        return np.exp(np.minimum(logsp[owner] - inner, 700.0))
+
+    return _panels(sprime, anchors, ends, rel_tol)
 
 
 def _master_grid(interval: Interval, cfg: GridConfig, y0: float) -> np.ndarray:
@@ -230,6 +344,24 @@ def _master_grid(interval: Interval, cfg: GridConfig, y0: float) -> np.ndarray:
     return pts[(pts >= lo) & (pts <= hi)]
 
 
+def _diverging(increments: list[float]) -> bool:
+    """Whether the probe increments read as a divergent tail.
+
+    Over the last _DIVERGENCE_WINDOW extensions each increment must be at
+    least 0.999 times the one before, and each increment ratio at least
+    (1 - _RATIO_TOL) times the one before.  Log and power divergences give
+    constant ratios and faster ones rising ratios; a convergent tail whose
+    increments still grow, or barely shrink, over the window (s' = e^(-2e-4 y)
+    past y = 10, or 1/(y + 1e-8) toward 0) gives falling ratios.
+    """
+    window = increments[-_DIVERGENCE_WINDOW - 1:]
+    if len(window) <= _DIVERGENCE_WINDOW or min(window) <= 0.0:
+        return False
+    ratios = [later / earlier for earlier, later in zip(window, window[1:])]
+    return min(ratios) >= 0.999 and all(
+        later >= (1.0 - _RATIO_TOL) * earlier for earlier, later in zip(ratios, ratios[1:]))
+
+
 def _limit_probe(
     phi: Callable,
     start_y: float,
@@ -240,9 +372,10 @@ def _limit_probe(
 ) -> float:
     """Total of int s' from start_y toward `boundary` (one side).
 
-    `outward` is -1 toward l and +1 toward r; returns +inf on divergence.
-    Raises QuadratureError if neither convergence nor divergence is detected
-    within the iteration budget.
+    `outward` is -1 toward l and +1 toward r.  Each extension is one panel;
+    returns +inf once the increments read as divergent (`_diverging`).
+    Raises QuadratureError if neither
+    convergence nor divergence is detected within the iteration budget.
     """
     y = start_y
     logsp = start_logsp  # log s'(y) accumulated from the master grid
@@ -253,22 +386,17 @@ def _limit_probe(
             y_next = boundary + 0.5 * (y - boundary)
         else:
             y_next = y + outward * max(1.0, abs(y))
-        def sprime(u, y=y, logsp=logsp):
-            return math.exp(min(logsp - _integrate(phi, y, u, cfg.panel_rel_tol), 700.0))
-        inc = abs(_integrate(sprime, y, y_next, cfg.panel_rel_tol))
+        inc = abs(float(_sprime_integrals(phi, [y], [logsp], [y_next], cfg.panel_rel_tol)[0]))
         increments.append(inc)
         total += inc
-        if total > cfg.divergence_threshold:
-            ratios = [increments[i + 1] / increments[i]
-                      for i in range(len(increments) - 1) if increments[i] > 0]
-            if len(ratios) < 2 or ratios[-1] >= ratios[-2] * 0.999:
-                return math.inf
+        if _diverging(increments):
+            return math.inf
         if inc <= cfg.tail_rel * max(1.0, abs(total)):
             if len(increments) >= 2 and increments[-2] > 0:
                 rho = min(inc / increments[-2], 0.99)
                 total += inc * rho / (1.0 - rho)
             return total
-        logsp -= _integrate(phi, y, y_next, cfg.panel_rel_tol)
+        logsp -= float(_panels(phi, [y], [y_next], cfg.panel_rel_tol)[0])
         y = y_next
         if math.isfinite(boundary) and abs(y - boundary) < 1e-300:
             return total
@@ -287,8 +415,9 @@ def compute_scale(
     """Compute the scale function of `spec` anchored at y0, then shift it so
     the declared normalization holds.
 
-    Raises QuadratureError if the boundary-limit probe stalls, and
-    ValueError if the normalization side has an infinite limit or the
+    Raises QuadratureError if the boundary-limit probe stalls or s overflows
+    on the grid, and ValueError if the normalization side has an infinite
+    limit (both sides: "both scale limits infinite (UNSUPPORTED)") or the
     diffusion coefficient is not positive on the grid.
     """
     if not (grid.y_min < y0 < grid.y_max):
@@ -298,42 +427,42 @@ def compute_scale(
     g = _master_grid(spec.interval, grid, y0)
     spec.validate_on(g)
 
-    def phi(v: float) -> float:
-        return 2.0 * float(spec.drift(v)) / float(spec.diffusion(v))
+    def phi(v, _owner=None):
+        return 2.0 * np.asarray(spec.drift(v), dtype=np.float64) / np.asarray(
+            spec.diffusion(v), dtype=np.float64)
 
-    # cumulative log s' on the master grid, anchored at y0
+    # log s' on the master grid: -cumsum of the phi panel integrals, anchored at y0
     j0 = int(np.searchsorted(g, y0))
-    logsp = np.zeros_like(g)
-    for j in range(j0, len(g) - 1):
-        logsp[j + 1] = logsp[j] - _integrate(phi, g[j], g[j + 1], grid.panel_rel_tol)
-    for j in range(j0, 0, -1):
-        logsp[j - 1] = logsp[j] + _integrate(phi, g[j], g[j - 1], grid.panel_rel_tol) * -1.0
+    logsp = -np.concatenate([[0.0], np.cumsum(_panels(phi, g[:-1], g[1:], grid.panel_rel_tol))])
+    logsp -= logsp[j0]
 
-    # s on the master grid: integrate s'(u) = exp(logsp at panel anchor - int phi)
-    values = np.zeros_like(g)
-    for j in range(j0, len(g) - 1):
-        anchor, lsp = g[j], logsp[j]
-        def sprime(u, anchor=anchor, lsp=lsp):
-            return math.exp(lsp - _integrate(phi, anchor, u, grid.panel_rel_tol))
-        values[j + 1] = values[j] + _integrate(sprime, g[j], g[j + 1], grid.panel_rel_tol)
-    for j in range(j0, 0, -1):
-        anchor, lsp = g[j], logsp[j]
-        def sprime(u, anchor=anchor, lsp=lsp):
-            return math.exp(lsp - _integrate(phi, anchor, u, grid.panel_rel_tol))
-        values[j - 1] = values[j] - _integrate(sprime, g[j - 1], g[j], grid.panel_rel_tol)
+    # int s' over each grid panel, with s'(u) = exp(logsp[j] - int_{g_j}^u phi)
+    starts, ends, start_logsp = g[:-1], g[1:], logsp[:-1]
+    steps = np.concatenate([
+        _sprime_integrals(phi, starts[j:j + _BLOCK], start_logsp[j:j + _BLOCK],
+                          ends[j:j + _BLOCK], grid.panel_rel_tol)
+        for j in range(0, starts.size, _BLOCK)])
+
+    values = np.concatenate([[0.0], np.cumsum(steps)])
+    values -= values[j0]
+    name = spec.label or "spec"
+    if not (np.all(logsp < 700.0) and np.all(np.isfinite(values))):
+        raise QuadratureError(f"scale of {name} overflows on the grid")
 
     drop_l = _limit_probe(phi, float(g[0]), float(logsp[0]), spec.interval.l, -1.0, grid)
     gain_r = _limit_probe(phi, float(g[-1]), float(logsp[-1]), spec.interval.r, +1.0, grid)
     lim_l = values[0] - drop_l if math.isfinite(drop_l) else -math.inf
     lim_r = values[-1] + gain_r if math.isfinite(gain_r) else math.inf
 
+    if not (math.isfinite(lim_l) or math.isfinite(lim_r)):
+        raise ValueError(f"cannot normalize {name}: both scale limits infinite (UNSUPPORTED)")
     if normalization is Normalization.L:
         if not math.isfinite(lim_l):
-            raise ValueError(f"cannot L-normalize {spec.label or 'spec'}: s(l) = -inf")
+            raise ValueError(f"cannot L-normalize {name}: s(l) = -inf")
         shift = lim_l
     else:
         if not math.isfinite(lim_r):
-            raise ValueError(f"cannot R-normalize {spec.label or 'spec'}: s(r) = +inf")
+            raise ValueError(f"cannot R-normalize {name}: s(r) = +inf")
         shift = lim_r
     values = values - shift
     lim_l = lim_l - shift if math.isfinite(lim_l) else lim_l

@@ -86,10 +86,12 @@ def test_condition_json_report(tmp_path):
     out = tmp_path / "cond.json"
     assert main(["condition", "--seed", "2", "--n", "3000", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     modes = {report["mode"] for report in payload["reports"]}
-    assert modes == {"REJECTION", "WEIGHTED"}
+    assert modes == {"REJECTION", "WEIGHTED", "DIRECT"}
     assert set(payload["ks"]) == {"stat", "critical_1pct", "pass"}
+    # weighted against an independent direct sample: not 0 by construction
+    assert payload["ks"]["stat"] > 0.0
     assert abs(payload["acceptance"] - 0.5) < 0.05
 
 

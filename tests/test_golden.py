@@ -1,0 +1,92 @@
+"""Golden outputs: `condflow` runs whose bytes must not change.
+
+The counter-based noise makes every run a pure function of its config and
+seed, so byte identity is an exact oracle for refactors.  The files in
+tests/golden/ hold the stdout of each run (CSV tables, verify JSON) and, in
+status.txt, each run's exit code and stderr lines.  A change that moves
+output on purpose regenerates them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says which bytes moved and why.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import math
+import tempfile
+from pathlib import Path
+
+from condflow.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (name, b, a, l, r, y_max): custom-expression configs with textbook scales
+SCALE_CONFIGS = (
+    ("bm-drift-down", "-0.5", "1", 0.0, math.inf, None),
+    ("bm-drift-up", "0.5", "1", 0.0, math.inf, None),
+    ("gbm-mu-neg", "-0.5*y", "y^2", 0.0, math.inf, None),
+    ("gbm-mu-quarter", "0.25*y", "y^2", 0.001, 100.0, None),
+    ("attract-2y", "2*y", "1", 0.0, math.inf, 10.0),
+)
+VERIFY_BUNDLES = (("roundtrip", None), ("jumpwalk", 500), ("stopped-bm", 500), ("gbm", 500))
+
+
+def _write_config(workdir: Path, name: str, b: str, a: str, l: float, r: float,
+                  y_max: float | None) -> Path:
+    lines = ["[spec]", "family = custom", f'b = "{b}"', f'a = "{a}"',
+             f"l = {l!r}", f"r = {r!r}", "[scenario]"]
+    if y_max is not None:
+        lines.append(f"y_max = {y_max!r}")
+    path = workdir / f"{name}.ini"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def golden_outputs() -> dict[str, str]:
+    """File name -> content, freshly computed."""
+    files = {}
+    status = []
+
+    def record(run: str, argv: list[str], stdout_name: str) -> None:
+        rc, out, err = _run(argv)
+        if out:
+            files[stdout_name] = out
+        status.append(f"{run}\texit {rc}\t{' | '.join(err.splitlines())}\n")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, *config in SCALE_CONFIGS:
+            path = str(_write_config(Path(tmp), name, *config))
+            for command in ("scale", "transform"):
+                record(f"{command} {name}", [command, "--config", path],
+                       f"{command}-{name}.csv")
+    for bundle, n in VERIFY_BUNDLES:
+        argv = ["verify", bundle] + ([] if n is None else ["--n", str(n)])
+        record(" ".join(argv[1:]), argv, f"verify-{bundle}.json")
+    files["status.txt"] = "".join(status)
+    return files
+
+
+def test_outputs_match_golden_files():
+    fresh = golden_outputs()
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(fresh)
+    changed = [name for name, text in fresh.items()
+               if (GOLDEN / name).read_bytes() != text.encode("utf-8")]
+    assert not changed, f"outputs differ from tests/golden/: {changed}"
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for stale in GOLDEN.iterdir():
+        stale.unlink()
+    for name, text in golden_outputs().items():
+        (GOLDEN / name).write_bytes(text.encode("utf-8"))

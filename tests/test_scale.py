@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condflow.errors import QuadratureError
+from condflow.exprparse import parse_expr
 from condflow.model import DiffusionSpec, Interval, bessel3, bm, gbm
 from condflow.scale import (
     BoundaryClass,
     GridConfig,
     Normalization,
+    _Pchip,
     classify_boundaries,
     compute_scale,
     exact_scale,
@@ -146,3 +149,105 @@ def test_hitting_probability_identity_for_gbm(gbm_scale):
     target = (1.0 - 0.5) / (2.0 - 0.5)
     assert rep["unresolved"] == 0
     assert abs(est.value - target) <= 4 * est.stderr
+
+
+def _assert_power_scale(spec: DiffusionSpec, p: float) -> None:
+    """Check compute_scale against s' = y^(-p) (p != 1) on (0, inf).
+
+    The finite limit is pinned to 0, so s = y^(1-p) / (1-p) under either
+    normalization."""
+    norm = Normalization.L if p < 1.0 else Normalization.R
+    s = compute_scale(spec, 1.0, GridConfig(y_min=0.01, y_max=10.0), norm)
+    np.testing.assert_allclose(s.derivs, s.grid ** -p, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(s.values, s.grid ** (1.0 - p) / (1.0 - p), rtol=1e-9, atol=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(delta=st.one_of(st.floats(min_value=0.2, max_value=1.8),
+                       st.floats(min_value=2.2, max_value=3.9)))
+def test_bessel_scale_matches_closed_form(delta):
+    # Bessel(delta): b = (delta - 1)/(2y), a = 1, s'(y) = y^(1 - delta)
+    spec = DiffusionSpec(Interval(0.0, math.inf),
+                         drift=lambda y: 0.5 * (delta - 1.0) / np.asarray(y, float),
+                         diffusion=lambda y: np.ones_like(np.asarray(y, float)))
+    _assert_power_scale(spec, delta - 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.one_of(st.floats(min_value=-2.0, max_value=0.8),
+                   st.floats(min_value=1.2, max_value=3.0)),
+       sigma=st.floats(min_value=0.3, max_value=2.0))
+def test_gbm_scale_matches_closed_form(p, sigma):
+    # b = mu y, a = sigma^2 y^2 with mu = p sigma^2 / 2: s'(y) = y^(-2 mu / sigma^2)
+    mu = 0.5 * p * sigma**2
+    spec = DiffusionSpec(Interval(0.0, math.inf),
+                         drift=lambda y: mu * np.asarray(y, float),
+                         diffusion=lambda y: sigma**2 * np.square(np.asarray(y, float)))
+    _assert_power_scale(spec, 2.0 * mu / sigma**2)
+
+
+class _Counted:
+    """A coefficient that counts the points it is evaluated at."""
+
+    def __init__(self, fn, counter):
+        self.fn, self.counter = fn, counter
+
+    def __call__(self, y):
+        self.counter[0] += np.size(y)
+        return self.fn(y)
+
+
+@pytest.mark.parametrize("b, a, l, r, y0, y_min, y_max", [
+    ("1/(2*y)", "1", 0.0, math.inf, 1.0, 0.01, 10.0),         # 2-D Bessel
+    ("y/2", "y^2", 0.0, math.inf, 1.0, 0.01, 10.0),           # critical GBM
+    ("0.5-y", "y*(1-y)", 0.0, 1.0, 0.5, 0.005, 0.995),       # Jacobi
+])
+def test_log_divergent_limits_are_refused_quickly(b, a, l, r, y0, y_min, y_max):
+    # s' ~ 1/y at each infinite limit: increments stay constant under
+    # geometric extension, which the probe must read as divergence
+    evaluated = [0]
+    spec = DiffusionSpec(Interval(l, r), _Counted(parse_expr(b).eval, evaluated),
+                         _Counted(parse_expr(a).eval, evaluated))
+    for norm in Normalization:
+        with pytest.raises(ValueError, match=r"both scale limits infinite \(UNSUPPORTED\)"):
+            compute_scale(spec, y0, GridConfig(y_min=y_min, y_max=y_max), norm)
+    assert evaluated[0] < 1_000_000
+
+
+@pytest.mark.parametrize("b, a, l, r, y_min, y_max, expected", [
+    # s' = y^(-1/2) e^(2y) is integrable at both ends, though s(20-) is about 4e15
+    ("0.25-y", "y", 0.001, 20.0, 0.01099, 19.81, BoundaryClass.HITS_BOTH),
+    # s' = e^(-2e-4 (y-1)) is integrable, but the probe increments keep
+    # growing over the first doublings past y = 10
+    ("1e-4", "1", 0.0, math.inf, 0.01, 10.0, BoundaryClass.HITS_BOTH),
+    # s' = 1/(y + 1e-8) looks like 1/y over many halvings toward 0, yet is
+    # integrable there; at +inf it diverges logarithmically
+    ("1/(2*(y+1e-8))", "1", 0.0, math.inf, 0.01, 10.0, BoundaryClass.HITS_L_ONLY),
+])
+def test_finite_limits_are_found(b, a, l, r, y_min, y_max, expected):
+    spec = DiffusionSpec(Interval(l, r), parse_expr(b).eval, parse_expr(a).eval)
+    s = compute_scale(spec, 1.0, GridConfig(y_min=y_min, y_max=y_max), Normalization.L)
+    assert classify_boundaries(s) is expected
+
+
+def test_rounding_noise_drift_fails_fast():
+    # 0.1*y - y/10 is 0 or +-1 ulp: no relative error test can settle its
+    # integrals, so bisection must stop with an error, not run away
+    spec = DiffusionSpec(Interval(0.0, math.inf), parse_expr("0.1*y - y/10").eval,
+                         parse_expr("1").eval)
+    with pytest.raises(QuadratureError, match="did not converge"):
+        compute_scale(spec, 1.0, GridConfig(y_min=0.01, y_max=10.0), Normalization.L)
+
+
+def test_pchip_matches_scipy_to_the_bit():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(2, 30))
+        x = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-3, 3)
+        y = (np.cumsum(rng.exponential(size=n)), rng.normal(size=n),
+             np.round(rng.normal(size=n)))[trial % 3]
+        at = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 40), x])
+        np.testing.assert_array_equal(_Pchip(x, y)(at), PchipInterpolator(x, y)(at))
+    assert np.shape(_Pchip(x, y)(x[1])) == ()
