@@ -57,6 +57,9 @@ def _load_config(path: str | None) -> dict[str, dict[str, str]]:
         for section, entries in data.items():
             if section not in conf:
                 raise ConfigError(f"unknown config section {section!r}")
+            if not isinstance(entries, dict):
+                raise ConfigError(f"config section {section!r} must be a JSON object of "
+                                  f"key/value pairs, got {type(entries).__name__}")
             conf[section].update({str(k): str(v) for k, v in entries.items()})
         return conf
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -90,6 +93,14 @@ def _get(conf, section: str, key: str, default=None, cast=str):
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+
+def _member(enum_type, section: str, key: str, name: str):
+    try:
+        return enum_type[name]
+    except KeyError:
+        allowed = ", ".join(member.name for member in enum_type)
+        raise ConfigError(f"[{section}] {key} = {name!r}: must be one of {allowed}") from None
 
 
 def _build_spec(conf) -> DiffusionSpec:
@@ -171,7 +182,8 @@ def cmd_scale(conf, args) -> int:
     grid = _scale_grid(conf, spec, y0)
     requested = _get(conf, "scenario", "normalization")
     if requested is not None:
-        s = compute_scale(spec, y0, grid, Normalization[requested])
+        s = compute_scale(spec, y0, grid,
+                          _member(Normalization, "scenario", "normalization", requested))
     else:
         try:
             s = compute_scale(spec, y0, grid, Normalization.L)
@@ -187,7 +199,8 @@ def cmd_scale(conf, args) -> int:
 def cmd_transform(conf, args) -> int:
     spec = _build_spec(conf)
     y0 = _get(conf, "scenario", "y0", 1.0, float)
-    direction = Direction[_get(conf, "scenario", "direction", "UPWARD").upper()]
+    direction = _member(Direction, "scenario", "direction",
+                        _get(conf, "scenario", "direction", "UPWARD").upper())
     norm = Normalization.L if direction is Direction.UPWARD else Normalization.R
     y_min, y_max = _grid_bounds(conf, spec, y0)
     s = compute_scale(spec, y0, _scale_grid(conf, spec, y0), norm)

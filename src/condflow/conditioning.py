@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,36 +62,45 @@ class Mode(enum.Enum):
 # --- path functionals (stopped-path measurable, ensemble computable) --------
 
 
-@dataclass(frozen=True)
-class StoppedValueAt:
-    """Path value at t, frozen at the run's stopping events before t."""
+class _Functional:
+    """What a functional needs its run to record, beyond the stop level:
+    snapshot times, watched levels and the running time integral.  Nothing
+    by default; a functional overrides what it reads."""
 
-    t: float
-    snapshot_times: tuple[float, ...] = field(init=False)
+    snapshot_times: tuple[float, ...] = ()
     watch_levels: tuple[float, ...] = ()
     track_time_average: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "snapshot_times", (self.t,))
+
+@dataclass(frozen=True)
+class StoppedValueAt(_Functional):
+    """Path value at t, frozen at the run's stopping events before t."""
+
+    t: float
+
+    @property
+    def snapshot_times(self) -> tuple[float, ...]:
+        return (self.t,)
 
     def extract(self, res: EnsembleResult) -> np.ndarray:
         return res.snapshots[self.t].copy()
 
 
 @dataclass(frozen=True)
-class ValueAtTimeOrLevel:
+class ValueAtTimeOrLevel(_Functional):
     """Path value at t, frozen at `level` if that level was crossed first
     (for functionals measurable before the run's own stopping level)."""
 
     t: float
     level: float
-    snapshot_times: tuple[float, ...] = field(init=False)
-    watch_levels: tuple[float, ...] = field(init=False)
-    track_time_average: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "snapshot_times", (self.t,))
-        object.__setattr__(self, "watch_levels", (self.level,))
+    @property
+    def snapshot_times(self) -> tuple[float, ...]:
+        return (self.t,)
+
+    @property
+    def watch_levels(self) -> tuple[float, ...]:
+        return (self.level,)
 
     def extract(self, res: EnsembleResult) -> np.ndarray:
         hit = res.hit_times[self.level]
@@ -99,12 +108,10 @@ class ValueAtTimeOrLevel:
 
 
 @dataclass(frozen=True)
-class TimeAverageUntilStop:
+class TimeAverageUntilStop(_Functional):
     """Time average of the path up to its stop (absorption or freeze)."""
 
-    snapshot_times: tuple[float, ...] = ()
-    watch_levels: tuple[float, ...] = ()
-    track_time_average: bool = True
+    track_time_average = True
 
     def extract(self, res: EnsembleResult) -> np.ndarray:
         stop = res.stop_times
@@ -112,28 +119,22 @@ class TimeAverageUntilStop:
 
 
 @dataclass(frozen=True)
-class FirstHitTime:
+class FirstHitTime(_Functional):
     """First crossing time of one level (nan where it never crossed)."""
 
     level: float
-    snapshot_times: tuple[float, ...] = ()
-    watch_levels: tuple[float, ...] = field(init=False)
-    track_time_average: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "watch_levels", (self.level,))
+    @property
+    def watch_levels(self) -> tuple[float, ...]:
+        return (self.level,)
 
     def extract(self, res: EnsembleResult) -> np.ndarray:
         return res.hit_times[self.level].copy()
 
 
 @dataclass(frozen=True)
-class TerminalValue:
+class TerminalValue(_Functional):
     """Value at the stop (absorption value, freeze level, or horizon value)."""
-
-    snapshot_times: tuple[float, ...] = ()
-    watch_levels: tuple[float, ...] = ()
-    track_time_average: bool = False
 
     def extract(self, res: EnsembleResult) -> np.ndarray:
         return res.final_values.copy()
@@ -172,12 +173,10 @@ class ConditioningReport:
 
 def _run(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
          stop_level: float) -> EnsembleResult:
-    watch = (stop_level,) + tuple(lv for lv in functional.watch_levels if lv != stop_level)
     run_cfg = replace(
         cfg,
-        watch_levels=watch,
+        watch_levels=functional.watch_levels,
         stop_levels=(stop_level,),
-        stop_at_first_hit=True,
         snapshot_times=tuple(sorted(set(cfg.snapshot_times) | set(functional.snapshot_times))),
         track_time_average=cfg.track_time_average or functional.track_time_average,
     )
@@ -384,7 +383,7 @@ def verify_local_martingality_of_reciprocal(
     one as the horizon grows).
     """
     lo, hi = band
-    band_cfg = replace(cfg, watch_levels=(lo, hi), stop_at_first_hit=True,
+    band_cfg = replace(cfg, watch_levels=(), stop_levels=(lo, hi),
                        snapshot_times=(t,), horizon=max(cfg.horizon, t + cfg.dt))
     res = simulate_ensemble(spec_q, x0, band_cfg)
     stopped = res.snapshots[t]
@@ -393,8 +392,8 @@ def verify_local_martingality_of_reciprocal(
 
     div_cfg = replace(
         cfg,
-        watch_levels=(divergence_level,),
-        stop_at_first_hit=True,
+        watch_levels=(),
+        stop_levels=(divergence_level,),
         horizon=divergence_horizon,
         snapshot_times=(),
         dt_schedule=cfg.dt_schedule or ((min(1.0, divergence_horizon / 2), cfg.dt),

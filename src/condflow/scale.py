@@ -9,8 +9,8 @@ antiderivative.
 
 Every integral is taken by vectorized adaptive Gauss-Kronrod (G7/K15)
 panels: one coefficient call evaluates the 15 nodes of all open panels, a
-panel is accepted once |K15 - G7| <= panel_rel_tol * |K15|, and the others
-are bisected together, level by level.  On the master grid, log s' is the
+panel is accepted once |K15 - G7| <= 1e-10 |K15|, and the others are
+bisected together, level by level.  On the master grid, log s' is the
 negative cumulative sum of the phi panel integrals, anchored at y0.  On each
 grid panel [g_j, g_j+1], s'(u) = exp(log s'(g_j) - int_{g_j}^u phi), with
 the inner phi integrals of all outer nodes taken in the same vector pass;
@@ -18,12 +18,16 @@ s is the cumulative sum of these panel integrals.
 
 The boundary limits s(l+), s(r-) decide which ends the diffusion can reach.
 They are probed by extending the grid geometrically toward each boundary,
-one panel per extension.  A limit is finite once the increments fall below
-a relative threshold (a geometric tail estimate is added) and infinite once,
-over a window, the increments stop shrinking and their ratios stop falling,
-which catches logarithmic divergence without waiting for the partial sums to
-grow large.  Computed scale functions are shifted so the declared
-normalization holds: L pins s(l) = 0, R pins s(r) = 0.
+one panel per extension (halving the gap to a finite end, doubling the
+reach toward an infinite one).  A limit is finite once a shrinking increment
+falls below 1e-10 of the total (a geometric tail estimate is added), and
+infinite once the total overflows or, over a window, the increments stop
+shrinking and their ratios stop falling, which catches logarithmic
+divergence without waiting for the partial sums to grow large; neither
+within 500 extensions raises QuadratureError.  These tolerances are module
+constants, so a caller chooses only the grid.  Computed scale functions are
+shifted so the declared normalization holds: L pins s(l) = 0, R pins
+s(r) = 0.
 """
 
 from __future__ import annotations
@@ -63,33 +67,17 @@ class BoundaryClass(enum.Enum):
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Grid span and quadrature thresholds for compute_scale.
+    """Grid span for compute_scale.
 
     The master grid covers [y_min, y_max] with n points, clustered
     geometrically toward finite interval ends; its intervals are the outer
-    quadrature panels.  Each integral is accepted per panel once the
-    Gauss-Kronrod error estimate |K15 - G7| is at most `panel_rel_tol` of
-    |K15| (or at the rounding level); other panels are bisected, at most
-    40 times.
-
-    Boundary limits are probed by extending beyond the span: toward a finite
-    end the remaining gap is halved each iteration, toward an infinite end
-    the reach is doubled.  A limit is declared infinite once each of the
-    last 8 increments is at least 0.999 times the one before it and the
-    ratios of successive increments do not fall (so a constant increment
-    under geometric extension, the mark of a logarithmic divergence, counts
-    as infinite, while a decaying tail whose increments still grow over the
-    window does not), and finite once an increment drops below `tail_rel`
-    of the running scale, after which a geometric tail estimate is added.
-    Neither within `max_extensions` raises QuadratureError.
+    quadrature panels.  The quadrature tolerances and the boundary-limit
+    probe are fixed (module docstring).
     """
 
     y_min: float
     y_max: float
     n: int = 257
-    panel_rel_tol: float = 1e-10
-    tail_rel: float = 1e-10
-    max_extensions: int = 500
 
 
 class _Pchip:
@@ -266,20 +254,24 @@ _NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
 _K15 = np.array(_WGK[:-1] + _WGK[::-1])
 _G7 = np.zeros(15)
 _G7[1::2] = _WG[:-1] + _WG[::-1]
+_PANEL_REL_TOL = 1e-10  # a panel is accepted once |K15 - G7| <= this * |K15|
 _MAX_DEPTH = 40     # bisection levels before a panel is accepted as it is
 _MAX_OPEN = 1 << 15  # open panels in one call; more means the error test cannot pass
 _BLOCK = 16         # outer panels integrated together when building s
 _DIVERGENCE_WINDOW = 8   # probe increments that must not shrink for +inf
 _RATIO_TOL = 1e-6         # nor may their ratios fall by more than this, relative
+_TAIL_REL = 1e-10         # a shrinking increment below this * max(1, |total|) ends a probe
+_MAX_EXTENSIONS = 500     # probe extensions before QuadratureError
 
 
-def _panels(f: Callable, a, b, rel_tol: float) -> np.ndarray:
+def _panels(f: Callable, a, b) -> np.ndarray:
     """Integrals of f over the panels [a[i], b[i]] by adaptive G7/K15.
 
     f(x, owner) takes a 1-D array of nodes and, for each node, the index i of
     the panel it lies in.  Each level evaluates all open panels in one call
-    and accepts the K15 sum of a panel once |K15 - G7| <= rel_tol * |K15|, or
-    once the difference is at the rounding level of the panel's |f| integral;
+    and accepts the K15 sum of a panel once |K15 - G7| <= _PANEL_REL_TOL *
+    |K15|, or once the difference is at the rounding level of the panel's |f|
+    integral or at most the smallest normal float (a subnormal integrand);
     the others are bisected, up to _MAX_DEPTH levels.  b < a integrates with
     the sign reversed.  An integrand the error test cannot settle (noise at
     the rounding level of its own operands, say) raises QuadratureError once
@@ -301,7 +293,8 @@ def _panels(f: Callable, a, b, rel_tol: float) -> np.ndarray:
         kronrod = half * (fx * _K15).sum(axis=1)
         err = np.abs(half * (fx * (_K15 - _G7)).sum(axis=1))
         rounding = 50.0 * np.finfo(np.float64).eps * np.abs(half) * (np.abs(fx) * _K15).sum(axis=1)
-        done = (err <= np.maximum(rel_tol * np.abs(kronrod), rounding)) | (depth == _MAX_DEPTH)
+        tol = np.maximum(_PANEL_REL_TOL * np.abs(kronrod), rounding)
+        done = (err <= np.maximum(tol, np.finfo(np.float64).tiny)) | (depth == _MAX_DEPTH)
         total += np.bincount(owner[done], weights=kronrod[done], minlength=total.size)
         if done.all():
             break
@@ -311,7 +304,7 @@ def _panels(f: Callable, a, b, rel_tol: float) -> np.ndarray:
     return total
 
 
-def _sprime_integrals(phi: Callable, anchors, logsp, ends, rel_tol: float) -> np.ndarray:
+def _sprime_integrals(phi: Callable, anchors, logsp, ends) -> np.ndarray:
     """int_{anchors[i]}^{ends[i]} s'(u) du with s'(u) = exp(logsp[i] - int_{anchors[i]}^u phi).
 
     The inner phi integrals of every outer node are one `_panels` call.
@@ -320,10 +313,10 @@ def _sprime_integrals(phi: Callable, anchors, logsp, ends, rel_tol: float) -> np
     logsp = np.asarray(logsp, dtype=np.float64)
 
     def sprime(u, owner):
-        inner = _panels(phi, anchors[owner], u, rel_tol)
+        inner = _panels(phi, anchors[owner], u)
         return np.exp(np.minimum(logsp[owner] - inner, 700.0))
 
-    return _panels(sprime, anchors, ends, rel_tol)
+    return _panels(sprime, anchors, ends)
 
 
 def _master_grid(interval: Interval, cfg: GridConfig, y0: float) -> np.ndarray:
@@ -368,35 +361,34 @@ def _limit_probe(
     start_logsp: float,
     boundary: float,
     outward: float,
-    cfg: GridConfig,
 ) -> float:
     """Total of int s' from start_y toward `boundary` (one side).
 
     `outward` is -1 toward l and +1 toward r.  Each extension is one panel;
-    returns +inf once the increments read as divergent (`_diverging`).
-    Raises QuadratureError if neither
-    convergence nor divergence is detected within the iteration budget.
+    returns +inf once the total overflows or the increments read as
+    divergent (`_diverging`), and the total once an increment below 0.999
+    times the one before (or exactly 0) is also below _TAIL_REL of it: a
+    small increment proves nothing while the increments do not shrink.
     """
     y = start_y
     logsp = start_logsp  # log s'(y) accumulated from the master grid
     total = 0.0
     increments: list[float] = []
-    for _ in range(cfg.max_extensions):
+    for _ in range(_MAX_EXTENSIONS):
         if math.isfinite(boundary):
             y_next = boundary + 0.5 * (y - boundary)
         else:
             y_next = y + outward * max(1.0, abs(y))
-        inc = abs(float(_sprime_integrals(phi, [y], [logsp], [y_next], cfg.panel_rel_tol)[0]))
+        inc = abs(float(_sprime_integrals(phi, [y], [logsp], [y_next])[0]))
         increments.append(inc)
         total += inc
-        if _diverging(increments):
+        if not math.isfinite(total) or _diverging(increments):
             return math.inf
-        if inc <= cfg.tail_rel * max(1.0, abs(total)):
-            if len(increments) >= 2 and increments[-2] > 0:
-                rho = min(inc / increments[-2], 0.99)
-                total += inc * rho / (1.0 - rho)
-            return total
-        logsp -= float(_panels(phi, [y], [y_next], cfg.panel_rel_tol)[0])
+        shrinking = inc == 0.0 or (len(increments) >= 2 and inc < 0.999 * increments[-2])
+        if shrinking and inc <= _TAIL_REL * max(1.0, total):
+            rho = min(inc / increments[-2], 0.99) if inc else 0.0
+            return total + inc * rho / (1.0 - rho)
+        logsp -= float(_panels(phi, [y], [y_next])[0])
         y = y_next
         if math.isfinite(boundary) and abs(y - boundary) < 1e-300:
             return total
@@ -433,14 +425,13 @@ def compute_scale(
 
     # log s' on the master grid: -cumsum of the phi panel integrals, anchored at y0
     j0 = int(np.searchsorted(g, y0))
-    logsp = -np.concatenate([[0.0], np.cumsum(_panels(phi, g[:-1], g[1:], grid.panel_rel_tol))])
+    logsp = -np.concatenate([[0.0], np.cumsum(_panels(phi, g[:-1], g[1:]))])
     logsp -= logsp[j0]
 
     # int s' over each grid panel, with s'(u) = exp(logsp[j] - int_{g_j}^u phi)
     starts, ends, start_logsp = g[:-1], g[1:], logsp[:-1]
     steps = np.concatenate([
-        _sprime_integrals(phi, starts[j:j + _BLOCK], start_logsp[j:j + _BLOCK],
-                          ends[j:j + _BLOCK], grid.panel_rel_tol)
+        _sprime_integrals(phi, starts[j:j + _BLOCK], start_logsp[j:j + _BLOCK], ends[j:j + _BLOCK])
         for j in range(0, starts.size, _BLOCK)])
 
     values = np.concatenate([[0.0], np.cumsum(steps)])
@@ -449,8 +440,8 @@ def compute_scale(
     if not (np.all(logsp < 700.0) and np.all(np.isfinite(values))):
         raise QuadratureError(f"scale of {name} overflows on the grid")
 
-    drop_l = _limit_probe(phi, float(g[0]), float(logsp[0]), spec.interval.l, -1.0, grid)
-    gain_r = _limit_probe(phi, float(g[-1]), float(logsp[-1]), spec.interval.r, +1.0, grid)
+    drop_l = _limit_probe(phi, float(g[0]), float(logsp[0]), spec.interval.l, -1.0)
+    gain_r = _limit_probe(phi, float(g[-1]), float(logsp[-1]), spec.interval.r, +1.0)
     lim_l = values[0] - drop_l if math.isfinite(drop_l) else -math.inf
     lim_r = values[-1] + gain_r if math.isfinite(gain_r) else math.inf
 

@@ -50,6 +50,9 @@ __all__ = [
     "estimate_hitting_prob",
 ]
 
+_BOUNDARY_CLAMP = 1e-12  # a proposal this close to a boundary counts as reaching it
+_MAX_HALVINGS = 20       # step halvings before the guard absorbs at the boundary
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -57,14 +60,15 @@ class SimConfig:
 
     `dt_schedule` optionally coarsens the step after an accurate early
     phase for long-horizon scenarios: (t_until, dt) segments covering the
-    horizon; when absent a single segment (horizon, dt) is used.  Snapshot
-    times record the path value at t AND stop, i.e. frozen at absorption, at
-    cap exceedance or, when `stop_at_first_hit` is set, at the first
-    watched-level crossing.
+    horizon; when absent a single segment (horizon, dt) is used.
 
-    `n_threads` and `chunk_size` are accepted and ignored: every run is one
-    cohort of all `n_paths` in one thread, and its result does not depend on
-    either value.
+    A path stops at absorption, at the cap and at its first crossing of a
+    stop level.  The run watches `stop_levels`, then the `watch_levels` not
+    among them; the j-th watched level draws its bridge uniforms from stream
+    STREAM_WATCH + j.  Snapshot times record the path value at t AND stop.
+
+    `n_threads` is accepted and ignored: every run is one cohort of all
+    `n_paths` in one thread.
     """
 
     dt: float
@@ -77,12 +81,8 @@ class SimConfig:
     dt_schedule: tuple[tuple[float, float], ...] | None = None
     snapshot_times: tuple[float, ...] = ()
     track_time_average: bool = False
-    stop_at_first_hit: bool = False
-    stop_levels: tuple[float, ...] | None = None  # default: every watch level
+    stop_levels: tuple[float, ...] = ()
     n_threads: int | None = None
-    boundary_clamp: float = 1e-12
-    max_halvings: int = 20
-    chunk_size: int = 16384
 
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0 or self.dt >= self.horizon:
@@ -119,6 +119,11 @@ class EnsembleResult:
             "absorbed": int(np.sum(np.isfinite(self.absorbed_at))),
             "truncated": int(np.sum(self.truncated)),
         }
+
+
+def _watched(cfg: SimConfig) -> tuple[float, ...]:
+    """The levels a run watches: its stop levels, then the other watch levels."""
+    return cfg.stop_levels + tuple(lv for lv in cfg.watch_levels if lv not in cfg.stop_levels)
 
 
 def _phases(cfg: SimConfig) -> list[tuple[int, float]]:
@@ -182,8 +187,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
               trajectory: bool = False):
     """Run paths first_id .. first_id + n - 1 as one cohort."""
     l, r = spec.interval.l, spec.interval.r
-    clamp = cfg.boundary_clamp
-    watch = tuple(cfg.watch_levels)
+    watch = _watched(cfg)
     boundaries = [(boundary, side, stream) for boundary, side, stream in
                   ((l, -1.0, rng.STREAM_BRIDGE_LOWER), (r, 1.0, rng.STREAM_BRIDGE_UPPER))
                   if math.isfinite(boundary)]
@@ -191,15 +195,13 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     interior = [level for level in watch if level != l and level != r]
     on_boundary = [level for level in watch if level == l or level == r]
     watch_stream = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)}
-    stop_set = set(watch if cfg.stop_levels is None else cfg.stop_levels)
-    # levels that stop a path in stop_at_first_hit mode; the higher level wins
-    # a same-step tie, so they are processed from the top
-    stop_desc = (sorted((lv for lv in interior if lv in stop_set), reverse=True)
-                 if cfg.stop_at_first_hit else [])
+    # the higher stop level wins a same-step tie, so they are processed from the top
+    stop_desc = sorted((lv for lv in interior if lv in cfg.stop_levels), reverse=True)
 
     # full per-path results, written when paths stop, at snapshots and at the end
+    at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
     final = np.full(n, float(x0))
-    stop_t = np.full(n, np.nan)
+    stop_t = np.full(n, 0.0 if at_stop else np.nan)
     absorbed = np.full(n, np.nan)
     hit_t = {level: np.full(n, np.nan) for level in watch}
     snap_times = sorted(cfg.snapshot_times)
@@ -212,16 +214,11 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
             hit_t[level][:] = 0.0
 
     # compacted state of the running paths, in path order
-    pos = np.arange(n)
-    keys = rng.path_keys(cfg.seed, np.arange(first_id, first_id + n, dtype=np.int64))
-    xa = np.full(n, float(x0))
-    unhit = {level: np.full(n, level != x0) for level in interior}
-    tint_a = np.zeros(n) if tint is not None else None
-    if cfg.stop_at_first_hit and any(level == x0 for level in stop_set):
-        stop_t[:] = 0.0
-        pos, keys, xa = pos[:0], keys[:0], xa[:0]
-        unhit = {level: flag[:0] for level, flag in unhit.items()}
-        tint_a = tint_a[:0] if tint_a is not None else None
+    pos = np.arange(0 if at_stop else n)
+    keys = rng.path_keys(cfg.seed, first_id + pos)
+    xa = np.full(pos.size, float(x0))
+    unhit = {level: np.full(pos.size, level != x0) for level in interior}
+    tint_a = np.zeros(pos.size) if tint is not None else None
 
     all_phases = _phases(cfg)
     traj_t = traj_x = None
@@ -248,14 +245,14 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 repels = {}
                 for boundary, side, _stream in boundaries:
                     repels[boundary] = b * side < 0
-                    fix = ((prop - boundary) * side > clamp) & repels[boundary]
+                    fix = ((prop - boundary) * side > _BOUNDARY_CLAMP) & repels[boundary]
                     if np.any(fix):
                         sub = np.where(fix)[0]
                         h = dt
-                        for _halving in range(cfg.max_halvings):
+                        for _halving in range(_MAX_HALVINGS):
                             h *= 0.5
                             prop[sub] = xa[sub] + b[sub] * h + np.sqrt(a[sub] * h) * z[sub]
-                            sub = sub[(prop[sub] - boundary) * side > clamp]
+                            sub = sub[(prop[sub] - boundary) * side > _BOUNDARY_CLAMP]
                             if sub.size == 0:
                                 break
                         if sub.size:
@@ -265,7 +262,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 a_dt = a * dt
                 absorb = {}
                 for boundary, side, stream in boundaries:
-                    crossed = (prop - boundary) * side >= -clamp
+                    crossed = (prop - boundary) * side >= -_BOUNDARY_CLAMP
                     if cfg.bridge_correction:
                         same_side = ~crossed & ((xa - boundary) * side < 0) & ~repels[boundary]
                         gap = (boundary - xa) * (boundary - prop)
@@ -318,8 +315,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         if level in absorb:
                             hit_t[level][ps[absorb[level][sel]]] = t_next
 
-                    # stopping: absorption and cap always stop; watched levels
-                    # stop only in stop_at_first_hit mode (upper level wins ties)
+                    # stopping: absorption, cap and stop levels (upper level wins ties)
                     claimed = absorbed_now | capped
                     val = prop[sel]
                     for level in stop_desc:
@@ -397,7 +393,7 @@ def simulate_ensemble(spec: DiffusionSpec, x0: float, cfg: SimConfig) -> Ensembl
     """
     if not spec.interval.contains(x0):
         raise ValueError(f"x0={x0} outside the open interval")
-    for level in cfg.watch_levels:
+    for level in _watched(cfg):
         if not (spec.interval.l <= level <= spec.interval.r):
             raise ValueError(f"watch level {level} outside [l, r]")
     return _simulate(spec, x0, cfg, 0, cfg.n_paths)
@@ -413,7 +409,7 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
         raise ValueError(f"x0={x0} outside the open interval")
     summary, (times, values) = _simulate(spec, x0, cfg, path_index, 1, trajectory=True)
     hits = []
-    for level in cfg.watch_levels:
+    for level in _watched(cfg):
         ht = summary.hit_times[level][0]
         if np.isfinite(ht):
             hits.append(HittingRecord(level=level, time=float(ht), crossed=True))
@@ -439,7 +435,7 @@ def estimate_hitting_prob(spec: DiffusionSpec, x0: float, level_up: float,
     """
     if not (level_down <= x0 <= level_up) or level_down >= level_up:
         raise ValueError("need level_down <= x0 <= level_up with level_down < level_up")
-    run_cfg = replace(cfg, watch_levels=(level_up, level_down), stop_at_first_hit=True)
+    run_cfg = replace(cfg, watch_levels=(), stop_levels=(level_up, level_down))
     res = simulate_ensemble(spec, x0, run_cfg)
     t_up = res.hit_times[level_up]
     t_dn = res.hit_times[level_down]

@@ -160,3 +160,15 @@ def test_json_config_accepted(tmp_path):
     out = tmp_path / "hit.json"
     assert main(["hitting", "--config", cfg, "--out", str(out)]) == 0
     assert abs(json.loads(out.read_text())["estimate"] - 0.5) < 0.06
+
+
+@pytest.mark.parametrize("command, name, text, allowed", [
+    ("transform", "c.ini", "[scenario]\ndirection = sideways\n", "UPWARD, DOWNWARD"),
+    ("scale", "c.ini", "[scenario]\nnormalization = X\n", "L, R"),
+    ("scale", "c.json", '{"spec": [1, 2]}', "JSON object"),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, command, name, text, allowed):
+    cfg = _write(tmp_path, name, text)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and allowed in err

@@ -15,6 +15,7 @@ from condflow.conditioning import (
     condition_upward,
     direct_sample,
     verify_identity_of_measures,
+    _run,
     verify_local_martingality_of_reciprocal,
 )
 from condflow.errors import InsufficientSamplesError, NeedLongerHorizonError, NumericFailure
@@ -191,3 +192,18 @@ def test_compare_reports_rejects_all_zero_weights():
     samples = np.linspace(0.0, 1.0, 400)
     with pytest.raises(InsufficientSamplesError):
         compare_reports(_report(np.zeros(400), samples), _report(np.ones(400), samples))
+
+
+def test_same_step_absorption_beats_the_stop_level():
+    # with dt = 0.25 a BM step from 0.5 often crosses 0.7 and lands below 0;
+    # the absorption at 0 wins final_values while hit_times records the
+    # crossing, so rejection accepts such a path and weighting gives it 0
+    cfg = SimConfig(dt=0.25, horizon=50.0, seed=3, n_paths=2_000)
+    res = _run(bm(), 0.5, TerminalValue(), cfg, stop_level=0.7)
+    assert res.tie_count == 231
+    tied = (res.absorbed_at == 0.0) & np.isfinite(res.hit_times[0.7])
+    assert int(np.count_nonzero(tied)) == 231
+    np.testing.assert_array_equal(res.final_values[tied], 0.0)
+    rejection, weighted = condition_upward(bm(), 0.5, 0.7, TerminalValue(), cfg)
+    assert rejection.n_accepted == 1_474
+    assert int(np.count_nonzero(weighted.weights > 0.0)) == 1_243

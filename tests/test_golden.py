@@ -84,6 +84,20 @@ def test_outputs_match_golden_files():
     assert not changed, f"outputs differ from tests/golden/: {changed}"
 
 
+def test_benchmark_traced_names_resolve(monkeypatch):
+    # perfbench/tracing.py looks every traced function up by name in its
+    # module, so moving or deleting one breaks `perfbench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import tracing
+
+    import condflow.simulate
+
+    original = condflow.simulate.simulate_ensemble
+    with tracing.instrument(tracing.Tracer()):
+        assert condflow.simulate.simulate_ensemble is not original
+    assert condflow.simulate.simulate_ensemble is original
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.iterdir():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from condflow.errors import QuadratureError
@@ -133,8 +133,7 @@ def test_csv_export(bm_scale):
 def test_scale_of_stopped_process_is_martingale(bessel_scale):
     # mean of s(Y) stopped at band edges and t stays at s(y0)
     cfg = SimConfig(dt=1e-3, horizon=2.0, seed=100, n_paths=8_000,
-                    watch_levels=(0.5, 3.0), stop_at_first_hit=True,
-                    snapshot_times=(1.0,))
+                    stop_levels=(0.5, 3.0), snapshot_times=(1.0,))
     res = simulate_ensemble(bessel3(), 1.0, cfg)
     values = bessel_scale(res.snapshots[1.0])
     mean = float(np.mean(values))
@@ -177,6 +176,7 @@ def test_bessel_scale_matches_closed_form(delta):
 @given(p=st.one_of(st.floats(min_value=-2.0, max_value=0.8),
                    st.floats(min_value=1.2, max_value=3.0)),
        sigma=st.floats(min_value=0.3, max_value=2.0))
+@example(p=2.225073858507203e-309, sigma=1.0)  # subnormal drift: phi underflows
 def test_gbm_scale_matches_closed_form(p, sigma):
     # b = mu y, a = sigma^2 y^2 with mu = p sigma^2 / 2: s'(y) = y^(-2 mu / sigma^2)
     mu = 0.5 * p * sigma**2
@@ -201,6 +201,9 @@ class _Counted:
     ("1/(2*y)", "1", 0.0, math.inf, 1.0, 0.01, 10.0),         # 2-D Bessel
     ("y/2", "y^2", 0.0, math.inf, 1.0, 0.01, 10.0),           # critical GBM
     ("0.5-y", "y*(1-y)", 0.0, 1.0, 0.5, 0.005, 0.995),       # Jacobi
+    # 2-D Bessel with a bump: s' ~ 2.8e-12/y past y = 10, so every probe
+    # increment toward +inf is tiny but none is smaller than the one before
+    ("1/(2*y) + 7.5*exp(-(y-5)^2)", "1", 0.0, math.inf, 1.0, 0.01, 10.0),
 ])
 def test_log_divergent_limits_are_refused_quickly(b, a, l, r, y0, y_min, y_max):
     # s' ~ 1/y at each infinite limit: increments stay constant under

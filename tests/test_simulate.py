@@ -49,7 +49,7 @@ def test_bessel_hits_half_with_probability_half():
     # the hit-time tail decays like 1/sqrt(t), so the horizon must be long
     # for the finite-horizon frequency to sit within the binomial band
     cfg = SimConfig(dt=1e-3, horizon=1600.0, seed=5, n_paths=2_000,
-                    watch_levels=(0.5,), stop_at_first_hit=True, cap=1e6,
+                    stop_levels=(0.5,), cap=1e6,
                     dt_schedule=((1.0, 1e-3), (10.0, 1e-2), (1600.0, 0.1)))
     res = simulate_ensemble(bessel3(), 1.0, cfg)
     freq = float(np.mean(np.isfinite(res.hit_times[0.5])))
@@ -69,12 +69,12 @@ def test_invalid_level_ordering_rejected():
 def test_reproducible_across_threads_and_chunks():
     base = SimConfig(dt=1e-3, horizon=5.0, seed=77, n_paths=5_000,
                      watch_levels=(2.0, 0.0), snapshot_times=(0.5,),
-                     track_time_average=True, chunk_size=1_000)
+                     track_time_average=True)
     runs = [
         simulate_ensemble(bm(), 1.0, replace(base, n_threads=1)),
         simulate_ensemble(bm(), 1.0, replace(base, n_threads=4)),
         simulate_ensemble(bm(), 1.0, replace(base, n_threads=7)),
-        simulate_ensemble(bm(), 1.0, replace(base, chunk_size=16_384, n_threads=2)),
+        simulate_ensemble(bm(), 1.0, replace(base, n_threads=2)),
     ]
     for other in runs[1:]:
         np.testing.assert_array_equal(runs[0].final_values, other.final_values)
@@ -147,8 +147,7 @@ def test_horizon_truncation_flagged():
 
 def test_snapshot_frozen_after_stop():
     cfg = SimConfig(dt=1e-3, horizon=5.0, seed=8, n_paths=2_000,
-                    watch_levels=(1.5,), stop_at_first_hit=True,
-                    snapshot_times=(4.0,))
+                    stop_levels=(1.5,), snapshot_times=(4.0,))
     res = simulate_ensemble(bm(), 1.0, cfg)
     hit = np.isfinite(res.hit_times[1.5]) & (res.hit_times[1.5] <= 4.0)
     np.testing.assert_array_equal(res.snapshots[4.0][hit], 1.5)
