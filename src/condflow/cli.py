@@ -181,14 +181,10 @@ def cmd_scale(conf, args) -> int:
     y0 = _get(conf, "scenario", "y0", 1.0, float)
     grid = _scale_grid(conf, spec, y0)
     requested = _get(conf, "scenario", "normalization")
+    norm = None  # compute_scale then picks L where s(l) is finite, else R
     if requested is not None:
-        s = compute_scale(spec, y0, grid,
-                          _member(Normalization, "scenario", "normalization", requested))
-    else:
-        try:
-            s = compute_scale(spec, y0, grid, Normalization.L)
-        except ValueError:
-            s = compute_scale(spec, y0, grid, Normalization.R)
+        norm = _member(Normalization, "scenario", "normalization", requested)
+    s = compute_scale(spec, y0, grid, norm)
     table = io.StringIO()
     s.to_csv(table)
     _emit(table.getvalue(), args.out)

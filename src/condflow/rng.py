@@ -2,7 +2,10 @@
 
 Every draw is a pure function of (seed, path_index, step_index, stream), so a
 path's noise does not depend on how paths are batched or scheduled across
-workers.  There is no shared mutable generator state anywhere.
+workers, nor on how many steps one call draws.  There is no shared mutable
+generator state anywhere.  A call takes one step index, or a range of step
+indices and then returns one row per step; the simulator draws its step
+normals in such blocks of steps, and every row equals the one-step call.
 
 The mixer is the splitmix64 finalizer (two xor-shift/multiply rounds), applied
 twice: once to fold the step/stream counter, once to fold the per-path key.
@@ -98,30 +101,46 @@ def path_keys(seed: int, path_indices: np.ndarray) -> np.ndarray:
         return _mix64(s + np.asarray(path_indices, dtype=np.uint64) * _GAMMA)
 
 
-def _raw(keys: np.ndarray, step_index: int, stream: int) -> np.ndarray:
+def _raw(keys: np.ndarray, steps: int | range, stream: int) -> np.ndarray:
     """_mix64(keys + counter), with the mix's leading add folded into the
-    scalar and the rest done in place on one array."""
-    c = np.uint64((_counter(step_index, stream) + _GAMMA_INT) & _M64)
-    with np.errstate(over="ignore"):
-        x = keys + c
-        x ^= x >> _SHIFT_A
-        x *= _MULT_A
-        x ^= x >> _SHIFT_B
-        x *= _MULT_B
-        x ^= x >> _SHIFT_C
+    counter and the rest done in place on one array.  For a range of steps
+    the counters form a column and the result has one row per step.
+
+    Array arithmetic on uint64 wraps modulo 2**64 without a warning, so no
+    error-state context is needed here (only numpy scalar arithmetic warns).
+    """
+    if isinstance(steps, range):
+        idx = np.arange(len(steps), dtype=np.uint64)
+        idx *= np.uint64(steps.step & _M64)
+        idx += np.uint64(steps.start & _M64)
+        idx *= _GAMMA
+        idx += np.uint64(stream & _M64)
+        c = _mix64(idx)[:, None]
+        c += _GAMMA
+    else:
+        c = np.uint64((_counter(steps, stream) + _GAMMA_INT) & _M64)
+    x = keys + c
+    x ^= x >> _SHIFT_A
+    x *= _MULT_A
+    x ^= x >> _SHIFT_B
+    x *= _MULT_B
+    x ^= x >> _SHIFT_C
     return x
 
 
-def uniforms(keys: np.ndarray, step_index: int, stream: int) -> np.ndarray:
-    """Uniform(0,1) draws, one per key; never exactly 0 or 1."""
-    bits = _raw(keys, step_index, stream)
+def uniforms(keys: np.ndarray, steps: int | range, stream: int) -> np.ndarray:
+    """Uniform(0,1) draws, one per key (one row per step for a range of
+    steps); never exactly 0 or 1."""
+    bits = _raw(keys, steps, stream)
     u = (bits >> _SHIFT_U).astype(np.float64)
     u *= _U64_INV
     u += _U64_HALF
     return u
 
 
-def normals(keys: np.ndarray, step_index: int, stream: int = STREAM_STEP_NORMAL) -> np.ndarray:
-    """Standard-normal draws via the inverse CDF of the uniform stream."""
-    u = uniforms(keys, step_index, stream)
+def normals(keys: np.ndarray, steps: int | range,
+            stream: int = STREAM_STEP_NORMAL) -> np.ndarray:
+    """Standard-normal draws via the inverse CDF of the uniform stream, one
+    per key (one row per step for a range of steps)."""
+    u = uniforms(keys, steps, stream)
     return ndtri(u, out=u)

@@ -402,10 +402,11 @@ def compute_scale(
     spec: DiffusionSpec,
     y0: float,
     grid: GridConfig,
-    normalization: Normalization = Normalization.L,
+    normalization: Normalization | None = Normalization.L,
 ) -> ScaleFunction:
     """Compute the scale function of `spec` anchored at y0, then shift it so
-    the declared normalization holds.
+    the declared normalization holds.  With `normalization=None` the side is
+    chosen after the quadrature: L if s(l) is finite, else R.
 
     Raises QuadratureError if the boundary-limit probe stalls or s overflows
     on the grid, and ValueError if the normalization side has an infinite
@@ -447,6 +448,8 @@ def compute_scale(
 
     if not (math.isfinite(lim_l) or math.isfinite(lim_r)):
         raise ValueError(f"cannot normalize {name}: both scale limits infinite (UNSUPPORTED)")
+    if normalization is None:
+        normalization = Normalization.L if math.isfinite(lim_l) else Normalization.R
     if normalization is Normalization.L:
         if not math.isfinite(lim_l):
             raise ValueError(f"cannot L-normalize {name}: s(l) = -inf")

@@ -1,15 +1,20 @@
 """Path simulation with absorbing boundaries and hitting detection.
 
-Scheme: Euler-Maruyama on a fixed step grid, one standard normal per path
-per step from the counter-based generator, so a path is a pure function of
-(seed, path_index): the first m paths of an n-path ensemble equal an m-path
-run.
+Scheme: Euler-Maruyama on a fixed step grid.  The step normals come from
+the counter-based generator keyed by (path, step, stream), so a path is a
+pure function of (seed, path_index): the first m paths of an n-path ensemble
+equal an m-path run.
 
 All paths run as one cohort in one thread.  The kernel holds the running
 paths in compacted arrays (value, key, index, per-level "not yet hit" flag,
 running time integral) and writes the full per-path arrays only when paths
 stop, at snapshot times and at the horizon, so a step costs work in
-proportion to the paths still running.
+proportion to the paths still running.  Step normals are drawn in blocks of
+steps, about 2**14 draws at a time: one step per block while many paths run,
+many steps per block in the sparse tail, so a step with few paths costs few
+numpy calls.  Because the draws are keyed, the block size changes no value;
+it only means that up to one block's draws of a path may go unused after it
+stops.
 
 Level crossings between grid points are recovered with the Brownian-bridge
 crossing probability exp(-2 (level-y0)(level-y1) / (a(y0) dt)), with the
@@ -52,6 +57,7 @@ __all__ = [
 
 _BOUNDARY_CLAMP = 1e-12  # a proposal this close to a boundary counts as reaching it
 _MAX_HALVINGS = 20       # step halvings before the guard absorbs at the boundary
+_BLOCK_DRAWS = 1 << 14   # step normals per draw call: the running paths times the block's steps
 
 
 @dataclass(frozen=True)
@@ -151,9 +157,11 @@ def _coeffs(spec: DiffusionSpec, xa: np.ndarray, t: float, pos: np.ndarray, firs
         a = np.asarray(spec.diffusion(xa), dtype=np.float64)
     except Exception as exc:
         raise EvalDomainError(f"coefficient evaluation failed at t={t}: {exc}") from exc
-    bad = ~(np.isfinite(b) & np.isfinite(a) & (a > 0))
-    if np.any(bad):
-        i = int(np.argmax(bad))
+    ok = np.isfinite(b)
+    ok &= a > 0
+    ok &= a < math.inf
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise EvalDomainError(
             f"coefficient failure on path {first_id + int(pos[i])} at t={t}, y={float(xa[i])}")
     return b, a
@@ -165,15 +173,17 @@ def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
     between two grid values y0 and y1.
 
     `gap` is (level - y0)(level - y1) and `a_dt` the step variance a(y0) dt,
-    per path or scalar; the crossing probability is exp(-2 gap / (a dt)).  exp
-    is evaluated only where the exponent exceeds -37 (below it exp is under
-    1e-16), and a uniform is drawn only where the probability exceeds 1e-16.
-    Draws are keyed by (path, step, stream), so skipping the others changes no
-    draw.
+    per path or scalar; the crossing probability is exp(-2 gap / (a dt)).
+    Without candidates it returns at once.  exp is evaluated only where the
+    exponent exceeds -37 (below it exp is under 1e-16), and a uniform is drawn
+    only where the probability exceeds 1e-16.  Draws are keyed by (path, step,
+    stream), so skipping the others changes no draw.
     """
+    if not candidates.any():
+        return candidates.nonzero()[0]
     with np.errstate(over="ignore", invalid="ignore"):
         expo = -2.0 * gap / a_dt
-    idx = np.flatnonzero(candidates & (expo > -37.0))
+    idx = (candidates & (expo > -37.0)).nonzero()[0]
     if idx.size:
         p = np.exp(expo[idx])
         live = p > 1e-16
@@ -188,15 +198,18 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     """Run paths first_id .. first_id + n - 1 as one cohort."""
     l, r = spec.interval.l, spec.interval.r
     watch = _watched(cfg)
-    boundaries = [(boundary, side, stream) for boundary, side, stream in
-                  ((l, -1.0, rng.STREAM_BRIDGE_LOWER), (r, 1.0, rng.STREAM_BRIDGE_UPPER))
+    # (value, is the upper end, bridge stream) of each finite boundary
+    boundaries = [(boundary, upper, stream) for boundary, upper, stream in
+                  ((l, False, rng.STREAM_BRIDGE_LOWER), (r, True, rng.STREAM_BRIDGE_UPPER))
                   if math.isfinite(boundary)]
     # watch levels sitting on an absorbing boundary share its crossing events
     interior = [level for level in watch if level != l and level != r]
     on_boundary = [level for level in watch if level == l or level == r]
     watch_stream = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)}
+    interior_streams = [watch_stream[level] for level in interior]
     # the higher stop level wins a same-step tie, so they are processed from the top
-    stop_desc = sorted((lv for lv in interior if lv in cfg.stop_levels), reverse=True)
+    stop_desc = sorted((j for j, lv in enumerate(interior) if lv in cfg.stop_levels),
+                       key=lambda j: interior[j], reverse=True)
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
@@ -217,15 +230,21 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     pos = np.arange(0 if at_stop else n)
     keys = rng.path_keys(cfg.seed, first_id + pos)
     xa = np.full(pos.size, float(x0))
-    unhit = {level: np.full(pos.size, level != x0) for level in interior}
+    unhit = [np.full(pos.size, level != x0) for level in interior]
     tint_a = np.zeros(pos.size) if tint is not None else None
 
     all_phases = _phases(cfg)
+    total_steps = sum(ns for ns, _ in all_phases)
     traj_t = traj_x = None
     if trajectory:
-        total_steps = sum(ns for ns, _ in all_phases)
         traj_t = np.zeros(total_steps + 1)
         traj_x = np.full(total_steps + 1, float(x0))
+
+    # step normals of the running paths, one row per step of the current block;
+    # column zcol[i] of a row belongs to running path i (None: the identity)
+    z_block = np.empty((0, 0))
+    z_row = 0
+    zcol = None
 
     t = 0.0
     k = 0  # global step index, the RNG counter
@@ -237,97 +256,113 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 break
             t_next = t + dt
             if pos.size:
-                z = rng.normals(keys, k, rng.STREAM_STEP_NORMAL)
+                if z_row == len(z_block):
+                    rows = min(max(1, _BLOCK_DRAWS // pos.size), total_steps - k)
+                    z_block = rng.normals(keys, range(k, k + rows), rng.STREAM_STEP_NORMAL)
+                    z_row = 0
+                    zcol = None
+                z = z_block[z_row] if zcol is None else z_block[z_row, zcol]
+                z_row += 1
                 b, a = _coeffs(spec, xa, t, pos, first_id)
                 prop = xa + b * dt + np.sqrt(a) * sqrt_dt * z
 
                 # halving guard at boundaries the drift repels from
-                repels = {}
-                for boundary, side, _stream in boundaries:
-                    repels[boundary] = b * side < 0
-                    fix = ((prop - boundary) * side > _BOUNDARY_CLAMP) & repels[boundary]
-                    if np.any(fix):
-                        sub = np.where(fix)[0]
+                for boundary, upper, _stream in boundaries:
+                    over = prop - boundary if upper else boundary - prop
+                    fix = over > _BOUNDARY_CLAMP
+                    if fix.any():
+                        fix &= (b < 0.0) if upper else (b > 0.0)
+                        sub = fix.nonzero()[0]
                         h = dt
                         for _halving in range(_MAX_HALVINGS):
+                            if not sub.size:
+                                break
                             h *= 0.5
                             prop[sub] = xa[sub] + b[sub] * h + np.sqrt(a[sub] * h) * z[sub]
-                            sub = sub[(prop[sub] - boundary) * side > _BOUNDARY_CLAMP]
-                            if sub.size == 0:
-                                break
+                            over = prop[sub] - boundary if upper else boundary - prop[sub]
+                            sub = sub[over > _BOUNDARY_CLAMP]
                         if sub.size:
                             prop[sub] = boundary  # give up: absorb there
 
-                # boundary absorption (discrete overshoot or bridge crossing)
+                # boundary absorption (discrete overshoot or bridge crossing);
+                # the bridge test is skipped where the drift repels
                 a_dt = a * dt
-                absorb = {}
-                for boundary, side, stream in boundaries:
-                    crossed = (prop - boundary) * side >= -_BOUNDARY_CLAMP
+                absorb_l = absorb_r = None
+                for boundary, upper, stream in boundaries:
+                    over = prop - boundary if upper else boundary - prop
+                    crossed = over >= -_BOUNDARY_CLAMP
                     if cfg.bridge_correction:
-                        same_side = ~crossed & ((xa - boundary) * side < 0) & ~repels[boundary]
-                        gap = (boundary - xa) * (boundary - prop)
-                        crossed[_crossings(gap, a_dt, same_side, keys, k, stream)] = True
-                    absorb[boundary] = crossed
-                absorb_l = absorb.get(l)
-                absorb_r = absorb.get(r)
+                        toward = b >= 0.0 if upper else b <= 0.0
+                        if toward.any():
+                            toward &= (xa < boundary) if upper else (xa > boundary)
+                            toward &= ~crossed
+                            gap = (boundary - xa) * (boundary - prop)
+                            crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
+                    if upper:
+                        absorb_r = crossed
+                    else:
+                        absorb_l = crossed
 
                 # interior watched levels: discrete or bridge crossings
-                cross = {}
-                for level in interior:
+                cross = []
+                for j, level in enumerate(interior):
                     gap = (xa - level) * (prop - level)
-                    crossed = unhit[level] & (gap <= 0.0)
+                    crossed = unhit[j] & (gap <= 0.0)
                     if cfg.bridge_correction:
-                        maybe = unhit[level] & ~crossed
-                        crossed[_crossings(gap, a_dt, maybe, keys, k, watch_stream[level])] = True
-                    cross[level] = crossed
+                        maybe = unhit[j] & ~crossed
+                        crossed[_crossings(gap, a_dt, maybe, keys, k, interior_streams[j])] = True
+                    cross.append(crossed)
 
                 # a step's events: absorption, cap exceedance, level crossings
-                any_absorb = None
-                for flags in absorb.values():
-                    any_absorb = flags if any_absorb is None else any_absorb | flags
+                if absorb_l is None or absorb_r is None:
+                    any_absorb = absorb_r if absorb_l is None else absorb_l
+                else:
+                    any_absorb = absorb_l | absorb_r
                 over_cap = prop >= cfg.cap
                 event = over_cap if any_absorb is None else over_cap | any_absorb
-                for level in interior:
-                    event = event | cross[level]
+                for crossed in cross:
+                    event = event | crossed
 
                 if tint_a is not None:
                     tint_a += xa * dt
 
                 stopping = None
-                if np.any(event):
-                    sel = np.flatnonzero(event)
+                sel = event.nonzero()[0]
+                if sel.size:
                     ps = pos[sel]
                     absorbed_now = (np.zeros(sel.size, dtype=bool) if any_absorb is None
                                     else any_absorb[sel])
                     capped = over_cap[sel] & ~absorbed_now
-                    hits = {level: cross[level][sel] for level in interior}
+                    hits = [crossed[sel] for crossed in cross]
                     n_events = absorbed_now.astype(np.int64) + capped
-                    for level in interior:
-                        n_events += hits[level]
+                    for fired in hits:
+                        n_events += fired
                     tie_count += int(np.count_nonzero(n_events >= 2))
 
                     # first-crossing times (boundary-sitting levels follow absorption)
-                    for level, fired in hits.items():
-                        if np.any(fired):
+                    for j, level in enumerate(interior):
+                        fired = hits[j]
+                        if fired.any():
                             hit_t[level][ps[fired]] = t_next
-                            unhit[level][sel[fired]] = False
+                            unhit[j][sel[fired]] = False
                     for level in on_boundary:
-                        if level in absorb:
-                            hit_t[level][ps[absorb[level][sel]]] = t_next
+                        flags = absorb_l if level == l else absorb_r
+                        if flags is not None:
+                            hit_t[level][ps[flags[sel]]] = t_next
 
                     # stopping: absorption, cap and stop levels (upper level wins ties)
                     claimed = absorbed_now | capped
                     val = prop[sel]
-                    for level in stop_desc:
-                        newly = hits[level] & ~claimed
-                        val[newly] = level
+                    for j in stop_desc:
+                        newly = hits[j] & ~claimed
+                        val[newly] = interior[j]
                         claimed |= newly
                     absorbed_val = np.where(capped, math.inf, np.nan)
                     for flags, boundary in ((absorb_r, r), (absorb_l, l)):  # lower wins
                         if flags is not None:
                             val[flags[sel]] = boundary
                             absorbed_val[flags[sel]] = boundary
-                    if np.any(claimed):
+                    if claimed.any():
                         stopping = sel[claimed]
                         ps = ps[claimed]
                         val = val[claimed]
@@ -348,9 +383,11 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     keep = np.ones(pos.size, dtype=bool)
                     keep[stopping] = False
                     pos, keys, xa = pos[keep], keys[keep], xa[keep]
-                    unhit = {level: flag[keep] for level, flag in unhit.items()}
+                    unhit = [flag[keep] for flag in unhit]
                     if tint_a is not None:
                         tint_a = tint_a[keep]
+                    if z_row < len(z_block):
+                        zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
 
             t = t_next
             k += 1

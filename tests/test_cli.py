@@ -1,8 +1,12 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from condflow import cli
 from condflow.cli import main
+from condflow.model import named_family
 
 
 def _write(tmp_path, name, text):
@@ -49,6 +53,31 @@ def test_scale_named_family(tmp_path, capsys):
     cfg = _write(tmp_path, "c.ini", "[spec]\nfamily = bessel3\n")
     assert main(["scale", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 0
     assert "HITS_R_ONLY" in capsys.readouterr().err
+
+
+def test_scale_picks_its_side_in_one_quadrature_pass(tmp_path, capsys, monkeypatch):
+    # bessel3 has s(0) = -inf: without a normalization the table is R-normalized,
+    # from the same single quadrature pass an explicit R makes
+    points = []
+
+    def counting_family(name):
+        spec = named_family(name)
+
+        def drift(y):
+            points.append(np.size(y))
+            return spec.drift(y)
+        return replace(spec, drift=drift)
+
+    monkeypatch.setattr(cli, "named_family", counting_family)
+    runs = {}
+    for name, scenario in (("auto", ""), ("R", "[scenario]\nnormalization = R\n")):
+        cfg = _write(tmp_path, f"{name}.ini", "[spec]\nfamily = bessel3\n" + scenario)
+        out = tmp_path / f"{name}.csv"
+        points.clear()
+        assert main(["scale", "--config", cfg, "--out", str(out)]) == 0
+        runs[name] = (sum(points), out.read_bytes(), capsys.readouterr().err)
+    assert runs["auto"] == runs["R"]
+    assert runs["auto"][0] > 0 and "HITS_R_ONLY" in runs["auto"][2]
 
 
 def test_hitting_json_schema(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 
 from condflow import rng
@@ -66,3 +68,23 @@ def test_two_streams_look_standard_normal():
     assert result.passed
     assert abs(xs.mean()) < 4.0 / np.sqrt(xs.size)
     assert abs(xs.std() - 1.0) < 0.03
+
+
+def test_block_of_steps_equals_one_step_calls():
+    keys = rng.path_keys(17, np.arange(50, dtype=np.int64))
+    for first in (0, 41, 2**63 - 2, 2**64 - 3):  # the last block wraps past 2**64 - 1
+        for stream in (rng.STREAM_STEP_NORMAL, rng.STREAM_WATCH + 2):
+            block = rng.normals(keys, range(first, first + 6), stream)
+            assert block.shape == (6, keys.size)
+            for j in range(6):
+                one = rng.normals(keys, first + j, stream)
+                assert block[j].tobytes() == one.tobytes()
+
+
+def test_draws_raise_no_warning():
+    keys = rng.path_keys(2**64 - 1, np.arange(1000, dtype=np.int64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for steps in (0, 2**64 - 1, range(2**64 - 2, 2**64 + 2)):
+            rng.uniforms(keys, steps, rng.STREAM_BRIDGE_UPPER)
+            rng.normals(keys, steps)

@@ -1,12 +1,15 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from condflow import simulate
 from condflow.errors import EvalDomainError
 from condflow.model import DiffusionSpec, Interval, bessel3, bm
 from condflow.simulate import (
+    EnsembleResult,
     SimConfig,
     estimate_hitting_prob,
     simulate_ensemble,
@@ -186,3 +189,85 @@ def test_sim_config_validation():
         SimConfig(dt=2.0, horizon=1.0)
     with pytest.raises(ValueError):
         SimConfig(dt=1e-3, horizon=1.0, snapshot_times=(2.0,))
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _assert_same_ensemble(one: EnsembleResult, other: EnsembleResult) -> None:
+    for name in ("final_values", "stop_times", "absorbed_at", "truncated", "time_integral"):
+        assert _same_bits(getattr(one, name), getattr(other, name)), name
+    for name in ("hit_times", "snapshots"):
+        mine, theirs = getattr(one, name), getattr(other, name)
+        assert list(mine) == list(theirs), name
+        for key in mine:
+            assert _same_bits(mine[key], theirs[key]), (name, key)
+    assert (one.n, one.tie_count) == (other.n, other.tie_count)
+
+
+# (spec, x0, config): a dt schedule with snapshots, stop and watch levels, the
+# cap, truncation and the time integral; bessel3 with coarse steps, whose
+# overshoots below 0 the halving guard takes back; the tied steps of
+# test_same_step_absorption_beats_the_stop_level; and watched levels at both
+# ends of (0, 2) and inside it
+_BLOCK_CASES = [
+    (bessel3(), 1.0, SimConfig(
+        dt=1e-2, horizon=40.0, cap=10.0, seed=4, n_paths=300, stop_levels=(0.5,),
+        watch_levels=(2.0,), dt_schedule=((1.0, 1e-2), (10.0, 0.05), (40.0, 0.25)),
+        snapshot_times=(0.5, 15.0), track_time_average=True)),
+    (bessel3(), 1.0, SimConfig(dt=0.5, horizon=20.0, seed=8, n_paths=500, watch_levels=(0.0,))),
+    (bm(), 0.5, SimConfig(dt=0.25, horizon=50.0, seed=3, n_paths=2_000, stop_levels=(0.7,))),
+    (bm(0.0, 2.0), 1.0, SimConfig(dt=0.05, horizon=3.0, seed=13, n_paths=400,
+                                  watch_levels=(2.0, 0.0, 1.2), snapshot_times=(1.0,))),
+]
+
+
+@pytest.mark.parametrize("spec, x0, cfg", _BLOCK_CASES)
+def test_step_normal_blocks_change_no_byte(spec, x0, cfg, monkeypatch):
+    blocked = simulate_ensemble(spec, x0, cfg)
+    path = simulate_path(spec, x0, cfg, 7)
+    monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 1)  # one step per draw call
+    _assert_same_ensemble(blocked, simulate_ensemble(spec, x0, cfg))
+    per_step = simulate_path(spec, x0, cfg, 7)
+    assert _same_bits(path.times, per_step.times) and _same_bits(path.values, per_step.values)
+    assert path.values[-1] == blocked.final_values[7]
+    assert path.truncated == bool(blocked.truncated[7])
+
+
+def test_block_cases_exercise_every_event(monkeypatch):
+    capped, halving, tied, levels = (simulate_ensemble(*case) for case in _BLOCK_CASES)
+    assert np.any(capped.absorbed_at == math.inf) and np.any(capped.truncated)
+    assert np.any(capped.final_values == 0.5) and np.any(np.isfinite(capped.hit_times[2.0]))
+    assert tied.tie_count > 0
+    assert np.any(levels.absorbed_at == 0.0) and np.any(levels.absorbed_at == 2.0)
+    # bessel3 never reaches 0; without halvings its overshoots absorb there
+    assert not np.any(halving.absorbed_at == 0.0)
+    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
+    assert np.count_nonzero(simulate_ensemble(*_BLOCK_CASES[1]).absorbed_at == 0.0) > 10
+
+
+def test_kernel_leaks_no_runtime_warning():
+    # warnings would reach stderr, which the CLI and the benchmark digest read.
+    # a*dt ~ 1e-312: every bridge exponent -2 gap / (a dt) overflows to -inf,
+    # at the lower boundary (zero drift) and at the watched level 2
+    tiny = DiffusionSpec(Interval(0.0, math.inf),
+                         drift=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+                         diffusion=lambda y: np.full(np.shape(y), 1e-310))
+    flat = replace(tiny, drift=lambda y: np.ones_like(np.asarray(y, dtype=float)))
+    cfg = SimConfig(dt=1e-2, horizon=3.0, seed=2, n_paths=50, watch_levels=(2.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate_ensemble(tiny, 1.0, cfg)
+        res_flat = simulate_ensemble(flat, 1.0, cfg)
+    assert np.all(res.truncated) and np.all(np.isnan(res.hit_times[2.0]))
+    assert np.all(res_flat.hit_times[2.0] > 0.9)
+
+
+def test_scalar_coefficients_run_like_arrays():
+    # the kernel updates some flags in place; a spec returning plain floats
+    # must still broadcast over the running paths
+    flat = DiffusionSpec(Interval(0.0, math.inf), drift=lambda y: 0.0, diffusion=lambda y: 1.0)
+    cfg = SimConfig(dt=1e-2, horizon=5.0, seed=3, n_paths=500, stop_levels=(2.0,))
+    _assert_same_ensemble(simulate_ensemble(flat, 1.0, cfg), simulate_ensemble(bm(), 1.0, cfg))
