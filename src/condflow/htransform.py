@@ -64,7 +64,8 @@ def transform(spec: DiffusionSpec, s: ScaleFunction, direction: Direction) -> Tr
             raise ValueError("DOWNWARD transform needs s < 0 on the grid")
 
     def drift(y, _spec=spec, _s=s):
-        return _spec.drift(y) + _spec.diffusion(y) * _s.deriv(y) / _s(y)
+        value, slope = _s(y, with_deriv=True)
+        return _spec.drift(y) + _spec.diffusion(y) * slope / value
 
     suffix = "up" if direction is Direction.UPWARD else "down"
     result = DiffusionSpec(

@@ -123,10 +123,17 @@ class _Pchip:
         return d
 
     def __call__(self, y):
+        return self.at(*self.locate(y))
+
+    def locate(self, y):
+        """Index i of the cubic holding each y, and y's offset from x_i."""
         y = np.asarray(y, dtype=np.float64)
         # cubic i spans [x_i, x_i+1); the end cubics extend outward
         i = np.searchsorted(self._x[1:-1], y, side="right")
-        s = y - self._x[i]
+        return i, y - self._x[i]
+
+    def at(self, i, s):
+        """Cubic i at offset s from its left knot."""
         c3, c2, c1, c0 = (c[i] for c in self._coeffs)
         s2 = s * s
         return np.asarray(0.0 + c0 + c1 * s + c2 * s2 + c3 * (s2 * s))
@@ -165,7 +172,14 @@ class ScaleFunction:
         if self.normalization is Normalization.R and hi != 0.0:
             raise ValueError("normalization R requires boundary limit 0 at r")
 
-    def __call__(self, y):
+    def __call__(self, y, with_deriv: bool = False):
+        """s(y), or the pair (s(y), s'(y)) when `with_deriv` is set; on grid
+        data the pair shares one knot lookup."""
+        if with_deriv:
+            if self._s_fn is None and self._ds_fn is None:
+                i, offset = self._spline().locate(y)
+                return self._spline().at(i, offset), self._dspline().at(i, offset)
+            return self(y), self.deriv(y)
         if self._s_fn is not None:
             return self._s_fn(np.asarray(y, dtype=np.float64))
         return self._spline()(y)

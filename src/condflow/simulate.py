@@ -25,6 +25,18 @@ the skipped ones change no other.  A crossing of both watched levels
 detected on the same step counts toward the upper level; such ties are
 counted and reported.
 
+Most steps of a sparse tail have no event.  A step is quiet when the running
+values and the Euler proposals, taken as two ranges, sit strictly on one side
+of every watched level and finite boundary, with a bridge exponent at or
+below -37 between the nearest ends, and the proposals stay below the cap and
+more than the clamp distance inside the boundaries.  That bound covers every
+path, so a quiet step draws no bridge uniform and records no event; it skips
+the guards, crossing tests, event selection and compaction, and changes no
+value.  The test reads reductions the step takes anyway: min and max of the
+proposals (which also check the drift) and max a (which also checks the
+diffusion coefficient); the range of the values is the previous step's
+proposal range unless the halving guard moved a proposal.
+
 Two guards keep singular drifts honest near a boundary the process cannot
 actually reach (for example the 1/y drift of an upward-conditioned process
 at its lower end).  When the drift at the current point pushes away from a
@@ -70,8 +82,9 @@ class SimConfig:
 
     A path stops at absorption, at the cap and at its first crossing of a
     stop level.  The run watches `stop_levels`, then the `watch_levels` not
-    among them; the j-th watched level draws its bridge uniforms from stream
-    STREAM_WATCH + j.  Snapshot times record the path value at t AND stop.
+    among them, each level once; the j-th watched level draws its bridge
+    uniforms from stream STREAM_WATCH + j.  Snapshot times record the path
+    value at t AND stop.
 
     `n_threads` is accepted and ignored: every run is one cohort of all
     `n_paths` in one thread.
@@ -128,8 +141,9 @@ class EnsembleResult:
 
 
 def _watched(cfg: SimConfig) -> tuple[float, ...]:
-    """The levels a run watches: its stop levels, then the other watch levels."""
-    return cfg.stop_levels + tuple(lv for lv in cfg.watch_levels if lv not in cfg.stop_levels)
+    """The levels a run watches, each once: its stop levels, then the other
+    watch levels."""
+    return tuple(dict.fromkeys(cfg.stop_levels + cfg.watch_levels))
 
 
 def _phases(cfg: SimConfig) -> list[tuple[int, float]]:
@@ -151,20 +165,64 @@ def _phases(cfg: SimConfig) -> list[tuple[int, float]]:
     return phases
 
 
-def _coeffs(spec: DiffusionSpec, xa: np.ndarray, t: float, pos: np.ndarray, first_id: int):
+def _propose(spec: DiffusionSpec, xa: np.ndarray, t: float, dt: float, sqrt_dt: float,
+             z: np.ndarray, pos: np.ndarray, first_id: int):
+    """The Euler proposal xa + b dt + sqrt(a dt) z at the running values.
+
+    Returns b, a, max a, the proposal and its min and max.  Two reductions
+    check 0 < a < inf before the step; a non-finite b leaves the proposal's
+    range non-finite, so only then is b checked path by path (a finite b may
+    still overflow the proposal, which is no error).  A failure names the
+    first path whose b or a is bad.
+    """
     try:
         b = np.asarray(spec.drift(xa), dtype=np.float64)
         a = np.asarray(spec.diffusion(xa), dtype=np.float64)
     except Exception as exc:
         raise EvalDomainError(f"coefficient evaluation failed at t={t}: {exc}") from exc
-    ok = np.isfinite(b)
-    ok &= a > 0
-    ok &= a < math.inf
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise EvalDomainError(
-            f"coefficient failure on path {first_id + int(pos[i])} at t={t}, y={float(xa[i])}")
-    return b, a
+    a_max = float(a.max())
+    if not (a.min() > 0.0 and a_max < math.inf):
+        _coeff_failure(b, a, xa, t, pos, first_id)
+    prop = xa + b * dt + np.sqrt(a) * sqrt_dt * z
+    p_lo, p_hi = float(prop.min()), float(prop.max())
+    if not (-math.inf < p_lo and p_hi < math.inf) and not np.isfinite(b).all():
+        _coeff_failure(b, a, xa, t, pos, first_id)
+    return b, a, a_max, prop, p_lo, p_hi
+
+
+def _coeff_failure(b, a, xa, t, pos, first_id):
+    ok = np.isfinite(b) & (a > 0.0) & (a < math.inf)
+    i = int(np.argmin(ok))
+    raise EvalDomainError(
+        f"coefficient failure on path {first_id + int(pos[i])} at t={t}, y={float(xa[i])}")
+
+
+def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap: float,
+           marks: list[float], l: float, r: float) -> bool:
+    """True when a step from values in [x_lo, x_hi] to proposals in
+    [p_lo, p_hi], with step variance a dt at most `a_dt`, holds no event.
+
+    That is so when every proposal stays below the cap and more than
+    _BOUNDARY_CLAMP inside l and r, and each mark (a watched level or a finite
+    boundary) has both ranges strictly on one side, with the nearest ends'
+    bridge exponent -2 gap / a_dt at or below -37.  Rounding is monotone, so
+    every path's exponent is then at or below -37 too: `_crossings` finds no
+    candidate, no uniform is drawn and no flag changes.  A NaN fails every
+    comparison and so makes the step eventful.
+    """
+    if not (p_hi < cap and l - p_lo < -_BOUNDARY_CLAMP and p_hi - r < -_BOUNDARY_CLAMP
+            and a_dt > 0.0):
+        return False
+    for m in marks:
+        if x_lo > m and p_lo > m:
+            gap = (x_lo - m) * (p_lo - m)
+        elif x_hi < m and p_hi < m:
+            gap = (x_hi - m) * (p_hi - m)
+        else:
+            return False
+        if not -2.0 * gap / a_dt <= -37.0:
+            return False
+    return True
 
 
 def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
@@ -210,6 +268,8 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     # the higher stop level wins a same-step tie, so they are processed from the top
     stop_desc = sorted((j for j, lv in enumerate(interior) if lv in cfg.stop_levels),
                        key=lambda j: interior[j], reverse=True)
+    # a quiet step keeps clear of the interior levels and the finite boundaries
+    marks = interior + [boundary for boundary, _upper, _stream in boundaries]
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
@@ -226,12 +286,15 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
         if level == x0:
             hit_t[level][:] = 0.0
 
-    # compacted state of the running paths, in path order
+    # compacted state of the running paths, in path order; crossing a stop
+    # level stops a path, so only the other levels keep "not yet hit" flags
     pos = np.arange(0 if at_stop else n)
     keys = rng.path_keys(cfg.seed, first_id + pos)
     xa = np.full(pos.size, float(x0))
-    unhit = [np.full(pos.size, level != x0) for level in interior]
+    unhit = [None if level in cfg.stop_levels else np.full(pos.size, level != x0)
+             for level in interior]
     tint_a = np.zeros(pos.size) if tint is not None else None
+    x_lo = x_hi = None  # bounds on xa, when known
 
     all_phases = _phases(cfg)
     total_steps = sum(ns for ns, _ in all_phases)
@@ -263,131 +326,143 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     zcol = None
                 z = z_block[z_row] if zcol is None else z_block[z_row, zcol]
                 z_row += 1
-                b, a = _coeffs(spec, xa, t, pos, first_id)
-                prop = xa + b * dt + np.sqrt(a) * sqrt_dt * z
-
-                # halving guard at boundaries the drift repels from
-                for boundary, upper, _stream in boundaries:
-                    over = prop - boundary if upper else boundary - prop
-                    fix = over > _BOUNDARY_CLAMP
-                    if fix.any():
-                        fix &= (b < 0.0) if upper else (b > 0.0)
-                        sub = fix.nonzero()[0]
-                        h = dt
-                        for _halving in range(_MAX_HALVINGS):
-                            if not sub.size:
-                                break
-                            h *= 0.5
-                            prop[sub] = xa[sub] + b[sub] * h + np.sqrt(a[sub] * h) * z[sub]
-                            over = prop[sub] - boundary if upper else boundary - prop[sub]
-                            sub = sub[over > _BOUNDARY_CLAMP]
-                        if sub.size:
-                            prop[sub] = boundary  # give up: absorb there
-
-                # boundary absorption (discrete overshoot or bridge crossing);
-                # the bridge test is skipped where the drift repels
-                a_dt = a * dt
-                absorb_l = absorb_r = None
-                for boundary, upper, stream in boundaries:
-                    over = prop - boundary if upper else boundary - prop
-                    crossed = over >= -_BOUNDARY_CLAMP
-                    if cfg.bridge_correction:
-                        toward = b >= 0.0 if upper else b <= 0.0
-                        if toward.any():
-                            toward &= (xa < boundary) if upper else (xa > boundary)
-                            toward &= ~crossed
-                            gap = (boundary - xa) * (boundary - prop)
-                            crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
-                    if upper:
-                        absorb_r = crossed
-                    else:
-                        absorb_l = crossed
-
-                # interior watched levels: discrete or bridge crossings
-                cross = []
-                for j, level in enumerate(interior):
-                    gap = (xa - level) * (prop - level)
-                    crossed = unhit[j] & (gap <= 0.0)
-                    if cfg.bridge_correction:
-                        maybe = unhit[j] & ~crossed
-                        crossed[_crossings(gap, a_dt, maybe, keys, k, interior_streams[j])] = True
-                    cross.append(crossed)
-
-                # a step's events: absorption, cap exceedance, level crossings
-                if absorb_l is None or absorb_r is None:
-                    any_absorb = absorb_r if absorb_l is None else absorb_l
-                else:
-                    any_absorb = absorb_l | absorb_r
-                over_cap = prop >= cfg.cap
-                event = over_cap if any_absorb is None else over_cap | any_absorb
-                for crossed in cross:
-                    event = event | crossed
-
+                b, a, a_max, prop, p_lo, p_hi = _propose(spec, xa, t, dt, sqrt_dt, z,
+                                                         pos, first_id)
                 if tint_a is not None:
                     tint_a += xa * dt
 
-                stopping = None
-                sel = event.nonzero()[0]
-                if sel.size:
-                    ps = pos[sel]
-                    absorbed_now = (np.zeros(sel.size, dtype=bool) if any_absorb is None
-                                    else any_absorb[sel])
-                    capped = over_cap[sel] & ~absorbed_now
-                    hits = [crossed[sel] for crossed in cross]
-                    n_events = absorbed_now.astype(np.int64) + capped
-                    for fired in hits:
-                        n_events += fired
-                    tie_count += int(np.count_nonzero(n_events >= 2))
+                # a quiet step has no event: it only moves the paths
+                if x_lo is None:
+                    x_lo, x_hi = float(xa.min()), float(xa.max())
+                if _quiet(x_lo, x_hi, p_lo, p_hi, a_max * dt, cfg.cap, marks, l, r):
+                    xa, x_lo, x_hi = prop, p_lo, p_hi
+                else:
+                    # the proposals' range holds the next values of the running
+                    # paths, unless the halving guard moves some
+                    x_lo, x_hi = p_lo, p_hi
 
-                    # first-crossing times (boundary-sitting levels follow absorption)
+                    # halving guard at boundaries the drift repels from
+                    for boundary, upper, _stream in boundaries:
+                        over = prop - boundary if upper else boundary - prop
+                        fix = over > _BOUNDARY_CLAMP
+                        if fix.any():
+                            fix &= (b < 0.0) if upper else (b > 0.0)
+                            sub = fix.nonzero()[0]
+                            if sub.size:
+                                x_lo = x_hi = None
+                            h = dt
+                            for _halving in range(_MAX_HALVINGS):
+                                if not sub.size:
+                                    break
+                                h *= 0.5
+                                prop[sub] = xa[sub] + b[sub] * h + np.sqrt(a[sub] * h) * z[sub]
+                                over = prop[sub] - boundary if upper else boundary - prop[sub]
+                                sub = sub[over > _BOUNDARY_CLAMP]
+                            if sub.size:
+                                prop[sub] = boundary  # give up: absorb there
+
+                    # boundary absorption (discrete overshoot or bridge crossing);
+                    # the bridge test is skipped where the drift repels
+                    a_dt = a * dt
+                    absorb_l = absorb_r = None
+                    for boundary, upper, stream in boundaries:
+                        over = prop - boundary if upper else boundary - prop
+                        crossed = over >= -_BOUNDARY_CLAMP
+                        if cfg.bridge_correction:
+                            toward = b >= 0.0 if upper else b <= 0.0
+                            if toward.any():
+                                toward &= ~crossed
+                                gap = (boundary - xa) * (boundary - prop)
+                                crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
+                        if upper:
+                            absorb_r = crossed
+                        else:
+                            absorb_l = crossed
+
+                    # interior watched levels: discrete or bridge crossings
+                    cross = []
                     for j, level in enumerate(interior):
-                        fired = hits[j]
-                        if fired.any():
-                            hit_t[level][ps[fired]] = t_next
-                            unhit[j][sel[fired]] = False
-                    for level in on_boundary:
-                        flags = absorb_l if level == l else absorb_r
-                        if flags is not None:
-                            hit_t[level][ps[flags[sel]]] = t_next
+                        gap = (xa - level) * (prop - level)
+                        crossed = gap <= 0.0
+                        if unhit[j] is not None:
+                            crossed &= unhit[j]
+                        if cfg.bridge_correction:
+                            maybe = ~crossed if unhit[j] is None else unhit[j] & ~crossed
+                            stream = interior_streams[j]
+                            crossed[_crossings(gap, a_dt, maybe, keys, k, stream)] = True
+                        cross.append(crossed)
 
-                    # stopping: absorption, cap and stop levels (upper level wins ties)
-                    claimed = absorbed_now | capped
-                    val = prop[sel]
-                    for j in stop_desc:
-                        newly = hits[j] & ~claimed
-                        val[newly] = interior[j]
-                        claimed |= newly
-                    absorbed_val = np.where(capped, math.inf, np.nan)
-                    for flags, boundary in ((absorb_r, r), (absorb_l, l)):  # lower wins
-                        if flags is not None:
-                            val[flags[sel]] = boundary
-                            absorbed_val[flags[sel]] = boundary
-                    if claimed.any():
-                        stopping = sel[claimed]
-                        ps = ps[claimed]
-                        val = val[claimed]
-                        final[ps] = val
-                        stop_t[ps] = t_next
-                        absorbed[ps] = absorbed_val[claimed]
-                        for snap_t in snap_times[snap_i:]:
-                            snaps[snap_t][ps] = val
-                        if tint is not None:
-                            tint[ps] = tint_a[stopping]
+                    # a step's events: absorption, cap exceedance, level crossings
+                    if absorb_l is None or absorb_r is None:
+                        any_absorb = absorb_r if absorb_l is None else absorb_l
+                    else:
+                        any_absorb = absorb_l | absorb_r
+                    over_cap = prop >= cfg.cap
+                    event = over_cap if any_absorb is None else over_cap | any_absorb
+                    for crossed in cross:
+                        event = event | crossed
 
-                if math.isfinite(l):
-                    np.maximum(prop, l, out=prop)
-                if math.isfinite(r):
-                    np.minimum(prop, r, out=prop)
-                xa = prop
-                if stopping is not None:
-                    keep = np.ones(pos.size, dtype=bool)
-                    keep[stopping] = False
-                    pos, keys, xa = pos[keep], keys[keep], xa[keep]
-                    unhit = [flag[keep] for flag in unhit]
-                    if tint_a is not None:
-                        tint_a = tint_a[keep]
-                    if z_row < len(z_block):
-                        zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
+                    stopping = None
+                    sel = event.nonzero()[0]
+                    if sel.size:
+                        ps = pos[sel]
+                        absorbed_now = (np.zeros(sel.size, dtype=bool) if any_absorb is None
+                                        else any_absorb[sel])
+                        capped = over_cap[sel] & ~absorbed_now
+                        hits = [crossed[sel] for crossed in cross]
+                        n_events = absorbed_now.astype(np.int64) + capped
+                        for fired in hits:
+                            n_events += fired
+                        tie_count += int(np.count_nonzero(n_events >= 2))
+
+                        # first-crossing times (boundary-sitting levels follow absorption)
+                        for j, level in enumerate(interior):
+                            fired = hits[j]
+                            if fired.any():
+                                hit_t[level][ps[fired]] = t_next
+                                if unhit[j] is not None:
+                                    unhit[j][sel[fired]] = False
+                        for level in on_boundary:
+                            flags = absorb_l if level == l else absorb_r
+                            if flags is not None:
+                                hit_t[level][ps[flags[sel]]] = t_next
+
+                        # stopping: absorption, cap and stop levels (upper level wins ties)
+                        claimed = absorbed_now | capped
+                        val = prop[sel]
+                        for j in stop_desc:
+                            newly = hits[j] & ~claimed
+                            val[newly] = interior[j]
+                            claimed |= newly
+                        absorbed_val = np.where(capped, math.inf, np.nan)
+                        for flags, boundary in ((absorb_r, r), (absorb_l, l)):  # lower wins
+                            if flags is not None:
+                                val[flags[sel]] = boundary
+                                absorbed_val[flags[sel]] = boundary
+                        if claimed.any():
+                            stopping = sel[claimed]
+                            ps = ps[claimed]
+                            val = val[claimed]
+                            final[ps] = val
+                            stop_t[ps] = t_next
+                            absorbed[ps] = absorbed_val[claimed]
+                            for snap_t in snap_times[snap_i:]:
+                                snaps[snap_t][ps] = val
+                            if tint is not None:
+                                tint[ps] = tint_a[stopping]
+
+                    # every proposal left running lies inside (l + clamp, r - clamp)
+                    # or is NaN
+                    xa = prop
+                    if stopping is not None:
+                        keep = np.ones(pos.size, dtype=bool)
+                        keep[stopping] = False
+                        pos, keys, xa = pos[keep], keys[keep], xa[keep]
+                        unhit = [flag if flag is None else flag[keep] for flag in unhit]
+                        if tint_a is not None:
+                            tint_a = tint_a[keep]
+                        if z_row < len(z_block):
+                            zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
 
             t = t_next
             k += 1

@@ -200,3 +200,18 @@ def test_fd_error_second_order():
     ratio = (check_generator_identity(drifted, s, phi, grid, h=0.02)
              / check_generator_identity(drifted, s, phi, grid, h=0.01))
     assert 3.5 <= ratio <= 4.5
+
+
+def test_grid_backed_drift_shares_one_knot_lookup():
+    # s and s' come from one knot lookup, bit for bit equal to two lookups,
+    # inside the grid, on its knots and on the extrapolated ends
+    for spec, norm, direction in ((gbm(), Normalization.L, Direction.UPWARD),
+                                  (bessel3(), Normalization.R, Direction.DOWNWARD)):
+        s = compute_scale(spec, 1.0, GridConfig(y_min=0.01, y_max=50.0), norm)
+        assert s._s_fn is None
+        drift = transform(spec, s, direction).result.drift
+        for ys in (np.concatenate([np.geomspace(5e-3, 80.0, 701), s.grid]), np.float64(1.7)):
+            expected = spec.drift(ys) + spec.diffusion(ys) * s.deriv(ys) / s(ys)
+            got = drift(ys)
+            assert np.shape(got) == np.shape(expected)
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()

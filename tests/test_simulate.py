@@ -271,3 +271,160 @@ def test_scalar_coefficients_run_like_arrays():
     flat = DiffusionSpec(Interval(0.0, math.inf), drift=lambda y: 0.0, diffusion=lambda y: 1.0)
     cfg = SimConfig(dt=1e-2, horizon=5.0, seed=3, n_paths=500, stop_levels=(2.0,))
     _assert_same_ensemble(simulate_ensemble(flat, 1.0, cfg), simulate_ensemble(bm(), 1.0, cfg))
+
+
+def test_repeated_levels_are_watched_once():
+    # a level given twice is one level: its hits are no ties, and its bridge
+    # uniforms come from one stream
+    base = SimConfig(dt=1e-2, horizon=5.0, seed=3, n_paths=2_000, stop_levels=(0.7,))
+    once = simulate_ensemble(bm(), 0.5, base)
+    assert once.tie_count == 0
+    for cfg in (replace(base, stop_levels=(0.7, 0.7)), replace(base, watch_levels=(0.7, 0.7))):
+        _assert_same_ensemble(once, simulate_ensemble(bm(), 0.5, cfg))
+    watched = replace(base, stop_levels=(), watch_levels=(0.7,))
+    _assert_same_ensemble(simulate_ensemble(bm(), 0.5, watched),
+                          simulate_ensemble(bm(), 0.5, replace(watched, watch_levels=(0.7, 0.7))))
+
+
+def _failing_at(index, value):
+    """An array coefficient equal to 1 except `value` on running path `index`."""
+    def coeff(y):
+        out = np.ones(np.shape(y))
+        out[index] = value
+        return out
+    return coeff
+
+
+@pytest.mark.parametrize("drift, diffusion, path", [
+    (_failing_at(3, np.nan), None, 3),
+    (None, _failing_at(5, 0.0), 5),
+    (None, _failing_at(2, math.inf), 2),
+    (_failing_at(4, -math.inf), _failing_at(6, 0.0), 4),
+    (_failing_at(4, math.nan), _failing_at(1, -1.0), 1),
+])
+def test_coefficient_failure_names_the_first_bad_path(drift, diffusion, path):
+    spec = replace(bm(), drift=drift or bm().drift, diffusion=diffusion or bm().diffusion)
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=1, n_paths=10)
+    with pytest.raises(EvalDomainError,
+                       match=rf"^coefficient failure on path {path} at t=0\.0, y=1\.0$"):
+        simulate_ensemble(spec, 1.0, cfg)
+
+
+def test_overflowing_finite_drift_is_no_failure():
+    # a finite drift whose step overflows is not a coefficient failure: the
+    # path passes the cap and stops there
+    huge = replace(bm(), drift=lambda y: np.full(np.shape(y), 1e308))
+    with np.errstate(over="ignore"):
+        res = simulate_ensemble(huge, 1.0, SimConfig(dt=10.0, horizon=20.0, n_paths=5))
+    assert np.all(res.absorbed_at == math.inf) and np.all(res.final_values == math.inf)
+
+
+# (spec, x0, config) for the quiet-step tests, each with quiet and eventful
+# steps: a bessel3 tail with snapshots, the time integral and a cap; BM
+# between two stop levels, with ties at dt 0.25 and then fine steps; bessel3
+# at dt 0.5, where the halving guard fires; levels at the finite end, inside
+# and at the infinite end of (0, inf); and no bridge correction
+_QUIET_CASES = [
+    (bessel3(), 1.0, SimConfig(
+        dt=1e-2, horizon=200.0, cap=10.0, seed=4, n_paths=300, stop_levels=(0.5,),
+        watch_levels=(0.8,), dt_schedule=((1.0, 1e-2), (10.0, 0.05), (200.0, 0.25)),
+        snapshot_times=(0.5, 15.0), track_time_average=True)),
+    (bm(), 1.0, SimConfig(dt=0.25, horizon=60.0, seed=5, n_paths=500, stop_levels=(0.2, 2.5),
+                          dt_schedule=((3.0, 0.25), (60.0, 0.01)))),
+    (bessel3(), 1.0, SimConfig(dt=0.5, horizon=100.0, cap=30.0, seed=8, n_paths=100,
+                               watch_levels=(0.0,))),
+    (bm(), 1.0, SimConfig(dt=0.01, horizon=10.0, seed=6, n_paths=20,
+                          watch_levels=(math.inf, 0.0, 1.5), snapshot_times=(2.0,))),
+    (bessel3(), 1.0, SimConfig(dt=0.05, horizon=60.0, cap=6.0, seed=9, n_paths=300,
+                               bridge_correction=False, stop_levels=(0.5,), watch_levels=(5.5,),
+                               track_time_average=True)),
+]
+
+
+def _quiet_counts(monkeypatch):
+    """Patch `_quiet` to count its (eventful, quiet) answers."""
+    counts = [0, 0]
+    quiet = simulate._quiet
+
+    def counted(*args):
+        answer = quiet(*args)
+        counts[answer] += 1
+        return answer
+
+    monkeypatch.setattr(simulate, "_quiet", counted)
+    return counts
+
+
+def _uniform_draws(monkeypatch):
+    """Patch the bridge uniforms to count their draws."""
+    drawn = [0]
+    uniforms = simulate.rng.uniforms
+
+    def counted(keys, step, stream):
+        drawn[0] += keys.size
+        return uniforms(keys, step, stream)
+
+    monkeypatch.setattr(simulate.rng, "uniforms", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("spec, x0, cfg", _QUIET_CASES)
+def test_quiet_steps_change_no_byte(spec, x0, cfg, monkeypatch):
+    counts = _quiet_counts(monkeypatch)
+    drawn = _uniform_draws(monkeypatch)
+    fast = simulate_ensemble(spec, x0, cfg)
+    fast_draws = drawn[0]
+    path = simulate_path(spec, x0, cfg, 7)
+    assert counts[0] and counts[1]  # the predicate both declines and fires
+    monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every step eventful
+    drawn[0] = 0
+    _assert_same_ensemble(fast, simulate_ensemble(spec, x0, cfg))
+    assert drawn[0] == fast_draws  # a quiet step is one with no bridge uniform to draw
+    slow = simulate_path(spec, x0, cfg, 7)
+    assert _same_bits(path.times, slow.times) and _same_bits(path.values, slow.values)
+    assert path.hits == slow.hits and path.absorbed_at == slow.absorbed_at
+
+
+def test_quiet_cases_exercise_every_event(monkeypatch):
+    capped, tied, halving, levels, unbridged = (simulate_ensemble(*case) for case in _QUIET_CASES)
+    assert np.any(capped.absorbed_at == math.inf) and np.any(capped.final_values == 0.5)
+    assert np.any(np.isfinite(capped.hit_times[0.8]))
+    assert tied.tie_count > 0
+    assert np.any(tied.final_values == 0.2) and np.any(tied.final_values == 2.5)
+    assert np.any(levels.absorbed_at == 0.0) and np.any(np.isfinite(levels.hit_times[1.5]))
+    assert np.all(np.isnan(levels.hit_times[math.inf]))
+    assert np.any(unbridged.final_values == 0.5) and np.any(unbridged.absorbed_at == math.inf)
+    assert np.any(halving.truncated) and not np.any(halving.absorbed_at == 0.0)
+    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
+    assert np.any(simulate_ensemble(*_QUIET_CASES[2]).absorbed_at == 0.0)
+
+
+def test_quiet_steps_keep_tiny_coefficients_silent(monkeypatch):
+    # a ~ 1e-310: the quiet test's exponent overflows to -inf like the
+    # kernel's; a drift of 1 reaches the watched level 2 near t = 1
+    flat = DiffusionSpec(Interval(0.0, math.inf),
+                         drift=lambda y: np.ones_like(np.asarray(y, dtype=float)),
+                         diffusion=lambda y: np.full(np.shape(y), 1e-310))
+    cfg = SimConfig(dt=1e-2, horizon=3.0, seed=2, n_paths=50, watch_levels=(2.0,))
+    counts = _quiet_counts(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = simulate_ensemble(flat, 1.0, cfg)
+        assert counts[0] and counts[1]
+        monkeypatch.setattr(simulate, "_quiet", lambda *args: False)
+        _assert_same_ensemble(fast, simulate_ensemble(flat, 1.0, cfg))
+    assert np.all(fast.hit_times[2.0] > 0.9)
+
+
+def test_quiet_declines_at_every_reach():
+    # from [1, 1.1] to [1.05, 1.2] with a dt = 0.01, level 0.5's nearest
+    # exponent is -2 (0.5)(0.55) / 0.01 = -55
+    args = dict(x_lo=1.0, x_hi=1.1, p_lo=1.05, p_hi=1.2, a_dt=0.01, cap=10.0, l=0.0, r=math.inf)
+    assert simulate._quiet(**args, marks=[0.5, 3.0])
+    assert not simulate._quiet(**args, marks=[0.6])           # exponent -36: within reach
+    assert not simulate._quiet(**args, marks=[1.08])          # inside the ranges
+    assert not simulate._quiet(**{**args, "cap": 1.2}, marks=[])      # at the cap
+    assert not simulate._quiet(**{**args, "l": 1.05}, marks=[])       # at a boundary
+    assert not simulate._quiet(**{**args, "r": 1.2 + 1e-13}, marks=[])
+    assert not simulate._quiet(**{**args, "p_lo": math.nan}, marks=[])
+    assert not simulate._quiet(**{**args, "a_dt": 0.0}, marks=[0.5])
