@@ -9,7 +9,6 @@ drift arithmetic: the added drifts a*s'/s and a*t'/t with t = -1/s cancel.
 import numpy as np
 
 from condflow import (
-    Direction,
     GridConfig,
     Normalization,
     SimConfig,
@@ -39,8 +38,7 @@ print(f"horizon-truncated fraction: {weighted.truncated_fraction:.4f}")
 
 # coefficient-level round trip: up then down restores the drift exactly
 s = compute_scale(bm(), 1.0, GridConfig(y_min=0.01, y_max=10.0), Normalization.L)
-up = transform(bm(), s, Direction.UPWARD)
-down = transform(up.result, downward_scale(s), Direction.DOWNWARD)
+down = transform(transform(bm(), s), downward_scale(s))
 probe = s.grid[(s.grid >= 0.2) & (s.grid <= 5.0)]
 print(f"\nup-then-down drift residual (sup over grid): "
-      f"{np.max(np.abs(down.result.drift(probe))):.2e}")
+      f"{np.max(np.abs(down.drift(probe))):.2e}")

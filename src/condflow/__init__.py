@@ -40,8 +40,6 @@ from .errors import (
 )
 from .exprparse import CoeffExpr, ParseError, eval_expr, parse_expr
 from .htransform import (
-    Direction,
-    TransformedSpec,
     apply_generator,
     check_generator_identity,
     downward_scale,

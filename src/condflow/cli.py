@@ -29,7 +29,7 @@ from .conditioning import (StoppedValueAt, compare_reports, condition_downward, 
                            direct_sample)
 from .errors import ConfigError, NumericFailure
 from .exprparse import ParseError, parse_expr
-from .htransform import Direction, transform
+from .htransform import transform
 from .model import DiffusionSpec, Interval, named_family
 from .scale import GridConfig, Normalization, compute_scale, classify_boundaries
 from .scenarios import SCENARIOS, run_scenario
@@ -95,12 +95,13 @@ def _get(conf, section: str, key: str, default=None, cast=str):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _member(enum_type, section: str, key: str, name: str):
-    try:
-        return enum_type[name]
-    except KeyError:
-        allowed = ", ".join(member.name for member in enum_type)
-        raise ConfigError(f"[{section}] {key} = {name!r}: must be one of {allowed}") from None
+def _direction(conf) -> Normalization:
+    """[scenario] direction (upward or downward, any case) as the scale
+    normalization that conditions that way: L upward, R downward."""
+    name = _get(conf, "scenario", "direction", "UPWARD").upper()
+    if name not in ("UPWARD", "DOWNWARD"):
+        raise ConfigError(f"[scenario] direction = {name!r}: must be one of UPWARD, DOWNWARD")
+    return Normalization.L if name == "UPWARD" else Normalization.R
 
 
 def _build_spec(conf) -> DiffusionSpec:
@@ -181,10 +182,10 @@ def cmd_scale(conf, args) -> int:
     y0 = _get(conf, "scenario", "y0", 1.0, float)
     grid = _scale_grid(conf, spec, y0)
     requested = _get(conf, "scenario", "normalization")
-    norm = None  # compute_scale then picks L where s(l) is finite, else R
-    if requested is not None:
-        norm = _member(Normalization, "scenario", "normalization", requested)
-    s = compute_scale(spec, y0, grid, norm)
+    if requested not in (None, "L", "R"):
+        raise ConfigError(f"[scenario] normalization = {requested!r}: must be one of L, R")
+    # without a request, compute_scale picks L where s(l) is finite, else R
+    s = compute_scale(spec, y0, grid, None if requested is None else Normalization[requested])
     table = io.StringIO()
     s.to_csv(table)
     _emit(table.getvalue(), args.out)
@@ -195,12 +196,9 @@ def cmd_scale(conf, args) -> int:
 def cmd_transform(conf, args) -> int:
     spec = _build_spec(conf)
     y0 = _get(conf, "scenario", "y0", 1.0, float)
-    direction = _member(Direction, "scenario", "direction",
-                        _get(conf, "scenario", "direction", "UPWARD").upper())
-    norm = Normalization.L if direction is Direction.UPWARD else Normalization.R
     y_min, y_max = _grid_bounds(conf, spec, y0)
-    s = compute_scale(spec, y0, _scale_grid(conf, spec, y0), norm)
-    result = transform(spec, s, direction).result
+    s = compute_scale(spec, y0, _scale_grid(conf, spec, y0), _direction(conf))
+    result = transform(spec, s)
     grid = np.linspace(y_min, y_max, _get(conf, "scenario", "n_table", 101, int))
     base_b = np.asarray(spec.drift(grid), dtype=float)
     new_b = np.asarray(result.drift(grid), dtype=float)
@@ -247,21 +245,26 @@ def cmd_condition(conf, args) -> int:
     spec = _build_spec(conf)
     cfg = _build_sim(conf, args)
     x0 = _get(conf, "scenario", "x0", 1.0, float)
-    direction = _get(conf, "scenario", "direction", "upward").lower()
+    norm = _direction(conf)
     functional = StoppedValueAt(_get(conf, "scenario", "t", 0.25, float))
-    if direction == "upward":
-        level = _get(conf, "scenario", "a_level", 2.0, float)
-        condition, norm, sense = condition_upward, Normalization.L, Direction.UPWARD
-    elif direction == "downward":
-        level = _get(conf, "scenario", "level", 0.5, float)
-        condition, norm, sense = condition_downward, Normalization.R, Direction.DOWNWARD
+    if norm is Normalization.L:
+        condition, level = condition_upward, _get(conf, "scenario", "a_level", 2.0, float)
     else:
-        raise ConfigError(f"direction must be upward or downward, got {direction!r}")
+        condition, level = condition_downward, _get(conf, "scenario", "level", 0.5, float)
     # the h-transformed dynamics, simulated on their own noise, are the
     # independent reference for the weighted sample; building them first
     # refuses a spec that cannot be normalized before any simulation
     s = compute_scale(spec, x0, _scale_grid(conf, spec, x0), norm)
-    transformed = transform(spec, s, sense).result
+    transformed = transform(spec, s)
+    # the weighted route weighs by the coordinate, (X - l)/(x0 - l) upward
+    # and x0/X downward, which is the h-transform weight s(X)/s(x0) only
+    # when the coordinate is a local martingale
+    y, l = s.grid, spec.interval.l
+    coordinate = (y - l) / (x0 - l) if norm is Normalization.L else x0 / y
+    departure = float(np.max(np.abs(s.values / s(x0) / coordinate - 1.0)))
+    if departure > 1e-6:
+        raise ConfigError(f"coordinate weights depart from s(y)/s(x0) by {departure:.3g} "
+                          f"(relative): the coordinate is not a local martingale")
     rejection, weighted = condition(spec, x0, level, functional, cfg)
     direct = direct_sample(transformed, x0, functional, replace(cfg, seed=cfg.seed + 1),
                            stop_level=level)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EvalDomainError, NeedLongerHorizonError
-from .htransform import Direction, transform
+from .htransform import transform
 from .model import DiffusionSpec, McEstimate, bm, gbm
 from .scale import GridConfig, Normalization, compute_scale
 from .simulate import EnsembleResult, SimConfig, simulate_ensemble
@@ -311,13 +311,13 @@ def compare_reports(left: ConditioningReport, right: ConditioningReport) -> KsRe
 def _bm_unit_interval_dynamics(r: float = 2.0) -> DiffusionSpec:
     base = bm(0.0, r)
     s = compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=r - 1e-4), Normalization.L)
-    return transform(base, s, Direction.UPWARD).result
+    return transform(base, s)
 
 
 def _gbm_unit_drift_dynamics() -> DiffusionSpec:
     base = gbm()
     s = compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=50.0), Normalization.L)
-    return transform(base, s, Direction.UPWARD).result
+    return transform(base, s)
 
 
 def verify_identity_of_measures(scenario: str, cfg: SimConfig) -> dict:

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import rng
 from .errors import NeedLongerHorizonError
-from .model import NEVER, McEstimate, PathSample
+from .model import McEstimate, PathSample
 from .simulate import SimConfig, _crossings, _phases
-from .stats import KsResult, effective_sample_size, ks_weighted
+from .stats import effective_sample_size, ks_weighted
 
 __all__ = [
     "TildePath",

@@ -1,17 +1,16 @@
 """Conditioned (h-transformed) dynamics and numeric generator checks.
 
 Dividing the generator's action on s*phi by s leaves the diffusion
-coefficient alone and adds a drift of a*s'/s: positive under upward
-conditioning (s > 0), negative under downward conditioning (s < 0).  The
-generator itself is applied with central finite differences, so identity
-checks carry a known O(h^2) error law.
+coefficient alone and adds a drift of a*s'/s.  The scale's normalization
+sets the direction: an L-normalized scale (s(l) = 0, s > 0) conditions
+upward, toward r, and an R-normalized one (s(r) = 0, s < 0) conditions
+downward, toward l.  The generator itself is applied with central finite
+differences, so identity checks carry a known O(h^2) error law.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -20,8 +19,6 @@ from .model import DiffusionSpec
 from .scale import Normalization, ScaleFunction
 
 __all__ = [
-    "Direction",
-    "TransformedSpec",
     "transform",
     "downward_scale",
     "apply_generator",
@@ -29,52 +26,32 @@ __all__ = [
 ]
 
 
-class Direction(enum.Enum):
-    UPWARD = "UPWARD"      # condition toward r; needs normalization L, s > 0
-    DOWNWARD = "DOWNWARD"  # condition toward l; needs normalization R, s < 0
-
-
-@dataclass(frozen=True)
-class TransformedSpec:
-    """A base diffusion together with its conditioned dynamics."""
-
-    base: DiffusionSpec
-    scale: ScaleFunction
-    direction: Direction
-    result: DiffusionSpec
-
-
-def transform(spec: DiffusionSpec, s: ScaleFunction, direction: Direction) -> TransformedSpec:
+def transform(spec: DiffusionSpec, s: ScaleFunction) -> DiffusionSpec:
     """Conditioned dynamics: drift gains a*s'/s, diffusion is unchanged.
 
-    Upward conditioning requires an L-normalized (positive) scale, downward
-    an R-normalized (negative) one; a scale vanishing on the grid interior is
-    rejected.
+    Upward for an L-normalized scale with s > 0 on its grid, downward for an
+    R-normalized one with s < 0; any other scale (no normalization tag, or s
+    vanishing on the grid) is rejected.
     """
     values = np.asarray(s.values)
-    if direction is Direction.UPWARD:
-        if s.normalization is not Normalization.L:
-            raise ValueError("UPWARD transform needs an L-normalized scale")
-        if np.any(values <= 0):
-            raise ValueError("UPWARD transform needs s > 0 on the grid")
+    if s.normalization is Normalization.L and np.all(values > 0):
+        suffix = "up"
+    elif s.normalization is Normalization.R and np.all(values < 0):
+        suffix = "down"
     else:
-        if s.normalization is not Normalization.R:
-            raise ValueError("DOWNWARD transform needs an R-normalized scale")
-        if np.any(values >= 0):
-            raise ValueError("DOWNWARD transform needs s < 0 on the grid")
+        raise ValueError("transform needs an L-normalized scale with s > 0 on the grid "
+                         "or an R-normalized one with s < 0")
 
     def drift(y, _spec=spec, _s=s):
         value, slope = _s(y, with_deriv=True)
         return _spec.drift(y) + _spec.diffusion(y) * slope / value
 
-    suffix = "up" if direction is Direction.UPWARD else "down"
-    result = DiffusionSpec(
+    return DiffusionSpec(
         interval=spec.interval,
         drift=drift,
         diffusion=spec.diffusion,
         label=f"{spec.label}^{suffix}" if spec.label else suffix,
     )
-    return TransformedSpec(base=spec, scale=s, direction=direction, result=result)
 
 
 def downward_scale(s: ScaleFunction) -> ScaleFunction:
@@ -133,7 +110,6 @@ def check_generator_identity(
     phi: Callable,
     grid,
     h: float | None = None,
-    direction: Direction = Direction.UPWARD,
 ) -> float:
     """Max abs difference over the grid between (1/s) L[s*phi] and the
     transformed generator applied to phi."""
@@ -145,5 +121,5 @@ def check_generator_identity(
         return np.asarray(s(y)) * np.asarray(phi(y))
 
     lhs = apply_generator(spec, s_phi, grid, h) / np.asarray(s(grid))
-    rhs = apply_generator(transform(spec, s, direction).result, phi, grid, h)
+    rhs = apply_generator(transform(spec, s), phi, grid, h)
     return float(np.max(np.abs(lhs - rhs)))

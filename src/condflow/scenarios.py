@@ -26,7 +26,7 @@ from .conditioning import (
 )
 from .counterexample import compare_conditionings
 from .exprparse import parse_expr
-from .htransform import Direction, check_generator_identity, downward_scale, transform
+from .htransform import check_generator_identity, downward_scale, transform
 from .jumpwalk import (
     JumpWalkSpec,
     Measure,
@@ -149,7 +149,7 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
     checks = []
     base = gbm()
     s = compute_scale(base, 1.0, GridConfig(y_min=1e-3, y_max=50.0), Normalization.L)
-    result = transform(base, s, Direction.UPWARD).result
+    result = transform(base, s)
     grid = np.linspace(0.1, 10.0, 199)
     drift_err = float(np.max(np.abs(result.drift(grid) - grid)))
     checks.append(_check("transformed-drift-is-y", drift_err <= 1e-6, max_error=drift_err))
@@ -286,9 +286,8 @@ def scenario_roundtrip(seed: int = 2030) -> dict:
     sup = 0.0
     probe = np.linspace(0.2, 5.0, 97)
     for base in (bm(), gbm()):
-        up = transform(base, s, Direction.UPWARD)
-        down = transform(up.result, downward_scale(s), Direction.DOWNWARD)
-        sup = max(sup, float(np.max(np.abs(down.result.drift(probe) - base.drift(probe)))))
+        down = transform(transform(base, s), downward_scale(s))
+        sup = max(sup, float(np.max(np.abs(down.drift(probe) - base.drift(probe)))))
     checks.append(_check("up-down-drift-roundtrip", sup <= 1e-6, sup_error=sup))
     return _bundle("roundtrip", checks)
 

@@ -35,7 +35,8 @@ the guards, crossing tests, event selection and compaction, and changes no
 value.  The test reads reductions the step takes anyway: min and max of the
 proposals (which also check the drift) and max a (which also checks the
 diffusion coefficient); the range of the values is the previous step's
-proposal range unless the halving guard moved a proposal.
+proposal range.  Where the halving guard moved a proposal, that range
+reaches past a finite boundary, which alone makes the next step eventful.
 
 Two guards keep singular drifts honest near a boundary the process cannot
 actually reach (for example the 1/y drift of an upward-conditioned process
@@ -51,6 +52,7 @@ the boundary and the path frozen.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -251,9 +253,23 @@ def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
     return idx
 
 
+def _overflow_is_no_error(kernel):
+    """`kernel` with numpy's overflow warnings ignored for the whole run: a
+    finite drift may overflow a step, sending the path past the cap, and the
+    warning would reach stderr.  np.errstate would slow every ufunc call of
+    the run; condflow runs in one thread, so the process-wide filter is safe."""
+    def run(*args):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            return kernel(*args)
+    return run
+
+
+@_overflow_is_no_error
 def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: int,
-              trajectory: bool = False):
-    """Run paths first_id .. first_id + n - 1 as one cohort."""
+              snap_times: list[float]) -> EnsembleResult:
+    """Run paths first_id .. first_id + n - 1 as one cohort, recording the
+    value at each of the sorted `snap_times` AND stop."""
     l, r = spec.interval.l, spec.interval.r
     watch = _watched(cfg)
     # (value, is the upper end, bridge stream) of each finite boundary
@@ -262,14 +278,17 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                   if math.isfinite(boundary)]
     # watch levels sitting on an absorbing boundary share its crossing events
     interior = [level for level in watch if level != l and level != r]
-    on_boundary = [level for level in watch if level == l or level == r]
     watch_stream = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)}
     interior_streams = [watch_stream[level] for level in interior]
     # the higher stop level wins a same-step tie, so they are processed from the top
     stop_desc = sorted((j for j, lv in enumerate(interior) if lv in cfg.stop_levels),
                        key=lambda j: interior[j], reverse=True)
+    # the finite boundaries from the top: absorption is written in this order,
+    # so the lower boundary wins a same-step tie
+    from_top = boundaries[::-1]
+    ends = [boundary for boundary, _upper, _stream in from_top]
     # a quiet step keeps clear of the interior levels and the finite boundaries
-    marks = interior + [boundary for boundary, _upper, _stream in boundaries]
+    marks = interior + ends
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
@@ -277,8 +296,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     stop_t = np.full(n, 0.0 if at_stop else np.nan)
     absorbed = np.full(n, np.nan)
     hit_t = {level: np.full(n, np.nan) for level in watch}
-    snap_times = sorted(cfg.snapshot_times)
-    snaps = {t: np.full(n, np.nan) for t in snap_times}
+    snaps = np.full((len(snap_times), n), np.nan)
     tint = np.zeros(n) if cfg.track_time_average else None
     tie_count = 0
 
@@ -294,14 +312,10 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     unhit = [None if level in cfg.stop_levels else np.full(pos.size, level != x0)
              for level in interior]
     tint_a = np.zeros(pos.size) if tint is not None else None
-    x_lo = x_hi = None  # bounds on xa, when known
+    x_lo = x_hi = float(x0)  # the range of xa, as far as _quiet needs it
 
     all_phases = _phases(cfg)
     total_steps = sum(ns for ns, _ in all_phases)
-    traj_t = traj_x = None
-    if trajectory:
-        traj_t = np.zeros(total_steps + 1)
-        traj_x = np.full(total_steps + 1, float(x0))
 
     # step normals of the running paths, one row per step of the current block;
     # column zcol[i] of a row belongs to running path i (None: the identity)
@@ -315,162 +329,148 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     for n_steps, dt in all_phases:
         sqrt_dt = math.sqrt(dt)
         for _ in range(n_steps):
-            if not pos.size and not trajectory:
+            if not pos.size:
                 break
             t_next = t + dt
-            if pos.size:
-                if z_row == len(z_block):
-                    rows = min(max(1, _BLOCK_DRAWS // pos.size), total_steps - k)
-                    z_block = rng.normals(keys, range(k, k + rows), rng.STREAM_STEP_NORMAL)
-                    z_row = 0
-                    zcol = None
-                z = z_block[z_row] if zcol is None else z_block[z_row, zcol]
-                z_row += 1
-                b, a, a_max, prop, p_lo, p_hi = _propose(spec, xa, t, dt, sqrt_dt, z,
-                                                         pos, first_id)
-                if tint_a is not None:
-                    tint_a += xa * dt
+            if z_row == len(z_block):
+                rows = min(max(1, _BLOCK_DRAWS // pos.size), total_steps - k)
+                z_block = rng.normals(keys, range(k, k + rows), rng.STREAM_STEP_NORMAL)
+                z_row = 0
+                zcol = None
+            z = z_block[z_row] if zcol is None else z_block[z_row, zcol]
+            z_row += 1
+            b, a, a_max, prop, p_lo, p_hi = _propose(spec, xa, t, dt, sqrt_dt, z, pos, first_id)
+            if tint_a is not None:
+                tint_a += xa * dt
 
-                # a quiet step has no event: it only moves the paths
-                if x_lo is None:
-                    x_lo, x_hi = float(xa.min()), float(xa.max())
-                if _quiet(x_lo, x_hi, p_lo, p_hi, a_max * dt, cfg.cap, marks, l, r):
-                    xa, x_lo, x_hi = prop, p_lo, p_hi
-                else:
-                    # the proposals' range holds the next values of the running
-                    # paths, unless the halving guard moves some
-                    x_lo, x_hi = p_lo, p_hi
+            # a quiet step has no event: it only moves the paths
+            if _quiet(x_lo, x_hi, p_lo, p_hi, a_max * dt, cfg.cap, marks, l, r):
+                xa, x_lo, x_hi = prop, p_lo, p_hi
+            else:
+                # the proposals' range holds the next values of the running
+                # paths; where the halving guard moves some, it reaches past a
+                # finite boundary, so the next step is eventful
+                x_lo, x_hi = p_lo, p_hi
 
-                    # halving guard at boundaries the drift repels from
-                    for boundary, upper, _stream in boundaries:
-                        over = prop - boundary if upper else boundary - prop
-                        fix = over > _BOUNDARY_CLAMP
-                        if fix.any():
-                            fix &= (b < 0.0) if upper else (b > 0.0)
-                            sub = fix.nonzero()[0]
-                            if sub.size:
-                                x_lo = x_hi = None
-                            h = dt
-                            for _halving in range(_MAX_HALVINGS):
-                                if not sub.size:
-                                    break
-                                h *= 0.5
-                                prop[sub] = xa[sub] + b[sub] * h + np.sqrt(a[sub] * h) * z[sub]
-                                over = prop[sub] - boundary if upper else boundary - prop[sub]
-                                sub = sub[over > _BOUNDARY_CLAMP]
-                            if sub.size:
-                                prop[sub] = boundary  # give up: absorb there
+                # halving guard at boundaries the drift repels from
+                for boundary, upper, _stream in boundaries:
+                    over = prop - boundary if upper else boundary - prop
+                    fix = over > _BOUNDARY_CLAMP
+                    if fix.any():
+                        fix &= (b < 0.0) if upper else (b > 0.0)
+                        sub = fix.nonzero()[0]
+                        h = dt
+                        for _halving in range(_MAX_HALVINGS):
+                            if not sub.size:
+                                break
+                            h *= 0.5
+                            prop[sub] = xa[sub] + b[sub] * h + np.sqrt(a[sub] * h) * z[sub]
+                            over = prop[sub] - boundary if upper else boundary - prop[sub]
+                            sub = sub[over > _BOUNDARY_CLAMP]
+                        if sub.size:
+                            prop[sub] = boundary  # give up: absorb there
 
-                    # boundary absorption (discrete overshoot or bridge crossing);
-                    # the bridge test is skipped where the drift repels
-                    a_dt = a * dt
-                    absorb_l = absorb_r = None
-                    for boundary, upper, stream in boundaries:
-                        over = prop - boundary if upper else boundary - prop
-                        crossed = over >= -_BOUNDARY_CLAMP
-                        if cfg.bridge_correction:
-                            toward = b >= 0.0 if upper else b <= 0.0
-                            if toward.any():
-                                toward &= ~crossed
-                                gap = (boundary - xa) * (boundary - prop)
-                                crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
-                        if upper:
-                            absorb_r = crossed
-                        else:
-                            absorb_l = crossed
+                # boundary absorption (discrete overshoot or bridge crossing),
+                # one flag array per finite boundary; the bridge test is
+                # skipped where the drift repels
+                a_dt = a * dt
+                absorb = []
+                for boundary, upper, stream in from_top:
+                    over = prop - boundary if upper else boundary - prop
+                    crossed = over >= -_BOUNDARY_CLAMP
+                    if cfg.bridge_correction:
+                        toward = b >= 0.0 if upper else b <= 0.0
+                        if toward.any():
+                            toward &= ~crossed
+                            gap = (boundary - xa) * (boundary - prop)
+                            crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
+                    absorb.append(crossed)
 
-                    # interior watched levels: discrete or bridge crossings
-                    cross = []
+                # interior watched levels: discrete or bridge crossings
+                cross = []
+                for j, level in enumerate(interior):
+                    gap = (xa - level) * (prop - level)
+                    crossed = gap <= 0.0
+                    if unhit[j] is not None:
+                        crossed &= unhit[j]
+                    if cfg.bridge_correction:
+                        maybe = ~crossed if unhit[j] is None else unhit[j] & ~crossed
+                        stream = interior_streams[j]
+                        crossed[_crossings(gap, a_dt, maybe, keys, k, stream)] = True
+                    cross.append(crossed)
+
+                # a step's events: absorption, cap exceedance, level crossings
+                over_cap = prop >= cfg.cap
+                event = over_cap
+                for crossed in absorb + cross:
+                    event = event | crossed
+
+                stopping = None
+                sel = event.nonzero()[0]
+                if sel.size:
+                    ps = pos[sel]
+                    ended = [crossed[sel] for crossed in absorb]
+                    absorbed_now = np.zeros(sel.size, dtype=bool)
+                    for flags in ended:
+                        absorbed_now |= flags
+                    capped = over_cap[sel] & ~absorbed_now
+                    hits = [crossed[sel] for crossed in cross]
+                    n_events = absorbed_now.astype(np.int64) + capped
+                    for fired in hits:
+                        n_events += fired
+                    tie_count += int(np.count_nonzero(n_events >= 2))
+
+                    # first-crossing times (boundary-sitting levels follow absorption)
                     for j, level in enumerate(interior):
-                        gap = (xa - level) * (prop - level)
-                        crossed = gap <= 0.0
-                        if unhit[j] is not None:
-                            crossed &= unhit[j]
-                        if cfg.bridge_correction:
-                            maybe = ~crossed if unhit[j] is None else unhit[j] & ~crossed
-                            stream = interior_streams[j]
-                            crossed[_crossings(gap, a_dt, maybe, keys, k, stream)] = True
-                        cross.append(crossed)
+                        fired = hits[j]
+                        if fired.any():
+                            hit_t[level][ps[fired]] = t_next
+                            if unhit[j] is not None:
+                                unhit[j][sel[fired]] = False
+                    for boundary, flags in zip(ends, ended):
+                        if boundary in hit_t:
+                            hit_t[boundary][ps[flags]] = t_next
 
-                    # a step's events: absorption, cap exceedance, level crossings
-                    if absorb_l is None or absorb_r is None:
-                        any_absorb = absorb_r if absorb_l is None else absorb_l
-                    else:
-                        any_absorb = absorb_l | absorb_r
-                    over_cap = prop >= cfg.cap
-                    event = over_cap if any_absorb is None else over_cap | any_absorb
-                    for crossed in cross:
-                        event = event | crossed
+                    # stopping: absorption, cap and stop levels (upper level wins ties)
+                    claimed = absorbed_now | capped
+                    val = prop[sel]
+                    for j in stop_desc:
+                        newly = hits[j] & ~claimed
+                        val[newly] = interior[j]
+                        claimed |= newly
+                    absorbed_val = np.where(capped, math.inf, np.nan)
+                    for boundary, flags in zip(ends, ended):
+                        val[flags] = boundary
+                        absorbed_val[flags] = boundary
+                    if claimed.any():
+                        stopping = sel[claimed]
+                        ps = ps[claimed]
+                        val = val[claimed]
+                        final[ps] = val
+                        stop_t[ps] = t_next
+                        absorbed[ps] = absorbed_val[claimed]
+                        if snap_i < len(snaps):
+                            snaps[snap_i:, ps] = val
+                        if tint is not None:
+                            tint[ps] = tint_a[stopping]
 
-                    stopping = None
-                    sel = event.nonzero()[0]
-                    if sel.size:
-                        ps = pos[sel]
-                        absorbed_now = (np.zeros(sel.size, dtype=bool) if any_absorb is None
-                                        else any_absorb[sel])
-                        capped = over_cap[sel] & ~absorbed_now
-                        hits = [crossed[sel] for crossed in cross]
-                        n_events = absorbed_now.astype(np.int64) + capped
-                        for fired in hits:
-                            n_events += fired
-                        tie_count += int(np.count_nonzero(n_events >= 2))
-
-                        # first-crossing times (boundary-sitting levels follow absorption)
-                        for j, level in enumerate(interior):
-                            fired = hits[j]
-                            if fired.any():
-                                hit_t[level][ps[fired]] = t_next
-                                if unhit[j] is not None:
-                                    unhit[j][sel[fired]] = False
-                        for level in on_boundary:
-                            flags = absorb_l if level == l else absorb_r
-                            if flags is not None:
-                                hit_t[level][ps[flags[sel]]] = t_next
-
-                        # stopping: absorption, cap and stop levels (upper level wins ties)
-                        claimed = absorbed_now | capped
-                        val = prop[sel]
-                        for j in stop_desc:
-                            newly = hits[j] & ~claimed
-                            val[newly] = interior[j]
-                            claimed |= newly
-                        absorbed_val = np.where(capped, math.inf, np.nan)
-                        for flags, boundary in ((absorb_r, r), (absorb_l, l)):  # lower wins
-                            if flags is not None:
-                                val[flags[sel]] = boundary
-                                absorbed_val[flags[sel]] = boundary
-                        if claimed.any():
-                            stopping = sel[claimed]
-                            ps = ps[claimed]
-                            val = val[claimed]
-                            final[ps] = val
-                            stop_t[ps] = t_next
-                            absorbed[ps] = absorbed_val[claimed]
-                            for snap_t in snap_times[snap_i:]:
-                                snaps[snap_t][ps] = val
-                            if tint is not None:
-                                tint[ps] = tint_a[stopping]
-
-                    # every proposal left running lies inside (l + clamp, r - clamp)
-                    # or is NaN
-                    xa = prop
-                    if stopping is not None:
-                        keep = np.ones(pos.size, dtype=bool)
-                        keep[stopping] = False
-                        pos, keys, xa = pos[keep], keys[keep], xa[keep]
-                        unhit = [flag if flag is None else flag[keep] for flag in unhit]
-                        if tint_a is not None:
-                            tint_a = tint_a[keep]
-                        if z_row < len(z_block):
-                            zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
+                # every proposal left running lies inside (l + clamp, r - clamp)
+                # or is NaN
+                xa = prop
+                if stopping is not None:
+                    keep = np.ones(pos.size, dtype=bool)
+                    keep[stopping] = False
+                    pos, keys, xa = pos[keep], keys[keep], xa[keep]
+                    unhit = [flag if flag is None else flag[keep] for flag in unhit]
+                    if tint_a is not None:
+                        tint_a = tint_a[keep]
+                    if z_row < len(z_block):
+                        zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
 
             t = t_next
             k += 1
-            if trajectory:
-                traj_t[k] = t
-                traj_x[k] = xa[0] if pos.size else final[0]
             while snap_i < len(snap_times) and t >= snap_times[snap_i] - 1e-12:
-                snaps[snap_times[snap_i]][pos] = xa
+                snaps[snap_i][pos] = xa
                 snap_i += 1
 
     truncated = np.zeros(n, dtype=bool)
@@ -479,22 +479,19 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     stop_t[pos] = t
     if tint is not None:
         tint[pos] = tint_a
-    for col in snaps.values():
-        still = np.isnan(col)
-        col[still] = final[still]
+    np.copyto(snaps, final, where=np.isnan(snaps))
 
-    result = EnsembleResult(
+    return EnsembleResult(
         n=n,
         final_values=final,
         stop_times=stop_t,
         absorbed_at=absorbed,
         truncated=truncated,
         hit_times=hit_t,
-        snapshots=snaps,
+        snapshots=dict(zip(snap_times, snaps)),
         time_integral=tint,
         tie_count=tie_count,
     )
-    return (result, (traj_t, traj_x)) if trajectory else result
 
 
 def simulate_ensemble(spec: DiffusionSpec, x0: float, cfg: SimConfig) -> EnsembleResult:
@@ -508,7 +505,7 @@ def simulate_ensemble(spec: DiffusionSpec, x0: float, cfg: SimConfig) -> Ensembl
     for level in _watched(cfg):
         if not (spec.interval.l <= level <= spec.interval.r):
             raise ValueError(f"watch level {level} outside [l, r]")
-    return _simulate(spec, x0, cfg, 0, cfg.n_paths)
+    return _simulate(spec, x0, cfg, 0, cfg.n_paths, sorted(cfg.snapshot_times))
 
 
 def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: int) -> PathSample:
@@ -519,7 +516,11 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
     """
     if not spec.interval.contains(x0):
         raise ValueError(f"x0={x0} outside the open interval")
-    summary, (times, values) = _simulate(spec, x0, cfg, path_index, 1, trajectory=True)
+    # the grid times, summed in order as the kernel sums them
+    times = np.concatenate(([0.0], np.cumsum([dt for n_steps, dt in _phases(cfg)
+                                               for _ in range(n_steps)])))
+    summary = _simulate(spec, x0, cfg, path_index, 1, times[1:].tolist())
+    values = np.concatenate([[float(x0)], *summary.snapshots.values()])
     hits = []
     for level in _watched(cfg):
         ht = summary.hit_times[level][0]

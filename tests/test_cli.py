@@ -124,6 +124,22 @@ def test_condition_json_report(tmp_path):
     assert abs(payload["acceptance"] - 0.5) < 0.05
 
 
+def test_condition_refuses_coordinate_weights_it_cannot_use(tmp_path, capsys, monkeypatch):
+    # 1/y + 0.3 is not driftless in the scale of its coordinate, so x0/X is
+    # not its downward weight; the refusal comes before any simulation
+    # (default bm upward passes the same check: test_condition_json_report)
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    for name in ("condition_upward", "condition_downward", "direct_sample"):
+        monkeypatch.setattr(cli, name, no_simulation)
+    cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "1/y + 0.3"\na = "1"\n'
+                                    "[scenario]\ndirection = downward\n")
+    assert main(["condition", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "not a local martingale" in err
+
+
 def test_verify_roundtrip_passes(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "roundtrip", "--out", str(out)]) == 0

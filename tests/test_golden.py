@@ -31,7 +31,8 @@ SCALE_CONFIGS = (
     ("gbm-mu-quarter", "0.25*y", "y^2", 0.001, 100.0, None),
     ("attract-2y", "2*y", "1", 0.0, math.inf, 10.0),
 )
-VERIFY_BUNDLES = (("roundtrip", None), ("jumpwalk", 500), ("stopped-bm", 500), ("gbm", 500))
+VERIFY_BUNDLES = (("roundtrip", None), ("jumpwalk", 500), ("stopped-bm", 500), ("gbm", 500),
+                  ("bm-bessel", 2000), ("bessel-bm", 1000), ("counterexample", 800))
 
 
 def _write_config(workdir: Path, name: str, b: str, a: str, l: float, r: float,

@@ -5,7 +5,6 @@ import pytest
 
 from condflow.exprparse import parse_expr
 from condflow.htransform import (
-    Direction,
     apply_generator,
     check_generator_identity,
     downward_scale,
@@ -32,26 +31,31 @@ def _reciprocal_scale(hi=50.0):
 
 
 def test_bm_upward_gains_reciprocal_drift():
-    out = transform(bm(), _identity_scale(), Direction.UPWARD)
-    np.testing.assert_allclose(out.result.drift(_PROBE), 1.0 / _PROBE, rtol=1e-12)
-    np.testing.assert_allclose(out.result.diffusion(_PROBE), bm().diffusion(_PROBE))
+    out = transform(bm(), _identity_scale())
+    np.testing.assert_allclose(out.drift(_PROBE), 1.0 / _PROBE, rtol=1e-12)
+    np.testing.assert_allclose(out.diffusion(_PROBE), bm().diffusion(_PROBE))
 
 
 def test_bessel_downward_restores_brownian_motion():
-    out = transform(bessel3(), _reciprocal_scale(), Direction.DOWNWARD)
-    np.testing.assert_allclose(out.result.drift(_PROBE), 0.0, atol=1e-12)
+    out = transform(bessel3(), _reciprocal_scale())
+    np.testing.assert_allclose(out.drift(_PROBE), 0.0, atol=1e-12)
 
 
 def test_gbm_upward_gains_unit_drift():
-    out = transform(gbm(), _identity_scale(), Direction.UPWARD)
-    np.testing.assert_allclose(out.result.drift(_PROBE), _PROBE, rtol=1e-12)
+    out = transform(gbm(), _identity_scale())
+    np.testing.assert_allclose(out.drift(_PROBE), _PROBE, rtol=1e-12)
 
 
-def test_direction_normalization_mismatch_rejected():
+def test_scale_without_normalization_rejected():
+    # the normalization is the direction: an untagged scale has none
+    grid = np.linspace(0.01, 0.99, 99)
+    ones = lambda y: np.ones_like(np.asarray(y, dtype=float))
+    s = exact_scale(lambda y: np.asarray(y, dtype=float), ones, grid,
+                    Normalization.L, (0.0, 1.0), label="unit")
+    untagged = downward_scale(s)
+    assert untagged.normalization is None
     with pytest.raises(ValueError):
-        transform(bm(), _reciprocal_scale(), Direction.UPWARD)
-    with pytest.raises(ValueError):
-        transform(bm(), _identity_scale(), Direction.DOWNWARD)
+        transform(bm(0.0, 1.0), untagged)
 
 
 def test_scale_vanishing_on_grid_rejected():
@@ -60,14 +64,14 @@ def test_scale_vanishing_on_grid_rejected():
     crossing = exact_scale(lambda y: np.asarray(y, dtype=float) - 1.0, ones, grid,
                            Normalization.L, (0.0, math.inf), label="crossing")
     with pytest.raises(ValueError):
-        transform(bm(), crossing, Direction.UPWARD)
+        transform(bm(), crossing)
 
 
 def test_added_drift_signs():
-    up = transform(bm(), _identity_scale(), Direction.UPWARD)
-    assert np.all(up.result.drift(_PROBE) - bm().drift(_PROBE) > 0)
-    down = transform(bessel3(), _reciprocal_scale(), Direction.DOWNWARD)
-    assert np.all(down.result.drift(_PROBE) - bessel3().drift(_PROBE) < 0)
+    up = transform(bm(), _identity_scale())
+    assert np.all(up.drift(_PROBE) - bm().drift(_PROBE) > 0)
+    down = transform(bessel3(), _reciprocal_scale())
+    assert np.all(down.drift(_PROBE) - bessel3().drift(_PROBE) < 0)
 
 
 def test_apply_generator_quadratic_exact():
@@ -102,7 +106,7 @@ def test_generator_identity_quadratic_bm():
     err = check_generator_identity(bm(), s, parse_expr("y^2"), grid)
     assert err <= 1e-6
     # both sides equal 3 along the grid
-    both = apply_generator(transform(bm(), s, Direction.UPWARD).result,
+    both = apply_generator(transform(bm(), s),
                            parse_expr("y^2"), grid, h=1e-4)
     np.testing.assert_allclose(both, 3.0, atol=1e-6)
 
@@ -116,7 +120,7 @@ def test_generator_identity_constant_function():
 
 def test_generator_identity_gbm_log_value():
     s = _identity_scale()
-    value = apply_generator(transform(gbm(), s, Direction.UPWARD).result,
+    value = apply_generator(transform(gbm(), s),
                             parse_expr("log(y)"), 1.0, h=1e-5)
     assert value == pytest.approx(0.5, abs=1e-6)
 
@@ -169,21 +173,19 @@ def test_downward_scale_requires_positive_l_normalized():
 def test_round_trip_restores_drift_exact_scale():
     s = _identity_scale()
     for base in (bm(), gbm()):
-        up = transform(base, s, Direction.UPWARD)
-        down = transform(up.result, downward_scale(s), Direction.DOWNWARD)
-        err = np.max(np.abs(down.result.drift(_PROBE) - base.drift(_PROBE)))
+        down = transform(transform(base, s), downward_scale(s))
+        err = np.max(np.abs(down.drift(_PROBE) - base.drift(_PROBE)))
         assert err <= 1e-6
-        np.testing.assert_allclose(down.result.diffusion(_PROBE), base.diffusion(_PROBE))
+        np.testing.assert_allclose(down.diffusion(_PROBE), base.diffusion(_PROBE))
 
 
 def test_round_trip_restores_drift_computed_scale():
     # probe on the scale's own grid, where interpolation is exact and only
     # the quadrature error of the scale values remains
     s = compute_scale(bm(), 1.0, GridConfig(y_min=0.01, y_max=10.0), Normalization.L)
-    up = transform(bm(), s, Direction.UPWARD)
-    down = transform(up.result, downward_scale(s), Direction.DOWNWARD)
+    down = transform(transform(bm(), s), downward_scale(s))
     probe = s.grid[(s.grid >= 0.2) & (s.grid <= 5.0)]
-    assert np.max(np.abs(down.result.drift(probe))) <= 1e-6
+    assert np.max(np.abs(down.drift(probe))) <= 1e-6
 
 
 def test_fd_error_second_order():
@@ -205,11 +207,10 @@ def test_fd_error_second_order():
 def test_grid_backed_drift_shares_one_knot_lookup():
     # s and s' come from one knot lookup, bit for bit equal to two lookups,
     # inside the grid, on its knots and on the extrapolated ends
-    for spec, norm, direction in ((gbm(), Normalization.L, Direction.UPWARD),
-                                  (bessel3(), Normalization.R, Direction.DOWNWARD)):
+    for spec, norm in ((gbm(), Normalization.L), (bessel3(), Normalization.R)):
         s = compute_scale(spec, 1.0, GridConfig(y_min=0.01, y_max=50.0), norm)
         assert s._s_fn is None
-        drift = transform(spec, s, direction).result.drift
+        drift = transform(spec, s).drift
         for ys in (np.concatenate([np.geomspace(5e-3, 80.0, 701), s.grid]), np.float64(1.7)):
             expected = spec.drift(ys) + spec.diffusion(ys) * s.deriv(ys) / s(ys)
             got = drift(ys)

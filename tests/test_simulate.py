@@ -319,6 +319,17 @@ def test_overflowing_finite_drift_is_no_failure():
     assert np.all(res.absorbed_at == math.inf) and np.all(res.final_values == math.inf)
 
 
+def test_overflowing_finite_drift_leaks_no_warning():
+    # the kernel silences the step's overflow itself; a warning would reach
+    # stderr, which the CLI and the benchmark digest read
+    huge = replace(bm(), drift=lambda y: np.full(np.shape(y), 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate_ensemble(huge, 1.0, SimConfig(dt=10.0, horizon=20.0, n_paths=5))
+        path = simulate_path(huge, 1.0, SimConfig(dt=10.0, horizon=20.0), 3)
+    assert np.all(res.final_values == math.inf) and path.values[-1] == math.inf
+
+
 # (spec, x0, config) for the quiet-step tests, each with quiet and eventful
 # steps: a bessel3 tail with snapshots, the time integral and a cap; BM
 # between two stop levels, with ties at dt 0.25 and then fine steps; bessel3
@@ -428,3 +439,7 @@ def test_quiet_declines_at_every_reach():
     assert not simulate._quiet(**{**args, "r": 1.2 + 1e-13}, marks=[])
     assert not simulate._quiet(**{**args, "p_lo": math.nan}, marks=[])
     assert not simulate._quiet(**{**args, "a_dt": 0.0}, marks=[0.5])
+    # values reaching past a finite boundary, as after the halving guard
+    # moved a proposal back inside, make the step eventful
+    assert not simulate._quiet(**{**args, "x_lo": -0.1}, marks=[0.0])
+    assert not simulate._quiet(**{**args, "x_hi": 4.5, "r": 4.0}, marks=[4.0])
