@@ -13,23 +13,24 @@ measure, because X and tilde(X) disagree at the stopping time with positive
 probability.  This module builds tilde paths, and compares the two
 conditional samples to exhibit the disagreement.
 
-At grid resolution the sample where a regime boundary is first reached is
-assigned to the earlier regime; steps on which the regime switches use the
-post-switch affine map for the bridge crossing test (the affected fraction
-of steps vanishes with dt).
+The ensemble walk runs on the simulator's step kernel (`simulate._simulate`):
+Brownian motion from 1 absorbed at 0, watching 3/4 and 1/4, with one stop
+level per path, the X level at which tilde(X) = a in the path's regime.  A
+switch detected on a step applies from the next step, so, as in
+`build_tilde`, the grid sample where a switch level is first reached belongs
+to the earlier regime (the affected fraction of steps vanishes with dt).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import rng
 from .errors import NeedLongerHorizonError
-from .model import McEstimate, PathSample
-from .simulate import SimConfig, _crossings, _phases
+from .model import McEstimate, PathSample, bm
+from .simulate import _TIME_SLACK, SimConfig, _regime, _simulate
 from .stats import effective_sample_size, ks_weighted
 
 __all__ = [
@@ -75,15 +76,6 @@ def build_tilde(path: PathSample) -> TildePath:
     return TildePath(base=path, tilde_values=_tilde_formula(x, before_hi, between))
 
 
-def _x_level(tilde_level: float, regime: np.ndarray) -> np.ndarray:
-    """X-level whose crossing means tilde(X) crosses `tilde_level`, per regime."""
-    return np.select(
-        [regime == 0, regime == 1],
-        [(tilde_level + 1.0) / 2.0, 2.0 * tilde_level - 0.25],
-        default=tilde_level,
-    )
-
-
 @dataclass
 class TildeEnsemble:
     """Per-path summaries of the transformed walk stopped at {a, 0}."""
@@ -98,116 +90,42 @@ class TildeEnsemble:
     tie_count: int
 
 
-def _switched(xa, x_new, level, eligible, dt, keys, step, stream, bridge):
-    """Paths whose X reaches `level` from above this step (overshoot, or the
-    bridge when `bridge`), among `eligible`."""
-    crossed = eligible & (x_new <= level)
-    if bridge:
-        gap = (level - xa) * (level - x_new)
-        maybe = eligible & ~crossed & (xa > level) & (gap > 0)
-        crossed[_crossings(gap, dt, maybe, keys, step, stream)] = True
-    return crossed
-
-
 def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> TildeEnsemble:
     """Walk Brownian paths from 1, tracking the transformed process, until
-    the transformed process hits `a` or the base path is absorbed at 0."""
+    the transformed process hits `a` or the base path is absorbed at 0.
+
+    The walk is one run of the simulator's kernel: it watches the switch
+    levels and stops each path at the X level where tilde(X) = a in its
+    regime.  Of `cfg` it reads the grid, horizon, cap, seed, path count and
+    bridge correction.
+    """
     if a <= 1.0:
         raise ValueError("a must exceed the start point 1")
-    n = cfg.n_paths
-    bridge = cfg.bridge_correction
-    hit_a_time = np.full(n, np.nan)
-    absorbed = np.zeros(n, dtype=bool)
-    weight_x = np.full(n, np.nan)
-    regime_at_stop = np.full(n, -1, dtype=np.int64)
-    tilde_at_snap = np.full(n, np.nan)
-    snap_done = False
-    tie_count = 0
+    switches = (_REGIME_SWITCH_HI, _REGIME_SWITCH_LO)
+    run_cfg = replace(cfg, watch_levels=switches, stop_levels=(), track_time_average=False)
+    # tilde(X) = a at X = (a + 1)/2, 2a - 1/4 and a in regimes 0, 1 and 2
+    levels = ((a + 1.0) / 2.0, 2.0 * a - 0.25, a)
+    res = _simulate(bm(), 1.0, run_cfg, 0, cfg.n_paths, [t_snap], levels_by_regime=levels)
 
-    # compacted state of the running paths, in path order
-    pos = np.arange(n, dtype=np.int64)
-    keys = rng.path_keys(cfg.seed, pos)
-    xa = np.ones(n)
-    tp = np.ones(n)
-    ra = np.zeros(n, dtype=np.int64)
-
-    t = 0.0
-    k = 0
-    for n_steps, dt in _phases(cfg):
-        sqrt_dt = math.sqrt(dt)
-        for _ in range(n_steps):
-            if not pos.size:
-                break
-            t_next = t + dt
-            z = rng.normals(keys, k, rng.STREAM_TILDE_NORMAL)
-            x_new = xa + sqrt_dt * z
-
-            # base-path absorption at 0 (discrete or bridge)
-            absorb = x_new <= 0.0
-            if bridge:
-                gap = xa * x_new  # (0 - xa)(0 - x_new)
-                absorb[_crossings(gap, dt, ~absorb, keys, k, rng.STREAM_TILDE_ABSORB)] = True
-            np.maximum(x_new, 0.0, out=x_new)
-            x_new[absorb] = 0.0
-            tilde_new = _tilde_formula(x_new, ra == 0, ra == 1)
-
-            # transformed process crossing `a`
-            lvl_x = _x_level(a, ra)
-            crossed = (tp - a) * (tilde_new - a) <= 0.0
-            if bridge:
-                gap = (lvl_x - xa) * (lvl_x - x_new)
-                maybe = ~crossed & ~absorb & (gap > 0)
-                crossed[_crossings(gap, dt, maybe, keys, k, rng.STREAM_TILDE_LEVEL)] = True
-
-            tie_count += int(np.sum(crossed & absorb))
-            hit_a = crossed  # ties break toward the upper level
-            absorb_now = absorb & ~hit_a
-            stopping = hit_a | absorb_now
-            stopped = bool(np.any(stopping))
-            if stopped:
-                hit_sel = pos[hit_a]
-                hit_a_time[hit_sel] = t_next
-                weight_x[hit_sel] = lvl_x[hit_a]
-                regime_at_stop[hit_sel] = ra[hit_a]
-                ab_sel = pos[absorb_now]
-                absorbed[ab_sel] = True
-                weight_x[ab_sel] = 0.0
-                regime_at_stop[ab_sel] = ra[absorb_now]
-                sel = pos[stopping]
-                still = np.isnan(tilde_at_snap[sel])
-                tilde_at_snap[sel[still]] = np.where(hit_a[stopping], a, 0.0)[still]
-
-            # regime upgrades apply from the next sample on; detecting the
-            # switch with the bridge as well as by overshoot balances the
-            # rebasing error of the two affine maps around the level
-            ra[_switched(xa, x_new, _REGIME_SWITCH_HI, ra == 0, dt, keys, k,
-                         rng.STREAM_SWITCH_HI, bridge)] = 1
-            ra[_switched(xa, x_new, _REGIME_SWITCH_LO, ra == 1, dt, keys, k,
-                         rng.STREAM_SWITCH_LO, bridge)] = 2
-
-            xa, tp = x_new, tilde_new
-            if stopped:
-                go_on = ~stopping
-                pos, keys, ra, xa, tp = pos[go_on], keys[go_on], ra[go_on], xa[go_on], tp[go_on]
-            t = t_next
-            k += 1
-            if not snap_done and t >= t_snap - 1e-12:
-                tilde_at_snap[pos] = tp
-                snap_done = True
-
-    truncated = np.zeros(n, dtype=bool)
-    truncated[pos] = True
-    still = np.isnan(tilde_at_snap[pos])
-    tilde_at_snap[pos[still]] = tp[still]
+    hit_a = ~res.truncated & np.isnan(res.absorbed_at)
+    # a switch counts from the step after its crossing, so the regime at a
+    # grid time takes the switches crossed strictly before it; the snapshot's
+    # grid time is the first from t_snap - _TIME_SLACK on
+    t_switch = [res.hit_times[level] for level in switches]
+    t_snap_ref = np.minimum(res.stop_times, t_snap - _TIME_SLACK)
+    regime_at_snap = _regime([t < t_snap_ref for t in t_switch])
+    x_snap = res.snapshots[t_snap]
+    tilde_at_snap = _tilde_formula(x_snap, regime_at_snap == 0, regime_at_snap == 1)
+    tilde_at_snap[x_snap == 0.0] = 0.0  # tilde(X) is 0 exactly where X is
     return TildeEnsemble(
-        n=n,
-        hit_a_time=hit_a_time,
-        absorbed=absorbed,
-        truncated=truncated,
-        weight_x=weight_x,
-        regime_at_stop=regime_at_stop,
+        n=res.n,
+        hit_a_time=np.where(hit_a, res.stop_times, np.nan),
+        absorbed=res.absorbed_at == 0.0,
+        truncated=res.truncated,
+        weight_x=res.final_values,
+        regime_at_stop=_regime([t < res.stop_times for t in t_switch]),
         tilde_at_snap=tilde_at_snap,
-        tie_count=tie_count,
+        tie_count=res.tie_count,
     )
 
 

@@ -22,11 +22,6 @@ __all__ = [
     "STREAM_BRIDGE_LOWER",
     "STREAM_BRIDGE_UPPER",
     "STREAM_WATCH",
-    "STREAM_TILDE_NORMAL",
-    "STREAM_TILDE_ABSORB",
-    "STREAM_TILDE_LEVEL",
-    "STREAM_SWITCH_HI",
-    "STREAM_SWITCH_LO",
     "STREAM_WALK",
     "path_keys",
     "uniforms",
@@ -41,13 +36,8 @@ __all__ = [
 STREAM_STEP_NORMAL = 0    # Euler increment
 STREAM_BRIDGE_LOWER = 1   # bridge crossing of the lower boundary
 STREAM_BRIDGE_UPPER = 2   # bridge crossing of the upper boundary
-STREAM_WATCH = 3          # bridge crossing of watch level j: STREAM_WATCH + j
-# counterexample
-STREAM_TILDE_NORMAL = 0   # increment of the base Brownian path
-STREAM_TILDE_ABSORB = 1   # bridge absorption of the base path at 0
-STREAM_TILDE_LEVEL = 8    # bridge crossing of the transformed process's level
-STREAM_SWITCH_HI = 16     # bridge crossing of the first regime switch (3/4)
-STREAM_SWITCH_LO = 17     # bridge crossing of the second regime switch (1/4)
+STREAM_WATCH = 3          # bridge crossing of watched level j: STREAM_WATCH + j; a
+                          # run's per-path regime stop level takes the next id
 # jumpwalk
 STREAM_WALK = 64          # lattice-walk uniforms
 

@@ -27,9 +27,10 @@ counted and reported.
 
 Most steps of a sparse tail have no event.  A step is quiet when the running
 values and the Euler proposals, taken as two ranges, sit strictly on one side
-of every watched level and finite boundary, with a bridge exponent at or
-below -37 between the nearest ends, and the proposals stay below the cap and
-more than the clamp distance inside the boundaries.  That bound covers every
+of every finite boundary and of every level a running path can still cross
+(a watch level every running path has crossed drops out), with a bridge
+exponent at or below -37 between the nearest ends, and the proposals stay
+below the cap and more than the clamp distance inside the boundaries.  That bound covers every
 path, so a quiet step draws no bridge uniform and records no event; it skips
 the guards, crossing tests, event selection and compaction, and changes no
 value.  The test reads reductions the step takes anyway: min and max of the
@@ -72,6 +73,7 @@ __all__ = [
 _BOUNDARY_CLAMP = 1e-12  # a proposal this close to a boundary counts as reaching it
 _MAX_HALVINGS = 20       # step halvings before the guard absorbs at the boundary
 _BLOCK_DRAWS = 1 << 14   # step normals per draw call: the running paths times the block's steps
+_TIME_SLACK = 1e-12      # a grid time this close below a snapshot time counts as reaching it
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,7 @@ class EnsembleResult:
             "hits": {repr(float(level)): int(np.sum(np.isfinite(t)))
                      for level, t in self.hit_times.items()},
             "absorbed": int(np.sum(np.isfinite(self.absorbed_at))),
+            "capped": int(np.sum(self.absorbed_at == math.inf)),
             "truncated": int(np.sum(self.truncated)),
         }
 
@@ -227,6 +230,18 @@ def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap:
     return True
 
 
+def _regime(crossed: list[np.ndarray]) -> np.ndarray:
+    """Per path, how many of the levels, taken in order, it has crossed: a
+    level counts only once every level before it has.  `crossed` holds one
+    flag array per level, at least one."""
+    so_far = crossed[0]
+    regime = so_far.astype(np.intp)
+    for flags in crossed[1:]:
+        so_far = so_far & flags
+        regime += so_far
+    return regime
+
+
 def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
                stream: int) -> np.ndarray:
     """Indices of the `candidates` whose Brownian bridge crosses a level
@@ -258,18 +273,29 @@ def _overflow_is_no_error(kernel):
     finite drift may overflow a step, sending the path past the cap, and the
     warning would reach stderr.  np.errstate would slow every ufunc call of
     the run; condflow runs in one thread, so the process-wide filter is safe."""
-    def run(*args):
+    def run(*args, **kwargs):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-            return kernel(*args)
+            return kernel(*args, **kwargs)
     return run
 
 
 @_overflow_is_no_error
 def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: int,
-              snap_times: list[float]) -> EnsembleResult:
+              snap_times: list[float], levels_by_regime: tuple[float, ...] = ()
+              ) -> EnsembleResult:
     """Run paths first_id .. first_id + n - 1 as one cohort, recording the
-    value at each of the sorted `snap_times` AND stop."""
+    value at each of the sorted `snap_times` AND stop.
+
+    `levels_by_regime` (L_0, ..., L_m) gives every path one more stop level,
+    L_r, where the path's regime r is the number of the first m watched
+    levels it crossed, in order, before the step (see `_regime`); so a switch
+    applies from the next step.  Those m levels must be interior watch
+    levels, not stop levels.  Crossings of L_r draw their bridge uniforms
+    from stream STREAM_WATCH + len(watched) and stop the path at L_r, after
+    every stop level of `cfg`, whose write wins a same-step tie.  No hit time
+    is recorded for L_r.
+    """
     l, r = spec.interval.l, spec.interval.r
     watch = _watched(cfg)
     # (value, is the upper end, bridge stream) of each finite boundary
@@ -287,8 +313,13 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     # so the lower boundary wins a same-step tie
     from_top = boundaries[::-1]
     ends = [boundary for boundary, _upper, _stream in from_top]
-    # a quiet step keeps clear of the interior levels and the finite boundaries
-    marks = interior + ends
+    # the regime's stop level, per running path
+    table = np.asarray(levels_by_regime, dtype=np.float64)
+    n_switch = len(levels_by_regime) - 1
+    regime_stream = rng.STREAM_WATCH + len(watch)
+    # a quiet step keeps clear of the interior levels some running path has
+    # yet to hit, the finite boundaries and the regimes' stop levels
+    marks = interior + ends + list(levels_by_regime)
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
@@ -312,6 +343,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     unhit = [None if level in cfg.stop_levels else np.full(pos.size, level != x0)
              for level in interior]
     tint_a = np.zeros(pos.size) if tint is not None else None
+    stop_at = np.full(pos.size, table[0]) if levels_by_regime else None
     x_lo = x_hi = float(x0)  # the range of xa, as far as _quiet needs it
 
     all_phases = _phases(cfg)
@@ -398,6 +430,12 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         stream = interior_streams[j]
                         crossed[_crossings(gap, a_dt, maybe, keys, k, stream)] = True
                     cross.append(crossed)
+                if stop_at is not None:  # last in `cross`
+                    gap = (xa - stop_at) * (prop - stop_at)
+                    crossed = gap <= 0.0
+                    if cfg.bridge_correction:
+                        crossed[_crossings(gap, a_dt, ~crossed, keys, k, regime_stream)] = True
+                    cross.append(crossed)
 
                 # a step's events: absorption, cap exceedance, level crossings
                 over_cap = prop >= cfg.cap
@@ -406,6 +444,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     event = event | crossed
 
                 stopping = None
+                switched = False
                 sel = event.nonzero()[0]
                 if sel.size:
                     ps = pos[sel]
@@ -427,6 +466,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                             hit_t[level][ps[fired]] = t_next
                             if unhit[j] is not None:
                                 unhit[j][sel[fired]] = False
+                                switched |= j < n_switch
                     for boundary, flags in zip(ends, ended):
                         if boundary in hit_t:
                             hit_t[boundary][ps[flags]] = t_next
@@ -437,6 +477,10 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     for j in stop_desc:
                         newly = hits[j] & ~claimed
                         val[newly] = interior[j]
+                        claimed |= newly
+                    if stop_at is not None:
+                        newly = hits[-1] & ~claimed
+                        val[newly] = stop_at[sel[newly]]
                         claimed |= newly
                     absorbed_val = np.where(capped, math.inf, np.nan)
                     for boundary, flags in zip(ends, ended):
@@ -457,6 +501,8 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 # every proposal left running lies inside (l + clamp, r - clamp)
                 # or is NaN
                 xa = prop
+                if switched:
+                    stop_at = table[_regime([~flags for flags in unhit[:n_switch]])]
                 if stopping is not None:
                     keep = np.ones(pos.size, dtype=bool)
                     keep[stopping] = False
@@ -464,12 +510,17 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     unhit = [flag if flag is None else flag[keep] for flag in unhit]
                     if tint_a is not None:
                         tint_a = tint_a[keep]
+                    if stop_at is not None:
+                        stop_at = stop_at[keep]
                     if z_row < len(z_block):
                         zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
+                if sel.size:  # hits and stops may have cleared a level's last flag
+                    marks = [level for level, flags in zip(interior, unhit)
+                             if flags is None or flags.any()] + ends + list(levels_by_regime)
 
             t = t_next
             k += 1
-            while snap_i < len(snap_times) and t >= snap_times[snap_i] - 1e-12:
+            while snap_i < len(snap_times) and t >= snap_times[snap_i] - _TIME_SLACK:
                 snaps[snap_i][pos] = xa
                 snap_i += 1
 

@@ -111,6 +111,16 @@ def test_simulate_path_dump(tmp_path):
     assert any(line.startswith("1,") for line in lines[1:])
 
 
+def test_simulate_counts_paths_stopped_at_the_cap(tmp_path):
+    # a drift of 1e308 sends every path past the cap on its first step
+    text = '[spec]\nfamily = custom\nb = "1e308"\na = "1"\n\n[sim]\ndt = 10\nhorizon = 20\nn_paths = 5\n'
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["absorbed"], payload["capped"], payload["truncated"]) == (0, 5, 0)
+
+
 def test_condition_json_report(tmp_path):
     out = tmp_path / "cond.json"
     assert main(["condition", "--seed", "2", "--n", "3000", "--out", str(out)]) == 0

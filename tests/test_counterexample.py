@@ -1,9 +1,12 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from condflow import simulate
 from condflow.counterexample import (
+    TildeEnsemble,
     build_tilde,
     compare_conditionings,
     run_tilde_ensemble,
@@ -111,3 +114,53 @@ def test_level_must_exceed_start():
     cfg = SimConfig(dt=1e-3, horizon=5.0, seed=20, n_paths=100)
     with pytest.raises(ValueError):
         run_tilde_ensemble(cfg, a=0.9)
+
+
+def test_ensemble_agrees_with_path_api():
+    # the one-path run watching the switch levels (on the same streams) has
+    # the ensemble path's values until it stops: a path still running at
+    # t_snap has the same tilde value there, and a stopped path's regime is
+    # the one its switch hits before the stop give
+    cfg = SimConfig(dt=1e-3, horizon=0.6, seed=31, n_paths=200)
+    res = run_tilde_ensemble(cfg, a=2.0, t_snap=0.5)
+    path_cfg = replace(cfg, n_paths=1, watch_levels=(0.75, 0.25))
+    running, regimes = 0, []
+    for i in range(cfg.n_paths):
+        path = simulate_path(bm(), 1.0, path_cfg, i)
+        if np.isfinite(res.hit_a_time[i]):
+            stop = res.hit_a_time[i]
+        elif res.absorbed[i]:
+            stop = path.times[np.argmax(path.values == 0.0)]
+        else:
+            assert res.truncated[i]
+            stop = math.inf
+        k = int(np.argmax(path.times >= 0.5 - 1e-12))
+        if stop > path.times[k]:
+            running += 1
+            assert build_tilde(path).tilde_values[k].tobytes() == res.tilde_at_snap[i].tobytes()
+        if stop < math.inf:
+            before = [path.hit(level).crossed and path.hit(level).time < stop
+                      for level in (0.75, 0.25)]
+            regimes.append(before[0] * (1 + before[1]))
+            assert res.regime_at_stop[i] == regimes[-1]
+    assert running > 50 and {0, 2} <= set(regimes)
+
+
+def test_quiet_steps_change_no_tilde_byte(monkeypatch):
+    # the regimes' stop levels are marks: a step near one is never quiet
+    cfg = SimConfig(dt=1e-2, horizon=30.0, seed=33, n_paths=300)
+    quiet = simulate._quiet
+    answers = []
+
+    def recording(*args):
+        answers.append(quiet(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(simulate, "_quiet", recording)
+    fast = run_tilde_ensemble(cfg)
+    assert any(answers) and not all(answers)
+    monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every step eventful
+    slow = run_tilde_ensemble(cfg)
+    for field in fields(TildeEnsemble):
+        assert np.asarray(getattr(fast, field.name)).tobytes() == \
+            np.asarray(getattr(slow, field.name)).tobytes(), field.name

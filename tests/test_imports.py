@@ -1,5 +1,6 @@
 """Every import in src/condflow is used: a stdlib-only stand-in for a
-linter's unused-import rule."""
+linter's unused-import rule.  And one step kernel: only `simulate` draws
+step normals."""
 
 from __future__ import annotations
 
@@ -41,3 +42,29 @@ def test_detects_unused_import():
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def normals_callers(source: str) -> bool:
+    """Whether a module reads `rng.normals` or imports `normals` from `rng`."""
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "normals"
+                and isinstance(node.value, ast.Name) and node.value.id == "rng"):
+            return True
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").endswith("rng")
+                and any(alias.name == "normals" for alias in node.names)):
+            return True
+    return False
+
+
+def test_detects_normals_caller():
+    assert normals_callers("from . import rng\nz = rng.normals(keys, 0)\n")
+    assert normals_callers("from .rng import normals\n")
+    assert not normals_callers("from . import rng\nu = rng.uniforms(keys, 0, 1)\n")
+
+
+def test_only_the_step_kernel_draws_normals():
+    # every simulator's Euler step is simulate._simulate; a second step loop
+    # would draw its own normals
+    callers = sorted(p.name for p in SRC.glob("*.py")
+                     if p.name != "rng.py" and normals_callers(p.read_text(encoding="utf-8")))
+    assert callers == ["simulate.py"]

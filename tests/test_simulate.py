@@ -334,7 +334,8 @@ def test_overflowing_finite_drift_leaks_no_warning():
 # steps: a bessel3 tail with snapshots, the time integral and a cap; BM
 # between two stop levels, with ties at dt 0.25 and then fine steps; bessel3
 # at dt 0.5, where the halving guard fires; levels at the finite end, inside
-# and at the infinite end of (0, inf); and no bridge correction
+# and at the infinite end of (0, inf); no bridge correction; and a watch
+# level that every running path has crossed, which leaves the marks
 _QUIET_CASES = [
     (bessel3(), 1.0, SimConfig(
         dt=1e-2, horizon=200.0, cap=10.0, seed=4, n_paths=300, stop_levels=(0.5,),
@@ -349,6 +350,8 @@ _QUIET_CASES = [
     (bessel3(), 1.0, SimConfig(dt=0.05, horizon=60.0, cap=6.0, seed=9, n_paths=300,
                                bridge_correction=False, stop_levels=(0.5,), watch_levels=(5.5,),
                                track_time_average=True)),
+    (bm(), 1.0, SimConfig(dt=0.01, horizon=30.0, seed=7, n_paths=200, stop_levels=(3.0,),
+                          watch_levels=(1.2,))),
 ]
 
 
@@ -397,7 +400,8 @@ def test_quiet_steps_change_no_byte(spec, x0, cfg, monkeypatch):
 
 
 def test_quiet_cases_exercise_every_event(monkeypatch):
-    capped, tied, halving, levels, unbridged = (simulate_ensemble(*case) for case in _QUIET_CASES)
+    capped, tied, halving, levels, unbridged = (simulate_ensemble(*case)
+                                                for case in _QUIET_CASES[:5])
     assert np.any(capped.absorbed_at == math.inf) and np.any(capped.final_values == 0.5)
     assert np.any(np.isfinite(capped.hit_times[0.8]))
     assert tied.tie_count > 0
@@ -408,6 +412,21 @@ def test_quiet_cases_exercise_every_event(monkeypatch):
     assert np.any(halving.truncated) and not np.any(halving.absorbed_at == 0.0)
     monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
     assert np.any(simulate_ensemble(*_QUIET_CASES[2]).absorbed_at == 0.0)
+
+
+def test_quiet_drops_a_level_every_running_path_crossed(monkeypatch):
+    # paths that stay below 1.2 are soon absorbed at 0; from then on 1.2 can
+    # hold no event, so it is no longer a mark that keeps a step eventful
+    marked = []
+    quiet = simulate._quiet
+
+    def recording(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r):
+        marked.append(1.2 in marks)
+        return quiet(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r)
+
+    monkeypatch.setattr(simulate, "_quiet", recording)
+    simulate_ensemble(*_QUIET_CASES[5])
+    assert marked[0] and not marked[-1]
 
 
 def test_quiet_steps_keep_tiny_coefficients_silent(monkeypatch):
