@@ -58,6 +58,7 @@ from .jumpwalk import (
 )
 from .model import (
     NEVER,
+    Const,
     DiffusionSpec,
     HittingRecord,
     Interval,

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import DiffusionSpec
+from .model import DiffusionSpec, const_value
 from .scale import Normalization, ScaleFunction
 
 __all__ = [
@@ -42,9 +42,13 @@ def transform(spec: DiffusionSpec, s: ScaleFunction) -> DiffusionSpec:
         raise ValueError("transform needs an L-normalized scale with s > 0 on the grid "
                          "or an R-normalized one with s < 0")
 
+    # a constant base coefficient is read here, not evaluated per call
+    b, a = const_value(spec.drift), const_value(spec.diffusion)
+
     def drift(y, _spec=spec, _s=s):
         value, slope = _s(y, with_deriv=True)
-        return _spec.drift(y) + _spec.diffusion(y) * slope / value
+        return ((_spec.drift(y) if b is None else b)
+                + (_spec.diffusion(y) if a is None else a) * slope / value)
 
     return DiffusionSpec(
         interval=spec.interval,

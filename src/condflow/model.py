@@ -18,6 +18,8 @@ import numpy as np
 __all__ = [
     "NEVER",
     "Interval",
+    "Const",
+    "const_value",
     "DiffusionSpec",
     "HittingRecord",
     "PathSample",
@@ -63,14 +65,42 @@ class Interval:
 
 
 @dataclass(frozen=True)
+class Const:
+    """A coefficient equal to `value` everywhere.
+
+    Called, it vectorizes like any coefficient, returning an array of the
+    argument's shape.  The simulation kernel and `transform` read `value`
+    instead of calling it, so a constant coefficient costs nothing per step.
+    """
+
+    value: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+
+    def __call__(self, y):
+        return np.full(np.shape(y), self.value)
+
+
+def const_value(coeff: Callable) -> float | None:
+    """The value of a `Const` coefficient, None for any other."""
+    return coeff.value if isinstance(coeff, Const) else None
+
+
+@dataclass(frozen=True)
 class DiffusionSpec:
     """A one-dimensional diffusion given by its drift and diffusion
     coefficients on an interval.
 
-    `drift` and `diffusion` must accept scalars and numpy arrays.  The
-    diffusion coefficient is the squared-volatility a(y) (coefficient of the
-    second-derivative term, halved, in the generator), and must be positive
-    on the interior.
+    `drift` and `diffusion` must accept scalars and numpy arrays, and
+    return one value per point; the simulation kernel also takes one plain
+    float standing for every point.  The diffusion coefficient is the
+    squared-volatility a(y) (coefficient of the second-derivative term,
+    halved, in the generator), and must be positive on the interior.
+
+    A simulation step evaluates each coefficient once, at the running
+    values of all its paths, except a `Const`, whose value the run reads
+    once.
     """
 
     interval: Interval
@@ -178,8 +208,8 @@ def bm(l: float = 0.0, r: float = math.inf) -> DiffusionSpec:
     diffusion coefficient)."""
     return DiffusionSpec(
         interval=Interval(l, r),
-        drift=lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)),
-        diffusion=lambda y: np.ones_like(np.asarray(y, dtype=np.float64)),
+        drift=Const(0.0),
+        diffusion=Const(1.0),
         label="bm",
     )
 
@@ -188,7 +218,7 @@ def gbm() -> DiffusionSpec:
     """Driftless geometric Brownian motion on (0, inf): a(y) = y^2."""
     return DiffusionSpec(
         interval=Interval(0.0, math.inf),
-        drift=lambda y: np.zeros_like(np.asarray(y, dtype=np.float64)),
+        drift=Const(0.0),
         diffusion=lambda y: np.square(np.asarray(y, dtype=np.float64)),
         label="gbm",
     )
@@ -199,7 +229,7 @@ def bessel3() -> DiffusionSpec:
     return DiffusionSpec(
         interval=Interval(0.0, math.inf),
         drift=lambda y: 1.0 / np.asarray(y, dtype=np.float64),
-        diffusion=lambda y: np.ones_like(np.asarray(y, dtype=np.float64)),
+        diffusion=Const(1.0),
         label="bessel3",
     )
 

@@ -426,6 +426,13 @@ def compute_scale(
     on the grid, and ValueError if the normalization side has an infinite
     limit (both sides: "both scale limits infinite (UNSUPPORTED)") or the
     diffusion coefficient is not positive on the grid.
+
+    A limit is read from a finite window of probe extensions, so a
+    convergent tail that looks logarithmic over that window reads as
+    divergent.  For example b = 0.5/(y + eps), a = 1 on (0, inf), with the
+    grid from 0.01: s' = 1/(y + eps) and s(0+) is finite for every eps > 0,
+    while eps = 1e-8 is classified HITS_L_ONLY, eps = 1e-10 and 1e-12 are
+    refused as UNSUPPORTED.
     """
     if not (grid.y_min < y0 < grid.y_max):
         raise ValueError("anchor y0 must lie inside [y_min, y_max]")

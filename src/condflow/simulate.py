@@ -16,6 +16,15 @@ numpy calls.  Because the draws are keyed, the block size changes no value;
 it only means that up to one block's draws of a path may go unused after it
 stops.
 
+A step evaluates the drift b and the diffusion coefficient a once each, at
+the running values of all its paths.  A `Const` coefficient is read once per
+run instead, and one that returns a plain float is carried the same way: as
+one Python float broadcast over the paths.  A step with a constant a takes
+no reduction of a and forms sqrt(a) sqrt(dt) and a dt once, not per path; a
+constant b that cannot repel from a boundary skips the halving guard there.
+The square root and the products of a constant are the same IEEE
+operations as their per-element forms, so a constant changes no value.
+
 Level crossings between grid points are recovered with the Brownian-bridge
 crossing probability exp(-2 (level-y0)(level-y1) / (a(y0) dt)), with the
 diffusion coefficient frozen at the step's left endpoint; detected hits are
@@ -35,8 +44,10 @@ path, so a quiet step draws no bridge uniform and records no event; it skips
 the guards, crossing tests, event selection and compaction, and changes no
 value.  The test reads reductions the step takes anyway: min and max of the
 proposals (which also check the drift) and max a (which also checks the
-diffusion coefficient); the range of the values is the previous step's
-proposal range.  Where the halving guard moved a proposal, that range
+diffusion coefficient, and is a itself when a is constant); the range of the
+values is the previous step's proposal range.  On an eventful step the same
+proposal range skips the halving guard at a boundary and the cap test when no
+proposal reaches them.  Where the halving guard moved a proposal, that range
 reaches past a finite boundary, which alone makes the next step eventful.
 
 Two guards keep singular drifts honest near a boundary the process cannot
@@ -60,7 +71,7 @@ import numpy as np
 
 from . import rng
 from .errors import EvalDomainError
-from .model import NEVER, DiffusionSpec, HittingRecord, McEstimate, PathSample
+from .model import NEVER, DiffusionSpec, HittingRecord, McEstimate, PathSample, const_value
 
 __all__ = [
     "SimConfig",
@@ -74,6 +85,7 @@ _BOUNDARY_CLAMP = 1e-12  # a proposal this close to a boundary counts as reachin
 _MAX_HALVINGS = 20       # step halvings before the guard absorbs at the boundary
 _BLOCK_DRAWS = 1 << 14   # step normals per draw call: the running paths times the block's steps
 _TIME_SLACK = 1e-12      # a grid time this close below a snapshot time counts as reaching it
+_NO_PATHS = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -89,6 +101,9 @@ class SimConfig:
     among them, each level once; the j-th watched level draws its bridge
     uniforms from stream STREAM_WATCH + j.  Snapshot times record the path
     value at t AND stop.
+
+    `dt`, `horizon` and each schedule dt must be finite; `cap` may be inf
+    (no cap) but not NaN.
 
     `n_threads` is accepted and ignored: every run is one cohort of all
     `n_paths` in one thread.
@@ -108,10 +123,20 @@ class SimConfig:
     n_threads: int | None = None
 
     def __post_init__(self):
+        for name in ("dt", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.horizon <= 0 or self.dt >= self.horizon:
             raise ValueError("need 0 < dt < horizon")
+        if math.isnan(self.cap):
+            raise ValueError("cap must not be NaN (inf means no cap)")
         if self.cap <= 0 or self.n_paths <= 0:
             raise ValueError("cap and n_paths must be positive")
+        for t_until, dt in self.dt_schedule or ():
+            if not (math.isfinite(dt) and dt > 0.0):
+                raise ValueError(f"dt_schedule dt must be finite and positive, got {dt}")
+            if math.isnan(t_until):
+                raise ValueError("dt_schedule t_until must not be NaN")
         for t in self.snapshot_times:
             if not 0.0 < t <= self.horizon:
                 raise ValueError("snapshot times must lie in (0, horizon]")
@@ -170,29 +195,59 @@ def _phases(cfg: SimConfig) -> list[tuple[int, float]]:
     return phases
 
 
-def _propose(spec: DiffusionSpec, xa: np.ndarray, t: float, dt: float, sqrt_dt: float,
+def _propose(spec: DiffusionSpec, b, a, xa: np.ndarray, t: float, dt: float, sqrt_dt: float,
              z: np.ndarray, pos: np.ndarray, first_id: int):
     """The Euler proposal xa + b dt + sqrt(a dt) z at the running values.
 
-    Returns b, a, max a, the proposal and its min and max.  Two reductions
-    check 0 < a < inf before the step; a non-finite b leaves the proposal's
-    range non-finite, so only then is b checked path by path (a finite b may
-    still overflow the proposal, which is no error).  A failure names the
-    first path whose b or a is bad.
+    `b` and `a` are the run's constant coefficients, or None to evaluate the
+    spec's at xa; an evaluated coefficient that returns one plain float is
+    carried as a float too.  Returns b, a (each a float or one value per
+    path), max a, the proposal and its min and max.  0 < a < inf is checked
+    before the step: by one comparison for a float, by two reductions for
+    an array.  A non-finite b leaves the proposal's range non-finite, so only
+    then is b checked (a finite b may still overflow the proposal, which is
+    no error).  A failure names the first path whose b or a is bad.
     """
-    try:
-        b = np.asarray(spec.drift(xa), dtype=np.float64)
-        a = np.asarray(spec.diffusion(xa), dtype=np.float64)
-    except Exception as exc:
-        raise EvalDomainError(f"coefficient evaluation failed at t={t}: {exc}") from exc
-    a_max = float(a.max())
-    if not (a.min() > 0.0 and a_max < math.inf):
-        _coeff_failure(b, a, xa, t, pos, first_id)
-    prop = xa + b * dt + np.sqrt(a) * sqrt_dt * z
+    if b is None or a is None:
+        try:
+            if b is None:
+                b = _per_path(spec.drift(xa))
+            if a is None:
+                a = _per_path(spec.diffusion(xa))
+        except Exception as exc:
+            raise EvalDomainError(f"coefficient evaluation failed at t={t}: {exc}") from exc
+    if isinstance(a, float):
+        a_max = a
+        if not 0.0 < a < math.inf:
+            _coeff_failure(b, a, xa, t, pos, first_id)
+        noise = math.sqrt(a) * sqrt_dt * z
+    else:
+        a_max = float(a.max())
+        if not (a.min() > 0.0 and a_max < math.inf):
+            _coeff_failure(b, a, xa, t, pos, first_id)
+        noise = np.sqrt(a) * sqrt_dt * z
+    prop = xa + b * dt + noise
     p_lo, p_hi = float(prop.min()), float(prop.max())
     if not (-math.inf < p_lo and p_hi < math.inf) and not np.isfinite(b).all():
         _coeff_failure(b, a, xa, t, pos, first_id)
     return b, a, a_max, prop, p_lo, p_hi
+
+
+def _per_path(values):
+    """A coefficient's values as float64, one plain float standing for all paths."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(values) if values.ndim == 0 else values
+
+
+def _any(flags) -> bool:
+    """Whether a test of the drift holds on any path: `flags` is one bool for
+    all paths (a float drift's test) or one per path."""
+    return flags if isinstance(flags, bool) else bool(flags.any())
+
+
+def _at(coeff, idx):
+    """A coefficient (a float or one value per path) at the paths `idx`."""
+    return coeff if isinstance(coeff, float) else coeff[idx]
 
 
 def _coeff_failure(b, a, xa, t, pos, first_id):
@@ -297,6 +352,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     is recorded for L_r.
     """
     l, r = spec.interval.l, spec.interval.r
+    b_fix, a_fix = const_value(spec.drift), const_value(spec.diffusion)  # None: per step
     watch = _watched(cfg)
     # (value, is the upper end, bridge stream) of each finite boundary
     boundaries = [(boundary, upper, stream) for boundary, upper, stream in
@@ -371,7 +427,8 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 zcol = None
             z = z_block[z_row] if zcol is None else z_block[z_row, zcol]
             z_row += 1
-            b, a, a_max, prop, p_lo, p_hi = _propose(spec, xa, t, dt, sqrt_dt, z, pos, first_id)
+            b, a, a_max, prop, p_lo, p_hi = _propose(spec, b_fix, a_fix, xa, t, dt, sqrt_dt, z,
+                                                     pos, first_id)
             if tint_a is not None:
                 tint_a += xa * dt
 
@@ -384,23 +441,30 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 # finite boundary, so the next step is eventful
                 x_lo, x_hi = p_lo, p_hi
 
-                # halving guard at boundaries the drift repels from
+                # halving guard at boundaries the drift repels from; it has
+                # nothing to do where the proposals' range shows none past the
+                # boundary (a NaN range goes on) or the drift repels on no path
                 for boundary, upper, _stream in boundaries:
+                    if (p_hi - boundary if upper else boundary - p_lo) <= _BOUNDARY_CLAMP:
+                        continue
+                    repels = b < 0.0 if upper else b > 0.0
+                    if not _any(repels):
+                        continue
                     over = prop - boundary if upper else boundary - prop
                     fix = over > _BOUNDARY_CLAMP
-                    if fix.any():
-                        fix &= (b < 0.0) if upper else (b > 0.0)
-                        sub = fix.nonzero()[0]
-                        h = dt
-                        for _halving in range(_MAX_HALVINGS):
-                            if not sub.size:
-                                break
-                            h *= 0.5
-                            prop[sub] = xa[sub] + b[sub] * h + np.sqrt(a[sub] * h) * z[sub]
-                            over = prop[sub] - boundary if upper else boundary - prop[sub]
-                            sub = sub[over > _BOUNDARY_CLAMP]
-                        if sub.size:
-                            prop[sub] = boundary  # give up: absorb there
+                    fix &= repels
+                    sub = fix.nonzero()[0]
+                    h = dt
+                    for _halving in range(_MAX_HALVINGS):
+                        if not sub.size:
+                            break
+                        h *= 0.5
+                        prop[sub] = (xa[sub] + _at(b, sub) * h
+                                     + np.sqrt(_at(a, sub) * h) * z[sub])
+                        over = prop[sub] - boundary if upper else boundary - prop[sub]
+                        sub = sub[over > _BOUNDARY_CLAMP]
+                    if sub.size:
+                        prop[sub] = boundary  # give up: absorb there
 
                 # boundary absorption (discrete overshoot or bridge crossing),
                 # one flag array per finite boundary; the bridge test is
@@ -412,8 +476,8 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     crossed = over >= -_BOUNDARY_CLAMP
                     if cfg.bridge_correction:
                         toward = b >= 0.0 if upper else b <= 0.0
-                        if toward.any():
-                            toward &= ~crossed
+                        if _any(toward):
+                            toward = toward & ~crossed
                             gap = (boundary - xa) * (boundary - prop)
                             crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
                     absorb.append(crossed)
@@ -437,22 +501,25 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         crossed[_crossings(gap, a_dt, ~crossed, keys, k, regime_stream)] = True
                     cross.append(crossed)
 
-                # a step's events: absorption, cap exceedance, level crossings
-                over_cap = prop >= cfg.cap
+                # a step's events: absorption, cap exceedance, level crossings;
+                # the cap is tested only where the proposals' max (or a NaN)
+                # reaches it
+                over_cap = None if p_hi < cfg.cap else prop >= cfg.cap
                 event = over_cap
                 for crossed in absorb + cross:
-                    event = event | crossed
+                    event = crossed if event is None else event | crossed
 
                 stopping = None
                 switched = False
-                sel = event.nonzero()[0]
+                sel = _NO_PATHS if event is None else event.nonzero()[0]
                 if sel.size:
                     ps = pos[sel]
                     ended = [crossed[sel] for crossed in absorb]
                     absorbed_now = np.zeros(sel.size, dtype=bool)
                     for flags in ended:
                         absorbed_now |= flags
-                    capped = over_cap[sel] & ~absorbed_now
+                    capped = (np.zeros(sel.size, dtype=bool) if over_cap is None
+                              else over_cap[sel] & ~absorbed_now)
                     hits = [crossed[sel] for crossed in cross]
                     n_events = absorbed_now.astype(np.int64) + capped
                     for fired in hits:

@@ -227,3 +227,15 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, command, name, te
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and allowed in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("horizon = inf", "horizon must be finite"),
+    ("dt = nan", "dt must be finite"),
+    ("cap = nan", "cap must not be NaN"),
+])
+def test_non_finite_sim_values_are_config_errors(tmp_path, capsys, line, message):
+    cfg = _write(tmp_path, "c.ini", f"[spec]\nfamily = bm\n\n[sim]\n{line}\nn_paths = 5\n")
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err

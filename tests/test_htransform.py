@@ -10,7 +10,7 @@ from condflow.htransform import (
     downward_scale,
     transform,
 )
-from condflow.model import DiffusionSpec, Interval, bessel3, bm, gbm
+from condflow.model import Const, DiffusionSpec, Interval, bessel3, bm, gbm
 from condflow.scale import GridConfig, Normalization, compute_scale, exact_scale
 
 _PROBE = np.linspace(0.2, 5.0, 97)
@@ -216,3 +216,25 @@ def test_grid_backed_drift_shares_one_knot_lookup():
             got = drift(ys)
             assert np.shape(got) == np.shape(expected)
             assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+class _Unread(Const):
+    """A constant coefficient that fails when called."""
+
+    def __call__(self, y):
+        raise AssertionError(f"the constant {self.value} was evaluated")
+
+
+def test_transform_reads_constant_coefficients():
+    # bm's drift 0 and a = 1 are read, not evaluated; the drift is the one an
+    # array-returning twin gives, bit for bit
+    base = bm(0.0, 2.0)
+    s = compute_scale(base, 1.0, GridConfig(y_min=0.01, y_max=1.99), Normalization.L)
+    twin = DiffusionSpec(base.interval, drift=lambda y: base.drift(y),
+                         diffusion=lambda y: base.diffusion(y))
+    unread = DiffusionSpec(base.interval, drift=_Unread(0.0), diffusion=_Unread(1.0))
+    ys = np.linspace(0.005, 1.995, 401)
+    drift = transform(base, s).drift(ys)
+    assert drift.tobytes() == transform(twin, s).drift(ys).tobytes()
+    assert drift.tobytes() == transform(unread, s).drift(ys).tobytes()
+    assert transform(base, s).diffusion is base.diffusion

@@ -5,12 +5,14 @@ import pytest
 
 from condflow.model import (
     NEVER,
+    Const,
     HittingRecord,
     Interval,
     McEstimate,
     PathSample,
     bessel3,
     bm,
+    const_value,
     gbm,
     named_family,
     terminal_value,
@@ -129,6 +131,17 @@ def test_family_coefficients_vectorize():
         spec.validate_on(ys)
         assert np.shape(spec.drift(ys)) == ys.shape
         assert np.shape(spec.diffusion(ys)) == ys.shape
+
+
+def test_const_is_a_frozen_vectorized_coefficient():
+    two = Const(2)
+    assert type(two.value) is float and const_value(two) == 2.0
+    assert const_value(lambda y: 2.0) is None
+    ys = np.linspace(0.5, 4.0, 7)
+    assert two(ys).tobytes() == np.full(7, 2.0).tobytes()
+    assert np.shape(two(1.5)) == () and float(two(1.5)) == 2.0
+    with pytest.raises(AttributeError):  # frozen
+        two.value = 3.0
 
 
 def test_validate_on_rejects_nonpositive_diffusion():

@@ -233,6 +233,25 @@ def test_finite_limits_are_found(b, a, l, r, y_min, y_max, expected):
     assert classify_boundaries(s) is expected
 
 
+@pytest.mark.parametrize("eps, finite", [(1e-8, True), (1e-10, False), (1e-12, False)])
+def test_near_logarithmic_tail_is_read_within_the_probe_window(eps, finite):
+    # s' = 1/(y + eps) is integrable toward 0 for every eps > 0, so s(0+) is
+    # finite.  Over the first 8 halvings from 0.01 the probe increments'
+    # ratios fall by about eps/y each: at eps 1e-8 by more than the 1e-6 a
+    # logarithmic tail allows, at eps 1e-10 by at most 9.2e-7, so that tail
+    # reads as divergent.  These pin the finite window's limit; a probe that
+    # looks further changes the refused cases on purpose.
+    spec = DiffusionSpec(Interval(0.0, math.inf), parse_expr(f"0.5/(y + {eps!r})").eval,
+                         parse_expr("1").eval)
+    grid = GridConfig(y_min=0.01, y_max=10.0)
+    if finite:
+        s = compute_scale(spec, 1.0, grid, Normalization.L)
+        assert classify_boundaries(s) is BoundaryClass.HITS_L_ONLY
+    else:
+        with pytest.raises(ValueError, match=r"both scale limits infinite \(UNSUPPORTED\)"):
+            compute_scale(spec, 1.0, grid, Normalization.L)
+
+
 def test_rounding_noise_drift_fails_fast():
     # 0.1*y - y/10 is 0 or +-1 ulp: no relative error test can settle its
     # integrals, so bisection must stop with an error, not run away

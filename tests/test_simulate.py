@@ -7,7 +7,7 @@ import pytest
 
 from condflow import simulate
 from condflow.errors import EvalDomainError
-from condflow.model import DiffusionSpec, Interval, bessel3, bm
+from condflow.model import Const, DiffusionSpec, Interval, bessel3, bm, const_value
 from condflow.simulate import (
     EnsembleResult,
     SimConfig,
@@ -191,6 +191,28 @@ def test_sim_config_validation():
         SimConfig(dt=1e-3, horizon=1.0, snapshot_times=(2.0,))
 
 
+@pytest.mark.parametrize("fields, name", [
+    (dict(horizon=math.inf), "horizon"),
+    (dict(dt=math.nan), "dt"),
+    (dict(dt=math.inf, horizon=math.inf), "dt"),
+    (dict(cap=math.nan), "cap"),
+    (dict(dt_schedule=((0.5, 0.0), (1.0, 1e-2))), "dt_schedule dt"),
+    (dict(dt_schedule=((0.5, -1e-2),)), "dt_schedule dt"),
+    (dict(dt_schedule=((0.5, math.nan),)), "dt_schedule dt"),
+    (dict(dt_schedule=((0.5, math.inf),)), "dt_schedule dt"),
+    (dict(dt_schedule=((math.nan, 1e-2),)), "dt_schedule t_until"),
+])
+def test_sim_config_refuses_non_finite_values(fields, name):
+    with pytest.raises(ValueError, match=rf"^{name} must"):
+        SimConfig(**{"dt": 1e-2, "horizon": 1.0, **fields})
+
+
+def test_sim_config_infinite_cap_means_no_cap():
+    cfg = SimConfig(dt=0.5, horizon=5.0, cap=math.inf, seed=1, n_paths=20)
+    res = simulate_ensemble(replace(bm(), drift=Const(1e9)), 1.0, cfg)
+    assert np.all(res.truncated) and np.all(res.final_values > 1e9)
+
+
 def _same_bits(x, y) -> bool:
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -273,6 +295,22 @@ def test_scalar_coefficients_run_like_arrays():
     _assert_same_ensemble(simulate_ensemble(flat, 1.0, cfg), simulate_ensemble(bm(), 1.0, cfg))
 
 
+def test_scalar_drift_runs_the_halving_guard(monkeypatch):
+    # a drift of 1 repels from 0, so the guard takes back the overshoots of
+    # the coarse steps from 0.2; it must index a plain-float drift like an array
+    scalar = DiffusionSpec(Interval(0.0, math.inf), drift=lambda y: 1.0, diffusion=lambda y: 1.0)
+    arrays = replace(scalar, drift=lambda y: np.ones(np.shape(y)),
+                     diffusion=lambda y: np.ones(np.shape(y)))
+    cfg = SimConfig(dt=0.5, horizon=5.0, seed=1, n_paths=50)
+    res = simulate_ensemble(scalar, 0.2, cfg)
+    _assert_same_ensemble(res, simulate_ensemble(arrays, 0.2, cfg))
+    path, twin = simulate_path(scalar, 0.2, cfg, 7), simulate_path(arrays, 0.2, cfg, 7)
+    assert _same_bits(path.values, twin.values)
+    assert not np.any(res.absorbed_at == 0.0)
+    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)  # the guard had overshoots to take back
+    assert np.any(simulate_ensemble(scalar, 0.2, cfg).absorbed_at == 0.0)
+
+
 def test_repeated_levels_are_watched_once():
     # a level given twice is one level: its hits are no ties, and its bridge
     # uniforms come from one stream
@@ -301,6 +339,12 @@ def _failing_at(index, value):
     (None, _failing_at(2, math.inf), 2),
     (_failing_at(4, -math.inf), _failing_at(6, 0.0), 4),
     (_failing_at(4, math.nan), _failing_at(1, -1.0), 1),
+    # a bad constant fails every path, so the first one
+    (None, Const(0.0), 0),
+    (None, Const(math.inf), 0),
+    (Const(math.nan), None, 0),
+    (Const(-math.inf), None, 0),
+    (_failing_at(4, math.nan), Const(-1.0), 0),
 ])
 def test_coefficient_failure_names_the_first_bad_path(drift, diffusion, path):
     spec = replace(bm(), drift=drift or bm().drift, diffusion=diffusion or bm().diffusion)
@@ -462,3 +506,44 @@ def test_quiet_declines_at_every_reach():
     # moved a proposal back inside, make the step eventful
     assert not simulate._quiet(**{**args, "x_lo": -0.1}, marks=[0.0])
     assert not simulate._quiet(**{**args, "x_hi": 4.5, "r": 4.0}, marks=[4.0])
+
+
+def _array_twin(spec: DiffusionSpec) -> DiffusionSpec:
+    """`spec` with each coefficient behind a plain function, which the kernel
+    calls on every step and which returns one value per path."""
+    return replace(spec, drift=lambda y: spec.drift(y), diffusion=lambda y: spec.diffusion(y))
+
+
+@pytest.mark.parametrize("spec, x0, cfg", _QUIET_CASES + _BLOCK_CASES)
+def test_constant_coefficients_change_no_byte(spec, x0, cfg, monkeypatch):
+    # bm and bessel3 have Const coefficients, which the kernel reads once
+    assert const_value(spec.diffusion) == 1.0
+    drawn = _uniform_draws(monkeypatch)
+    read = simulate_ensemble(spec, x0, cfg)
+    read_draws = drawn[0]
+    path = simulate_path(spec, x0, cfg, 7)
+    twin = _array_twin(spec)
+    drawn[0] = 0
+    _assert_same_ensemble(read, simulate_ensemble(twin, x0, cfg))
+    assert drawn[0] == read_draws
+    evaluated = simulate_path(twin, x0, cfg, 7)
+    assert _same_bits(path.times, evaluated.times) and _same_bits(path.values, evaluated.values)
+    assert path.hits == evaluated.hits and path.absorbed_at == evaluated.absorbed_at
+
+
+class _Unread(Const):
+    """A constant coefficient that fails when called."""
+
+    def __call__(self, y):
+        raise AssertionError(f"the constant {self.value} was evaluated")
+
+
+@pytest.mark.parametrize("spec, x0, cfg", [_QUIET_CASES[1], _QUIET_CASES[3], _BLOCK_CASES[1]])
+def test_the_kernel_never_calls_a_constant(spec, x0, cfg):
+    # BM with ties, levels at both ends and a snapshot; bessel3 through the
+    # halving guard
+    unread = replace(spec, diffusion=_Unread(1.0))
+    if const_value(spec.drift) is not None:
+        unread = replace(unread, drift=_Unread(const_value(spec.drift)))
+    _assert_same_ensemble(simulate_ensemble(spec, x0, cfg), simulate_ensemble(unread, x0, cfg))
+    simulate_path(unread, x0, cfg, 7)
