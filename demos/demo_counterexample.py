@@ -10,6 +10,7 @@ value at the stop) is not constant on the new acceptance event.
 Writes one illustrative trajectory pair to demos/output/tilde_path.csv.
 """
 
+import math
 import pathlib
 
 from condflow import SimConfig, bm, build_tilde, compare_conditionings, simulate_path
@@ -22,12 +23,12 @@ path_cfg = SimConfig(dt=1e-3, horizon=20.0, seed=12, n_paths=1,
                      watch_levels=(0.75, 0.25))
 for index in range(20):
     path = simulate_path(bm(), 1.0, path_cfg, index)
-    if path.hit(0.25).crossed:
+    if math.isfinite(path.hit_times[0.25]):
         break
 tilde = build_tilde(path)
 with open(out_dir / "tilde_path.csv", "w") as fh:
     fh.write("t,x,x_tilde\n")
-    for t, x, v in zip(path.times[::10], path.values[::10], tilde.tilde_values[::10]):
+    for t, x, v in zip(path.times[::10], path.values[::10], tilde[::10]):
         fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r}\n")
 print(f"sample trajectory written to {out_dir}/tilde_path.csv "
       f"(path {path.seed_index}, both regime switches crossed)")

@@ -28,7 +28,7 @@ from .conditioning import (
     verify_identity_of_measures,
     verify_local_martingality_of_reciprocal,
 )
-from .counterexample import TildePath, build_tilde, compare_conditionings, run_tilde_ensemble
+from .counterexample import TildeEnsemble, build_tilde, compare_conditionings, run_tilde_ensemble
 from .errors import (
     CondflowError,
     ConfigError,
@@ -38,7 +38,7 @@ from .errors import (
     NumericFailure,
     QuadratureError,
 )
-from .exprparse import CoeffExpr, ParseError, eval_expr, parse_expr
+from .exprparse import CoeffExpr, ParseError, parse_expr
 from .htransform import (
     apply_generator,
     check_generator_identity,
@@ -57,10 +57,8 @@ from .jumpwalk import (
     walk_vs_bm,
 )
 from .model import (
-    NEVER,
     Const,
     DiffusionSpec,
-    HittingRecord,
     Interval,
     McEstimate,
     PathSample,
@@ -68,7 +66,6 @@ from .model import (
     bm,
     gbm,
     named_family,
-    terminal_value,
 )
 from .scale import (
     BoundaryClass,

@@ -34,7 +34,6 @@ from .simulate import _TIME_SLACK, SimConfig, _regime, _simulate
 from .stats import effective_sample_size, ks_weighted
 
 __all__ = [
-    "TildePath",
     "build_tilde",
     "TildeEnsemble",
     "run_tilde_ensemble",
@@ -45,35 +44,25 @@ _REGIME_SWITCH_HI = 0.75
 _REGIME_SWITCH_LO = 0.25
 
 
-@dataclass(frozen=True)
-class TildePath:
-    """A base path together with its transformed values on the same grid."""
-
-    base: PathSample
-    tilde_values: np.ndarray
-
-
 def _tilde_formula(x: np.ndarray, before_hi: np.ndarray, between: np.ndarray) -> np.ndarray:
     return x + (x - 1.0) * before_hi + (0.125 - 0.5 * x) * between
 
 
-def build_tilde(path: PathSample) -> TildePath:
-    """Apply the two-regime transformation to a full path.
+def build_tilde(path: PathSample) -> np.ndarray:
+    """The two-regime transformation of a full path, on the path's grid.
 
-    The path must carry hitting records for levels 3/4 and 1/4 (watch them
-    when simulating); regime switches are taken from those records.
+    The path must carry hit times for levels 3/4 and 1/4 (watch them when
+    simulating); regime switches are taken from those.
     """
-    rec_hi = path.hit(_REGIME_SWITCH_HI)
-    rec_lo = path.hit(_REGIME_SWITCH_LO)
-    if rec_hi is None or rec_lo is None:
-        raise ValueError("path lacks hitting records for levels 3/4 and 1/4")
+    if not {_REGIME_SWITCH_HI, _REGIME_SWITCH_LO} <= path.hit_times.keys():
+        raise ValueError("path lacks hit times for levels 3/4 and 1/4")
+    switches = (path.hit_times[_REGIME_SWITCH_HI], path.hit_times[_REGIME_SWITCH_LO])
+    # a level never hit switches at infinity: times <= nan would all be False
+    t_hi, t_lo = (math.inf if math.isnan(t) else t for t in switches)
     times = np.asarray(path.times)
-    x = np.asarray(path.values)
-    t_hi = rec_hi.time if rec_hi.crossed else math.inf
-    t_lo = rec_lo.time if rec_lo.crossed else math.inf
     before_hi = times <= t_hi
     between = (times > t_hi) & (times <= t_lo)
-    return TildePath(base=path, tilde_values=_tilde_formula(x, before_hi, between))
+    return _tilde_formula(np.asarray(path.values), before_hi, between)
 
 
 @dataclass

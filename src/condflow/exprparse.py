@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EvalDomainError
 
-__all__ = ["CoeffExpr", "ParseError", "parse_expr", "eval_expr"]
+__all__ = ["CoeffExpr", "ParseError", "parse_expr"]
 
 
 class ParseError(ValueError):
@@ -282,8 +282,3 @@ def parse_expr(source: str) -> CoeffExpr:
     if kind != "end":
         raise ParseError(f"trailing input {text!r}", offset)
     return CoeffExpr(source=source, ast=ast)
-
-
-def eval_expr(expr: CoeffExpr, y):
-    """Functional form of CoeffExpr.eval."""
-    return expr.eval(y)

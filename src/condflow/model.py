@@ -1,52 +1,31 @@
-"""Core domain types: diffusion specifications, paths, hitting records.
+"""Core domain types: diffusion specifications, coefficients, paths and
+Monte Carlo estimates.
 
-All types are immutable after construction and safe to share across
-parallel workers.  Hitting times that never occur carry the NEVER sentinel;
-at a finite horizon this sentinel stands in for both "at infinity" and
-"beyond infinity", which a simulation cannot tell apart (paths that run out
-of horizon are flagged `truncated` instead).
+A hitting time that never occurs is nan, in a one-path record as in an
+ensemble.  At a finite horizon nan stands for both "at infinity" and "beyond
+infinity", which a simulation cannot tell apart (paths that run out of
+horizon are flagged `truncated` instead).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "NEVER",
     "Interval",
     "Const",
-    "const_value",
     "DiffusionSpec",
-    "HittingRecord",
     "PathSample",
     "McEstimate",
-    "terminal_value",
     "bm",
     "gbm",
     "bessel3",
     "named_family",
 ]
-
-
-class _Never:
-    """Sentinel for a hitting time that never occurred."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NEVER"
-
-
-NEVER = _Never()
 
 
 @dataclass(frozen=True)
@@ -121,31 +100,21 @@ class DiffusionSpec:
 
 
 @dataclass(frozen=True)
-class HittingRecord:
-    """First crossing of one level: time is a float or NEVER."""
-
-    level: float
-    time: float | _Never
-    crossed: bool
-
-    def __post_init__(self):
-        if self.crossed != (self.time is not NEVER):
-            raise ValueError("crossed must hold exactly when time is not NEVER")
-
-
-@dataclass(frozen=True)
 class PathSample:
-    """One simulated trajectory with absorption and hitting records.
+    """One simulated trajectory, recorded as `EnsembleResult` records a path.
 
-    Values are constant after the absorption index; `truncated` means the
-    horizon ended the path before it was absorbed.
+    Values are constant after the stop.  `absorbed_at` is the boundary the
+    path was absorbed at, +inf if it passed the cap, nan otherwise;
+    `truncated` means the horizon ended the path before it stopped.
+    `hit_times` maps each watched level to its first hitting time, nan for
+    never.
     """
 
     times: np.ndarray
     values: np.ndarray
-    absorbed_at: float | None
+    absorbed_at: float
     truncated: bool
-    hits: tuple[HittingRecord, ...] = field(default_factory=tuple)
+    hit_times: dict[float, float]
     seed_index: int = 0
 
     def __post_init__(self):
@@ -156,12 +125,6 @@ class PathSample:
             raise ValueError("times must start at 0 and strictly increase")
         if t.size != np.asarray(self.values).size:
             raise ValueError("times and values must have equal length")
-
-    def hit(self, level: float) -> HittingRecord | None:
-        for record in self.hits:
-            if record.level == level:
-                return record
-        return None
 
 
 @dataclass(frozen=True)
@@ -190,14 +153,6 @@ class McEstimate:
     def from_binomial(successes: int, n: int) -> "McEstimate":
         p = successes / n
         return McEstimate(value=p, stderr=math.sqrt(max(p * (1.0 - p), 0.0) / n), n=n)
-
-
-def terminal_value(path: PathSample) -> float:
-    """Terminal value of a path: the absorption value if absorbed, else the
-    last grid value.  Horizon truncation is visible via `path.truncated`."""
-    if path.absorbed_at is not None:
-        return float(path.absorbed_at)
-    return float(np.asarray(path.values)[-1])
 
 
 # --- named coefficient families --------------------------------------------

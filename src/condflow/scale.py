@@ -203,25 +203,6 @@ class ScaleFunction:
             object.__setattr__(self, "_dspline_cache", spline)
         return spline
 
-    def scaled(self, c: float, d: float = 0.0) -> "ScaleFunction":
-        """Affine image c*s + d (c > 0); drops the normalization tag."""
-        if c <= 0:
-            raise ValueError("c must be positive to preserve monotonicity")
-        lo, hi = self.boundary_limits
-        fn = self._s_fn
-        dfn = self._ds_fn
-        return ScaleFunction(
-            grid=self.grid,
-            values=c * self.values + d,
-            derivs=c * self.derivs,
-            normalization=None,
-            boundary_limits=(c * lo + d if math.isfinite(lo) else lo,
-                             c * hi + d if math.isfinite(hi) else hi),
-            label=self.label,
-            _s_fn=(lambda y, fn=fn: c * fn(y) + d) if fn is not None else None,
-            _ds_fn=(lambda y, dfn=dfn: c * dfn(y)) if dfn is not None else None,
-        )
-
     def to_csv(self, stream: TextIO) -> None:
         stream.write("y,s,s_prime\n")
         for y, s, ds in zip(self.grid, self.values, self.derivs):
@@ -442,8 +423,11 @@ def compute_scale(
     spec.validate_on(g)
 
     def phi(v, _owner=None):
-        return 2.0 * np.asarray(spec.drift(v), dtype=np.float64) / np.asarray(
+        ratio = 2.0 * np.asarray(spec.drift(v), dtype=np.float64) / np.asarray(
             spec.diffusion(v), dtype=np.float64)
+        if ratio.shape == np.shape(v):
+            return ratio
+        return np.broadcast_to(ratio, np.shape(v))  # a coefficient may return one float
 
     # log s' on the master grid: -cumsum of the phi panel integrals, anchored at y0
     j0 = int(np.searchsorted(g, y0))

@@ -71,7 +71,7 @@ import numpy as np
 
 from . import rng
 from .errors import EvalDomainError
-from .model import NEVER, DiffusionSpec, HittingRecord, McEstimate, PathSample, const_value
+from .model import DiffusionSpec, McEstimate, PathSample, const_value
 
 __all__ = [
     "SimConfig",
@@ -630,7 +630,8 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
     """Simulate the single path `path_index` on the full time grid.
 
     Values agree exactly with the corresponding entry of simulate_ensemble
-    under the same seed and config, and stay constant after the stop.
+    under the same seed and config, and stay constant after the stop; the
+    hit times, absorption and truncation are that entry's records.
     """
     if not spec.interval.contains(x0):
         raise ValueError(f"x0={x0} outside the open interval")
@@ -638,21 +639,12 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
     times = np.concatenate(([0.0], np.cumsum([dt for n_steps, dt in _phases(cfg)
                                                for _ in range(n_steps)])))
     summary = _simulate(spec, x0, cfg, path_index, 1, times[1:].tolist())
-    values = np.concatenate([[float(x0)], *summary.snapshots.values()])
-    hits = []
-    for level in _watched(cfg):
-        ht = summary.hit_times[level][0]
-        if np.isfinite(ht):
-            hits.append(HittingRecord(level=level, time=float(ht), crossed=True))
-        else:
-            hits.append(HittingRecord(level=level, time=NEVER, crossed=False))
-    raw = summary.absorbed_at[0]
     return PathSample(
         times=times,
-        values=values,
-        absorbed_at=float(raw) if np.isfinite(raw) or raw == math.inf else None,
+        values=np.concatenate([[float(x0)], *summary.snapshots.values()]),
+        absorbed_at=float(summary.absorbed_at[0]),
         truncated=bool(summary.truncated[0]),
-        hits=tuple(hits),
+        hit_times={level: float(t[0]) for level, t in summary.hit_times.items()},
         seed_index=path_index,
     )
 

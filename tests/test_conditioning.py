@@ -5,6 +5,7 @@ import pytest
 
 from condflow.conditioning import (
     ConditioningReport,
+    FirstHitTime,
     Mode,
     StoppedValueAt,
     TerminalValue,
@@ -19,7 +20,7 @@ from condflow.conditioning import (
     verify_local_martingality_of_reciprocal,
 )
 from condflow.errors import InsufficientSamplesError, NeedLongerHorizonError, NumericFailure
-from condflow.model import bessel3, bm
+from condflow.model import McEstimate, bessel3, bm
 from condflow.simulate import SimConfig
 from condflow.stats import ecdf, ks_two_sample, weighted_ecdf
 
@@ -140,6 +141,22 @@ def test_time_average_functional():
     report = direct_sample(bm(0.0, 2.0), 1.0, TimeAverageUntilStop(), cfg, stop_level=2.0)
     samples = report.functional_samples
     assert np.all(samples > 0.0) and np.all(samples < 2.0)
+
+
+def test_first_hit_time_functional():
+    # BM from 1 stopped at 0 hits 2 first with probability 1/2; a path that
+    # hits 2 runs on, so its hit time is fixed before the horizon
+    cfg = SimConfig(dt=1e-2, horizon=20.0, seed=62, n_paths=2_000)
+    functional = FirstHitTime(2.0)
+    res = _run(bm(), 1.0, functional, cfg, stop_level=0.0)
+    times = functional.extract(res)
+    assert times.tobytes() == res.hit_times[2.0].tobytes()
+    never = np.isnan(times)
+    assert np.all(res.absorbed_at[never] == 0.0) and np.all(times[~never] > 0.0)
+    report = direct_sample(bm(), 1.0, functional, cfg, stop_level=0.0, allow_truncated=True)
+    assert report.functional_samples.tobytes() == times.tobytes()
+    hit = McEstimate.from_binomial(int(np.count_nonzero(~never)), cfg.n_paths)
+    assert abs(hit.value - 0.5) <= 4 * hit.stderr
 
 
 def test_identity_scenarios_smoke():

@@ -11,55 +11,53 @@ from condflow.counterexample import (
     compare_conditionings,
     run_tilde_ensemble,
 )
-from condflow.model import NEVER, HittingRecord, PathSample
+from condflow.model import PathSample
 from condflow.simulate import SimConfig, simulate_path
 from condflow.model import bm
 
 
-def _sample(times, values, hits, absorbed_at=None):
+def _sample(times, values, hit_times):
     return PathSample(times=np.asarray(times, dtype=float),
                       values=np.asarray(values, dtype=float),
-                      absorbed_at=absorbed_at, truncated=False, hits=tuple(hits))
+                      absorbed_at=math.nan, truncated=False, hit_times=hit_times)
 
 
-def _records(t_hi, t_lo):
-    hi = HittingRecord(0.75, t_hi if t_hi is not None else NEVER, t_hi is not None)
-    lo = HittingRecord(0.25, t_lo if t_lo is not None else NEVER, t_lo is not None)
-    return (hi, lo)
+def _switches(t_hi, t_lo):
+    """Hit times of the switch levels 3/4 and 1/4; nan for never."""
+    return {0.75: t_hi, 0.25: t_lo}
 
 
 def test_first_regime_doubles_moves():
     # path stays well above 3/4: transformed path is 2x - 1 throughout
-    path = _sample([0.0, 1.0, 2.0], [1.0, 1.2, 0.9], _records(None, None))
-    tilde = build_tilde(path)
-    np.testing.assert_allclose(tilde.tilde_values, [1.0, 1.4, 0.8])
+    path = _sample([0.0, 1.0, 2.0], [1.0, 1.2, 0.9], _switches(math.nan, math.nan))
+    np.testing.assert_allclose(build_tilde(path), [1.0, 1.4, 0.8])
 
 
 def test_continuous_at_first_switch():
     # both regime formulas give 1/2 when the base path sits at 3/4
-    path = _sample([0.0, 1.0, 2.0], [1.0, 0.75, 0.8], _records(1.0, None))
+    path = _sample([0.0, 1.0, 2.0], [1.0, 0.75, 0.8], _switches(1.0, math.nan))
     tilde = build_tilde(path)
-    assert tilde.tilde_values[1] == pytest.approx(0.5)       # boundary sample, regime 1
-    assert tilde.tilde_values[2] == pytest.approx(0.525)     # x/2 + 1/8 afterwards
+    assert tilde[1] == pytest.approx(0.5)       # boundary sample, regime 1
+    assert tilde[2] == pytest.approx(0.525)     # x/2 + 1/8 afterwards
 
 
 def test_merged_at_second_switch():
     path = _sample([0.0, 1.0, 2.0, 3.0], [1.0, 0.75, 0.25, 0.4],
-                   _records(1.0, 2.0))
+                   _switches(1.0, 2.0))
     tilde = build_tilde(path)
-    assert tilde.tilde_values[2] == pytest.approx(0.25)  # x/2 + 1/8 = x at 1/4
-    assert tilde.tilde_values[3] == pytest.approx(0.4)   # merged with the base
+    assert tilde[2] == pytest.approx(0.25)  # x/2 + 1/8 = x at 1/4
+    assert tilde[3] == pytest.approx(0.4)   # merged with the base
 
 
 def test_starts_at_one():
-    path = _sample([0.0, 1.0], [1.0, 1.1], _records(None, None))
-    assert build_tilde(path).tilde_values[0] == 1.0
+    path = _sample([0.0, 1.0], [1.0, 1.1], _switches(math.nan, math.nan))
+    assert build_tilde(path)[0] == 1.0
 
 
 def test_missing_hit_records_rejected():
-    path = _sample([0.0, 1.0], [1.0, 1.1], ())
-    with pytest.raises(ValueError):
-        build_tilde(path)
+    for hit_times in ({}, {0.75: 0.5}, {0.25: math.nan}):
+        with pytest.raises(ValueError):
+            build_tilde(_sample([0.0, 1.0], [1.0, 1.1], hit_times))
 
 
 def test_zero_hit_equivalence_and_continuity_on_simulated_paths():
@@ -68,9 +66,8 @@ def test_zero_hit_equivalence_and_continuity_on_simulated_paths():
     found_absorbed = False
     for index in range(10):
         path = simulate_path(bm(), 1.0, cfg, index)
-        tilde = build_tilde(path)
         base = np.asarray(path.values)
-        tv = tilde.tilde_values
+        tv = build_tilde(path)
         if path.absorbed_at == 0.0:
             found_absorbed = True
             k = int(np.argmax(base == 0.0))
@@ -137,10 +134,9 @@ def test_ensemble_agrees_with_path_api():
         k = int(np.argmax(path.times >= 0.5 - 1e-12))
         if stop > path.times[k]:
             running += 1
-            assert build_tilde(path).tilde_values[k].tobytes() == res.tilde_at_snap[i].tobytes()
+            assert build_tilde(path)[k].tobytes() == res.tilde_at_snap[i].tobytes()
         if stop < math.inf:
-            before = [path.hit(level).crossed and path.hit(level).time < stop
-                      for level in (0.75, 0.25)]
+            before = [path.hit_times[level] < stop for level in (0.75, 0.25)]  # nan: False
             regimes.append(before[0] * (1 + before[1]))
             assert res.regime_at_stop[i] == regimes[-1]
     assert running > 50 and {0, 2} <= set(regimes)

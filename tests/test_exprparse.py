@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condflow.errors import EvalDomainError
-from condflow.exprparse import BinOp, Call, Neg, Num, ParseError, Var, eval_expr, parse_expr
+from condflow.exprparse import BinOp, Call, Neg, Num, ParseError, Var, parse_expr
 
 
 def test_constant_zero():
@@ -103,10 +103,6 @@ def test_array_evaluation_broadcasts():
     constant = parse_expr("3").eval(ys)
     assert constant.shape == ys.shape
     np.testing.assert_allclose(constant, 3.0)
-
-
-def test_eval_expr_function_form():
-    assert eval_expr(parse_expr("y + 1"), 1.5) == 2.5
 
 
 def test_determinism_bitwise():

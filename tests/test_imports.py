@@ -1,6 +1,6 @@
 """Every import in src/condflow is used: a stdlib-only stand-in for a
-linter's unused-import rule.  And one step kernel: only `simulate` draws
-step normals."""
+linter's unused-import rule.  The package exports exactly its modules'
+public names.  And one step kernel: only `simulate` draws step normals."""
 
 from __future__ import annotations
 
@@ -10,6 +10,17 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "condflow"
+
+
+def declared_all(tree: ast.Module) -> set[str]:
+    """The names a module lists in `__all__`."""
+    names = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name) and target.id == "__all__"
+                        for target in node.targets)):
+            names |= set(ast.literal_eval(node.value))
+    return names
 
 
 def unused_imports(source: str) -> list[str]:
@@ -23,11 +34,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [alias.asname or alias.name for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(target, ast.Name) and target.id == "__all__"
-                        for target in node.targets)):
-            used |= set(ast.literal_eval(node.value))
+    used |= declared_all(tree)
     return [name for name in imported if name not in used]
 
 
@@ -42,6 +49,18 @@ def test_detects_unused_import():
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_the_public_names():
+    # condflow re-exports every module's __all__ and nothing else; callers
+    # reach cli and rng as modules
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = set().union(*(declared_all(ast.parse(p.read_text(encoding="utf-8")))
+                           for p in SRC.glob("*.py")
+                           if p.name not in ("__init__.py", "cli.py", "rng.py")))
+    assert exported == public
 
 
 def normals_callers(source: str) -> bool:

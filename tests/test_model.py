@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from condflow.model import (
-    NEVER,
     Const,
-    HittingRecord,
     Interval,
     McEstimate,
     PathSample,
@@ -15,35 +13,14 @@ from condflow.model import (
     const_value,
     gbm,
     named_family,
-    terminal_value,
 )
 from condflow.simulate import SimConfig, simulate_ensemble, simulate_path
 
 
-def _path(values, absorbed_at=None, truncated=False, hits=()):
-    values = np.asarray(values, dtype=float)
-    return PathSample(
-        times=np.arange(len(values), dtype=float),
-        values=values,
-        absorbed_at=absorbed_at,
-        truncated=truncated,
-        hits=tuple(hits),
-    )
-
-
-def test_terminal_value_absorbed_at_zero():
-    path = _path([1.0, 0.5, 0.0, 0.0], absorbed_at=0.0)
-    assert terminal_value(path) == 0.0
-
-
-def test_terminal_value_constant_path():
-    path = _path([1.0, 1.0, 1.0], truncated=True)
-    assert terminal_value(path) == 1.0
-
-
 def test_terminal_value_requires_nonempty():
     with pytest.raises(ValueError):
-        _path([])
+        PathSample(times=np.zeros(0), values=np.zeros(0), absorbed_at=math.nan,
+                   truncated=False, hit_times={})
 
 
 def test_terminal_mass_matches_first_passage_law():
@@ -67,27 +44,13 @@ def test_interval_validation():
     assert Interval(0.0, math.inf).contains(5.0)
 
 
-def test_never_is_singleton_sentinel():
-    assert repr(NEVER) == "NEVER"
-    assert type(NEVER)() is NEVER
-
-
-def test_hitting_record_consistency_enforced():
-    HittingRecord(level=1.0, time=0.5, crossed=True)
-    HittingRecord(level=1.0, time=NEVER, crossed=False)
-    with pytest.raises(ValueError):
-        HittingRecord(level=1.0, time=0.5, crossed=False)
-    with pytest.raises(ValueError):
-        HittingRecord(level=1.0, time=NEVER, crossed=True)
-
-
 def test_path_times_must_increase():
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3),
-                   absorbed_at=None, truncated=False)
+                   absorbed_at=math.nan, truncated=False, hit_times={})
     with pytest.raises(ValueError):
         PathSample(times=np.array([0.5, 1.0]), values=np.zeros(2),
-                   absorbed_at=None, truncated=False)
+                   absorbed_at=math.nan, truncated=False, hit_times={})
 
 
 def test_absorption_freezes_values():
@@ -95,11 +58,9 @@ def test_absorption_freezes_values():
     for index in range(12):
         path = simulate_path(bm(), 0.3, cfg, index)
         if path.absorbed_at == 0.0:
-            record = path.hit(0.0)
-            assert record is not None and record.crossed
-            k = np.searchsorted(path.times, record.time)
+            k = np.searchsorted(path.times, path.hit_times[0.0])
+            assert path.times[k] == path.hit_times[0.0]
             assert np.all(path.values[k:] == 0.0)
-            assert terminal_value(path) == 0.0
             break
     else:
         pytest.fail("no path absorbed at 0 in twelve tries")

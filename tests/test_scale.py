@@ -112,12 +112,26 @@ def test_classification_affine_invariant(c, d):
     s = exact_scale(lambda y: -1.0 / np.asarray(y, float),
                     lambda y: 1.0 / np.square(np.asarray(y, float)),
                     grid, Normalization.R, (-math.inf, 0.0))
-    assert classify_boundaries(s.scaled(c, d)) is classify_boundaries(s)
+    # the affine image c s + d of the R-normalized s, with no normalization
+    image = exact_scale(lambda y: -c / np.asarray(y, float) + d,
+                        lambda y: c / np.square(np.asarray(y, float)),
+                        grid, None, (-math.inf, d))
+    assert classify_boundaries(s) is BoundaryClass.HITS_R_ONLY
+    assert classify_boundaries(image) is classify_boundaries(s)
 
 
-def test_scaled_requires_positive_factor(bm_scale):
-    with pytest.raises(ValueError):
-        bm_scale.scaled(-1.0)
+@pytest.mark.parametrize("b, a", [(0.0, 1.0), (0.3, 2.0)])
+def test_plain_float_coefficients_scale_like_arrays(b, a):
+    # a coefficient may return one plain float for every point, as the
+    # simulation kernel allows; b = 0.3, a = 2 has a finite limit at infinity
+    floats = DiffusionSpec(Interval(0.0, math.inf), lambda y: b, lambda y: a)
+    arrays = DiffusionSpec(Interval(0.0, math.inf), lambda y: np.full(np.shape(y), b),
+                           lambda y: np.full(np.shape(y), a))
+    grid = GridConfig(y_min=0.01, y_max=10.0)
+    s, twin = compute_scale(floats, 1.0, grid, None), compute_scale(arrays, 1.0, grid, None)
+    for name in ("grid", "values", "derivs", "boundary_limits"):
+        assert np.asarray(getattr(s, name)).tobytes() == np.asarray(getattr(twin, name)).tobytes()
+    assert s.normalization is twin.normalization is Normalization.L
 
 
 def test_csv_export(bm_scale):

@@ -112,12 +112,7 @@ def test_single_path_matches_ensemble_entry():
     for index in (0, 3, 5):
         path = simulate_path(bm(), 1.0, cfg, index)
         assert path.values[-1] == res.final_values[index]
-        rec = path.hit(0.0)
-        ens = res.hit_times[0.0][index]
-        if rec.crossed:
-            assert rec.time == ens
-        else:
-            assert np.isnan(ens)
+        assert _same_bits(path.hit_times[0.0], res.hit_times[0.0][index])  # nan: never
         assert path.truncated == bool(res.truncated[index])
 
 
@@ -216,6 +211,31 @@ def test_sim_config_infinite_cap_means_no_cap():
 def _same_bits(x, y) -> bool:
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _same_record(path, other) -> bool:
+    """Whether two one-path samples have the same hit times, stop and
+    truncation flag, bit for bit (so nan equals nan)."""
+    return (list(path.hit_times) == list(other.hit_times)
+            and _same_bits(list(path.hit_times.values()), list(other.hit_times.values()))
+            and _same_bits(path.absorbed_at, other.absorbed_at)
+            and path.truncated == other.truncated)
+
+
+def test_path_records_match_the_ensemble():
+    # BM from 1 absorbed at 0, watching 2 and capped at 3: absorbed, capped,
+    # truncated and level-crossing paths all occur
+    cfg = SimConfig(dt=1e-2, horizon=2.0, seed=6, n_paths=40, cap=3.0, watch_levels=(2.0,))
+    res = simulate_ensemble(bm(), 1.0, cfg)
+    for index in range(cfg.n_paths):
+        path = simulate_path(bm(), 1.0, cfg, index)
+        assert list(path.hit_times) == list(res.hit_times) == [2.0]
+        assert _same_bits(path.hit_times[2.0], res.hit_times[2.0][index]), index
+        assert _same_bits(path.absorbed_at, res.absorbed_at[index]), index
+        assert path.truncated is bool(res.truncated[index])
+        assert _same_bits(path.values[-1], res.final_values[index]), index
+    assert np.any(res.absorbed_at == 0.0) and np.any(res.absorbed_at == math.inf)
+    assert np.any(res.truncated) and np.any(np.isfinite(res.hit_times[2.0]) & res.truncated)
 
 
 def _assert_same_ensemble(one: EnsembleResult, other: EnsembleResult) -> None:
@@ -440,7 +460,7 @@ def test_quiet_steps_change_no_byte(spec, x0, cfg, monkeypatch):
     assert drawn[0] == fast_draws  # a quiet step is one with no bridge uniform to draw
     slow = simulate_path(spec, x0, cfg, 7)
     assert _same_bits(path.times, slow.times) and _same_bits(path.values, slow.values)
-    assert path.hits == slow.hits and path.absorbed_at == slow.absorbed_at
+    assert _same_record(path, slow)
 
 
 def test_quiet_cases_exercise_every_event(monkeypatch):
@@ -528,7 +548,7 @@ def test_constant_coefficients_change_no_byte(spec, x0, cfg, monkeypatch):
     assert drawn[0] == read_draws
     evaluated = simulate_path(twin, x0, cfg, 7)
     assert _same_bits(path.times, evaluated.times) and _same_bits(path.values, evaluated.values)
-    assert path.hits == evaluated.hits and path.absorbed_at == evaluated.absorbed_at
+    assert _same_record(path, evaluated)
 
 
 class _Unread(Const):
