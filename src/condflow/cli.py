@@ -3,9 +3,14 @@
 Subcommands: scale, transform, simulate, hitting, condition, verify.
 Configuration is flat `key = value` text in INI sections ([spec], [sim],
 [scenario], [output]); expression values may be quoted.  A JSON file with
-the same section/key layout is accepted as well.  Command-line flags
-(--seed, --n, --out) override the file; --threads is accepted and changes
-nothing, because every run uses one thread.
+the same section/key layout is accepted as well.  `_SECTIONS` lists every
+key of every section once; any other section or key is a configuration
+error, as is a value its key cannot read.  `[scenario] x0` is the start of
+a simulation and the anchor of a scale; `direction` (upward or downward)
+picks the side for scale, transform and condition, and without it the
+scale is normalized at l when s(l) is finite, else at r.  Command-line
+flags (--seed, --n, --out) override the file; --threads is accepted and
+changes nothing, because every run uses one thread.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error, 3 numeric failure.  JSON reports are UTF-8 with sorted keys and carry
@@ -30,20 +35,36 @@ from .conditioning import (StoppedValueAt, compare_reports, condition_downward, 
 from .errors import ConfigError, NumericFailure
 from .exprparse import ParseError, parse_expr
 from .htransform import transform
-from .model import DiffusionSpec, Interval, named_family
-from .scale import GridConfig, Normalization, compute_scale, classify_boundaries
+from .model import Const, DiffusionSpec, Interval, named_family
+from .scale import GridConfig, Normalization, ScaleFunction, classify_boundaries, compute_scale
 from .scenarios import SCENARIOS, run_scenario
 from .simulate import SimConfig, estimate_hitting_prob, simulate_ensemble, simulate_path
 
 __all__ = ["main"]
 
-_SECTIONS = ("spec", "sim", "scenario", "output")
+# every key each section takes; any other key is a configuration error
+_SECTIONS = {
+    "spec": ("family", "b", "a", "l", "r"),
+    "sim": ("dt", "horizon", "cap", "bridge", "watch_levels", "seed", "n_paths"),
+    "scenario": ("x0", "up", "down", "direction", "level", "t",
+                 "y_min", "y_max", "n_grid", "n_table"),
+    "output": ("dump_paths", "downsample", "paths_csv"),
+}
 
 
 def _load_config(path: str | None) -> dict[str, dict[str, str]]:
     conf = {name: {} for name in _SECTIONS}
-    if path is None:
-        return conf
+    if path is not None:
+        _read_config(path, conf)
+    for section, entries in conf.items():
+        for key in entries:
+            if key not in _SECTIONS[section]:
+                raise ConfigError(f"unknown config key [{section}] {key!r}; "
+                                  f"known: {', '.join(_SECTIONS[section])}")
+    return conf
+
+
+def _read_config(path: str, conf: dict[str, dict[str, str]]) -> None:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -61,7 +82,7 @@ def _load_config(path: str | None) -> dict[str, dict[str, str]]:
                 raise ConfigError(f"config section {section!r} must be a JSON object of "
                                   f"key/value pairs, got {type(entries).__name__}")
             conf[section].update({str(k): str(v) for k, v in entries.items()})
-        return conf
+        return
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text, source=path)
@@ -72,7 +93,6 @@ def _load_config(path: str | None) -> dict[str, dict[str, str]]:
             raise ConfigError(f"unknown config section {section!r}")
         for key, value in parser.items(section):
             conf[section][key] = value.strip()
-    return conf
 
 
 def _unquote(value: str) -> str:
@@ -89,16 +109,27 @@ def _get(conf, section: str, key: str, default=None, cast=str):
     raw = _unquote(raw)
     try:
         if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
+            if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+                raise ValueError("must be one of 1, yes, true, on, 0, no, false, off")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _direction(conf) -> Normalization:
+def _levels(raw: str) -> tuple[float, ...]:
+    """A comma-separated list of numbers; empty items are skipped."""
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+
+
+def _direction(conf) -> Normalization | None:
     """[scenario] direction (upward or downward, any case) as the scale
-    normalization that conditions that way: L upward, R downward."""
-    name = _get(conf, "scenario", "direction", "UPWARD").upper()
+    normalization that conditions that way: L upward, R downward.  None
+    when absent: compute_scale then picks L where s(l) is finite, else R."""
+    name = _get(conf, "scenario", "direction")
+    if name is None:
+        return None
+    name = name.upper()
     if name not in ("UPWARD", "DOWNWARD"):
         raise ConfigError(f"[scenario] direction = {name!r}: must be one of UPWARD, DOWNWARD")
     return Normalization.L if name == "UPWARD" else Normalization.R
@@ -121,29 +152,30 @@ def _build_spec(conf) -> DiffusionSpec:
         b_expr = parse_expr(b_src)
         a_expr = parse_expr(a_src)
         probe = 0.5 * (max(l, -10.0) + min(r, 10.0))
-        b_expr.eval(probe)
-        if a_expr.eval(probe) <= 0:
+        b_at, a_at = b_expr.eval(probe), a_expr.eval(probe)
+        if a_at <= 0:
             raise ConfigError(f"diffusion coefficient not positive at y={probe}")
     except ParseError as exc:
         raise ConfigError(f"bad coefficient expression: {exc}") from exc
     except NumericFailure as exc:
         raise ConfigError(f"coefficients not evaluable at the probe point: {exc}") from exc
-    return DiffusionSpec(interval=Interval(l, r), drift=b_expr.eval,
-                         diffusion=a_expr.eval, label="custom")
+    # an expression without y is a Const, which the kernel reads once per run
+    return DiffusionSpec(interval=Interval(l, r),
+                         drift=b_expr.eval if b_expr.uses_y else Const(b_at),
+                         diffusion=a_expr.eval if a_expr.uses_y else Const(a_at),
+                         label="custom")
 
 
 def _build_sim(conf, args) -> SimConfig:
     seed = args.seed if args.seed is not None else _get(conf, "sim", "seed", 0, int)
     n = args.n if args.n is not None else _get(conf, "sim", "n_paths", 10_000, int)
-    watch = _get(conf, "sim", "watch_levels", default="")
-    levels = tuple(float(tok) for tok in watch.split(",") if tok.strip()) if watch else ()
     try:
         return SimConfig(
             dt=_get(conf, "sim", "dt", 1e-3, float),
             horizon=_get(conf, "sim", "horizon", 20.0, float),
             cap=_get(conf, "sim", "cap", 1e8, float),
             bridge_correction=_get(conf, "sim", "bridge", True, bool),
-            watch_levels=levels,
+            watch_levels=_get(conf, "sim", "watch_levels", (), _levels),
             seed=seed,
             n_paths=n,
         )
@@ -151,18 +183,21 @@ def _build_sim(conf, args) -> SimConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _grid_bounds(conf, spec: DiffusionSpec, y0: float) -> tuple[float, float]:
+def _grid_bounds(conf, spec: DiffusionSpec, x0: float) -> tuple[float, float]:
     l, r = spec.interval.l, spec.interval.r
     y_min = _get(conf, "scenario", "y_min", cast=float,
-                 default=(l + min(1e-2, (y0 - l) / 100.0)) if math.isfinite(l) else y0 - 10.0)
+                 default=(l + min(1e-2, (x0 - l) / 100.0)) if math.isfinite(l) else x0 - 10.0)
     y_max = _get(conf, "scenario", "y_max", cast=float,
-                 default=(r - (r - y0) / 100.0) if math.isfinite(r) else 10.0 * max(1.0, y0))
+                 default=(r - (r - x0) / 100.0) if math.isfinite(r) else 10.0 * max(1.0, x0))
     return y_min, y_max
 
 
-def _scale_grid(conf, spec: DiffusionSpec, y0: float) -> GridConfig:
-    y_min, y_max = _grid_bounds(conf, spec, y0)
-    return GridConfig(y_min=y_min, y_max=y_max, n=_get(conf, "scenario", "n_grid", 257, int))
+def _scale(conf, spec: DiffusionSpec, x0: float) -> ScaleFunction:
+    """The scale of `spec` anchored at x0, on the [scenario] grid, normalized
+    on the side `direction` names (or the side compute_scale picks)."""
+    y_min, y_max = _grid_bounds(conf, spec, x0)
+    grid = GridConfig(y_min=y_min, y_max=y_max, n=_get(conf, "scenario", "n_grid", 257, int))
+    return compute_scale(spec, x0, grid, _direction(conf))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -178,14 +213,7 @@ def _json_report(payload: dict) -> str:
 
 
 def cmd_scale(conf, args) -> int:
-    spec = _build_spec(conf)
-    y0 = _get(conf, "scenario", "y0", 1.0, float)
-    grid = _scale_grid(conf, spec, y0)
-    requested = _get(conf, "scenario", "normalization")
-    if requested not in (None, "L", "R"):
-        raise ConfigError(f"[scenario] normalization = {requested!r}: must be one of L, R")
-    # without a request, compute_scale picks L where s(l) is finite, else R
-    s = compute_scale(spec, y0, grid, None if requested is None else Normalization[requested])
+    s = _scale(conf, _build_spec(conf), _get(conf, "scenario", "x0", 1.0, float))
     table = io.StringIO()
     s.to_csv(table)
     _emit(table.getvalue(), args.out)
@@ -195,10 +223,9 @@ def cmd_scale(conf, args) -> int:
 
 def cmd_transform(conf, args) -> int:
     spec = _build_spec(conf)
-    y0 = _get(conf, "scenario", "y0", 1.0, float)
-    y_min, y_max = _grid_bounds(conf, spec, y0)
-    s = compute_scale(spec, y0, _scale_grid(conf, spec, y0), _direction(conf))
-    result = transform(spec, s)
+    x0 = _get(conf, "scenario", "x0", 1.0, float)
+    y_min, y_max = _grid_bounds(conf, spec, x0)
+    result = transform(spec, _scale(conf, spec, x0))
     grid = np.linspace(y_min, y_max, _get(conf, "scenario", "n_table", 101, int))
     base_b = np.asarray(spec.drift(grid), dtype=float)
     new_b = np.asarray(result.drift(grid), dtype=float)
@@ -245,22 +272,20 @@ def cmd_condition(conf, args) -> int:
     spec = _build_spec(conf)
     cfg = _build_sim(conf, args)
     x0 = _get(conf, "scenario", "x0", 1.0, float)
-    norm = _direction(conf)
     functional = StoppedValueAt(_get(conf, "scenario", "t", 0.25, float))
-    if norm is Normalization.L:
-        condition, level = condition_upward, _get(conf, "scenario", "a_level", 2.0, float)
-    else:
-        condition, level = condition_downward, _get(conf, "scenario", "level", 0.5, float)
     # the h-transformed dynamics, simulated on their own noise, are the
     # independent reference for the weighted sample; building them first
     # refuses a spec that cannot be normalized before any simulation
-    s = compute_scale(spec, x0, _scale_grid(conf, spec, x0), norm)
+    s = _scale(conf, spec, x0)
     transformed = transform(spec, s)
+    upward = s.normalization is Normalization.L
+    condition = condition_upward if upward else condition_downward
+    level = _get(conf, "scenario", "level", 2.0 if upward else 0.5, float)
     # the weighted route weighs by the coordinate, (X - l)/(x0 - l) upward
     # and x0/X downward, which is the h-transform weight s(X)/s(x0) only
     # when the coordinate is a local martingale
     y, l = s.grid, spec.interval.l
-    coordinate = (y - l) / (x0 - l) if norm is Normalization.L else x0 / y
+    coordinate = (y - l) / (x0 - l) if upward else x0 / y
     departure = float(np.max(np.abs(s.values / s(x0) / coordinate - 1.0)))
     if departure > 1e-6:
         raise ConfigError(f"coordinate weights depart from s(y)/s(x0) by {departure:.3g} "

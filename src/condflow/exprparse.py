@@ -204,6 +204,18 @@ def _to_source(node: Node, min_prec: int = 0) -> str:
 # --- evaluation -------------------------------------------------------------
 
 
+def _uses_y(node: Node) -> bool:
+    if isinstance(node, Var):
+        return True
+    if isinstance(node, Num):
+        return False
+    if isinstance(node, Neg):
+        return _uses_y(node.operand)
+    if isinstance(node, Call):
+        return any(_uses_y(a) for a in node.args)
+    return _uses_y(node.left) or _uses_y(node.right)
+
+
 def _eval(node: Node, y):
     if isinstance(node, Num):
         return node.value
@@ -249,6 +261,11 @@ class CoeffExpr:
 
     source: str
     ast: Node
+
+    @property
+    def uses_y(self) -> bool:
+        """Whether the tree reads y; one without y is a constant."""
+        return _uses_y(self.ast)
 
     def to_source(self) -> str:
         """Render the tree back to text; reparsing yields an equal tree."""

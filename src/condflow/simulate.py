@@ -560,8 +560,6 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         final[ps] = val
                         stop_t[ps] = t_next
                         absorbed[ps] = absorbed_val[claimed]
-                        if snap_i < len(snaps):
-                            snaps[snap_i:, ps] = val
                         if tint is not None:
                             tint[ps] = tint_a[stopping]
 
@@ -597,6 +595,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     stop_t[pos] = t
     if tint is not None:
         tint[pos] = tint_a
+    # a path that stopped before a snapshot time holds its final value there
     np.copyto(snaps, final, where=np.isnan(snaps))
 
     return EnsembleResult(
@@ -612,17 +611,22 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     )
 
 
+def _check_start(spec: DiffusionSpec, x0: float, cfg: SimConfig) -> None:
+    """Refuse a start outside the open interval or a watched level outside [l, r]."""
+    if not spec.interval.contains(x0):
+        raise ValueError(f"x0={x0} outside the open interval")
+    for level in _watched(cfg):
+        if not (spec.interval.l <= level <= spec.interval.r):
+            raise ValueError(f"watch level {level} outside [l, r]")
+
+
 def simulate_ensemble(spec: DiffusionSpec, x0: float, cfg: SimConfig) -> EnsembleResult:
     """Simulate cfg.n_paths paths and return per-path summaries.
 
     Every path is a pure function of (seed, path_index), so the first m paths
     of an n-path run equal an m-path run.
     """
-    if not spec.interval.contains(x0):
-        raise ValueError(f"x0={x0} outside the open interval")
-    for level in _watched(cfg):
-        if not (spec.interval.l <= level <= spec.interval.r):
-            raise ValueError(f"watch level {level} outside [l, r]")
+    _check_start(spec, x0, cfg)
     return _simulate(spec, x0, cfg, 0, cfg.n_paths, sorted(cfg.snapshot_times))
 
 
@@ -633,8 +637,7 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
     under the same seed and config, and stay constant after the stop; the
     hit times, absorption and truncation are that entry's records.
     """
-    if not spec.interval.contains(x0):
-        raise ValueError(f"x0={x0} outside the open interval")
+    _check_start(spec, x0, cfg)
     # the grid times, summed in order as the kernel sums them
     times = np.concatenate(([0.0], np.cumsum([dt for n_steps, dt in _phases(cfg)
                                                for _ in range(n_steps)])))

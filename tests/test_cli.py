@@ -1,12 +1,18 @@
+import ast
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from condflow import cli
 from condflow.cli import main
-from condflow.model import named_family
+from condflow.model import Const, bm, named_family
+from condflow.simulate import SimConfig, simulate_ensemble
+
+ROOT = Path(__file__).parent.parent
 
 
 def _write(tmp_path, name, text):
@@ -24,7 +30,6 @@ l = 0
 r = 1
 
 [scenario]
-y0 = 0.5
 x0 = 0.5
 up = 0.75
 down = 0.25
@@ -56,8 +61,8 @@ def test_scale_named_family(tmp_path, capsys):
 
 
 def test_scale_picks_its_side_in_one_quadrature_pass(tmp_path, capsys, monkeypatch):
-    # bessel3 has s(0) = -inf: without a normalization the table is R-normalized,
-    # from the same single quadrature pass an explicit R makes
+    # bessel3 has s(0) = -inf: without a direction the table is R-normalized,
+    # from the same single quadrature pass an explicit downward makes
     points = []
 
     def counting_family(name):
@@ -70,13 +75,13 @@ def test_scale_picks_its_side_in_one_quadrature_pass(tmp_path, capsys, monkeypat
 
     monkeypatch.setattr(cli, "named_family", counting_family)
     runs = {}
-    for name, scenario in (("auto", ""), ("R", "[scenario]\nnormalization = R\n")):
+    for name, scenario in (("auto", ""), ("down", "[scenario]\ndirection = downward\n")):
         cfg = _write(tmp_path, f"{name}.ini", "[spec]\nfamily = bessel3\n" + scenario)
         out = tmp_path / f"{name}.csv"
         points.clear()
         assert main(["scale", "--config", cfg, "--out", str(out)]) == 0
         runs[name] = (sum(points), out.read_bytes(), capsys.readouterr().err)
-    assert runs["auto"] == runs["R"]
+    assert runs["auto"] == runs["down"]
     assert runs["auto"][0] > 0 and "HITS_R_ONLY" in runs["auto"][2]
 
 
@@ -196,7 +201,7 @@ def test_numeric_failure_exit_code(tmp_path):
     text = """
 [scenario]
 direction = upward
-a_level = 6.0
+level = 6.0
 t = 0.005
 
 [sim]
@@ -219,8 +224,15 @@ def test_json_config_accepted(tmp_path):
 
 @pytest.mark.parametrize("command, name, text, allowed", [
     ("transform", "c.ini", "[scenario]\ndirection = sideways\n", "UPWARD, DOWNWARD"),
-    ("scale", "c.ini", "[scenario]\nnormalization = X\n", "L, R"),
+    # removed and misspelt keys alike exit 2: none runs on its default
+    ("scale", "c.ini", "[scenario]\nnormalization = X\n", "'normalization'"),
     ("scale", "c.json", '{"spec": [1, 2]}', "JSON object"),
+    ("scale", "c.ini", "[scenario]\ny0 = 0.5\n", "unknown config key [scenario] 'y0'"),
+    ("condition", "c.json", '{"scenario": {"a_level": 3}}', "unknown config key [scenario] 'a_level'"),
+    ("simulate", "c.ini", "[sim]\nhorizn = 0.5\n", "unknown config key [sim] 'horizn'"),
+    ("simulate", "c.json", '{"sim": {"horizn": 0.5}}', "unknown config key [sim] 'horizn'"),
+    ("simulate", "c.ini", "[sim]\nbridge = flase\n", "[sim] bridge = 'flase': must be one of"),
+    ("simulate", "c.ini", "[sim]\nwatch_levels = 1, x\n", "[sim] watch_levels = '1, x': could not"),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, command, name, text, allowed):
     cfg = _write(tmp_path, name, text)
@@ -239,3 +251,72 @@ def test_non_finite_sim_values_are_config_errors(tmp_path, capsys, line, message
     assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err
+
+
+@pytest.mark.parametrize("word, value", [
+    ("1", True), ("Yes", True), ("TRUE", True), ("on", True),
+    ("0", False), ("no", False), ("False", False), ("OFF", False),
+])
+def test_boolean_words_in_any_case(word, value):
+    assert cli._get({"sim": {"bridge": word}}, "sim", "bridge", None, bool) is value
+
+
+def test_transform_without_direction_takes_the_finite_side(tmp_path):
+    # bessel3 has s(0) = -inf, so with no direction it is conditioned downward
+    tables = []
+    for scenario in ("", "[scenario]\ndirection = downward\n"):
+        cfg = _write(tmp_path, "c.ini", "[spec]\nfamily = bessel3\n" + scenario)
+        out = tmp_path / f"t{len(tables)}.csv"
+        assert main(["transform", "--config", cfg, "--out", str(out)]) == 0
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_constant_expressions_are_const_coefficients(tmp_path):
+    cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "0"\na = "1"\n')
+    spec = cli._build_spec(cli._load_config(cfg))
+    assert spec.drift == Const(0.0) and spec.diffusion == Const(1.0)
+    sim = SimConfig(dt=1e-2, horizon=40.0, watch_levels=(2.0,), stop_levels=(4.0,),
+                    snapshot_times=(1.0,), seed=2, n_paths=2000)
+    custom, base = simulate_ensemble(spec, 1.0, sim), simulate_ensemble(bm(), 1.0, sim)
+    for field in fields(custom):
+        got, want = getattr(custom, field.name), getattr(base, field.name)
+        if isinstance(got, dict):
+            assert list(got) == list(want)
+            got, want = list(got.values()), list(want.values())
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+    # an expression that reads y stays an expression
+    cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "0*y"\na = "exp(0)"\n')
+    spec = cli._build_spec(cli._load_config(cfg))
+    assert not isinstance(spec.drift, Const) and spec.diffusion == Const(1.0)
+
+
+def _read_keys(tree: ast.Module) -> list[tuple[str, str]]:
+    """(section, key) of every `_get(conf, "<section>", "<key>", ...)` call."""
+    return [(node.args[1].value, node.args[2].value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "_get" and len(node.args) >= 3
+            and all(isinstance(arg, ast.Constant) for arg in node.args[1:3])]
+
+
+def test_detects_read_keys():
+    tree = ast.parse('_get(conf, "sim", "dt", 1e-3, float)\n_get(conf, section, "x")\n')
+    assert _read_keys(tree) == [("sim", "dt")]
+
+
+def test_every_declared_key_is_read_and_documented():
+    tree = ast.parse((ROOT / "src" / "condflow" / "cli.py").read_text(encoding="utf-8"))
+    read = set(_read_keys(tree))
+    declared = {(section, key) for section, keys in cli._SECTIONS.items() for key in keys}
+    assert read == declared
+    # README's config block lists every key once, section by section
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config files", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
+    listed, section = {}, None
+    for line in block.splitlines():
+        if match := re.fullmatch(r"\[(\w+)\]", line.strip()):
+            section = match[1]
+            listed[section] = []
+        elif "=" in line:
+            listed[section].append(line.split("=", 1)[0].strip())
+    assert listed == {section: list(keys) for section, keys in cli._SECTIONS.items()}

@@ -132,6 +132,14 @@ def _trees(depth: int):
     )
 
 
+@pytest.mark.parametrize("source, uses_y", [
+    ("0", False), ("-2*exp(1)", False), ("max(1, 2)^0.5", False),
+    ("y", True), ("0*y", True), ("min(1, sqrt(y))", True), ("-(1 - y^2)", True),
+])
+def test_uses_y_reads_the_tree(source, uses_y):
+    assert parse_expr(source).uses_y is uses_y
+
+
 @settings(max_examples=300, deadline=None)
 @given(_trees(4))
 def test_print_parse_round_trip(tree):

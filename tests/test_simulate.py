@@ -172,9 +172,13 @@ def test_dt_schedule_covers_horizon():
 
 
 def test_watch_level_outside_interval_rejected():
-    cfg = SimConfig(dt=1e-3, horizon=1.0, seed=1, n_paths=10, watch_levels=(-1.0,))
-    with pytest.raises(ValueError):
-        simulate_ensemble(bm(), 1.0, cfg)
+    # the one-path run refuses what the ensemble refuses
+    for fields in (dict(watch_levels=(-1.0,)), dict(stop_levels=(-1.0,))):
+        cfg = SimConfig(dt=1e-3, horizon=1.0, seed=1, n_paths=10, **fields)
+        with pytest.raises(ValueError, match="watch level -1.0 outside"):
+            simulate_ensemble(bm(), 1.0, cfg)
+        with pytest.raises(ValueError, match="watch level -1.0 outside"):
+            simulate_path(bm(), 1.0, cfg, 0)
 
 
 def test_sim_config_validation():
