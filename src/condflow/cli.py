@@ -5,7 +5,8 @@ Configuration is flat `key = value` text in INI sections ([spec], [sim],
 [scenario], [output]); expression values may be quoted.  A JSON file with
 the same section/key layout is accepted as well.  `_SECTIONS` lists every
 key of every section once; any other section or key is a configuration
-error, as is a value its key cannot read.  `[scenario] x0` is the start of
+error, as is a value its key cannot read, and so is `[spec] b`, `a`, `l` or
+`r` beside a named family (bm by default).  `[scenario] x0` is the start of
 a simulation and the anchor of a scale; `direction` (upward or downward)
 picks the side for scale, transform and condition, and without it the
 scale is normalized at l when s(l) is finite, else at r.  Command-line
@@ -14,8 +15,8 @@ changes nothing, because every run uses one thread.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error, 3 numeric failure.  JSON reports are UTF-8 with sorted keys and carry
-"schema": 1 (condition: "schema": 2, with its three reports); CSV output
-is comma-separated with a header row and '.' as the decimal mark.
+"schema": 1 (condition: "schema": 3, with its three reports and one KS);
+CSV output is comma-separated with a header row and '.' as the decimal mark.
 """
 
 from __future__ import annotations
@@ -135,13 +136,30 @@ def _direction(conf) -> Normalization | None:
     return Normalization.L if name == "UPWARD" else Normalization.R
 
 
+def _probe_point(l: float, r: float) -> float:
+    """Where a custom spec's coefficients are first evaluated: the middle of
+    (l, r) clipped to [-10, 10] when that lies inside (l, r), else the
+    midpoint of a finite interval, or one unit inside its one finite end."""
+    probe = 0.5 * (max(l, -10.0) + min(r, 10.0))
+    if l < probe < r:
+        return probe
+    if math.isfinite(l) and math.isfinite(r):
+        return 0.5 * (l + r)
+    return l + 1.0 if math.isfinite(l) else r - 1.0
+
+
 def _build_spec(conf) -> DiffusionSpec:
     family = _get(conf, "spec", "family", default="bm")
     if family != "custom":
         try:
-            return named_family(family)
+            spec = named_family(family)
         except KeyError as exc:
             raise ConfigError(str(exc)) from exc
+        for key in ("b", "a", "l", "r"):
+            if key in conf["spec"]:
+                raise ConfigError(f"[spec] {key} is read only by family = custom, "
+                                  f"not by family = {family}")
+        return spec
     b_src = _get(conf, "spec", "b")
     a_src = _get(conf, "spec", "a")
     if b_src is None or a_src is None:
@@ -151,7 +169,7 @@ def _build_spec(conf) -> DiffusionSpec:
     try:
         b_expr = parse_expr(b_src)
         a_expr = parse_expr(a_src)
-        probe = 0.5 * (max(l, -10.0) + min(r, 10.0))
+        probe = _probe_point(l, r)
         b_at, a_at = b_expr.eval(probe), a_expr.eval(probe)
         if a_at <= 0:
             raise ConfigError(f"diffusion coefficient not positive at y={probe}")
@@ -295,7 +313,7 @@ def cmd_condition(conf, args) -> int:
                            stop_level=level)
     ks = compare_reports(weighted, direct)
     payload = {
-        "schema": 2,
+        "schema": 3,
         "reports": [rejection.as_dict(), weighted.as_dict(), direct.as_dict()],
         "ks": ks.as_dict(),
         "acceptance": rejection.acceptance.value,

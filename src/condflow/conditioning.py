@@ -8,10 +8,10 @@
 * DIRECT simulates the transformed dynamics outright.
 
 All three produce a ConditioningReport carrying one functional sample per
-path; reports are compared with the weighted KS statistic.  The operations
-run in local-martingale coordinates: pass dynamics whose coordinate process
-is itself a nonnegative local martingale (map a general diffusion through
-its scale function first).
+path; `compare_reports` gives the weighted KS statistic of two reports.
+The operations run in local-martingale coordinates: pass dynamics whose
+coordinate process is itself a nonnegative local martingale (map a general
+diffusion through its scale function first).
 
 Never-hit events are operationalized by the divergence cap (first exceedance
 of `cfg.cap` plays the hit of infinity) and by the horizon; the fraction of
@@ -156,31 +156,25 @@ class ConditioningReport:
     truncated_fraction: float
     tie_count: int = 0
     acceptance: McEstimate | None = None
-    comparison: KsResult | None = None
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "mode": self.mode.value,
             "n_total": self.n_total,
             "n_accepted": self.n_accepted,
             "ess": self.ess,
             "truncated_fraction": self.truncated_fraction,
         }
-        if self.comparison is not None:
-            out["ks"] = self.comparison.as_dict()
-        return out
 
 
 def _run(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
          stop_level: float) -> EnsembleResult:
-    run_cfg = replace(
-        cfg,
-        watch_levels=functional.watch_levels,
-        stop_levels=(stop_level,),
-        snapshot_times=tuple(sorted(set(cfg.snapshot_times) | set(functional.snapshot_times))),
-        track_time_average=cfg.track_time_average or functional.track_time_average,
-    )
-    return simulate_ensemble(spec, x0, run_cfg)
+    """One run stopped at `stop_level` that records what `functional` reads:
+    its watch levels, snapshot times and time integral replace the cfg's."""
+    return simulate_ensemble(spec, x0, replace(
+        cfg, stop_levels=(stop_level,), watch_levels=functional.watch_levels,
+        snapshot_times=functional.snapshot_times,
+        track_time_average=functional.track_time_average))
 
 
 def _check_horizon(res: EnsembleResult, what: str) -> float:
@@ -294,18 +288,16 @@ def direct_sample(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
 
 def compare_reports(left: ConditioningReport, right: ConditioningReport) -> KsResult:
     """KS between the left report's weighted sample and the right report's
-    functional samples; stored on both reports.
+    functional samples.  Neither report changes, so one report can be
+    compared with several others.
 
     Unit weights give the plain two-sample statistic to the last bit.  A
     left report without positive weight raises InsufficientSamplesError.
     """
-    ks = ks_weighted(left.functional_samples, left.weights, right.functional_samples)
-    left.comparison = ks
-    right.comparison = ks
-    return ks
+    return ks_weighted(left.functional_samples, left.weights, right.functional_samples)
 
 
-# --- scenario verifications ---------------------------------------------------
+# --- scenario measurements ----------------------------------------------------
 
 
 def _bm_unit_interval_dynamics(r: float = 2.0) -> DiffusionSpec:
@@ -321,15 +313,16 @@ def _gbm_unit_drift_dynamics() -> DiffusionSpec:
 
 
 def verify_identity_of_measures(scenario: str, cfg: SimConfig) -> dict:
-    """Compare conditional and transformed dynamics for the two textbook
-    cases with a positive no-absorption probability.
+    """Measure conditional against transformed dynamics for the two
+    textbook cases with a positive no-absorption probability; the verdicts
+    are the `stopped-bm` and `gbm` scenarios' (see `scenarios.py`).
 
     scenario "STOPPED_BM_POSITIVE_B": coordinate process absorbed at {0, 2};
-    the conditional law given absorption at 2 must match the transformed
-    dynamics (report passes when KS is below critical).  scenario
+    reports the KS between the conditional law given absorption at 2 and
+    the transformed dynamics, and the acceptance estimate.  scenario
     "GBM_B_POSITIVE_NOT_UI": driftless geometric Brownian motion never hits
-    0, but its transform is a different measure (report passes when KS is
-    ABOVE critical).
+    0, but its transform is a different measure; reports the KS between the
+    two laws at t = 1.
     """
     if scenario == "STOPPED_BM_POSITIVE_B":
         functional = TimeAverageUntilStop()
@@ -345,9 +338,7 @@ def verify_identity_of_measures(scenario: str, cfg: SimConfig) -> dict:
             "scenario": scenario,
             "ks": ks.as_dict(),
             "acceptance": {"value": acceptance.value, "stderr": acceptance.stderr},
-            "expected_acceptance": 0.5,
             "truncated_fraction": res.truncated_fraction(),
-            "pass": ks.passed and abs(acceptance.value - 0.5) <= 4 * max(acceptance.stderr, 1e-12),
         }
     if scenario == "GBM_B_POSITIVE_NOT_UI":
         horizon_cfg = replace(cfg, horizon=max(cfg.horizon, 1.0 + cfg.dt),
@@ -358,9 +349,7 @@ def verify_identity_of_measures(scenario: str, cfg: SimConfig) -> dict:
         return {
             "scenario": scenario,
             "ks": ks.as_dict(),
-            "measures_differ": not ks.passed,
             "truncated_fraction": q_run.truncated_fraction(),
-            "pass": not ks.passed,
         }
     raise ValueError(f"unknown scenario {scenario!r}")
 
@@ -374,13 +363,14 @@ def verify_local_martingality_of_reciprocal(
     divergence_level: float = 10.0,
     divergence_horizon: float = 200.0,
 ) -> dict:
-    """Check that the reciprocal of the transformed coordinate behaves like a
-    martingale inside a band, and that paths diverge past any level.
+    """Measure whether the reciprocal of the transformed coordinate behaves
+    like a martingale inside a band, and whether paths diverge past a level;
+    the verdicts are the `bessel-bm` scenario's (see `scenarios.py`).
 
-    Part 1: the mean of 1/X at t stopped at the band edges must equal 1/x0
-    within four standard errors.  Part 2: the fraction of paths exceeding
-    `divergence_level` before `divergence_horizon` is reported (it tends to
-    one as the horizon grows).
+    Part 1: the mean of 1/X at t stopped at the band edges (a martingale
+    keeps it at 1/x0).  Part 2: the fraction of paths exceeding
+    `divergence_level` before `divergence_horizon` (it tends to one as the
+    horizon grows).
     """
     lo, hi = band
     band_cfg = replace(cfg, watch_levels=(), stop_levels=(lo, hi),
@@ -388,7 +378,6 @@ def verify_local_martingality_of_reciprocal(
     res = simulate_ensemble(spec_q, x0, band_cfg)
     stopped = res.snapshots[t]
     recip = McEstimate.from_samples(1.0 / stopped)
-    part1_pass = abs(recip.value - 1.0 / x0) <= 4 * max(recip.stderr, 1e-15)
 
     div_cfg = replace(
         cfg,
@@ -402,8 +391,7 @@ def verify_local_martingality_of_reciprocal(
     div = simulate_ensemble(spec_q, x0, div_cfg)
     frac = McEstimate.from_binomial(int(np.sum(np.isfinite(div.hit_times[divergence_level]))), div.n)
     return {
-        "reciprocal_mean": {"value": recip.value, "stderr": recip.stderr, "target": 1.0 / x0},
-        "reciprocal_pass": part1_pass,
+        "reciprocal_mean": {"value": recip.value, "stderr": recip.stderr},
         "divergence_fraction": {"value": frac.value, "stderr": frac.stderr},
         "tie_count": res.tie_count,
         "truncated_fraction": res.truncated_fraction(),

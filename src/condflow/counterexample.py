@@ -28,9 +28,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .conditioning import _check_horizon
 from .errors import NeedLongerHorizonError
 from .model import McEstimate, PathSample, bm
-from .simulate import _TIME_SLACK, SimConfig, _regime, _simulate
+from .simulate import _TIME_SLACK, EnsembleResult, SimConfig, _regime, _simulate
 from .stats import effective_sample_size, ks_weighted
 
 __all__ = [
@@ -67,16 +68,15 @@ def build_tilde(path: PathSample) -> np.ndarray:
 
 @dataclass
 class TildeEnsemble:
-    """Per-path summaries of the transformed walk stopped at {a, 0}."""
+    """The kernel's record of the walk stopped at {a, 0}, with what the
+    tilde construction adds.  `run.final_values` is X at the stop (the
+    recipe's weight), and `run.absorbed_at` is 0 where X (and tilde) hit 0
+    first."""
 
-    n: int
+    run: EnsembleResult
     hit_a_time: np.ndarray        # nan = did not hit a
-    absorbed: np.ndarray          # bool: X (and tilde) hit 0 first
-    truncated: np.ndarray
-    weight_x: np.ndarray          # X at the stop (the recipe's weight)
     regime_at_stop: np.ndarray
     tilde_at_snap: np.ndarray     # tilde value at t_snap ^ stop
-    tie_count: int
 
 
 def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> TildeEnsemble:
@@ -107,14 +107,10 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> T
     tilde_at_snap = _tilde_formula(x_snap, regime_at_snap == 0, regime_at_snap == 1)
     tilde_at_snap[x_snap == 0.0] = 0.0  # tilde(X) is 0 exactly where X is
     return TildeEnsemble(
-        n=res.n,
+        run=res,
         hit_a_time=np.where(hit_a, res.stop_times, np.nan),
-        absorbed=res.absorbed_at == 0.0,
-        truncated=res.truncated,
-        weight_x=res.final_values,
         regime_at_stop=_regime([t < res.stop_times for t in t_switch]),
         tilde_at_snap=tilde_at_snap,
-        tie_count=res.tie_count,
     )
 
 
@@ -122,51 +118,41 @@ def compare_conditionings(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -
     """Conditional law along the transformed sequence vs the stopped-value
     weighting, on independent halves of the ensemble.
 
-    Reports the frequency of {X != tilde(X) at the stop}, the KS statistic
-    between the two conditional samples of the hitting time of `a` (expected
-    ABOVE the critical value: the measures differ), and the martingale check
-    on the transformed process.
+    Measures the frequency of {X != tilde(X) at the stop}, the KS statistic
+    between the two conditional samples of the hitting time of `a`, and the
+    mean of the transformed process at `t_snap`; the verdicts are the
+    `counterexample` scenario's (see `scenarios.py`).  More than 1% of paths
+    unresolved at the horizon raises NeedLongerHorizonError.
     """
-    res = run_tilde_ensemble(cfg, a=a, t_snap=t_snap)
+    tilde = run_tilde_ensemble(cfg, a=a, t_snap=t_snap)
+    res = tilde.run
+    trunc = _check_horizon(res, "compare_conditionings")
     resolved = ~res.truncated
-    unresolved = 1.0 - float(np.mean(resolved))
-    if unresolved > 0.01:
-        raise NeedLongerHorizonError(
-            f"compare_conditionings: {100 * unresolved:.1f}% of paths unresolved",
-            unresolved_fraction=unresolved,
-        )
 
-    half = res.n // 2
-    first = np.zeros(res.n, dtype=bool)
-    first[:half] = True
-
-    accept_a = np.isfinite(res.hit_a_time)
+    first = np.arange(res.n) < res.n // 2
+    accept_a = np.isfinite(tilde.hit_a_time)
     rej_mask = first & accept_a & resolved
     wgt_mask = ~first & resolved
-    rejection_sample = res.hit_a_time[rej_mask]
-    weighted_sample = res.hit_a_time[wgt_mask]
-    weights = res.weight_x[wgt_mask]
+    rejection_sample = tilde.hit_a_time[rej_mask]
+    weighted_sample = tilde.hit_a_time[wgt_mask]
+    weights = res.final_values[wgt_mask]
     # never-hit paths carry weight 0 (X stopped at 0); drop their nan times
     keep = weights > 0
     if not np.any(rej_mask) or not np.any(keep):
         raise NeedLongerHorizonError("no accepted paths", unresolved_fraction=1.0)
     ks = ks_weighted(weighted_sample[keep], weights[keep], rejection_sample)
 
-    differs = accept_a & (res.regime_at_stop < 2)
+    differs = accept_a & (tilde.regime_at_stop < 2)
     freq_diff = float(np.sum(differs & resolved)) / max(int(np.sum(resolved)), 1)
-    mart = McEstimate.from_samples(res.tilde_at_snap)
-    mart_pass = abs(mart.value - 1.0) <= 4 * max(mart.stderr, 1e-12)
+    mart = McEstimate.from_samples(tilde.tilde_at_snap)
     return {
         "a": a,
         "n": res.n,
         "freq_stop_value_differs": freq_diff,
         "ks": ks.as_dict(),
-        "measures_differ": not ks.passed,
         "martingale_mean": {"value": mart.value, "stderr": mart.stderr},
-        "martingale_pass": mart_pass,
         "acceptance_fraction": float(np.mean(accept_a[resolved])),
         "ess_weighted": effective_sample_size(weights[keep]),
         "tie_count": res.tie_count,
-        "truncated_fraction": unresolved,
-        "pass": (freq_diff > 0.1) and (not ks.passed) and mart_pass,
+        "truncated_fraction": trunc,
     }

@@ -2,8 +2,9 @@
 one PASS/FAIL per check.
 
 These are the library-level runners behind the command line's `verify`
-subcommand and the acceptance test suite.  Randomized checks use four
-standard errors of tolerance; distribution comparisons use the 1% KS
+subcommand and the acceptance test suite.  The library measures; every
+check's threshold and target is stated here, once.  Randomized checks use
+four standard errors of tolerance; distribution comparisons use the 1% KS
 critical value (or twice it where flagged as a smoke check).  Every check is
 deterministic given the seed.
 """
@@ -129,10 +130,11 @@ def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025) -> d
     recip = verify_local_martingality_of_reciprocal(
         bessel3(), cfg_band, x0=1.0, band=(0.1, 10.0), t=1.0,
         divergence_level=10.0, divergence_horizon=200.0)
+    mean = recip["reciprocal_mean"]
     checks.append(_check(
         "reciprocal-band-martingale",
-        recip["reciprocal_pass"],
-        **recip["reciprocal_mean"],
+        abs(mean["value"] - 1.0) <= 4.0 * max(mean["stderr"], 1e-15),
+        **mean, target=1.0,
     ))
     checks.append(_check(
         "divergence-past-10-by-200",
@@ -168,7 +170,7 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
     ident = verify_identity_of_measures(
         "GBM_B_POSITIVE_NOT_UI",
         SimConfig(dt=dt, horizon=1.0 + dt, seed=seed + 1, n_paths=n))
-    checks.append(_check("p-and-q-measures-differ", ident["pass"], **ident["ks"]))
+    checks.append(_check("p-and-q-measures-differ", not ident["ks"]["pass"], **ident["ks"]))
     return _bundle("gbm", checks)
 
 
@@ -194,12 +196,13 @@ def scenario_counterexample(n: int = 10_000, dt: float = 1e-3, seed: int = 2028)
     cfg = SimConfig(dt=dt, horizon=60.0, seed=seed, n_paths=n,
                     dt_schedule=((2.0, dt), (60.0, 10 * dt)))
     rep = compare_conditionings(cfg, a=2.0, t_snap=0.5)
+    mean = rep["martingale_mean"]
     checks = [
         _check("stop-values-differ-frequently", rep["freq_stop_value_differs"] > 0.1,
                frequency=rep["freq_stop_value_differs"]),
-        _check("conditional-measures-differ", rep["measures_differ"], **rep["ks"]),
-        _check("transformed-path-martingale", rep["martingale_pass"],
-               **rep["martingale_mean"]),
+        _check("conditional-measures-differ", not rep["ks"]["pass"], **rep["ks"]),
+        _check("transformed-path-martingale",
+               abs(mean["value"] - 1.0) <= 4.0 * max(mean["stderr"], 1e-12), **mean),
     ]
     return _bundle("counterexample", checks)
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -130,10 +131,12 @@ def test_condition_json_report(tmp_path):
     out = tmp_path / "cond.json"
     assert main(["condition", "--seed", "2", "--n", "3000", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     modes = {report["mode"] for report in payload["reports"]}
     assert modes == {"REJECTION", "WEIGHTED", "DIRECT"}
+    # the KS is stated once, at top level
     assert set(payload["ks"]) == {"stat", "critical_1pct", "pass"}
+    assert not any("ks" in report for report in payload["reports"])
     # weighted against an independent direct sample: not 0 by construction
     assert payload["ks"]["stat"] > 0.0
     assert abs(payload["acceptance"] - 0.5) < 0.05
@@ -194,6 +197,41 @@ def test_unknown_section_is_config_error(tmp_path):
 def test_nonpositive_custom_diffusion_rejected(tmp_path):
     cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "0"\na = "0-1"\n')
     assert main(["scale", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("command, b, a", [
+    ("simulate", "0", "y - 20"),          # a <= 0 at 15, outside (20, 30)
+    ("scale", "log(y - 20)", "1"),        # log of a negative number at 15
+])
+def test_coefficients_are_probed_inside_the_interval(tmp_path, command, b, a):
+    cfg = _write(tmp_path, "c.ini", f'[spec]\nfamily = custom\nb = "{b}"\na = "{a}"\n'
+                                    "l = 20\nr = 30\n\n[scenario]\nx0 = 25\n"
+                                    "\n[sim]\nn_paths = 50\ndt = 0.01\nhorizon = 1\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("l, r, probe", [
+    (0.0, math.inf, 5.0), (-math.inf, math.inf, 0.0), (-1.0, 1.0, 0.0),  # as before
+    (20.0, 30.0, 25.0), (20.0, math.inf, 21.0), (-math.inf, -20.0, -21.0),
+])
+def test_probe_point(l, r, probe):
+    assert cli._probe_point(l, r) == probe
+
+
+@pytest.mark.parametrize("name, text", [
+    ("c.ini", '[spec]\nb = "1/y"\na = "1"\nr = 2\n'),
+    ("c.json", '{"spec": {"b": "1/y", "a": "1", "r": 2}}'),
+    ("c.ini", "[spec]\nfamily = gbm\nl = 1\n"),
+])
+def test_named_family_refuses_custom_keys(tmp_path, capsys, name, text):
+    # a named family (bm when none is given) has its own coefficients and
+    # interval, so [spec] b, a, l and r would be silently ignored
+    cfg = _write(tmp_path, name, text)
+    assert main(["simulate", "--config", cfg, "--n", "20"]) == 2
+    err = capsys.readouterr().err
+    key, family = ("l", "gbm") if "gbm" in text else ("b", "bm")
+    assert err == f"config error: [spec] {key} is read only by family = custom, " \
+                  f"not by family = {family}\n"
 
 
 def test_numeric_failure_exit_code(tmp_path):

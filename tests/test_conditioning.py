@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -162,10 +164,15 @@ def test_first_hit_time_functional():
 def test_identity_scenarios_smoke():
     cfg = SimConfig(dt=2e-3, horizon=30.0, seed=62, n_paths=2_000)
     stopped = verify_identity_of_measures("STOPPED_BM_POSITIVE_B", cfg)
-    assert stopped["pass"]
+    acceptance = stopped["acceptance"]
+    assert stopped["ks"]["pass"]
+    assert abs(acceptance["value"] - 0.5) <= 4 * max(acceptance["stderr"], 1e-12)
     gbm_cfg = SimConfig(dt=2e-3, horizon=1.1, seed=63, n_paths=2_000)
     differ = verify_identity_of_measures("GBM_B_POSITIVE_NOT_UI", gbm_cfg)
-    assert differ["pass"] and differ["measures_differ"]
+    assert not differ["ks"]["pass"]
+    # the library measures; the verdicts are the scenarios'
+    for report in (stopped, differ):
+        assert not report.keys() & {"pass", "measures_differ", "expected_acceptance"}
     with pytest.raises(ValueError):
         verify_identity_of_measures("NO_SUCH", cfg)
 
@@ -203,6 +210,23 @@ def _report(weights, samples):
     return ConditioningReport(mode=Mode.WEIGHTED, n_total=samples.size, n_accepted=0,
                               weights=weights, functional_samples=samples, ess=0.0,
                               truncated_fraction=0.0)
+
+
+def test_compare_reports_leaves_both_reports_unchanged():
+    # one report compared with two others keeps no trace of either KS
+    samples = np.linspace(0.0, 1.0, 400)
+    left = _report(np.linspace(1.0, 2.0, 400), samples)
+    others = [_report(np.ones(400), samples + shift) for shift in (0.0, 0.5)]
+    before = [copy.deepcopy(report) for report in (left, *others)]
+    for other in others:
+        compare_reports(left, other)
+    for report, saved in zip((left, *others), before):
+        for field in fields(ConditioningReport):
+            got, want = getattr(report, field.name), getattr(saved, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.tobytes() == want.tobytes(), field.name
+            else:
+                assert got == want, field.name
 
 
 def test_compare_reports_rejects_all_zero_weights():

@@ -11,8 +11,9 @@ from condflow.counterexample import (
     compare_conditionings,
     run_tilde_ensemble,
 )
+from condflow.errors import NeedLongerHorizonError
 from condflow.model import PathSample
-from condflow.simulate import SimConfig, simulate_path
+from condflow.simulate import EnsembleResult, SimConfig, simulate_path
 from condflow.model import bm
 
 
@@ -85,14 +86,15 @@ def test_ensemble_martingale_and_acceptance():
                     dt_schedule=((2.0, 1e-3), (60.0, 1e-2)))
     res = run_tilde_ensemble(cfg, a=2.0, t_snap=0.5)
     mean = float(np.mean(res.tilde_at_snap))
-    stderr = float(np.std(res.tilde_at_snap, ddof=1) / math.sqrt(res.n))
+    stderr = float(np.std(res.tilde_at_snap, ddof=1) / math.sqrt(res.run.n))
     assert abs(mean - 1.0) <= 4 * stderr
     # weights at the stop: the mapped base value, positive only on hits
     hit = np.isfinite(res.hit_a_time)
-    assert np.all(np.isin(res.weight_x[hit & (res.regime_at_stop == 0)], [1.5]))
-    assert np.all(np.isin(res.weight_x[hit & (res.regime_at_stop == 1)], [3.75]))
-    assert np.all(np.isin(res.weight_x[hit & (res.regime_at_stop == 2)], [2.0]))
-    assert np.all(res.weight_x[res.absorbed] == 0.0)
+    weight_x = res.run.final_values
+    assert np.all(np.isin(weight_x[hit & (res.regime_at_stop == 0)], [1.5]))
+    assert np.all(np.isin(weight_x[hit & (res.regime_at_stop == 1)], [3.75]))
+    assert np.all(np.isin(weight_x[hit & (res.regime_at_stop == 2)], [2.0]))
+    assert np.all(weight_x[res.run.absorbed_at == 0.0] == 0.0)
 
 
 def test_compare_conditionings_report():
@@ -102,9 +104,19 @@ def test_compare_conditionings_report():
     # any hit of the level while the regimes disagree leaves different stop
     # values; that event has probability at least 1/3
     assert rep["freq_stop_value_differs"] > 0.1
-    assert rep["measures_differ"]
-    assert rep["martingale_pass"]
-    assert rep["pass"]
+    assert not rep["ks"]["pass"]    # the measures differ
+    mean = rep["martingale_mean"]
+    assert abs(mean["value"] - 1.0) <= 4 * max(mean["stderr"], 1e-12)
+    # the library measures; the verdicts are the counterexample scenario's
+    assert not rep.keys() & {"pass", "measures_differ", "martingale_pass"}
+
+
+def test_compare_conditionings_refuses_a_short_horizon():
+    cfg = SimConfig(dt=1e-2, horizon=0.5, seed=19, n_paths=200)
+    with pytest.raises(NeedLongerHorizonError,
+                       match=r"^compare_conditionings: [0-9.]+% of paths resolved neither "
+                             r"level before the horizon$"):
+        compare_conditionings(cfg)
 
 
 def test_level_must_exceed_start():
@@ -126,10 +138,10 @@ def test_ensemble_agrees_with_path_api():
         path = simulate_path(bm(), 1.0, path_cfg, i)
         if np.isfinite(res.hit_a_time[i]):
             stop = res.hit_a_time[i]
-        elif res.absorbed[i]:
+        elif res.run.absorbed_at[i] == 0.0:
             stop = path.times[np.argmax(path.values == 0.0)]
         else:
-            assert res.truncated[i]
+            assert res.run.truncated[i]
             stop = math.inf
         k = int(np.argmax(path.times >= 0.5 - 1e-12))
         if stop > path.times[k]:
@@ -157,6 +169,12 @@ def test_quiet_steps_change_no_tilde_byte(monkeypatch):
     assert any(answers) and not all(answers)
     monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every step eventful
     slow = run_tilde_ensemble(cfg)
-    for field in fields(TildeEnsemble):
-        assert np.asarray(getattr(fast, field.name)).tobytes() == \
-            np.asarray(getattr(slow, field.name)).tobytes(), field.name
+    pairs = [(getattr(fast.run, f.name), getattr(slow.run, f.name), f.name)
+             for f in fields(EnsembleResult)]
+    pairs += [(getattr(fast, f.name), getattr(slow, f.name), f.name)
+              for f in fields(TildeEnsemble) if f.name != "run"]
+    for got, want, name in pairs:
+        if isinstance(got, dict):
+            assert list(got) == list(want), name
+            got, want = list(got.values()), list(want.values())
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), name

@@ -2,9 +2,10 @@
 
 The counter-based noise makes every run a pure function of its config and
 seed, so byte identity is an exact oracle for refactors.  The files in
-tests/golden/ hold the stdout of each run (CSV tables, verify JSON) and, in
-status.txt, each run's exit code and stderr lines.  A change that moves
-output on purpose regenerates them with
+tests/golden/ hold the stdout of each run (CSV tables, condition and verify
+JSON) and, in status.txt, the exit code and stderr lines of each scale,
+transform and verify run; the condition run must exit 0 with nothing on
+stderr.  A change that moves output on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -31,6 +32,8 @@ SCALE_CONFIGS = (
     ("gbm-mu-quarter", "0.25*y", "y^2", 0.001, 100.0, None),
     ("attract-2y", "2*y", "1", 0.0, math.inf, 10.0),
 )
+# default bm conditioned upward
+CONDITION_ARGV = ["condition", "--seed", "2", "--n", "2000"]
 VERIFY_BUNDLES = (("roundtrip", None), ("jumpwalk", 500), ("stopped-bm", 500), ("gbm", 500),
                   ("bm-bessel", 2000), ("bessel-bm", 1000), ("counterexample", 800))
 
@@ -70,6 +73,8 @@ def golden_outputs() -> dict[str, str]:
             for command in ("scale", "transform"):
                 record(f"{command} {name}", [command, "--config", path],
                        f"{command}-{name}.csv")
+    rc, files["condition-bm.json"], err = _run(CONDITION_ARGV)
+    assert (rc, err) == (0, ""), err
     for bundle, n in VERIFY_BUNDLES:
         argv = ["verify", bundle] + ([] if n is None else ["--n", str(n)])
         record(" ".join(argv[1:]), argv, f"verify-{bundle}.json")
