@@ -218,20 +218,18 @@ def test_probe_point(l, r, probe):
     assert cli._probe_point(l, r) == probe
 
 
-@pytest.mark.parametrize("name, text", [
-    ("c.ini", '[spec]\nb = "1/y"\na = "1"\nr = 2\n'),
-    ("c.json", '{"spec": {"b": "1/y", "a": "1", "r": 2}}'),
-    ("c.ini", "[spec]\nfamily = gbm\nl = 1\n"),
+@pytest.mark.parametrize("name, text, key, family", [
+    ("c.ini", '[spec]\nb = "1/y"\na = "1"\nr = 2\n', "b", "bm"),
+    ("c.json", '{"spec": {"b": "1/y", "a": "1", "r": 2}}', "b", "bm"),
+    ("c.ini", "[spec]\nfamily = gbm\nl = 1\n", "l", "gbm"),
 ])
-def test_named_family_refuses_custom_keys(tmp_path, capsys, name, text):
+def test_named_family_refuses_custom_keys(tmp_path, capsys, name, text, key, family):
     # a named family (bm when none is given) has its own coefficients and
     # interval, so [spec] b, a, l and r would be silently ignored
     cfg = _write(tmp_path, name, text)
     assert main(["simulate", "--config", cfg, "--n", "20"]) == 2
-    err = capsys.readouterr().err
-    key, family = ("l", "gbm") if "gbm" in text else ("b", "bm")
-    assert err == f"config error: [spec] {key} is read only by family = custom, " \
-                  f"not by family = {family}\n"
+    assert capsys.readouterr().err == (f"config error: [spec] {key} is read only by "
+                                       f"family = custom, not by family = {family}\n")
 
 
 def test_numeric_failure_exit_code(tmp_path):
