@@ -368,13 +368,16 @@ def verify_local_martingality_of_reciprocal(
     the verdicts are the `bessel-bm` scenario's (see `scenarios.py`).
 
     Part 1: the mean of 1/X at t stopped at the band edges (a martingale
-    keeps it at 1/x0).  Part 2: the fraction of paths exceeding
+    keeps it at 1/x0).  The band run reads only its snapshot at t, so it
+    stops at t + cfg.dt, whatever cfg.horizon; the returned `tie_count` and
+    `truncated_fraction` are that run's and so cover [0, t + cfg.dt] (no
+    `verify` JSON prints them).  Part 2: the fraction of paths exceeding
     `divergence_level` before `divergence_horizon` (it tends to one as the
     horizon grows).
     """
     lo, hi = band
     band_cfg = replace(cfg, watch_levels=(), stop_levels=(lo, hi),
-                       snapshot_times=(t,), horizon=max(cfg.horizon, t + cfg.dt))
+                       snapshot_times=(t,), horizon=t + cfg.dt)
     res = simulate_ensemble(spec_q, x0, band_cfg)
     stopped = res.snapshots[t]
     recip = McEstimate.from_samples(1.0 / stopped)

@@ -47,8 +47,18 @@ proposals (which also check the drift) and max a (which also checks the
 diffusion coefficient, and is a itself when a is constant); the range of the
 values is the previous step's proposal range.  On an eventful step the same
 proposal range skips the halving guard at a boundary and the cap test when no
-proposal reaches them.  Where the halving guard moved a proposal, that range
-reaches past a finite boundary, which alone makes the next step eventful.
+proposal reaches them.
+
+An eventful step does work only at the marks some running path can reach.
+It applies the quiet test to each mark on its own (a finite boundary with
+the clamp distance, an interior watched level, or the regime's stop levels
+as one row), on the same value and proposal ranges; a mark that passes gets
+no flag array, no crossing test and no bridge uniform, and the event
+selection reads it as all-False.  That is exact for the reason a quiet step
+is.  One rule keeps the ranges honest: where the halving guard moved a
+proposal, the moved value lies in neither range, so on that step every mark
+is in reach, and the next step's value range is NaN, which puts every mark
+in reach again (and makes that step eventful).
 
 Two guards keep singular drifts honest near a boundary the process cannot
 actually reach (for example the 1/y drift of an upward-conditioned process
@@ -285,6 +295,14 @@ def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap:
     return True
 
 
+def _near(span, levels: list[float], l: float = -math.inf, r: float = math.inf) -> bool:
+    """Whether an eventful step may hold an event at `levels`: `_quiet` on
+    those marks alone, with no cap, and with the clamp distance at l or r
+    for a boundary mark.  `span` is the step's (x_lo, x_hi, p_lo, p_hi,
+    a_dt), or None where the halving guard moved values out of its ranges."""
+    return span is None or not _quiet(*span, math.inf, levels, l, r)
+
+
 def _regime(crossed: list[np.ndarray]) -> np.ndarray:
     """Per path, how many of the levels, taken in order, it has crossed: a
     level counts only once every level before it has.  `crossed` holds one
@@ -304,18 +322,18 @@ def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
 
     `gap` is (level - y0)(level - y1) and `a_dt` the step variance a(y0) dt,
     per path or scalar; the crossing probability is exp(-2 gap / (a dt)).
-    Without candidates it returns at once.  exp is evaluated only where the
-    exponent exceeds -37 (below it exp is under 1e-16), and a uniform is drawn
-    only where the probability exceeds 1e-16.  Draws are keyed by (path, step,
-    stream), so skipping the others changes no draw.
+    Without candidates it returns at once.  The exponent and exp are formed
+    only where gap < 18.5 a dt, and a uniform is drawn only where the
+    probability exceeds 1e-16, which needs gap < 18.42 a dt; so the cut drops
+    no draw.  As under a test of the exponent, a positive gap over a zero
+    a dt, and a gap of +inf or NaN, make no candidate.  Draws are keyed by
+    (path, step, stream), so skipping the others changes no draw.
     """
     if not candidates.any():
         return candidates.nonzero()[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = -2.0 * gap / a_dt
-    idx = (candidates & (expo > -37.0)).nonzero()[0]
+    idx = (candidates & (gap < 18.5 * a_dt)).nonzero()[0]
     if idx.size:
-        p = np.exp(expo[idx])
+        p = np.exp(-2.0 * gap[idx] / _at(a_dt, idx))
         live = p > 1e-16
         idx, p = idx[live], p[live]
         if idx.size:
@@ -373,9 +391,11 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     table = np.asarray(levels_by_regime, dtype=np.float64)
     n_switch = len(levels_by_regime) - 1
     regime_stream = rng.STREAM_WATCH + len(watch)
+    regime_levels = list(levels_by_regime)
     # a quiet step keeps clear of the interior levels some running path has
     # yet to hit, the finite boundaries and the regimes' stop levels
-    marks = interior + ends + list(levels_by_regime)
+    watching = [True] * len(interior)
+    marks = interior + ends + regime_levels
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
@@ -432,13 +452,14 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
             if tint_a is not None:
                 tint_a += xa * dt
 
-            # a quiet step has no event: it only moves the paths
-            if _quiet(x_lo, x_hi, p_lo, p_hi, a_max * dt, cfg.cap, marks, l, r):
+            # a quiet step has no event: it only moves the paths; an eventful
+            # one tests the marks on the same ranges one by one
+            span = (x_lo, x_hi, p_lo, p_hi, a_max * dt)
+            if _quiet(*span, cfg.cap, marks, l, r):
                 xa, x_lo, x_hi = prop, p_lo, p_hi
             else:
                 # the proposals' range holds the next values of the running
-                # paths; where the halving guard moves some, it reaches past a
-                # finite boundary, so the next step is eventful
+                # paths unless the halving guard moves some
                 x_lo, x_hi = p_lo, p_hi
 
                 # halving guard at boundaries the drift repels from; it has
@@ -454,6 +475,11 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     fix = over > _BOUNDARY_CLAMP
                     fix &= repels
                     sub = fix.nonzero()[0]
+                    if sub.size:
+                        # the moved values leave both ranges: every mark is in
+                        # reach on this step, and by the NaN range on the next
+                        span = None
+                        x_lo = x_hi = math.nan
                     h = dt
                     for _halving in range(_MAX_HALVINGS):
                         if not sub.size:
@@ -466,12 +492,15 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     if sub.size:
                         prop[sub] = boundary  # give up: absorb there
 
-                # boundary absorption (discrete overshoot or bridge crossing),
-                # one flag array per finite boundary; the bridge test is
+                # boundary absorption (discrete overshoot or bridge crossing):
+                # flags at each finite boundary in reach; the bridge test is
                 # skipped where the drift repels
                 a_dt = a * dt
                 absorb = []
                 for boundary, upper, stream in from_top:
+                    clamped = (-math.inf, boundary) if upper else (boundary, math.inf)
+                    if not _near(span, [boundary], *clamped):
+                        continue
                     over = prop - boundary if upper else boundary - prop
                     crossed = over >= -_BOUNDARY_CLAMP
                     if cfg.bridge_correction:
@@ -480,11 +509,14 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                             toward = toward & ~crossed
                             gap = (boundary - xa) * (boundary - prop)
                             crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
-                    absorb.append(crossed)
+                    absorb.append((boundary, crossed))
 
-                # interior watched levels: discrete or bridge crossings
+                # interior watched levels in reach, by their index j, and the
+                # regime's stop level (j = None): discrete or bridge crossings
                 cross = []
                 for j, level in enumerate(interior):
+                    if not (watching[j] and _near(span, [level])):
+                        continue
                     gap = (xa - level) * (prop - level)
                     crossed = gap <= 0.0
                     if unhit[j] is not None:
@@ -493,20 +525,20 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         maybe = ~crossed if unhit[j] is None else unhit[j] & ~crossed
                         stream = interior_streams[j]
                         crossed[_crossings(gap, a_dt, maybe, keys, k, stream)] = True
-                    cross.append(crossed)
-                if stop_at is not None:  # last in `cross`
+                    cross.append((j, crossed))
+                if stop_at is not None and _near(span, regime_levels):
                     gap = (xa - stop_at) * (prop - stop_at)
                     crossed = gap <= 0.0
                     if cfg.bridge_correction:
                         crossed[_crossings(gap, a_dt, ~crossed, keys, k, regime_stream)] = True
-                    cross.append(crossed)
+                    cross.append((None, crossed))
 
                 # a step's events: absorption, cap exceedance, level crossings;
                 # the cap is tested only where the proposals' max (or a NaN)
                 # reaches it
                 over_cap = None if p_hi < cfg.cap else prop >= cfg.cap
                 event = over_cap
-                for crossed in absorb + cross:
+                for _mark, crossed in absorb + cross:
                     event = crossed if event is None else event | crossed
 
                 stopping = None
@@ -514,27 +546,26 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 sel = _NO_PATHS if event is None else event.nonzero()[0]
                 if sel.size:
                     ps = pos[sel]
-                    ended = [crossed[sel] for crossed in absorb]
+                    ended = [(boundary, crossed[sel]) for boundary, crossed in absorb]
                     absorbed_now = np.zeros(sel.size, dtype=bool)
-                    for flags in ended:
+                    for _boundary, flags in ended:
                         absorbed_now |= flags
                     capped = (np.zeros(sel.size, dtype=bool) if over_cap is None
                               else over_cap[sel] & ~absorbed_now)
-                    hits = [crossed[sel] for crossed in cross]
+                    hits = {j: crossed[sel] for j, crossed in cross}
                     n_events = absorbed_now.astype(np.int64) + capped
-                    for fired in hits:
+                    for fired in hits.values():
                         n_events += fired
                     tie_count += int(np.count_nonzero(n_events >= 2))
 
                     # first-crossing times (boundary-sitting levels follow absorption)
-                    for j, level in enumerate(interior):
-                        fired = hits[j]
-                        if fired.any():
-                            hit_t[level][ps[fired]] = t_next
+                    for j, fired in hits.items():
+                        if j is not None and fired.any():
+                            hit_t[interior[j]][ps[fired]] = t_next
                             if unhit[j] is not None:
                                 unhit[j][sel[fired]] = False
                                 switched |= j < n_switch
-                    for boundary, flags in zip(ends, ended):
+                    for boundary, flags in ended:
                         if boundary in hit_t:
                             hit_t[boundary][ps[flags]] = t_next
 
@@ -542,15 +573,16 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     claimed = absorbed_now | capped
                     val = prop[sel]
                     for j in stop_desc:
-                        newly = hits[j] & ~claimed
-                        val[newly] = interior[j]
-                        claimed |= newly
-                    if stop_at is not None:
-                        newly = hits[-1] & ~claimed
+                        if j in hits:
+                            newly = hits[j] & ~claimed
+                            val[newly] = interior[j]
+                            claimed |= newly
+                    if None in hits:
+                        newly = hits[None] & ~claimed
                         val[newly] = stop_at[sel[newly]]
                         claimed |= newly
                     absorbed_val = np.where(capped, math.inf, np.nan)
-                    for boundary, flags in zip(ends, ended):
+                    for boundary, flags in ended:
                         val[flags] = boundary
                         absorbed_val[flags] = boundary
                     if claimed.any():
@@ -580,8 +612,9 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     if z_row < len(z_block):
                         zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
                 if sel.size:  # hits and stops may have cleared a level's last flag
-                    marks = [level for level, flags in zip(interior, unhit)
-                             if flags is None or flags.any()] + ends + list(levels_by_regime)
+                    watching = [flags is None or flags.any() for flags in unhit]
+                    marks = ([level for level, w in zip(interior, watching) if w]
+                             + ends + regime_levels)
 
             t = t_next
             k += 1

@@ -1,6 +1,6 @@
 import copy
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from condflow.conditioning import (
 )
 from condflow.errors import InsufficientSamplesError, NeedLongerHorizonError, NumericFailure
 from condflow.model import McEstimate, bessel3, bm
-from condflow.simulate import SimConfig
+from condflow.simulate import SimConfig, simulate_ensemble
 from condflow.stats import ecdf, ks_two_sample, weighted_ecdf
 
 
@@ -136,6 +136,21 @@ def test_degenerate_band_gives_exact_reciprocal():
         divergence_level=10.0, divergence_horizon=50.0)
     assert out["reciprocal_mean"]["value"] == pytest.approx(1.0)
     assert out["reciprocal_mean"]["stderr"] == 0.0
+
+
+def test_reciprocal_band_run_stops_at_t():
+    # the band run reads only its snapshot at t = 1, so it stops at t + dt;
+    # run on to the horizon 2, the same paths give the same mean bit for bit
+    cfg = SimConfig(dt=1e-2, horizon=2.0, seed=62, n_paths=400)
+    out = verify_local_martingality_of_reciprocal(
+        bessel3(), cfg, x0=1.0, band=(0.5, 2.0), t=1.0,
+        divergence_level=10.0, divergence_horizon=20.0)
+    full = simulate_ensemble(bessel3(), 1.0, replace(cfg, stop_levels=(0.5, 2.0),
+                                                    snapshot_times=(1.0,)))
+    recip = McEstimate.from_samples(1.0 / full.snapshots[1.0])
+    assert out["reciprocal_mean"] == {"value": recip.value, "stderr": recip.stderr}
+    # paths stop between t + dt and 2, and the band run counts them as truncated
+    assert out["truncated_fraction"] > full.truncated_fraction()
 
 
 def test_time_average_functional():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from condflow import simulate
+from condflow import rng, simulate
 from condflow.errors import EvalDomainError
 from condflow.model import Const, DiffusionSpec, Interval, bessel3, bm, const_value
 from condflow.simulate import (
@@ -530,6 +530,95 @@ def test_quiet_declines_at_every_reach():
     # moved a proposal back inside, make the step eventful
     assert not simulate._quiet(**{**args, "x_lo": -0.1}, marks=[0.0])
     assert not simulate._quiet(**{**args, "x_hi": 4.5, "r": 4.0}, marks=[4.0])
+    # one mark on its own, as an eventful step tests it: no cap, and the
+    # clamp distance only at a boundary mark
+    one = {**args, "cap": math.inf, "l": -math.inf}
+    assert simulate._quiet(**one, marks=[0.5])                            # a level
+    assert not simulate._quiet(**one, marks=[0.6])
+    assert simulate._quiet(**{**one, "l": 0.5}, marks=[0.5])             # a lower boundary
+    near_l = 1.05 - 5e-13                                                # within the clamp
+    assert not simulate._quiet(**{**one, "l": near_l}, marks=[near_l])
+    assert simulate._quiet(**{**one, "r": 3.0}, marks=[3.0])             # an upper boundary
+    assert not simulate._quiet(**{**one, "r": 1.3}, marks=[1.3])         # exponent -4
+    assert simulate._near(None, [100.0])  # values the halving guard moved: every mark
+
+
+# bessel3 at dt 0.5 with one path and one watch level: the halving guard
+# moves the path's value up from below 0 to a value neither the values' nor
+# the proposals' range holds.  From 0.4 watching 3.5, on that same step the
+# level is within bridge reach of the moved value only; from 1 watching 4,
+# it is on the next step (each case draws one more uniform than a test on
+# the stale ranges would)
+@pytest.mark.parametrize("x0, level, seed", [(0.4, 3.5, 9), (0.4, 3.5, 11),
+                                             (1.0, 4.0, 242), (1.0, 4.0, 743)])
+def test_guarded_steps_keep_every_mark_in_reach(x0, level, seed, monkeypatch):
+    cfg = SimConfig(dt=0.5, horizon=5.0, seed=seed, n_paths=1, watch_levels=(level,))
+    drawn = _uniform_draws(monkeypatch)
+    fast = simulate_ensemble(bessel3(), x0, cfg)
+    fast_draws = drawn[0]
+    monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every mark in reach
+    drawn[0] = 0
+    _assert_same_ensemble(fast, simulate_ensemble(bessel3(), x0, cfg))
+    assert drawn[0] == fast_draws
+    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)  # the guard fires: without it, absorbed
+    assert simulate_ensemble(bessel3(), x0, cfg).absorbed_at[0] == 0.0
+
+
+def test_a_mark_out_of_reach_costs_nothing(monkeypatch):
+    # BM on (0, 100) from 1, stopped at 2: no path comes near 100, so no
+    # step runs its bridge test, while 0 and 2 are crossed
+    streams = []
+    crossings = simulate._crossings
+
+    def recording(gap, a_dt, candidates, keys, step, stream):
+        streams.append(stream)
+        return crossings(gap, a_dt, candidates, keys, step, stream)
+
+    monkeypatch.setattr(simulate, "_crossings", recording)
+    cfg = SimConfig(dt=0.01, horizon=20.0, seed=3, n_paths=200, stop_levels=(2.0,))
+    res = simulate_ensemble(bm(0.0, 100.0), 1.0, cfg)
+    assert np.any(res.absorbed_at == 0.0) and np.any(res.final_values == 2.0)
+    assert rng.STREAM_BRIDGE_LOWER in streams and rng.STREAM_WATCH in streams
+    assert rng.STREAM_BRIDGE_UPPER not in streams
+
+
+def _crossings_by_exponent(gap, a_dt, candidates):
+    """The paths whose bridge crossing probability exceeds 1e-16, as the
+    crossing test selected them before its cut on gap: by the exponent,
+    formed on every path."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        expo = -2.0 * gap / a_dt
+    idx = (candidates & (expo > -37.0)).nonzero()[0]
+    return idx[np.exp(expo[idx]) > 1e-16]
+
+
+def test_crossings_cut_drops_no_draw(monkeypatch):
+    # gaps around the 1e-16 threshold (gap = 18.42 a dt), and zero,
+    # infinite and NaN gaps and step variances
+    a_dt = np.concatenate([np.full(4001, 0.01), np.full(4001, 3e-300), [0.0, 0.0, 1.0, 1.0]])
+    gap = np.concatenate([np.linspace(18.3, 18.6, 4001) * 0.01,
+                          np.linspace(18.3, 18.6, 4001) * 3e-300,
+                          [1.0, 0.0, math.inf, math.nan]])
+    candidates = np.ones(gap.size, dtype=bool)
+    candidates[::7] = False
+    drawn = []
+
+    def ones(keys, step, stream):  # record the keys drawn; no uniform is below 1
+        drawn.append(keys.copy())
+        return np.ones(keys.size)
+
+    monkeypatch.setattr(simulate.rng, "uniforms", ones)
+    keys = np.arange(gap.size, dtype=np.uint64)
+    expected = _crossings_by_exponent(gap, a_dt, candidates)
+    assert 0 < expected.size < candidates.sum()
+    with warnings.catch_warnings():  # the cut forms no exponent that overflows
+        warnings.simplefilter("error")
+        assert simulate._crossings(gap, a_dt, candidates, keys, 0, 1).size == 0
+        assert _same_bits(drawn[0], keys[expected])
+        drawn.clear()  # one step variance for all paths
+        expected = _crossings_by_exponent(gap[:4001], 0.01, candidates[:4001])
+        simulate._crossings(gap[:4001], 0.01, candidates[:4001], keys[:4001], 0, 1)
+        assert _same_bits(drawn[0], keys[expected])
 
 
 def _array_twin(spec: DiffusionSpec) -> DiffusionSpec:
