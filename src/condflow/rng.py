@@ -3,9 +3,11 @@
 Every draw is a pure function of (seed, path_index, step_index, stream), so a
 path's noise does not depend on how paths are batched or scheduled across
 workers, nor on how many steps one call draws.  There is no shared mutable
-generator state anywhere.  A call takes one step index, or a range of step
-indices and then returns one row per step; the simulator draws its step
-normals in such blocks of steps, and every row equals the one-step call.
+generator state anywhere.  A call takes one step index; or a range of step
+indices, and then returns one row per step; or an integer array of step
+indices, one per key.  The simulator draws its step normals in blocks of
+steps, and the bridge uniforms of a block with one step index per draw;
+every draw equals the one-step call.
 
 The mixer is the splitmix64 finalizer (two xor-shift/multiply rounds), applied
 twice: once to fold the step/stream counter, once to fold the per-path key.
@@ -91,24 +93,30 @@ def path_keys(seed: int, path_indices: np.ndarray) -> np.ndarray:
         return _mix64(s + np.asarray(path_indices, dtype=np.uint64) * _GAMMA)
 
 
-def _raw(keys: np.ndarray, steps: int | range, stream: int) -> np.ndarray:
+def _raw(keys: np.ndarray, steps: int | range | np.ndarray, stream: int) -> np.ndarray:
     """_mix64(keys + counter), with the mix's leading add folded into the
     counter and the rest done in place on one array.  For a range of steps
-    the counters form a column and the result has one row per step.
+    the counters form a column and the result has one row per step; for an
+    array of step indices each key gets its own counter.
 
     Array arithmetic on uint64 wraps modulo 2**64 without a warning, so no
     error-state context is needed here (only numpy scalar arithmetic warns).
     """
-    if isinstance(steps, range):
-        idx = np.arange(len(steps), dtype=np.uint64)
-        idx *= np.uint64(steps.step & _M64)
-        idx += np.uint64(steps.start & _M64)
+    if isinstance(steps, int):
+        c = np.uint64((_counter(steps, stream) + _GAMMA_INT) & _M64)
+    else:
+        if isinstance(steps, range):
+            idx = np.arange(len(steps), dtype=np.uint64)
+            idx *= np.uint64(steps.step & _M64)
+            idx += np.uint64(steps.start & _M64)
+        else:
+            idx = steps.astype(np.uint64)
         idx *= _GAMMA
         idx += np.uint64(stream & _M64)
-        c = _mix64(idx)[:, None]
+        c = _mix64(idx)
         c += _GAMMA
-    else:
-        c = np.uint64((_counter(steps, stream) + _GAMMA_INT) & _M64)
+        if isinstance(steps, range):
+            c = c[:, None]
     x = keys + c
     x ^= x >> _SHIFT_A
     x *= _MULT_A
@@ -118,9 +126,10 @@ def _raw(keys: np.ndarray, steps: int | range, stream: int) -> np.ndarray:
     return x
 
 
-def uniforms(keys: np.ndarray, steps: int | range, stream: int) -> np.ndarray:
+def uniforms(keys: np.ndarray, steps: int | range | np.ndarray, stream: int) -> np.ndarray:
     """Uniform(0,1) draws, one per key (one row per step for a range of
-    steps); never exactly 0 or 1."""
+    steps; for an array of step indices, key i at step steps[i]); never
+    exactly 0 or 1."""
     bits = _raw(keys, steps, stream)
     u = (bits >> _SHIFT_U).astype(np.float64)
     u *= _U64_INV

@@ -8,57 +8,74 @@ equal an m-path run.
 All paths run as one cohort in one thread.  The kernel holds the running
 paths in compacted arrays (value, key, index, per-level "not yet hit" flag,
 running time integral) and writes the full per-path arrays only when paths
-stop, at snapshot times and at the horizon, so a step costs work in
-proportion to the paths still running.  Step normals are drawn in blocks of
-steps, about 2**14 draws at a time: one step per block while many paths run,
-many steps per block in the sparse tail, so a step with few paths costs few
-numpy calls.  Because the draws are keyed, the block size changes no value;
-it only means that up to one block's draws of a path may go unused after it
-stops.
+stop, at snapshot times and at the horizon.  Its unit of work is a block of
+steps: R rows (steps) of the m running paths, with R m <= 2**14 when R > 1.
+That is one step per block while many paths run and many steps per block in
+the sparse tail; a block ends at the end of a dt_schedule phase.  A block
+draws its step normals in one call, forms the Euler proposals row by row,
+and then does its event work and its compaction once for all its rows, so a
+step with few paths costs few numpy calls.
 
-A step evaluates the drift b and the diffusion coefficient a once each, at
-the running values of all its paths.  A `Const` coefficient is read once per
-run instead, and one that returns a plain float is carried the same way: as
-one Python float broadcast over the paths.  A step with a constant a takes
-no reduction of a and forms sqrt(a) sqrt(dt) and a dt once, not per path; a
-constant b that cannot repel from a boundary skips the halving guard there.
-The square root and the products of a constant are the same IEEE
-operations as their per-element forms, so a constant changes no value.
+A row evaluates the drift b and the diffusion coefficient a once each, at
+the values of all the block's paths, and forms (x + b dt) + (sqrt(a)
+sqrt(dt)) z, the same IEEE operations in the same order whatever the block
+size.  A `Const` coefficient is read once per run instead, and one that
+returns a plain float is carried the same way: as one Python float broadcast
+over the paths.  A constant a takes no reduction and forms sqrt(a) sqrt(dt)
+and a dt once, not per path; a constant b that cannot repel from a boundary
+skips the halving guard there.  The square root and the products of a
+constant are the same IEEE operations as their per-element forms, so a
+constant changes no value.
+
+The rows of a block run on past a path's stop: a path that crosses a stop
+level on row j still gets rows j + 1 onward, which the event work never
+reads.  Two rules keep those rows harmless.  A path whose proposal reaches a
+boundary (within the clamp distance) or the cap is parked: for the rest of
+the block it holds the value it had before that row, so no coefficient is
+evaluated past its stop.  And a coefficient failure on a row after the
+block's first cuts the block there, before the failing row: the next block
+starts at that step with the paths still running.  Only a failure on a
+block's first row raises, so it names the first running path whose b or a
+is bad, and the step's t.  Because every draw is keyed, neither the block
+size nor a cut changes any value.
 
 Level crossings between grid points are recovered with the Brownian-bridge
 crossing probability exp(-2 (level-y0)(level-y1) / (a(y0) dt)), with the
 diffusion coefficient frozen at the step's left endpoint; detected hits are
 reported at the step's right endpoint.  A bridge uniform is drawn only where
-that probability exceeds 1e-16; draws are keyed by (path, step, stream), so
-the skipped ones change no other.  A crossing of both watched levels
-detected on the same step counts toward the upper level; such ties are
-counted and reported.
+that probability exceeds 1e-16, and only on a path's rows up to its first
+discrete stop (absorption, the cap or a stop level's crossing without the
+bridge): no later row of it is read.  The uniforms of one mark come from one
+call for all the block's rows, each keyed by its own (path, step, stream),
+so a draw on a row after the path's stop (a speculative draw) changes no
+other and no result.  A crossing of both watched levels detected on the same
+step counts toward the upper level; such ties are counted and reported.
 
-Most steps of a sparse tail have no event.  A step is quiet when the running
-values and the Euler proposals, taken as two ranges, sit strictly on one side
-of every finite boundary and of every level a running path can still cross
-(a watch level every running path has crossed drops out), with a bridge
-exponent at or below -37 between the nearest ends, and the proposals stay
-below the cap and more than the clamp distance inside the boundaries.  That bound covers every
-path, so a quiet step draws no bridge uniform and records no event; it skips
-the guards, crossing tests, event selection and compaction, and changes no
-value.  The test reads reductions the step takes anyway: min and max of the
-proposals (which also check the drift) and max a (which also checks the
-diffusion coefficient, and is a itself when a is constant); the range of the
-values is the previous step's proposal range.  On an eventful step the same
-proposal range skips the halving guard at a boundary and the cap test when no
-proposal reaches them.
+Most blocks of a sparse tail have no event.  A block is quiet when one range
+holding all its values and proposals sits strictly on one side of every
+finite boundary, of every level a running path can still cross (a watch
+level every running path has crossed drops out) and of the stop level of
+every regime some running path is in, with a bridge exponent at or below -37
+between the nearest ends, and the proposals stay below the cap and more than
+the clamp distance inside the boundaries.  That bound covers every row and
+path, so a quiet block draws no bridge uniform and records no event: it only
+moves the paths, and changes no value.  The range comes from reductions the
+rows take anyway: min and max of each row's proposals (which also check the
+drift; where the halving guard moved a proposal, the row's range is taken
+again) and max a (which also checks the diffusion coefficient, and is a
+itself when a is constant).  With constant coefficients and no guard to run,
+a block takes the range of all its proposals at once.
 
-An eventful step does work only at the marks some running path can reach.
+An eventful block does work only at the marks some path can reach in it.
 It applies the quiet test to each mark on its own (a finite boundary with
-the clamp distance, an interior watched level, or the regime's stop levels
-as one row), on the same value and proposal ranges; a mark that passes gets
-no flag array, no crossing test and no bridge uniform, and the event
-selection reads it as all-False.  That is exact for the reason a quiet step
-is.  One rule keeps the ranges honest: where the halving guard moved a
-proposal, the moved value lies in neither range, so on that step every mark
-is in reach, and the next step's value range is NaN, which puts every mark
-in reach again (and makes that step eventful).
+the clamp distance, an interior watched level, or the stop levels of the
+regimes the block's paths are in, as one row), on the same range; a mark
+that passes gets no flag array, no crossing test and no bridge uniform.  That
+is exact for the reason a quiet block is.  At a mark in reach, the discrete
+and bridge crossing tests run over the whole (R, m) array.  Each path's stop
+row is its first row with absorption, the cap or a stop level's crossing,
+found by argmax over the paths that have one; hits, ties, snapshots and the
+time integral are recorded from the rows up to it.
 
 Two guards keep singular drifts honest near a boundary the process cannot
 actually reach (for example the 1/y drift of an upward-conditioned process
@@ -205,48 +222,22 @@ def _phases(cfg: SimConfig) -> list[tuple[int, float]]:
     return phases
 
 
-def _propose(spec: DiffusionSpec, b, a, xa: np.ndarray, t: float, dt: float, sqrt_dt: float,
-             z: np.ndarray, pos: np.ndarray, first_id: int):
-    """The Euler proposal xa + b dt + sqrt(a dt) z at the running values.
-
-    `b` and `a` are the run's constant coefficients, or None to evaluate the
-    spec's at xa; an evaluated coefficient that returns one plain float is
-    carried as a float too.  Returns b, a (each a float or one value per
-    path), max a, the proposal and its min and max.  0 < a < inf is checked
-    before the step: by one comparison for a float, by two reductions for
-    an array.  A non-finite b leaves the proposal's range non-finite, so only
-    then is b checked (a finite b may still overflow the proposal, which is
-    no error).  A failure names the first path whose b or a is bad.
-    """
-    if b is None or a is None:
-        try:
-            if b is None:
-                b = _per_path(spec.drift(xa))
-            if a is None:
-                a = _per_path(spec.diffusion(xa))
-        except Exception as exc:
-            raise EvalDomainError(f"coefficient evaluation failed at t={t}: {exc}") from exc
-    if isinstance(a, float):
-        a_max = a
-        if not 0.0 < a < math.inf:
-            _coeff_failure(b, a, xa, t, pos, first_id)
-        noise = math.sqrt(a) * sqrt_dt * z
-    else:
-        a_max = float(a.max())
-        if not (a.min() > 0.0 and a_max < math.inf):
-            _coeff_failure(b, a, xa, t, pos, first_id)
-        noise = np.sqrt(a) * sqrt_dt * z
-    prop = xa + b * dt + noise
-    p_lo, p_hi = float(prop.min()), float(prop.max())
-    if not (-math.inf < p_lo and p_hi < math.inf) and not np.isfinite(b).all():
-        _coeff_failure(b, a, xa, t, pos, first_id)
-    return b, a, a_max, prop, p_lo, p_hi
-
-
 def _per_path(values):
     """A coefficient's values as float64, one plain float standing for all paths."""
     values = np.asarray(values, dtype=np.float64)
     return float(values) if values.ndim == 0 else values
+
+
+def _per_row(rows: list, m: int):
+    """A coefficient's values on each row of a block, each a float or one
+    value per running path (see `_per_path`), as one (rows, m) array; a
+    one-row block's values as they are, which broadcast over its one row."""
+    if len(rows) == 1:
+        return rows[0]
+    out = np.empty((len(rows), m))
+    for i, values in enumerate(rows):
+        out[i] = values
+    return out
 
 
 def _any(flags) -> bool:
@@ -256,8 +247,19 @@ def _any(flags) -> bool:
 
 
 def _at(coeff, idx):
-    """A coefficient (a float or one value per path) at the paths `idx`."""
-    return coeff if isinstance(coeff, float) else coeff[idx]
+    """A coefficient (a float, or values on a row or a block of rows) at the
+    flat indices `idx`."""
+    return coeff if isinstance(coeff, float) else coeff.ravel()[idx]
+
+
+def _lower(lo: float, value: float) -> float:
+    """min(lo, value), NaN if either is."""
+    return lo if lo <= value or lo != lo else value
+
+
+def _upper(hi: float, value: float) -> float:
+    """max(hi, value), NaN if either is."""
+    return hi if hi >= value or hi != hi else value
 
 
 def _coeff_failure(b, a, xa, t, pos, first_id):
@@ -269,8 +271,8 @@ def _coeff_failure(b, a, xa, t, pos, first_id):
 
 def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap: float,
            marks: list[float], l: float, r: float) -> bool:
-    """True when a step from values in [x_lo, x_hi] to proposals in
-    [p_lo, p_hi], with step variance a dt at most `a_dt`, holds no event.
+    """True when steps from values in [x_lo, x_hi] to proposals in
+    [p_lo, p_hi], with step variance a dt at most `a_dt`, hold no event.
 
     That is so when every proposal stays below the cap and more than
     _BOUNDARY_CLAMP inside l and r, and each mark (a watched level or a finite
@@ -278,7 +280,7 @@ def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap:
     bridge exponent -2 gap / a_dt at or below -37.  Rounding is monotone, so
     every path's exponent is then at or below -37 too: `_crossings` finds no
     candidate, no uniform is drawn and no flag changes.  A NaN fails every
-    comparison and so makes the step eventful.
+    comparison and so makes the steps eventful.
     """
     if not (p_hi < cap and l - p_lo < -_BOUNDARY_CLAMP and p_hi - r < -_BOUNDARY_CLAMP
             and a_dt > 0.0):
@@ -296,17 +298,17 @@ def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap:
 
 
 def _near(span, levels: list[float], l: float = -math.inf, r: float = math.inf) -> bool:
-    """Whether an eventful step may hold an event at `levels`: `_quiet` on
+    """Whether an eventful block may hold an event at `levels`: `_quiet` on
     those marks alone, with no cap, and with the clamp distance at l or r
-    for a boundary mark.  `span` is the step's (x_lo, x_hi, p_lo, p_hi,
-    a_dt), or None where the halving guard moved values out of its ranges."""
-    return span is None or not _quiet(*span, math.inf, levels, l, r)
+    for a boundary mark.  `span` is the block's (x_lo, x_hi, p_lo, p_hi,
+    a_dt)."""
+    return not _quiet(*span, math.inf, levels, l, r)
 
 
 def _regime(crossed: list[np.ndarray]) -> np.ndarray:
     """Per path, how many of the levels, taken in order, it has crossed: a
     level counts only once every level before it has.  `crossed` holds one
-    flag array per level, at least one."""
+    flag array per level, at least one, all of one shape."""
     so_far = crossed[0]
     regime = so_far.astype(np.intp)
     for flags in crossed[1:]:
@@ -315,29 +317,67 @@ def _regime(crossed: list[np.ndarray]) -> np.ndarray:
     return regime
 
 
+def _first_rows(flags: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The paths on which any of `flags` (each one row per step, one column
+    per path) holds, and for each its first such row.  The argmax runs only
+    over those paths."""
+    event = flags[0]
+    for more in flags[1:]:
+        event = event | more
+    if len(event) == 1:
+        cols = event[0].nonzero()[0]
+        return cols, np.zeros(cols.size, dtype=np.intp)
+    cols = event.any(axis=0).nonzero()[0]
+    return cols, event[:, cols].argmax(axis=0)
+
+
+def _gaps(start: np.ndarray, props: np.ndarray, level) -> np.ndarray:
+    """(y0 - level)(y1 - level) on each step of a block: y1 is a row of
+    `props` and y0 the row before it (`start` for the first).  `level` is a
+    float, one value per path, or one per step and path.  Each step's
+    y0 - level is the step before's y1 - level, so it is formed once.  The
+    product equals (level - y0)(level - y1), but for the sign of a zero."""
+    ahead = props - level
+    gap = np.empty_like(ahead)
+    per_step = isinstance(level, np.ndarray) and level.ndim == 2
+    np.multiply(start - (level[0] if per_step else level), ahead[0], out=gap[0])
+    if len(gap) > 1:
+        behind = props[:-1] - level[1:] if per_step else ahead[:-1]
+        np.multiply(behind, ahead[1:], out=gap[1:])
+    return gap
+
+
 def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
                stream: int) -> np.ndarray:
-    """Indices of the `candidates` whose Brownian bridge crosses a level
+    """Flat indices of the `candidates` whose Brownian bridge crosses a level
     between two grid values y0 and y1.
 
-    `gap` is (level - y0)(level - y1) and `a_dt` the step variance a(y0) dt,
-    per path or scalar; the crossing probability is exp(-2 gap / (a dt)).
-    Without candidates it returns at once.  The exponent and exp are formed
-    only where gap < 18.5 a dt, and a uniform is drawn only where the
-    probability exceeds 1e-16, which needs gap < 18.42 a dt; so the cut drops
-    no draw.  As under a test of the exponent, a positive gap over a zero
-    a dt, and a gap of +inf or NaN, make no candidate.  Draws are keyed by
-    (path, step, stream), so skipping the others changes no draw.
+    `gap` and `candidates` hold one row per step from `step` on (or just one
+    step's row) and one column per key; `gap` is (level - y0)(level - y1) and
+    `a_dt` the step variance a(y0) dt, of the same shape or scalar; the
+    crossing probability is exp(-2 gap / (a dt)).  Without candidates it
+    returns at once.  The exponent and exp are formed only where
+    gap < 18.5 a dt, and a uniform is drawn only where the probability
+    exceeds 1e-16, which needs gap < 18.42 a dt; so the cut drops no draw.
+    As under a test of the exponent, a positive gap over a zero a dt, and a
+    gap of +inf or NaN, make no candidate.  All the uniforms come from one
+    call, each keyed by its (path, step, stream), so skipping the others
+    changes no draw.
     """
     if not candidates.any():
-        return candidates.nonzero()[0]
-    idx = (candidates & (gap < 18.5 * a_dt)).nonzero()[0]
+        return _NO_PATHS
+    idx = (candidates & (gap < 18.5 * a_dt)).ravel().nonzero()[0]
     if idx.size:
-        p = np.exp(-2.0 * gap[idx] / _at(a_dt, idx))
+        p = np.exp(-2.0 * gap.ravel()[idx] / _at(a_dt, idx))
         live = p > 1e-16
         idx, p = idx[live], p[live]
         if idx.size:
-            idx = idx[rng.uniforms(keys[idx], step, stream) < p]
+            if gap.ndim == 1 or len(gap) == 1:
+                u = rng.uniforms(keys[idx], step, stream)
+            else:
+                row, col = np.divmod(idx, keys.size)
+                u = rng.uniforms(keys[col], step + row, stream)
+            idx = idx[u < p]
     return idx
 
 
@@ -370,12 +410,22 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     is recorded for L_r.
     """
     l, r = spec.interval.l, spec.interval.r
-    b_fix, a_fix = const_value(spec.drift), const_value(spec.diffusion)  # None: per step
+    b_fix, a_fix = const_value(spec.drift), const_value(spec.diffusion)  # None: per row
+    evaluated = b_fix is None or a_fix is None
+    # a bad constant fails the first step, naming the first path
+    bad_const = not ((a_fix is None or 0.0 < a_fix < math.inf)
+                     and (b_fix is None or math.isfinite(b_fix)))
     watch = _watched(cfg)
     # (value, is the upper end, bridge stream) of each finite boundary
     boundaries = [(boundary, upper, stream) for boundary, upper, stream in
                   ((l, False, rng.STREAM_BRIDGE_LOWER), (r, True, rng.STREAM_BRIDGE_UPPER))
                   if math.isfinite(boundary)]
+    # the halving guard's boundaries: a constant drift that does not repel
+    # from a boundary never needs it there
+    guarded = [(boundary, upper) for boundary, upper, _stream in boundaries
+               if b_fix is None or (b_fix < 0.0 if upper else b_fix > 0.0)]
+    # the coefficient checks, the guard and parking need each row's range
+    per_row = evaluated or bool(guarded)
     # watch levels sitting on an absorbing boundary share its crossing events
     interior = [level for level in watch if level != l and level != r]
     watch_stream = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)}
@@ -387,15 +437,9 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     # so the lower boundary wins a same-step tie
     from_top = boundaries[::-1]
     ends = [boundary for boundary, _upper, _stream in from_top]
-    # the regime's stop level, per running path
     table = np.asarray(levels_by_regime, dtype=np.float64)
     n_switch = len(levels_by_regime) - 1
     regime_stream = rng.STREAM_WATCH + len(watch)
-    regime_levels = list(levels_by_regime)
-    # a quiet step keeps clear of the interior levels some running path has
-    # yet to hit, the finite boundaries and the regimes' stop levels
-    watching = [True] * len(interior)
-    marks = interior + ends + regime_levels
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
@@ -419,208 +463,395 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     unhit = [None if level in cfg.stop_levels else np.full(pos.size, level != x0)
              for level in interior]
     tint_a = np.zeros(pos.size) if tint is not None else None
-    stop_at = np.full(pos.size, table[0]) if levels_by_regime else None
+    # each running path's regime; its stop level is table[regime]
+    regime = None
+    if levels_by_regime:
+        regime = (_regime([~flags for flags in unhit[:n_switch]]) if n_switch
+                  else np.zeros(pos.size, dtype=np.intp))
+    # a quiet block keeps clear of the interior levels some running path has
+    # yet to hit, the finite boundaries and the stop levels of the regimes
+    # some running path is in
+    watching = [True] * len(interior)
+    regime_levels = [] if regime is None else table[np.unique(regime)].tolist()
+    marks = interior + ends + regime_levels
     x_lo = x_hi = float(x0)  # the range of xa, as far as _quiet needs it
-
-    all_phases = _phases(cfg)
-    total_steps = sum(ns for ns, _ in all_phases)
-
-    # step normals of the running paths, one row per step of the current block;
-    # column zcol[i] of a row belongs to running path i (None: the identity)
-    z_block = np.empty((0, 0))
-    z_row = 0
-    zcol = None
 
     t = 0.0
     k = 0  # global step index, the RNG counter
     snap_i = 0
-    for n_steps, dt in all_phases:
+    for n_steps, dt in _phases(cfg):
         sqrt_dt = math.sqrt(dt)
-        for _ in range(n_steps):
-            if not pos.size:
-                break
-            t_next = t + dt
-            if z_row == len(z_block):
-                rows = min(max(1, _BLOCK_DRAWS // pos.size), total_steps - k)
-                z_block = rng.normals(keys, range(k, k + rows), rng.STREAM_STEP_NORMAL)
-                z_row = 0
-                zcol = None
-            z = z_block[z_row] if zcol is None else z_block[z_row, zcol]
-            z_row += 1
-            b, a, a_max, prop, p_lo, p_hi = _propose(spec, b_fix, a_fix, xa, t, dt, sqrt_dt, z,
-                                                     pos, first_id)
-            if tint_a is not None:
-                tint_a += xa * dt
-
-            # a quiet step has no event: it only moves the paths; an eventful
-            # one tests the marks on the same ranges one by one
-            span = (x_lo, x_hi, p_lo, p_hi, a_max * dt)
-            if _quiet(*span, cfg.cap, marks, l, r):
-                xa, x_lo, x_hi = prop, p_lo, p_hi
-            else:
-                # the proposals' range holds the next values of the running
-                # paths unless the halving guard moves some
-                x_lo, x_hi = p_lo, p_hi
-
-                # halving guard at boundaries the drift repels from; it has
-                # nothing to do where the proposals' range shows none past the
-                # boundary (a NaN range goes on) or the drift repels on no path
-                for boundary, upper, _stream in boundaries:
-                    if (p_hi - boundary if upper else boundary - p_lo) <= _BOUNDARY_CLAMP:
-                        continue
-                    repels = b < 0.0 if upper else b > 0.0
-                    if not _any(repels):
-                        continue
-                    over = prop - boundary if upper else boundary - prop
-                    fix = over > _BOUNDARY_CLAMP
-                    fix &= repels
-                    sub = fix.nonzero()[0]
-                    if sub.size:
-                        # the moved values leave both ranges: every mark is in
-                        # reach on this step, and by the NaN range on the next
-                        span = None
-                        x_lo = x_hi = math.nan
-                    h = dt
-                    for _halving in range(_MAX_HALVINGS):
-                        if not sub.size:
+        left = n_steps
+        while left and pos.size:
+            # a block: up to n_rows steps of the m running paths, with
+            # n_rows m <= _BLOCK_DRAWS unless it is one step
+            m = pos.size
+            n_rows = min(max(1, _BLOCK_DRAWS // m), left)
+            z = rng.normals(keys, range(k, k + n_rows), rng.STREAM_STEP_NORMAL)
+            noise = None  # the steps' noise when a is constant
+            if a_fix is not None and not bad_const:
+                # the guard alone reads the normals after this
+                noise = np.multiply(z, math.sqrt(a_fix) * sqrt_dt, out=None if guarded else z)
+            # row i holds the proposals of the block's step i, which step
+            # i + 1 starts from
+            props = np.empty((n_rows, m))
+            x = xa
+            b_rows, a_rows = [], []  # evaluated coefficients, per row
+            a_max = 0.0 if a_fix is None else a_fix
+            lo, hi = x_lo, x_hi      # the range of every value and proposal so far
+            # paths whose proposal reached a boundary or the cap hold their
+            # value from before that row: (row, paths, proposals) and the holds
+            parks = []
+            held_at, held = _NO_PATHS, np.empty(0)
+            t_end = []       # the time at the end of each row
+            snap_rows = []   # (snapshot index, row)
+            done = n_rows    # rows run: a coefficient failure cuts the block
+            for i in range(n_rows):
+                prop = props[i]
+                b, a = b_fix, a_fix
+                if evaluated:
+                    try:
+                        if b is None:
+                            b = _per_path(spec.drift(x))
+                        if a is None:
+                            a = _per_path(spec.diffusion(x))
+                    except Exception as exc:
+                        if i:
+                            done = i
                             break
-                        h *= 0.5
-                        prop[sub] = (xa[sub] + _at(b, sub) * h
-                                     + np.sqrt(_at(a, sub) * h) * z[sub])
-                        over = prop[sub] - boundary if upper else boundary - prop[sub]
-                        sub = sub[over > _BOUNDARY_CLAMP]
-                    if sub.size:
-                        prop[sub] = boundary  # give up: absorb there
+                        raise EvalDomainError(
+                            f"coefficient evaluation failed at t={t}: {exc}") from exc
+                if bad_const:
+                    _coeff_failure(b, a, x, t, pos, first_id)
+                if a_fix is None:
+                    if isinstance(a, float):
+                        a_hi, a_ok = a, 0.0 < a < math.inf
+                    else:
+                        a_hi = float(a.max())
+                        a_ok = a.min() > 0.0 and a_hi < math.inf
+                    if not a_ok:
+                        if i:
+                            done = i
+                            break
+                        _coeff_failure(b, a, x, t, pos, first_id)
+                    a_max = max(a_max, a_hi)
+                    root = math.sqrt(a) if isinstance(a, float) else np.sqrt(a)
+                    row_noise = root * sqrt_dt * z[i]
+                else:
+                    row_noise = noise[i]
+                np.add(x, b * dt, out=prop)
+                prop += row_noise
 
-                # boundary absorption (discrete overshoot or bridge crossing):
-                # flags at each finite boundary in reach; the bridge test is
-                # skipped where the drift repels
-                a_dt = a * dt
+                if per_row:
+                    if held_at.size:
+                        prop[held_at] = held
+                    p_lo, p_hi = float(prop.min()), float(prop.max())
+                    # a non-finite b leaves the range non-finite, so only
+                    # then is b checked (a finite b may overflow, which is
+                    # no error)
+                    if not (-math.inf < p_lo and p_hi < math.inf) and not np.isfinite(b).all():
+                        if i:
+                            done = i
+                            break
+                        _coeff_failure(b, a, x, t, pos, first_id)
+
+                    # halving guard at boundaries the drift repels from; it
+                    # has nothing to do where the row's range shows no
+                    # proposal past the boundary or the drift repels on no path
+                    for boundary, upper in guarded:
+                        if (p_hi - boundary if upper else boundary - p_lo) <= _BOUNDARY_CLAMP:
+                            continue
+                        repels = b < 0.0 if upper else b > 0.0
+                        if not _any(repels):
+                            continue
+                        over = prop - boundary if upper else boundary - prop
+                        fix = over > _BOUNDARY_CLAMP
+                        fix &= repels
+                        sub = fix.nonzero()[0]
+                        moved = sub.size > 0
+                        h = dt
+                        for _halving in range(_MAX_HALVINGS):
+                            if not sub.size:
+                                break
+                            h *= 0.5
+                            prop[sub] = (x[sub] + _at(b, sub) * h
+                                         + np.sqrt(_at(a, sub) * h) * z[i, sub])
+                            over = prop[sub] - boundary if upper else boundary - prop[sub]
+                            sub = sub[over > _BOUNDARY_CLAMP]
+                        if sub.size:
+                            prop[sub] = boundary  # give up: absorb there
+                        if moved:  # the row's range holds the moved values
+                            p_lo, p_hi = float(prop.min()), float(prop.max())
+
+                    # parking: a proposal at a boundary or the cap stops its
+                    # path on this row, so no later row evaluates there
+                    if evaluated:
+                        reach = prop >= cfg.cap if p_hi >= cfg.cap else None
+                        for boundary, upper, _stream in boundaries:
+                            if (p_hi - boundary if upper else boundary - p_lo) >= -_BOUNDARY_CLAMP:
+                                over = prop - boundary if upper else boundary - prop
+                                at_end = over >= -_BOUNDARY_CLAMP
+                                reach = at_end if reach is None else reach | at_end
+                        if reach is not None:
+                            reach[held_at] = False
+                            new = reach.nonzero()[0]
+                            if new.size:
+                                parks.append((i, new, prop[new]))
+                                prop[new] = x[new]
+                                held_at = np.concatenate((held_at, new))
+                                held = np.concatenate((held, x[new]))
+                    lo, hi = _lower(lo, p_lo), _upper(hi, p_hi)
+                    row_lo, row_hi = p_lo, p_hi
+
+                if b_fix is None:
+                    b_rows.append(b)
+                if a_fix is None:
+                    a_rows.append(a)
+                x = prop
+                t += dt
+                t_end.append(t)
+                while snap_i < len(snap_times) and t >= snap_times[snap_i] - _TIME_SLACK:
+                    snap_rows.append((snap_i, i))
+                    snap_i += 1
+
+            z = noise = None  # no longer needed: free them before the event work
+            k0 = k
+            k += done
+            left -= done
+            props = props[:done]
+            for i, new, values in parks:
+                props[i, new] = values
+            if per_row:
+                x_lo, x_hi = row_lo, row_hi
+            else:
+                p_lo, p_hi = float(props.min()), float(props.max())
+                lo, hi = _lower(lo, p_lo), _upper(hi, p_hi)
+                x_lo, x_hi = ((p_lo, p_hi) if done == 1
+                              else (float(props[-1].min()), float(props[-1].max())))
+            acc = None  # the running time integral after each row
+            if tint_a is not None:
+                acc = np.empty((done, m))
+                np.multiply(xa, dt, out=acc[0])
+                np.multiply(props[:-1], dt, out=acc[1:])
+                acc[0] += tint_a
+                np.add.accumulate(acc, axis=0, out=acc)
+
+            # a quiet block has no event: it only moves the paths; an eventful
+            # one tests the marks on the same range one by one
+            span = (lo, hi, lo, hi, a_max * dt)
+            stopping = _NO_PATHS  # the paths that stop in the block, and their stop rows
+            last = None           # each path's stop row, done if it runs on
+            firsts = {}
+            if not _quiet(*span, cfg.cap, marks, l, r):
+                a_dt = None
+                if cfg.bridge_correction:
+                    a_dt = a_fix * dt if a_fix is not None else _per_row(a_rows, m) * dt
+
+                # the discrete tests: boundary absorption at each finite
+                # boundary in reach, the cap where the range reaches it, and
+                # crossings of the interior watched levels in reach
                 absorb = []
                 for boundary, upper, stream in from_top:
                     clamped = (-math.inf, boundary) if upper else (boundary, math.inf)
-                    if not _near(span, [boundary], *clamped):
-                        continue
-                    over = prop - boundary if upper else boundary - prop
-                    crossed = over >= -_BOUNDARY_CLAMP
-                    if cfg.bridge_correction:
-                        toward = b >= 0.0 if upper else b <= 0.0
-                        if _any(toward):
-                            toward = toward & ~crossed
-                            gap = (boundary - xa) * (boundary - prop)
-                            crossed[_crossings(gap, a_dt, toward, keys, k, stream)] = True
-                    absorb.append((boundary, crossed))
-
-                # interior watched levels in reach, by their index j, and the
-                # regime's stop level (j = None): discrete or bridge crossings
+                    if _near(span, [boundary], *clamped):
+                        # props - boundary is the negation of the overshoot at
+                        # the lower end
+                        crossed = ((props - boundary) >= -_BOUNDARY_CLAMP if upper
+                                   else (props - boundary) <= _BOUNDARY_CLAMP)
+                        absorb.append((boundary, upper, stream, crossed))
+                over_cap = None if hi < cfg.cap else props >= cfg.cap
                 cross = []
                 for j, level in enumerate(interior):
                     if not (watching[j] and _near(span, [level])):
                         continue
-                    gap = (xa - level) * (prop - level)
+                    gap = _gaps(xa, props, level)
                     crossed = gap <= 0.0
                     if unhit[j] is not None:
                         crossed &= unhit[j]
-                    if cfg.bridge_correction:
+                    cross.append((j, gap, crossed))
+
+                # the flags that stop a path; the bridge tests below add theirs
+                # in place
+                stops = ([crossed for *_mark, crossed in absorb]
+                         + [crossed for j, _gap, crossed in cross if unhit[j] is None]
+                         + ([] if over_cap is None else [over_cap]))
+                if cfg.bridge_correction:
+                    # rows after a path's first discrete stop are never read,
+                    # so they draw no bridge uniform
+                    live = None
+                    if done > 1 and stops:
+                        cols, at = _first_rows(stops)
+                        if cols.size:
+                            first_stop = np.full(m, done)
+                            first_stop[cols] = at
+                            live = np.arange(done)[:, None] <= first_stop
+
+                    # bridge crossings; the boundary test is skipped where the
+                    # drift repels
+                    bs = b_fix if b_fix is not None else (_per_row(b_rows, m) if absorb else None)
+                    for boundary, upper, stream, crossed in absorb:
+                        toward = bs >= 0.0 if upper else bs <= 0.0
+                        if _any(toward):
+                            toward = toward & ~crossed
+                            if live is not None:
+                                toward &= live
+                            gap = _gaps(xa, props, boundary)
+                            crossed.flat[_crossings(gap, a_dt, toward, keys, k0, stream)] = True
+                    for j, gap, crossed in cross:
                         maybe = ~crossed if unhit[j] is None else unhit[j] & ~crossed
+                        if live is not None:
+                            maybe &= live
                         stream = interior_streams[j]
-                        crossed[_crossings(gap, a_dt, maybe, keys, k, stream)] = True
-                    cross.append((j, crossed))
-                if stop_at is not None and _near(span, regime_levels):
-                    gap = (xa - stop_at) * (prop - stop_at)
-                    crossed = gap <= 0.0
-                    if cfg.bridge_correction:
-                        crossed[_crossings(gap, a_dt, ~crossed, keys, k, regime_stream)] = True
-                    cross.append((None, crossed))
+                        crossed.flat[_crossings(gap, a_dt, maybe, keys, k0, stream)] = True
 
-                # a step's events: absorption, cap exceedance, level crossings;
-                # the cap is tested only where the proposals' max (or a NaN)
-                # reaches it
-                over_cap = None if p_hi < cfg.cap else prop >= cfg.cap
-                event = over_cap
-                for _mark, crossed in absorb + cross:
-                    event = crossed if event is None else event | crossed
+                # first crossings of the levels that do not stop a path
+                for j, _gap, crossed in cross:
+                    if unhit[j] is not None:
+                        cols, at = _first_rows([crossed])
+                        if cols.size:
+                            firsts[j] = (cols, at)
 
-                stopping = None
-                switched = False
-                sel = _NO_PATHS if event is None else event.nonzero()[0]
-                if sel.size:
-                    ps = pos[sel]
-                    ended = [(boundary, crossed[sel]) for boundary, crossed in absorb]
-                    absorbed_now = np.zeros(sel.size, dtype=bool)
+                # the regime's stop level, per row once a path switches in
+                # the block; only the levels of regimes a running path is in
+                # can be in reach
+                regime_hit = None
+                if regime is not None:
+                    stop_at = table[regime]
+                    in_play = regime_levels
+                    switches = [j for j in firsts if j < n_switch]
+                    if switches:
+                        now, then = [], []
+                        rows = np.arange(done)[:, None]
+                        for j in range(n_switch):
+                            first_row = np.full(m, done)
+                            if j in switches:
+                                cols, at = firsts[j]
+                                first_row[cols] = at
+                            before = ~unhit[j]
+                            now.append(before | (first_row < rows))
+                            then.append(before | (first_row < done))
+                        row_regime = _regime(now)
+                        stop_at = table[row_regime]
+                        end_regime = _regime(then)
+                        in_play = [level for q, level in enumerate(levels_by_regime)
+                                   if np.any((regime <= q) & (q <= end_regime))]
+                    if _near(span, in_play):
+                        gap = _gaps(xa, props, stop_at)
+                        regime_hit = gap <= 0.0
+                        if cfg.bridge_correction:
+                            maybe = ~regime_hit
+                            if live is not None:
+                                maybe &= live
+                            regime_hit.flat[_crossings(gap, a_dt, maybe, keys, k0,
+                                                       regime_stream)] = True
+
+                # each path's stop row: its first row with absorption, the cap
+                # or a stop level's crossing
+                if regime_hit is not None:
+                    stops.append(regime_hit)
+                if stops:
+                    stopping, s = _first_rows(stops)
+                if stopping.size and (firsts or snap_rows):
+                    last = np.full(m, done)
+                    last[stopping] = s
+                if stopping.size or firsts:
+                    t_end = np.asarray(t_end)
+                tie_events = []
+                if stopping.size:
+                    ps = pos[stopping]
+                    t_stop = t_end[s]
+                    ended = [(boundary, crossed[s, stopping])
+                             for boundary, _upper, _stream, crossed in absorb]
+                    absorbed_now = np.zeros(stopping.size, dtype=bool)
                     for _boundary, flags in ended:
                         absorbed_now |= flags
-                    capped = (np.zeros(sel.size, dtype=bool) if over_cap is None
-                              else over_cap[sel] & ~absorbed_now)
-                    hits = {j: crossed[sel] for j, crossed in cross}
+                    capped = (np.zeros(stopping.size, dtype=bool) if over_cap is None
+                              else over_cap[s, stopping] & ~absorbed_now)
+                    fired = {j: crossed[s, stopping] for j, _gap, crossed in cross
+                             if unhit[j] is None}
                     n_events = absorbed_now.astype(np.int64) + capped
-                    for fired in hits.values():
-                        n_events += fired
-                    tie_count += int(np.count_nonzero(n_events >= 2))
+                    for flags in fired.values():
+                        n_events += flags
+                    if regime_hit is not None:
+                        regime_fired = regime_hit[s, stopping]
+                        n_events += regime_fired
+                    tie_events.append(np.repeat(s * m + stopping, n_events))
 
-                    # first-crossing times (boundary-sitting levels follow absorption)
-                    for j, fired in hits.items():
-                        if j is not None and fired.any():
-                            hit_t[interior[j]][ps[fired]] = t_next
-                            if unhit[j] is not None:
-                                unhit[j][sel[fired]] = False
-                                switched |= j < n_switch
+                    # hit times (boundary-sitting levels follow absorption)
+                    for j, flags in fired.items():
+                        hit_t[interior[j]][ps[flags]] = t_stop[flags]
                     for boundary, flags in ended:
                         if boundary in hit_t:
-                            hit_t[boundary][ps[flags]] = t_next
+                            hit_t[boundary][ps[flags]] = t_stop[flags]
 
-                    # stopping: absorption, cap and stop levels (upper level wins ties)
+                    # the stop: absorption, cap and stop levels (upper level
+                    # wins ties), then the regime's level
                     claimed = absorbed_now | capped
-                    val = prop[sel]
+                    val = props[s, stopping]
                     for j in stop_desc:
-                        if j in hits:
-                            newly = hits[j] & ~claimed
+                        if j in fired:
+                            newly = fired[j] & ~claimed
                             val[newly] = interior[j]
                             claimed |= newly
-                    if None in hits:
-                        newly = hits[None] & ~claimed
-                        val[newly] = stop_at[sel[newly]]
-                        claimed |= newly
+                    if regime_hit is not None:
+                        newly = regime_fired & ~claimed
+                        at_level = stop_at[stopping] if stop_at.ndim == 1 else stop_at[s, stopping]
+                        val[newly] = at_level[newly]
                     absorbed_val = np.where(capped, math.inf, np.nan)
                     for boundary, flags in ended:
                         val[flags] = boundary
                         absorbed_val[flags] = boundary
-                    if claimed.any():
-                        stopping = sel[claimed]
-                        ps = ps[claimed]
-                        val = val[claimed]
-                        final[ps] = val
-                        stop_t[ps] = t_next
-                        absorbed[ps] = absorbed_val[claimed]
-                        if tint is not None:
-                            tint[ps] = tint_a[stopping]
+                    final[ps] = val
+                    stop_t[ps] = t_stop
+                    absorbed[ps] = absorbed_val
+                    if tint is not None:
+                        tint[ps] = acc[s, stopping]
 
-                # every proposal left running lies inside (l + clamp, r - clamp)
-                # or is NaN
-                xa = prop
+                # first crossings of the other levels, up to the path's stop
+                switched = False
+                for j, (cols, at) in firsts.items():
+                    if last is not None:
+                        up_to_stop = at <= last[cols]
+                        cols, at = cols[up_to_stop], at[up_to_stop]
+                    hit_t[interior[j]][pos[cols]] = t_end[at]
+                    unhit[j][cols] = False
+                    switched |= j < n_switch
+                    tie_events.append(at * m + cols)
+                if len(tie_events) > 1:
+                    _flat, counts = np.unique(np.concatenate(tie_events), return_counts=True)
+                    tie_count += int(np.count_nonzero(counts >= 2))
+                elif stopping.size:
+                    tie_count += int(np.count_nonzero(n_events >= 2))
                 if switched:
-                    stop_at = table[_regime([~flags for flags in unhit[:n_switch]])]
-                if stopping is not None:
-                    keep = np.ones(pos.size, dtype=bool)
-                    keep[stopping] = False
-                    pos, keys, xa = pos[keep], keys[keep], xa[keep]
-                    unhit = [flag if flag is None else flag[keep] for flag in unhit]
-                    if tint_a is not None:
-                        tint_a = tint_a[keep]
-                    if stop_at is not None:
-                        stop_at = stop_at[keep]
-                    if z_row < len(z_block):
-                        zcol = keep.nonzero()[0] if zcol is None else zcol[keep]
-                if sel.size:  # hits and stops may have cleared a level's last flag
-                    watching = [flags is None or flags.any() for flags in unhit]
-                    marks = ([level for level, w in zip(interior, watching) if w]
-                             + ends + regime_levels)
+                    regime = _regime([~flags for flags in unhit[:n_switch]])
 
-            t = t_next
-            k += 1
-            while snap_i < len(snap_times) and t >= snap_times[snap_i] - _TIME_SLACK:
-                snaps[snap_i][pos] = xa
-                snap_i += 1
+            # snapshots: the rows' values of the paths not yet stopped there
+            if snap_rows:
+                idx, at = np.array(snap_rows).T
+                values = props[at]
+                if last is not None:
+                    values = np.where(last > at[:, None], values, np.nan)
+                snaps[np.ix_(idx, pos)] = values
+
+            xa = props[-1]
+            if acc is not None:
+                tint_a = acc[-1]
+            if stopping.size:
+                keep = np.ones(m, dtype=bool)
+                keep[stopping] = False
+                pos, keys, xa = pos[keep], keys[keep], xa[keep]
+                unhit = [flags if flags is None else flags[keep] for flags in unhit]
+                if tint_a is not None:
+                    tint_a = tint_a[keep]
+                if regime is not None:
+                    regime = regime[keep]
+            if stopping.size or firsts:
+                # stops and hits may have cleared a level's last flag or a regime
+                watching = [flags is None or flags.any() for flags in unhit]
+                if regime is not None:
+                    regime_levels = table[np.unique(regime)].tolist()
+                marks = ([level for level, w in zip(interior, watching) if w]
+                         + ends + regime_levels)
 
     truncated = np.zeros(n, dtype=bool)
     truncated[pos] = True

@@ -165,10 +165,22 @@ def test_quiet_steps_change_no_tilde_byte(monkeypatch):
         return answers[-1]
 
     monkeypatch.setattr(simulate, "_quiet", recording)
-    fast = run_tilde_ensemble(cfg)
+    # at the default block size, and with one step per block, where the
+    # predicate both declines and fires on steps
+    runs = []
+    for block_draws in (simulate._BLOCK_DRAWS, 1):
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block_draws)
+        answers.clear()
+        runs.append((block_draws, run_tilde_ensemble(cfg)))
     assert any(answers) and not all(answers)
-    monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every step eventful
-    slow = run_tilde_ensemble(cfg)
+    _assert_same_tilde(runs[0][1], runs[1][1])
+    monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every block eventful
+    for block_draws, fast in runs:
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block_draws)
+        _assert_same_tilde(fast, run_tilde_ensemble(cfg))
+
+
+def _assert_same_tilde(fast: TildeEnsemble, slow: TildeEnsemble) -> None:
     pairs = [(getattr(fast.run, f.name), getattr(slow.run, f.name), f.name)
              for f in fields(EnsembleResult)]
     pairs += [(getattr(fast, f.name), getattr(slow, f.name), f.name)

@@ -88,3 +88,21 @@ def test_draws_raise_no_warning():
         for steps in (0, 2**64 - 1, range(2**64 - 2, 2**64 + 2)):
             rng.uniforms(keys, steps, rng.STREAM_BRIDGE_UPPER)
             rng.normals(keys, steps)
+
+
+def test_a_step_index_per_key_equals_one_step_calls():
+    # a block's bridge uniforms: key i drawn at step steps[i], on every stream
+    # the step kernel uses, with step indices up to 2**40
+    keys = rng.path_keys(23, np.arange(48, dtype=np.int64))
+    steps = np.array([0, 1, 7, 2**14, 2**32 - 1, 2**32, 2**40 - 1, 2**40] * 6, dtype=np.intp)
+    streams = (rng.STREAM_STEP_NORMAL, rng.STREAM_BRIDGE_LOWER, rng.STREAM_BRIDGE_UPPER,
+               *(rng.STREAM_WATCH + j for j in range(4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stream in streams:
+            raw = rng._raw(keys, steps, stream)
+            u = rng.uniforms(keys, steps, stream)
+            assert raw.shape == u.shape == keys.shape
+            for i, step in enumerate(steps.tolist()):
+                assert raw[i] == rng._raw(keys[i:i + 1], step, stream)[0]
+                assert u[i:i + 1].tobytes() == rng.uniforms(keys[i:i + 1], step, stream).tobytes()

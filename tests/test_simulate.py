@@ -256,8 +256,9 @@ def _assert_same_ensemble(one: EnsembleResult, other: EnsembleResult) -> None:
 # (spec, x0, config): a dt schedule with snapshots, stop and watch levels, the
 # cap, truncation and the time integral; bessel3 with coarse steps, whose
 # overshoots below 0 the halving guard takes back; the tied steps of
-# test_same_step_absorption_beats_the_stop_level; and watched levels at both
-# ends of (0, 2) and inside it
+# test_same_step_absorption_beats_the_stop_level; watched levels at both
+# ends of (0, 2) and inside it; and coarse steps between two ends and two
+# stop levels near them, with ties of a level and an end
 _BLOCK_CASES = [
     (bessel3(), 1.0, SimConfig(
         dt=1e-2, horizon=40.0, cap=10.0, seed=4, n_paths=300, stop_levels=(0.5,),
@@ -267,6 +268,8 @@ _BLOCK_CASES = [
     (bm(), 0.5, SimConfig(dt=0.25, horizon=50.0, seed=3, n_paths=2_000, stop_levels=(0.7,))),
     (bm(0.0, 2.0), 1.0, SimConfig(dt=0.05, horizon=3.0, seed=13, n_paths=400,
                                   watch_levels=(2.0, 0.0, 1.2), snapshot_times=(1.0,))),
+    (bm(0.0, 2.0), 1.0, SimConfig(dt=0.5, horizon=10.0, seed=2, n_paths=2_000,
+                                  stop_levels=(1.9, 0.2))),
 ]
 
 
@@ -283,11 +286,16 @@ def test_step_normal_blocks_change_no_byte(spec, x0, cfg, monkeypatch):
 
 
 def test_block_cases_exercise_every_event(monkeypatch):
-    capped, halving, tied, levels = (simulate_ensemble(*case) for case in _BLOCK_CASES)
+    capped, halving, tied, levels, ends = (simulate_ensemble(*case) for case in _BLOCK_CASES)
     assert np.any(capped.absorbed_at == math.inf) and np.any(capped.truncated)
     assert np.any(capped.final_values == 0.5) and np.any(np.isfinite(capped.hit_times[2.0]))
     assert tied.tie_count > 0
     assert np.any(levels.absorbed_at == 0.0) and np.any(levels.absorbed_at == 2.0)
+    assert ends.tie_count > 0
+    for value in (0.0, 0.2, 1.9, 2.0):
+        assert np.any(ends.final_values == value), value
+    # a level crossed on the step that absorbs: hit there, stopped at the end
+    assert np.any(np.isfinite(ends.hit_times[1.9]) & (ends.absorbed_at == 2.0))
     # bessel3 never reaches 0; without halvings its overshoots absorb there
     assert not np.any(halving.absorbed_at == 0.0)
     monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
@@ -346,6 +354,105 @@ def test_repeated_levels_are_watched_once():
     watched = replace(base, stop_levels=(), watch_levels=(0.7,))
     _assert_same_ensemble(simulate_ensemble(bm(), 0.5, watched),
                           simulate_ensemble(bm(), 0.5, replace(watched, watch_levels=(0.7, 0.7))))
+
+
+def _failing_from(level, kind):
+    """A BM coefficient that fails from `level` on (a NaN drift, a zero a or
+    an a that raises), and the largest value it was evaluated at."""
+    seen = [-math.inf]
+
+    def coeff(y):
+        y = np.asarray(y)
+        seen[0] = max(seen[0], float(y.max()))
+        if kind == "raise":
+            if np.any(y >= level):
+                raise ValueError("y out of range")
+            return np.ones(y.shape)
+        bad = math.nan if kind == "nan b" else 0.0
+        return np.where(y < level, 0.0 if kind == "nan b" else 1.0, bad)
+
+    spec = replace(bm(), **{"drift" if kind == "nan b" else "diffusion": coeff})
+    return spec, seen
+
+
+@pytest.mark.parametrize("kind", ["nan b", "zero a", "raise"])
+def test_a_failure_past_a_stop_is_no_error(kind, monkeypatch):
+    # BM from 1 stopped at 2, with a coefficient that fails from 2.5 on: only
+    # the rows a block runs past a path's stop reach it, and there it cuts
+    # the block instead of failing
+    spec, seen = _failing_from(2.5, kind)
+    cfg = SimConfig(dt=1e-2, horizon=20.0, seed=5, n_paths=20, stop_levels=(2.0,))
+    blocked = simulate_ensemble(spec, 1.0, cfg)
+    assert seen[0] >= 2.5
+    assert np.any(blocked.final_values == 2.0) and np.any(blocked.absorbed_at == 0.0)
+    monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 1)  # one step per block: no rows past a stop
+    seen[0] = -math.inf
+    _assert_same_ensemble(blocked, simulate_ensemble(spec, 1.0, cfg))
+    assert seen[0] < 2.5
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("nan b", "coefficient failure on path 13 at t=0.5000000000000002, y=2.6243426352592842"),
+    ("zero a", "coefficient failure on path 13 at t=0.5000000000000002, y=2.6243426352592842"),
+    ("raise", "coefficient evaluation failed at t=0.5000000000000002: y out of range"),
+])
+def test_a_running_path_at_a_failure_fails_as_per_step(kind, message, monkeypatch):
+    # stopped at 4, path 13 runs into the failure at t = 0.5, inside the
+    # first block: the block is cut there and the next one names it
+    spec, _seen = _failing_from(2.5, kind)
+    cfg = SimConfig(dt=1e-2, horizon=20.0, seed=5, n_paths=20, stop_levels=(4.0,))
+    for block_draws in (simulate._BLOCK_DRAWS, 1):
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block_draws)
+        with pytest.raises(EvalDomainError) as failure:
+            simulate_ensemble(spec, 1.0, cfg)
+        assert str(failure.value) == message
+
+
+def test_no_coefficient_is_evaluated_past_a_stop_at_an_end():
+    # BM between 0 and 2, capped at 1.5, with an evaluated drift: a block's
+    # rows run on past a path's stop, but a path that reached an end or the
+    # cap holds its last value, so the drift never sees a value out there
+    seen = [math.inf, -math.inf]
+
+    def drift(y):
+        seen[:] = min(seen[0], float(y.min())), max(seen[1], float(y.max()))
+        return np.zeros(np.shape(y))
+
+    cfg = SimConfig(dt=0.05, horizon=10.0, seed=4, n_paths=200, cap=1.5)
+    res = simulate_ensemble(replace(bm(0.0, 2.0), drift=drift), 1.0, cfg)
+    assert np.any(res.absorbed_at == 0.0) and np.any(res.absorbed_at == math.inf)
+    assert 0.0 < seen[0] and seen[1] < 1.5
+    _assert_same_ensemble(res, simulate_ensemble(bm(0.0, 2.0), 1.0, cfg))
+
+
+def test_regime_run_blocks_change_no_byte(monkeypatch):
+    # the counterexample's walk: each path's stop level switches when it
+    # crosses 3/4 and then 1/4, often inside a block
+    cfg = SimConfig(dt=1e-2, horizon=30.0, seed=1, n_paths=2_000, watch_levels=(0.75, 0.25))
+    levels = (1.5, 3.75, 2.0)
+    run = (bm(), 1.0, cfg, 0, cfg.n_paths, [0.5])
+    blocked = simulate._simulate(*run, levels_by_regime=levels)
+    for level in levels:
+        assert np.any(blocked.final_values == level), level
+    monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 1)
+    _assert_same_ensemble(blocked, simulate._simulate(*run, levels_by_regime=levels))
+
+
+def test_quiet_reads_the_stop_levels_of_present_regimes(monkeypatch):
+    # every path starts in regime 0, so only its stop level 1.5 is a mark
+    # until some path crosses 3/4
+    marked = []
+    quiet = simulate._quiet
+
+    def recording(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r):
+        marked.append(list(marks))
+        return quiet(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r)
+
+    monkeypatch.setattr(simulate, "_quiet", recording)
+    cfg = SimConfig(dt=1e-2, horizon=30.0, seed=1, n_paths=2_000, watch_levels=(0.75, 0.25))
+    simulate._simulate(bm(), 1.0, cfg, 0, cfg.n_paths, [], levels_by_regime=(1.5, 3.75, 2.0))
+    assert 1.5 in marked[0] and 3.75 not in marked[0] and 2.0 not in marked[0]
+    assert any(3.75 in marks for marks in marked)
 
 
 def _failing_at(index, value):
@@ -452,19 +559,30 @@ def _uniform_draws(monkeypatch):
 
 @pytest.mark.parametrize("spec, x0, cfg", _QUIET_CASES)
 def test_quiet_steps_change_no_byte(spec, x0, cfg, monkeypatch):
+    # at the default block size, and with one step per block, where the
+    # predicate both declines and fires on steps
     counts = _quiet_counts(monkeypatch)
     drawn = _uniform_draws(monkeypatch)
-    fast = simulate_ensemble(spec, x0, cfg)
-    fast_draws = drawn[0]
-    path = simulate_path(spec, x0, cfg, 7)
+    runs = []
+    for block_draws in (simulate._BLOCK_DRAWS, 1):
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block_draws)
+        counts[:] = [0, 0]
+        drawn[0] = 0
+        fast = simulate_ensemble(spec, x0, cfg)
+        runs.append((block_draws, fast, drawn[0], simulate_path(spec, x0, cfg, 7)))
     assert counts[0] and counts[1]  # the predicate both declines and fires
-    monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every step eventful
-    drawn[0] = 0
-    _assert_same_ensemble(fast, simulate_ensemble(spec, x0, cfg))
-    assert drawn[0] == fast_draws  # a quiet step is one with no bridge uniform to draw
-    slow = simulate_path(spec, x0, cfg, 7)
-    assert _same_bits(path.times, slow.times) and _same_bits(path.values, slow.values)
-    assert _same_record(path, slow)
+    (_, blocked, _, path), (_, per_step, _, path_per_step) = runs
+    _assert_same_ensemble(blocked, per_step)
+    assert _same_bits(path.values, path_per_step.values) and _same_record(path, path_per_step)
+    monkeypatch.setattr(simulate, "_quiet", lambda *args: False)  # every block eventful
+    for block_draws, fast, fast_draws, path in runs:
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block_draws)
+        drawn[0] = 0
+        _assert_same_ensemble(fast, simulate_ensemble(spec, x0, cfg))
+        assert drawn[0] == fast_draws  # a quiet block is one with no bridge uniform to draw
+        slow = simulate_path(spec, x0, cfg, 7)
+        assert _same_bits(path.times, slow.times) and _same_bits(path.values, slow.values)
+        assert _same_record(path, slow)
 
 
 def test_quiet_cases_exercise_every_event(monkeypatch):
@@ -540,7 +658,6 @@ def test_quiet_declines_at_every_reach():
     assert not simulate._quiet(**{**one, "l": near_l}, marks=[near_l])
     assert simulate._quiet(**{**one, "r": 3.0}, marks=[3.0])             # an upper boundary
     assert not simulate._quiet(**{**one, "r": 1.3}, marks=[1.3])         # exponent -4
-    assert simulate._near(None, [100.0])  # values the halving guard moved: every mark
 
 
 # bessel3 at dt 0.5 with one path and one watch level: the halving guard
