@@ -53,7 +53,8 @@ for n in ns:
     print(f"  N={n:<4} error {errors[n]:.3e}")
 print(f"table written to {out_dir}/generator_errors.csv")
 
-# the conditioned walk never returns to zero, and approaches the diffusion
+# the conditioned walk never returns to zero, and approaches BES(3), the
+# drift-1/x diffusion, whose law at t=1 is drawn exactly as |1 e1 + W_1|
 walk = simulate_walk(JumpWalkSpec(N=10, measure=Measure.Q, x0=1.0), t=1.0,
                      n_paths=10_000, seed=3)
 print(f"\nminimum over 10^6 conditioned steps: {walk['min_value'].min()} (never 0)")

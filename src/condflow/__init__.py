@@ -81,6 +81,8 @@ from .simulate import (
     EnsembleResult,
     SimConfig,
     estimate_hitting_prob,
+    exact_bessel3,
+    exact_stopped_bm,
     simulate_ensemble,
     simulate_path,
 )

@@ -20,8 +20,16 @@ converges to f'/x, and it reproduces the exact value 3 for f(x) = x^2.
 The reciprocal 1/X is a Q-supermartingale, a martingale strictly away from
 the lattice floor (one-step mean exactly 1/x for x >= 2/N) and a strict
 supermartingale at x = 1/N (one-step mean N/2 < N).  Under Q the walk
-converges weakly to the unit-coefficient diffusion with drift 1/x; under P
-to Brownian motion stopped at 0.
+converges weakly to the unit-coefficient diffusion with drift 1/x, the
+three-dimensional Bessel process BES(3); under P to Brownian motion stopped
+at 0.  The limit checks compare the walk at a fixed time with those laws
+drawn exactly (`simulate.exact_bessel3`, `simulate.exact_stopped_bm`), so
+no Euler scheme enters them.
+
+The walk draws its uniforms in blocks of steps, as the simulate kernel
+draws its normals, and reads the conditioned p_up from a table over the
+reachable lattice points; each draw and each p_up is the one-step value,
+so neither changes a walk.
 """
 
 from __future__ import annotations
@@ -33,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .model import bessel3
-from .simulate import SimConfig, simulate_ensemble
+from .simulate import _BLOCK_DRAWS, exact_bessel3, exact_stopped_bm
 from .stats import KsResult, ks_two_sample
 
 __all__ = [
@@ -152,24 +159,38 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
     """Run n_paths walks for floor(t N^2) steps; reproducible per path index.
 
     State is kept in integer lattice units so absorption at 0 (and the floor
-    at 1/N under the conditioned measure) is exact.  Returns final values,
-    the minimum value each path visited, and the fraction absorbed (the
-    conditioned walk never reaches 0).
+    at 1/N under the conditioned measure) is exact.  The uniforms come in
+    blocks of steps, rows times paths <= 2**14 as in the simulate kernel,
+    and each equals the one-step draw.  Under Q, p_up is read from a table
+    over the lattice points a walk can reach, 1 ... start + n_steps, built
+    with the exact (s + 1) / (2 s).  Returns final values, the minimum value
+    each path visited, and the fraction absorbed (the conditioned walk never
+    reaches 0).
     """
     n_steps = int(math.floor(t * spec.N**2))
     h = 1.0 / spec.N
+    start = round(spec.x0 * spec.N)
     keys = rng.path_keys(seed, np.arange(n_paths, dtype=np.int64))
-    state = np.full(n_paths, round(spec.x0 * spec.N), dtype=np.int64)
+    state = np.full(n_paths, start, dtype=np.int64)
     min_state = state.copy()
-    for k in range(n_steps):
-        u = rng.uniforms(keys, k, rng.STREAM_WALK)
-        if spec.measure is Measure.P:
-            step = np.where(u < 0.5, 1, -1)
-            state = np.where(state > 0, state + step, 0)
-        else:
-            p_up = (state + 1) / (2 * state)  # exact (x + 1/N) / (2x) on the lattice
-            state = np.where(u < p_up, state + 1, state - 1)
-        np.minimum(min_state, state, out=min_state)
+    if spec.measure is Measure.Q:
+        s = np.arange(start + n_steps + 1)
+        s[0] = 1  # entry 0 is never read: the Q-walk stays >= 1
+        p_up = (s + 1) / (2 * s)  # exact (x + 1/N) / (2x) on the lattice
+    jump = np.array([-1, 1], dtype=np.int64)  # the step, indexed by whether it goes up
+    n_rows = max(1, _BLOCK_DRAWS // max(n_paths, 1))
+    for k in range(0, n_steps, n_rows):
+        rows = range(k, min(k + n_rows, n_steps))
+        # a one-step block takes the one-step call, which forms no counter column
+        steps = rows if len(rows) > 1 else k
+        for u_row in np.atleast_2d(rng.uniforms(keys, steps, rng.STREAM_WALK)):
+            if spec.measure is Measure.P:
+                step = jump.take((u_row < 0.5).view(np.uint8))
+                step *= state > 0  # absorbed at 0
+            else:
+                step = jump.take((u_row < p_up.take(state)).view(np.uint8))
+            state += step
+            np.minimum(min_state, state, out=min_state)
     return {
         "final": state * h,
         "min_value": min_state * h,
@@ -179,27 +200,21 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
 
 
 def walk_vs_bessel(N: int, x0: float = 1.0, t: float = 1.0, n_paths: int = 10_000,
-                   seed: int = 0, dt: float = 1e-3) -> KsResult:
-    """KS between the Q-walk marginal at t and the conditioned diffusion
-    marginal at t (drift 1/x, unit coefficient), simulated as reference.
+                   seed: int = 0) -> KsResult:
+    """KS between the Q-walk marginal at t and BES(3) from x0 at t, the law
+    of the conditioned diffusion (drift 1/x, unit coefficient), drawn exactly
+    with seed + 1.
 
     Weak convergence has no usable rate here: the acceptance threshold is
     twice the 1% critical value, a smoke check rather than a sharp test.
     """
     walk = simulate_walk(JumpWalkSpec(N=N, measure=Measure.Q, x0=x0), t, n_paths, seed)
-    cfg = SimConfig(dt=dt, horizon=t + dt, seed=seed + 1, n_paths=n_paths,
-                    snapshot_times=(t,))
-    ref = simulate_ensemble(bessel3(), x0, cfg)
-    return ks_two_sample(walk["final"], ref.snapshots[t])
+    return ks_two_sample(walk["final"], exact_bessel3(x0, t, n_paths, seed + 1))
 
 
 def walk_vs_bm(N: int, x0: float = 1.0, t: float = 1.0, n_paths: int = 10_000,
-               seed: int = 0, dt: float = 1e-3) -> KsResult:
-    """KS between the P-walk stopped at 0 and Brownian motion stopped at 0."""
-    from .model import bm
-
+               seed: int = 0) -> KsResult:
+    """KS between the P-walk stopped at 0 and Brownian motion stopped at 0,
+    drawn exactly at t with seed + 1."""
     walk = simulate_walk(JumpWalkSpec(N=N, measure=Measure.P, x0=x0), t, n_paths, seed)
-    cfg = SimConfig(dt=dt, horizon=t + dt, seed=seed + 1, n_paths=n_paths,
-                    snapshot_times=(t,))
-    ref = simulate_ensemble(bm(), x0, cfg)
-    return ks_two_sample(walk["final"], ref.snapshots[t])
+    return ks_two_sample(walk["final"], exact_stopped_bm(x0, t, n_paths, seed + 1))

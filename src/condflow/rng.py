@@ -7,7 +7,8 @@ generator state anywhere.  A call takes one step index; or a range of step
 indices, and then returns one row per step; or an integer array of step
 indices, one per key.  The simulator draws its step normals in blocks of
 steps, and the bridge uniforms of a block with one step index per draw;
-every draw equals the one-step call.
+the lattice walk draws its uniforms in blocks of steps too.  Every draw
+equals the one-step call.
 
 The mixer is the splitmix64 finalizer (two xor-shift/multiply rounds), applied
 twice: once to fold the step/stream counter, once to fold the per-path key.
@@ -25,6 +26,9 @@ __all__ = [
     "STREAM_BRIDGE_UPPER",
     "STREAM_WATCH",
     "STREAM_WALK",
+    "STREAM_EXACT_BES3",
+    "STREAM_EXACT_BM",
+    "STREAM_EXACT_BM_BRIDGE",
     "path_keys",
     "uniforms",
     "normals",
@@ -42,6 +46,10 @@ STREAM_WATCH = 3          # bridge crossing of watched level j: STREAM_WATCH + j
                           # run's per-path regime stop level takes the next id
 # jumpwalk
 STREAM_WALK = 64          # lattice-walk uniforms
+# exact samplers at a fixed time (simulate)
+STREAM_EXACT_BES3 = 65       # BES(3): the 3-D normal, coordinate i at step index i
+STREAM_EXACT_BM = 66         # stopped BM: the Brownian endpoint
+STREAM_EXACT_BM_BRIDGE = 67  # stopped BM: whether the bridge to that endpoint touched 0
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA_INT = 0x9E3779B97F4A7C15

@@ -86,6 +86,14 @@ bridge absorption test at that boundary is skipped, because the frozen-
 coefficient bridge law is badly wrong there.  At a boundary the drift does
 not repel from, an overshoot is genuine absorption: the value is clamped to
 the boundary and the path frozen.
+
+Beside the kernel sit two exact samplers of a law at one fixed time t, for
+references that need no time grid: BES(3) from x0, as |x0 e1 + B_t| for a
+3-D Brownian motion B (Revuz & Yor VI.3), and Brownian motion from x0 > 0
+absorbed at 0, as W = x0 + B_t set to 0 where W <= 0 or where the bridge
+from x0 to W touches 0, which it does with probability exp(-2 x0 W / t)
+given W > 0.  Their draws are keyed by (seed, path index) like the
+kernel's, so the first m values of an n-path draw equal an m-path draw.
 """
 
 from __future__ import annotations
@@ -106,6 +114,8 @@ __all__ = [
     "simulate_path",
     "simulate_ensemble",
     "estimate_hitting_prob",
+    "exact_bessel3",
+    "exact_stopped_bm",
 ]
 
 _BOUNDARY_CLAMP = 1e-12  # a proposal this close to a boundary counts as reaching it
@@ -941,3 +951,27 @@ def estimate_hitting_prob(spec: DiffusionSpec, x0: float, level_up: float,
     if resolved == 0:
         raise EvalDomainError("no path resolved either level before the horizon")
     return McEstimate.from_binomial(int(np.sum(up_first)), resolved), report
+
+
+def exact_bessel3(x0: float, t: float, n_paths: int, seed: int) -> np.ndarray:
+    """BES(3) from x0 >= 0 at time t > 0, exactly: sqrt((x0 + sqrt(t) z1)^2
+    + t z2^2 + t z3^2) from three keyed normals per path."""
+    if x0 < 0 or t <= 0:
+        raise ValueError("need x0 >= 0 and t > 0")
+    keys = rng.path_keys(seed, np.arange(n_paths, dtype=np.int64))
+    z = rng.normals(keys, range(3), rng.STREAM_EXACT_BES3)
+    return np.sqrt((x0 + math.sqrt(t) * z[0]) ** 2 + t * z[1] ** 2 + t * z[2] ** 2)
+
+
+def exact_stopped_bm(x0: float, t: float, n_paths: int, seed: int) -> np.ndarray:
+    """Brownian motion from x0 > 0 absorbed at 0, at time t > 0, exactly:
+    W = x0 + sqrt(t) z, set to 0 where W <= 0 or where a keyed uniform falls
+    below exp(-2 x0 W / t), the chance that the bridge to W touched 0."""
+    if x0 <= 0 or t <= 0:
+        raise ValueError("need x0 > 0 and t > 0")
+    keys = rng.path_keys(seed, np.arange(n_paths, dtype=np.int64))
+    w = x0 + math.sqrt(t) * rng.normals(keys, 0, rng.STREAM_EXACT_BM)
+    u = rng.uniforms(keys, 0, rng.STREAM_EXACT_BM_BRIDGE)
+    # the clamp keeps exp finite where w <= 0, which is absorbed anyway
+    touched = u < np.exp(-2.0 * x0 * np.maximum(w, 0.0) / t)
+    return np.where((w <= 0) | touched, 0.0, w)

@@ -9,7 +9,8 @@ stderr.  A change that moves output on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says which bytes moved and why.
+which prints the names of the files whose bytes changed, and says which
+bytes moved and why.
 """
 
 from __future__ import annotations
@@ -105,8 +106,14 @@ def test_benchmark_traced_names_resolve(monkeypatch):
 
 
 if __name__ == "__main__":
+    # regenerate, and print the names of the files whose bytes changed
+    fresh = {name: text.encode("utf-8") for name, text in golden_outputs().items()}
     GOLDEN.mkdir(exist_ok=True)
-    for stale in GOLDEN.iterdir():
-        stale.unlink()
-    for name, text in golden_outputs().items():
-        (GOLDEN / name).write_bytes(text.encode("utf-8"))
+    old = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+    for stale in old.keys() - fresh.keys():
+        (GOLDEN / stale).unlink()
+    for name, data in fresh.items():
+        (GOLDEN / name).write_bytes(data)
+    for name in sorted(old.keys() | fresh.keys()):
+        if old.get(name) != fresh.get(name):
+            print(name)

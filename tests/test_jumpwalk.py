@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condflow import rng
 from condflow.exprparse import parse_expr
 from condflow.jumpwalk import (
     JumpWalkSpec,
@@ -134,6 +135,39 @@ def test_p_walk_is_martingale_when_stopped_at_zero():
     stderr = float(np.std(walk["final"], ddof=1) / math.sqrt(20_000))
     assert abs(mean - 1.0) <= 4 * stderr
     assert walk["absorbed_fraction"] > 0.0
+
+
+def _one_step_walk(spec, t, n_paths, seed):
+    # the walk one step at a time: one uniform draw per step, p_up computed
+    # from the state on every step
+    keys = rng.path_keys(seed, np.arange(n_paths, dtype=np.int64))
+    state = np.full(n_paths, round(spec.x0 * spec.N), dtype=np.int64)
+    min_state = state.copy()
+    for k in range(int(math.floor(t * spec.N**2))):
+        u = rng.uniforms(keys, k, rng.STREAM_WALK)
+        if spec.measure is Measure.P:
+            state = np.where(state > 0, state + np.where(u < 0.5, 1, -1), 0)
+        else:
+            state = np.where(u < (state + 1) / (2 * state), state + 1, state - 1)
+        np.minimum(min_state, state, out=min_state)
+    return state * (1.0 / spec.N), min_state * (1.0 / spec.N)
+
+
+@pytest.mark.parametrize("measure, x0, n_paths, t", [
+    (Measure.Q, 1.0, 300, 3.0),           # 147 steps in blocks of 54 rows
+    (Measure.P, 3.0 / 7.0, 300, 3.0),     # absorbs at 0 inside blocks
+    (Measure.Q, 1.0 / 7.0, 2**14 + 3, 0.4),  # a block is one step
+    (Measure.P, 1.0 / 7.0, 2**14 + 3, 0.4),
+], ids=["Q-blocks", "P-blocks", "Q-one-step-blocks", "P-one-step-blocks"])
+def test_walk_equals_one_step_reference(measure, x0, n_paths, t):
+    spec = JumpWalkSpec(N=7, measure=measure, x0=x0)
+    walk = simulate_walk(spec, t, n_paths, seed=10)
+    final, min_value = _one_step_walk(spec, t, n_paths, seed=10)
+    assert walk["n_steps"] == math.floor(t * 49)
+    assert np.array_equal(walk["final"], final)
+    assert np.array_equal(walk["min_value"], min_value)
+    if measure is Measure.P:
+        assert 0.0 < walk["absorbed_fraction"] == float(np.mean(final == 0.0))
 
 
 def test_walk_spec_validation():

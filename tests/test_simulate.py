@@ -777,3 +777,38 @@ def test_the_kernel_never_calls_a_constant(spec, x0, cfg):
         unread = replace(unread, drift=_Unread(const_value(spec.drift)))
     _assert_same_ensemble(simulate_ensemble(spec, x0, cfg), simulate_ensemble(unread, x0, cfg))
     simulate_path(unread, x0, cfg, 7)
+
+
+@pytest.mark.parametrize("x0, t", [(1.0, 1.0), (0.0, 2.0), (3.0, 0.5)])
+def test_exact_bessel3_second_moment(x0, t):
+    # R_t^2 = |x0 e1 + W_t|^2 has mean x0^2 + 3t
+    r2 = simulate.exact_bessel3(x0, t, 20_000, seed=21) ** 2
+    stderr = float(np.std(r2, ddof=1)) / math.sqrt(r2.size)
+    assert abs(float(np.mean(r2)) - (x0 * x0 + 3.0 * t)) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("x0, t", [(1.0, 1.0), (0.5, 2.0)])
+def test_exact_stopped_bm_absorption_and_mean(x0, t):
+    # P(BM from x0 hits 0 by t) = 2 P(W_t < -x0) = erfc(x0 / sqrt(2t)), and
+    # the stopped martingale keeps its mean x0
+    w = simulate.exact_stopped_bm(x0, t, 20_000, seed=22)
+    p = math.erfc(x0 / math.sqrt(2.0 * t))
+    absorbed = float(np.mean(w == 0.0))
+    assert abs(absorbed - p) <= 4.0 * math.sqrt(p * (1.0 - p) / w.size)
+    stderr = float(np.std(w, ddof=1)) / math.sqrt(w.size)
+    assert abs(float(np.mean(w)) - x0) <= 4.0 * stderr
+    assert float(np.min(w)) >= 0.0
+
+
+@pytest.mark.parametrize("sampler", [simulate.exact_bessel3, simulate.exact_stopped_bm])
+def test_exact_sampler_prefix_equals_smaller_draw(sampler):
+    full = sampler(1.5, 0.7, 1_000, 23)
+    assert np.array_equal(full[:37], sampler(1.5, 0.7, 37, 23))
+
+
+def test_exact_samplers_refuse_bad_starts_and_times():
+    for sampler, x0, t in ((simulate.exact_bessel3, -1.0, 1.0), (simulate.exact_bessel3, 1.0, 0.0),
+                           (simulate.exact_stopped_bm, 0.0, 1.0),
+                           (simulate.exact_stopped_bm, 1.0, -1.0)):
+        with pytest.raises(ValueError):
+            sampler(x0, t, 10, 0)
