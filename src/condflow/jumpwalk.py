@@ -165,8 +165,10 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
     over the lattice points a walk can reach, 1 ... start + n_steps, built
     with the exact (s + 1) / (2 s).  Returns final values, the minimum value
     each path visited, and the fraction absorbed (the conditioned walk never
-    reaches 0).
+    reaches 0).  Raises ValueError unless n_paths >= 1.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be positive, got {n_paths}")
     n_steps = int(math.floor(t * spec.N**2))
     h = 1.0 / spec.N
     start = round(spec.x0 * spec.N)
@@ -178,7 +180,7 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
         s[0] = 1  # entry 0 is never read: the Q-walk stays >= 1
         p_up = (s + 1) / (2 * s)  # exact (x + 1/N) / (2x) on the lattice
     jump = np.array([-1, 1], dtype=np.int64)  # the step, indexed by whether it goes up
-    n_rows = max(1, _BLOCK_DRAWS // max(n_paths, 1))
+    n_rows = max(1, _BLOCK_DRAWS // n_paths)
     for k in range(0, n_steps, n_rows):
         rows = range(k, min(k + n_rows, n_steps))
         # a one-step block takes the one-step call, which forms no counter column

@@ -6,7 +6,8 @@ workers, nor on how many steps one call draws.  There is no shared mutable
 generator state anywhere.  A call takes one step index; or a range of step
 indices, and then returns one row per step; or an integer array of step
 indices, one per key.  The simulator draws its step normals in blocks of
-steps, and the bridge uniforms of a block with one step index per draw;
+steps (a one-step block with the one-step call, which forms no counter
+column), and the bridge uniforms of a block with one step index per draw;
 the lattice walk draws its uniforms in blocks of steps too.  Every draw
 equals the one-step call.
 

@@ -28,6 +28,14 @@ within 500 extensions raises QuadratureError.  These tolerances are module
 constants, so a caller chooses only the grid.  Computed scale functions are
 shifted so the declared normalization holds: L pins s(l) = 0, R pins
 s(r) = 0.
+
+A diffusion with zero drift is a local martingale and is in natural scale:
+s' is constant, so with the anchor's s' = 1 the scale is s(y) = y - l when
+L-normalized, y - r when R-normalized, and its limits are the interval ends
+shifted the same way (Karatzas & Shreve 1991 5.5; Revuz & Yor VII.3).
+`compute_scale` returns that closed form for a `Const(0.0)` drift, so the
+conditioned drift of `transform` is the exact a(y)/(y - l) upward, or
+a(y)/(y - r) downward, with no spline.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .errors import QuadratureError
-from .model import DiffusionSpec, Interval
+from .model import DiffusionSpec, Interval, const_value
 
 __all__ = [
     "Normalization",
@@ -393,6 +401,21 @@ def _limit_probe(
     )
 
 
+def _side(name: str, lim_l: float, lim_r: float,
+          normalization: Normalization | None) -> Normalization:
+    """The normalization side for these scale limits: the declared one, or
+    with None L if s(l) is finite, else R; refused if its limit is infinite."""
+    if not (math.isfinite(lim_l) or math.isfinite(lim_r)):
+        raise ValueError(f"cannot normalize {name}: both scale limits infinite (UNSUPPORTED)")
+    if normalization is None:
+        return Normalization.L if math.isfinite(lim_l) else Normalization.R
+    if normalization is Normalization.L and not math.isfinite(lim_l):
+        raise ValueError(f"cannot L-normalize {name}: s(l) = -inf")
+    if normalization is Normalization.R and not math.isfinite(lim_r):
+        raise ValueError(f"cannot R-normalize {name}: s(r) = +inf")
+    return normalization
+
+
 def compute_scale(
     spec: DiffusionSpec,
     y0: float,
@@ -402,6 +425,11 @@ def compute_scale(
     """Compute the scale function of `spec` anchored at y0, then shift it so
     the declared normalization holds.  With `normalization=None` the side is
     chosen after the quadrature: L if s(l) is finite, else R.
+
+    A drift given as `Const(0.0)` takes the natural scale (module docstring)
+    with no quadrature and no probes: s(y) = y - l for L, y - r for R, on the
+    same grid and with the same refusals.  Only `Const(0.0)` is recognised; a
+    callable that merely returns zeros keeps the quadrature path.
 
     Raises QuadratureError if the boundary-limit probe stalls or s overflows
     on the grid, and ValueError if the normalization side has an infinite
@@ -421,6 +449,14 @@ def compute_scale(
         raise ValueError("grid must lie inside the open state interval")
     g = _master_grid(spec.interval, grid, y0)
     spec.validate_on(g)
+    name = spec.label or "spec"
+    if const_value(spec.drift) == 0.0:
+        # natural scale: s(y) = y - origin, s' = 1, the limits are the ends
+        l, r = float(spec.interval.l), float(spec.interval.r)
+        normalization = _side(name, l, r, normalization)
+        origin = l if normalization is Normalization.L else r
+        return exact_scale(lambda y: y - origin, lambda y: np.ones(np.shape(y)), g,
+                           normalization, (l - origin, r - origin), label=spec.label)
 
     def phi(v, _owner=None):
         ratio = 2.0 * np.asarray(spec.drift(v), dtype=np.float64) / np.asarray(
@@ -442,7 +478,6 @@ def compute_scale(
 
     values = np.concatenate([[0.0], np.cumsum(steps)])
     values -= values[j0]
-    name = spec.label or "spec"
     if not (np.all(logsp < 700.0) and np.all(np.isfinite(values))):
         raise QuadratureError(f"scale of {name} overflows on the grid")
 
@@ -451,18 +486,8 @@ def compute_scale(
     lim_l = values[0] - drop_l if math.isfinite(drop_l) else -math.inf
     lim_r = values[-1] + gain_r if math.isfinite(gain_r) else math.inf
 
-    if not (math.isfinite(lim_l) or math.isfinite(lim_r)):
-        raise ValueError(f"cannot normalize {name}: both scale limits infinite (UNSUPPORTED)")
-    if normalization is None:
-        normalization = Normalization.L if math.isfinite(lim_l) else Normalization.R
-    if normalization is Normalization.L:
-        if not math.isfinite(lim_l):
-            raise ValueError(f"cannot L-normalize {name}: s(l) = -inf")
-        shift = lim_l
-    else:
-        if not math.isfinite(lim_r):
-            raise ValueError(f"cannot R-normalize {name}: s(r) = +inf")
-        shift = lim_r
+    normalization = _side(name, lim_l, lim_r, normalization)
+    shift = lim_l if normalization is Normalization.L else lim_r
     values = values - shift
     lim_l = lim_l - shift if math.isfinite(lim_l) else lim_l
     lim_r = lim_r - shift if math.isfinite(lim_r) else lim_r

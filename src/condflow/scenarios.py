@@ -38,7 +38,7 @@ from .jumpwalk import (
     walk_vs_bessel,
 )
 from .model import DiffusionSpec, Interval, bessel3, bm, gbm
-from .scale import GridConfig, Normalization, ScaleFunction, compute_scale, exact_scale
+from .scale import GridConfig, Normalization, compute_scale, exact_scale
 from .simulate import SimConfig, estimate_hitting_prob, simulate_ensemble
 
 __all__ = ["SCENARIOS", "run_scenario"]
@@ -55,13 +55,6 @@ def _bundle(scenario: str, checks: list[dict]) -> dict:
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-
-
-def _exact_linear_scale(y_lo: float = 1e-3, y_hi: float = 50.0) -> ScaleFunction:
-    grid = np.geomspace(y_lo, y_hi, 201)
-    return exact_scale(lambda y: np.asarray(y, dtype=float),
-                       lambda y: np.ones_like(np.asarray(y, dtype=float)),
-                       grid, Normalization.L, (0.0, math.inf), label="identity")
 
 
 def scenario_bm_bessel(n: int = 100_000, n_ks: int = 10_000, dt: float = 1e-3,
@@ -260,7 +253,7 @@ def scenario_roundtrip(seed: int = 2030) -> dict:
     """Generator identity at finite differences, its second-order error law,
     and the up-then-down drift round trip."""
     checks = []
-    s = _exact_linear_scale()
+    s = compute_scale(bm(), 1.0, GridConfig(1e-3, 50.0, 201))  # the natural scale, y
     grid = np.linspace(0.5, 3.0, 101)
     phis = {"y^2": parse_expr("y^2"), "log y": parse_expr("log(y)")}
     worst = 0.0

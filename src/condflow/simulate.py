@@ -497,7 +497,9 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
             # n_rows m <= _BLOCK_DRAWS unless it is one step
             m = pos.size
             n_rows = min(max(1, _BLOCK_DRAWS // m), left)
-            z = rng.normals(keys, range(k, k + n_rows), rng.STREAM_STEP_NORMAL)
+            # a one-row block takes the one-step call, which forms no counter column
+            z = (rng.normals(keys, range(k, k + n_rows), rng.STREAM_STEP_NORMAL) if n_rows > 1
+                 else rng.normals(keys, k, rng.STREAM_STEP_NORMAL).reshape(1, m))
             noise = None  # the steps' noise when a is constant
             if a_fix is not None and not bad_const:
                 # the guard alone reads the normals after this

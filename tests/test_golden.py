@@ -9,14 +9,16 @@ stderr.  A change that moves output on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which prints the names of the files whose bytes changed, and says which
-bytes moved and why.
+which prints the names of the files whose bytes changed and, for a JSON
+file, each value that moved as `path: old → new`; the change then says
+which bytes moved and why.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -105,8 +107,24 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     assert condflow.simulate.simulate_ensemble is original
 
 
+def moved_values(old, new, path: str = ""):
+    """(path, old, new) for each value that differs between two JSON
+    documents, with paths like `checks[0].detail.max_error`; a key on one
+    side only reads as absent on the other."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            yield from moved_values(old.get(key, "(absent)"), new.get(key, "(absent)"),
+                                    f"{path}.{key}" if path else key)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (before, after) in enumerate(zip(old, new)):
+            yield from moved_values(before, after, f"{path}[{i}]")
+    elif json.dumps(old) != json.dumps(new):
+        yield path, old, new
+
+
 if __name__ == "__main__":
-    # regenerate, and print the names of the files whose bytes changed
+    # regenerate, and print the names of the files whose bytes changed and
+    # the JSON values that moved
     fresh = {name: text.encode("utf-8") for name, text in golden_outputs().items()}
     GOLDEN.mkdir(exist_ok=True)
     old = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
@@ -117,3 +135,7 @@ if __name__ == "__main__":
     for name in sorted(old.keys() | fresh.keys()):
         if old.get(name) != fresh.get(name):
             print(name)
+            if name.endswith(".json") and name in old and name in fresh:
+                for path, before, after in moved_values(json.loads(old[name]),
+                                                        json.loads(fresh[name])):
+                    print(f"  {path}: {json.dumps(before)} → {json.dumps(after)}")

@@ -206,8 +206,12 @@ def test_fd_error_second_order():
 
 def test_grid_backed_drift_shares_one_knot_lookup():
     # s and s' come from one knot lookup, bit for bit equal to two lookups,
-    # inside the grid, on its knots and on the extrapolated ends
-    for spec, norm in ((gbm(), Normalization.L), (bessel3(), Normalization.R)):
+    # inside the grid, on its knots and on the extrapolated ends; b = -y/2,
+    # a = y^2 has s' = y, and a drift keeps its scale grid-backed
+    drifted = DiffusionSpec(Interval(0.0, math.inf),
+                            lambda y: -0.5 * np.asarray(y, dtype=float),
+                            lambda y: np.square(np.asarray(y, dtype=float)), label="gbm-drifted")
+    for spec, norm in ((drifted, Normalization.L), (bessel3(), Normalization.R)):
         s = compute_scale(spec, 1.0, GridConfig(y_min=0.01, y_max=50.0), norm)
         assert s._s_fn is None
         drift = transform(spec, s).drift

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,3 +191,12 @@ def test_walk_limits_smoke():
 def test_coarse_lattice_rejected_at_strict_threshold():
     ks = walk_vs_bessel(5, n_paths=10_000, seed=9)
     assert not ks.passed  # N=5 is visibly off at the strict critical value
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_walk_refuses_no_paths(n_paths):
+    spec = JumpWalkSpec(N=4, measure=Measure.P, x0=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"n_paths must be positive, got {n_paths}"):
+            simulate_walk(spec, t=1.0, n_paths=n_paths)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,90 @@ def test_pchip_matches_scipy_to_the_bit():
         at = np.concatenate([rng.uniform(x[0] - 1.0, x[-1] + 1.0, 40), x])
         np.testing.assert_array_equal(_Pchip(x, y)(at), PchipInterpolator(x, y)(at))
     assert np.shape(_Pchip(x, y)(x[1])) == ()
+
+
+# --- natural scale: a Const(0.0) drift --------------------------------------
+
+_Y4 = DiffusionSpec(Interval(0.0, math.inf), bm().drift,
+                    lambda y: np.asarray(y, dtype=float) ** 4, label="y4")
+# (spec, grid, normalization, class, limits)
+_DRIFTLESS = (
+    (bm(), GridConfig(y_min=1e-3, y_max=50.0), Normalization.L,
+     BoundaryClass.HITS_L_ONLY, (0.0, math.inf)),
+    (bm(0.0, 2.0), GridConfig(y_min=1e-3, y_max=1.999), Normalization.L,
+     BoundaryClass.HITS_BOTH, (0.0, 2.0)),
+    (bm(-math.inf, 5.0), GridConfig(y_min=-50.0, y_max=4.999), Normalization.R,
+     BoundaryClass.HITS_R_ONLY, (-math.inf, 0.0)),
+    (gbm(), GridConfig(y_min=1e-3, y_max=50.0), Normalization.L,
+     BoundaryClass.HITS_L_ONLY, (0.0, math.inf)),
+    (_Y4, GridConfig(y_min=1e-2, y_max=50.0), Normalization.L,
+     BoundaryClass.HITS_L_ONLY, (0.0, math.inf)),
+)
+
+
+@pytest.mark.parametrize("spec, grid, norm, cls, limits", _DRIFTLESS,
+                         ids=lambda v: v.label if isinstance(v, DiffusionSpec) else None)
+def test_driftless_scale_is_the_natural_scale(spec, grid, norm, cls, limits):
+    for side in (norm, None):  # None picks the same side
+        s = compute_scale(spec, 1.0, grid, side)
+        origin = spec.interval.l if norm is Normalization.L else spec.interval.r
+        assert s.normalization is norm and s._s_fn is not None
+        assert s.values.tobytes() == (s.grid - origin).tobytes()
+        assert np.all(s.derivs == 1.0)
+        ys = np.linspace(grid.y_min, grid.y_max, 37)
+        assert np.all(s.deriv(ys) == 1.0)
+        assert s(ys).tobytes() == (ys - origin).tobytes()
+        assert classify_boundaries(s) is cls
+        assert s.boundary_limits == limits
+
+
+@pytest.mark.parametrize("spec, grid, norm, cls, limits", _DRIFTLESS,
+                         ids=lambda v: v.label if isinstance(v, DiffusionSpec) else None)
+def test_natural_scale_agrees_with_quadrature(spec, grid, norm, cls, limits):
+    # a callable drift that returns zeros takes the quadrature path
+    zeros = DiffusionSpec(spec.interval, lambda y: np.zeros(np.shape(y)), spec.diffusion,
+                          label=spec.label)
+    s = compute_scale(spec, 1.0, grid, norm)
+    q = compute_scale(zeros, 1.0, grid, norm)
+    assert q._s_fn is None
+    assert np.array_equal(s.grid, q.grid)
+    assert np.max(np.abs(s.values - q.values)) <= 1e-12 * np.max(np.abs(q.values))
+    np.testing.assert_allclose(s.derivs, q.derivs, rtol=1e-12)
+    assert classify_boundaries(q) is cls
+    np.testing.assert_allclose(q.boundary_limits, s.boundary_limits, rtol=1e-12)
+
+
+_BOTH_INFINITE = "cannot normalize bm: both scale limits infinite (UNSUPPORTED)"
+
+
+@pytest.mark.parametrize("interval, grid, norm, message", [
+    ((-math.inf, math.inf), (-5.0, 5.0), None, _BOTH_INFINITE),
+    ((-math.inf, math.inf), (-5.0, 5.0), Normalization.L, _BOTH_INFINITE),
+    ((-math.inf, 5.0), (-5.0, 4.9), Normalization.L, "cannot L-normalize bm: s(l) = -inf"),
+    ((0.0, math.inf), (0.1, 5.0), Normalization.R, "cannot R-normalize bm: s(r) = +inf"),
+])
+def test_natural_scale_refusals_match_quadrature(interval, grid, norm, message):
+    spec = bm(*interval)
+    zeros = DiffusionSpec(spec.interval, lambda y: np.zeros(np.shape(y)), spec.diffusion,
+                          label="bm")
+    for case in (spec, zeros):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compute_scale(case, 1.0, GridConfig(*grid), norm)
+
+
+def test_natural_scale_transformed_drift_is_exact():
+    # the conditioned drift is a(y)/(y - l) upward and a(y)/(y - r) downward,
+    # bit for bit
+    from condflow.htransform import transform
+
+    ys = np.concatenate([np.geomspace(5e-3, 80.0, 401), [1.0, 2.5]])
+    for spec, grid in ((gbm(), GridConfig(1e-3, 50.0)), (_Y4, GridConfig(1e-2, 50.0)),
+                       (bm(0.0, 2.0), GridConfig(1e-3, 1.999))):
+        s = compute_scale(spec, 1.0, grid, Normalization.L)
+        at = ys[ys < spec.interval.r]
+        expected = spec.diffusion(at) / (at - spec.interval.l)
+        assert transform(spec, s).drift(at).tobytes() == np.asarray(expected).tobytes()
+    down = bm(-math.inf, 5.0)
+    s = compute_scale(down, 1.0, GridConfig(-50.0, 4.999), Normalization.R)
+    at = np.linspace(-40.0, 4.99, 301)
+    assert transform(down, s).drift(at).tobytes() == (1.0 / (at - 5.0)).tobytes()
