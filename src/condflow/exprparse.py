@@ -11,6 +11,13 @@ Grammar (binding tightest last):
 so '^' binds tighter than unary minus, which binds tighter than '*' and '/',
 which bind tighter than '+' and '-'.  Recognized function names: exp, log,
 sqrt (one argument), min, max (two arguments).  The only variable is y.
+A NUMBER is ASCII digits with an optional fraction and exponent (`2`, `1.`,
+`.5e3`); a whole number with a leading zero, such as `007`, is refused.
+
+With '^' read as '**' this is Python's expression grammar, so the parser is
+`ast.parse` behind a whitelist of characters and tree nodes.  Parsing builds
+the evaluator once, as nested closures; the source never reaches `compile`,
+`eval` or `exec`.
 
 Evaluation accepts a scalar or a numpy array and is strict about domains:
 division by zero, log/sqrt outside their domain, and non-finite results all
@@ -19,8 +26,11 @@ raise EvalDomainError instead of propagating inf/nan.
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,222 +47,83 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-# --- AST ------------------------------------------------------------------
+_STRAY = re.compile(r"[^A-Za-z0-9_.+\-*/^(),\s]")
+_NUMBER = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+# --- evaluators: each maps its operands' evaluators to a function of y ------
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+def _apply2(op):
+    return lambda f, g: lambda y: op(f(y), g(y))
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
+def _checked(op, outside, message: str):
+    """`op` of the operand's value, refused where `outside` holds anywhere."""
+    def build(f):
+        def evaluate(y):
+            x = f(y)
+            if np.any(outside(np.asarray(x))):
+                raise EvalDomainError(message)
+            return op(x)
+        return evaluate
+    return build
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str  # exp log sqrt min max
-    args: tuple["Node", ...]
-
-
-Node = Num | Var | Neg | BinOp | Call
-
-_FUNCTIONS = {"exp": 1, "log": 1, "sqrt": 1, "min": 2, "max": 2}
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(source) - len(stripped))
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(source)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", offset)
-        self.advance()
-
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.parse_unary())
-            else:
-                return node
-
-    def parse_unary(self) -> Node:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Node:
-        kind, text, offset = self.advance()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "name":
-            if text == "y":
-                return Var()
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                args = [self.parse_expr()]
-                for _ in range(_FUNCTIONS[text] - 1):
-                    self.expect_op(",")
-                    args.append(self.parse_expr())
-                self.expect_op(")")
-                return Call(text, tuple(args))
-            raise ParseError(f"unknown identifier {text!r}", offset)
-        if kind == "op" and text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", offset)
-
-
-# --- printing (inverse of parsing up to number formatting) -----------------
-
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _to_source(node: Node, min_prec: int = 0) -> str:
-    if isinstance(node, Num):
-        text = repr(node.value)
-        return text if node.value >= 0 else f"({text})"
-    if isinstance(node, Var):
-        return "y"
-    if isinstance(node, Neg):
-        text = "-" + _to_source(node.operand, _PREC_UNARY)
-        return f"({text})" if min_prec > _PREC_UNARY else text
-    if isinstance(node, Call):
-        return f"{node.name}({', '.join(_to_source(a) for a in node.args)})"
-    if node.op in "+-":
-        prec = _PREC_ADD
-        text = f"{_to_source(node.left, prec)} {node.op} {_to_source(node.right, prec + 1)}"
-    elif node.op in "*/":
-        prec = _PREC_MUL
-        text = f"{_to_source(node.left, prec)}{node.op}{_to_source(node.right, prec + 1)}"
-    else:  # '^' is right-associative and its base must be an atom
-        prec = _PREC_POW
-        text = f"{_to_source(node.left, _PREC_ATOM)}^{_to_source(node.right, _PREC_UNARY)}"
-    return f"({text})" if min_prec > prec else text
-
-
-# --- evaluation -------------------------------------------------------------
-
-
-def _uses_y(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, Num):
-        return False
-    if isinstance(node, Neg):
-        return _uses_y(node.operand)
-    if isinstance(node, Call):
-        return any(_uses_y(a) for a in node.args)
-    return _uses_y(node.left) or _uses_y(node.right)
-
-
-def _eval(node: Node, y):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return y
-    if isinstance(node, Neg):
-        return -_eval(node.operand, y)
-    if isinstance(node, Call):
-        args = [_eval(a, y) for a in node.args]
-        if node.name == "exp":
-            with np.errstate(over="ignore"):
-                return np.exp(args[0])
-        if node.name == "log":
-            if np.any(np.asarray(args[0]) <= 0):
-                raise EvalDomainError("log of a nonpositive value")
-            return np.log(args[0])
-        if node.name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
-                raise EvalDomainError("sqrt of a negative value")
-            return np.sqrt(args[0])
-        if node.name == "min":
-            return np.minimum(args[0], args[1])
-        return np.maximum(args[0], args[1])
-    left = _eval(node.left, y)
-    right = _eval(node.right, y)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
+def _divide(f, g):
+    def evaluate(y):
+        left, right = f(y), g(y)
         if np.any(np.asarray(right) == 0):
             raise EvalDomainError("division by zero")
         return left / right
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.power(left, right)
+    return evaluate
+
+
+_BINARY = {ast.Add: _apply2(operator.add), ast.Sub: _apply2(operator.sub),
+           ast.Mult: _apply2(operator.mul), ast.Div: _divide, ast.Pow: _apply2(np.power)}
+
+# name: (arity, evaluator)
+_FUNCTIONS = {
+    "exp": (1, lambda f: lambda y: np.exp(f(y))),
+    "log": (1, _checked(np.log, lambda x: x <= 0, "log of a nonpositive value")),
+    "sqrt": (1, _checked(np.sqrt, lambda x: x < 0, "sqrt of a negative value")),
+    "min": (2, _apply2(np.minimum)), "max": (2, _apply2(np.maximum)),
+}
+
+
+def _build(node: ast.AST, source: str, origin: list[int]) -> Callable:
+    """The evaluator of a parsed tree, a function of y.  A node outside the
+    grammar is a ParseError at its offset in `source`, where `origin[i]` is
+    the offset of the parsed text's character i."""
+    at = origin[node.col_offset]
+    text = source[at:origin[node.end_col_offset]]
+    if isinstance(node, ast.Name) and node.id == "y":
+        return lambda y: y
+    if text.isidentifier():  # any other name, True, False or None
+        message = (f"{text} takes {_FUNCTIONS[text][0]} argument(s)"
+                   if text in _FUNCTIONS else f"unknown identifier {text!r}")
+        raise ParseError(message, at)
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(text):
+        value = float(text)
+        return lambda y: value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        f = _build(node.operand, source, origin)
+        return lambda y: -f(y)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_build(node.left, source, origin),
+                                      _build(node.right, source, origin))
+    # a call names its function bare: not `(exp)(y)`
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.col_offset == node.col_offset and node.func.id in _FUNCTIONS):
+        arity, build = _FUNCTIONS[node.func.id]
+        # the grammar has no trailing comma: `exp(y,)` is refused
+        if (len(node.args) != arity or node.keywords
+                or "," in source[origin[node.args[-1].end_col_offset]:origin[node.end_col_offset]]):
+            raise ParseError(f"{node.func.id} takes {arity} argument(s)", at)
+        return build(*(_build(a, source, origin) for a in node.args))
+    if isinstance(node, ast.Call):
+        _build(node.func, source, origin)  # an unknown name is refused as one
+    raise ParseError(f"unexpected {text!r}", at)
 
 
 @dataclass(frozen=True)
@@ -260,23 +131,17 @@ class CoeffExpr:
     """A parsed coefficient expression; immutable and safe to share."""
 
     source: str
-    ast: Node
-
-    @property
-    def uses_y(self) -> bool:
-        """Whether the tree reads y; one without y is a constant."""
-        return _uses_y(self.ast)
-
-    def to_source(self) -> str:
-        """Render the tree back to text; reparsing yields an equal tree."""
-        return _to_source(self.ast)
+    uses_y: bool  # whether the expression reads y; one without y is a constant
+    _evaluate: Callable = field(repr=False, compare=False)
 
     def eval(self, y):
         """Evaluate at a scalar or numpy array y.
 
         Raises EvalDomainError on domain violations or non-finite results.
         """
-        value = _eval(self.ast, y)
+        # an overflow or invalid value is reported by the finiteness check
+        with np.errstate(all="ignore"):
+            value = self._evaluate(y)
         value = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(value)):
             raise EvalDomainError(f"non-finite value in {self.source!r}")
@@ -293,9 +158,23 @@ def parse_expr(source: str) -> CoeffExpr:
     """Parse a coefficient expression; raises ParseError with a byte offset."""
     if not source.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(source))
-    ast = parser.parse_expr()
-    kind, text, offset = parser.peek()
-    if kind != "end":
-        raise ParseError(f"trailing input {text!r}", offset)
-    return CoeffExpr(source=source, ast=ast)
+    stray = _STRAY.search(source)
+    if stray:
+        raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
+    if "**" in source:
+        raise ParseError("unexpected token '*'", source.index("**") + 1)
+    # Python ends an expression at a newline and refuses an indent, so
+    # whitespace becomes spaces; origin[i] is the offset in source of text[i]
+    lead = len(source) - len(source.lstrip())
+    text = re.sub(r"\s", " ", source[lead:]).replace("^", "**")
+    origin = [i for i, ch in enumerate(source) if i >= lead for _ in ch.replace("^", "**")]
+    origin.append(len(source))
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        # Python reports an error at the end of the input as offset 0
+        offset = exc.offset - 1 if exc.offset else len(text)
+        raise ParseError(exc.msg, origin[min(offset, len(text))]) from None
+    evaluate = _build(tree.body, source, origin)
+    uses_y = any(isinstance(node, ast.Name) and node.id == "y" for node in ast.walk(tree))
+    return CoeffExpr(source, uses_y, evaluate)

@@ -1,6 +1,7 @@
 """Every import in src/condflow is used: a stdlib-only stand-in for a
 linter's unused-import rule.  The package exports exactly its modules'
-public names.  And one step kernel: only `simulate` draws step normals."""
+public names.  One step kernel: only `simulate` draws step normals.  And no
+module executes text: config expressions are parsed, never run."""
 
 from __future__ import annotations
 
@@ -87,3 +88,23 @@ def test_only_the_step_kernel_draws_normals():
     callers = sorted(p.name for p in SRC.glob("*.py")
                      if p.name != "rng.py" and normals_callers(p.read_text(encoding="utf-8")))
     assert callers == ["simulate.py"]
+
+
+def exec_calls(source: str) -> list[str]:
+    """The builtins among eval, exec and compile that a module calls."""
+    return [node.func.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("eval", "exec", "compile")]
+
+
+def test_detects_exec_calls():
+    source = ("v = eval(text)\nexec(code)\nc = compile(text, '<expr>', 'eval')\n"
+              "pattern = re.compile('a')\nexpr.eval(1.0)\n__call__ = eval\n")
+    assert exec_calls(source) == ["eval", "exec", "compile"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_executes_text(module):
+    # a coefficient expression from a config reaches ast.parse and a
+    # whitelisted walk, never the interpreter
+    assert exec_calls((SRC / module).read_text(encoding="utf-8")) == []
