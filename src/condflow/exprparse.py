@@ -171,10 +171,14 @@ def parse_expr(source: str) -> CoeffExpr:
     origin.append(len(source))
     try:
         tree = ast.parse(text, mode="eval")
+        evaluate = _build(tree.body, source, origin)
     except SyntaxError as exc:
         # Python reports an error at the end of the input as offset 0
         offset = exc.offset - 1 if exc.offset else len(text)
         raise ParseError(exc.msg, origin[min(offset, len(text))]) from None
-    evaluate = _build(tree.body, source, origin)
+    except (RecursionError, MemoryError):
+        # deep nesting without parentheses: Python's parser stack (MemoryError)
+        # or the recursion limit, in ast.parse or in _build
+        raise ParseError("expression nests too deeply", 0) from None
     uses_y = any(isinstance(node, ast.Name) and node.id == "y" for node in ast.walk(tree))
     return CoeffExpr(source, uses_y, evaluate)

@@ -42,13 +42,15 @@ def transform(spec: DiffusionSpec, s: ScaleFunction) -> DiffusionSpec:
         raise ValueError("transform needs an L-normalized scale with s > 0 on the grid "
                          "or an R-normalized one with s < 0")
 
-    # a constant base coefficient is read here, not evaluated per call
+    # a constant base coefficient or s' (the natural scale's) is read here,
+    # not evaluated per call
     b, a = const_value(spec.drift), const_value(spec.diffusion)
+    ds = const_value(s._ds_fn)
 
     def drift(y, _spec=spec, _s=s):
-        value, slope = _s(y, with_deriv=True)
         return ((_spec.drift(y) if b is None else b)
-                + (_spec.diffusion(y) if a is None else a) * slope / value)
+                + (_spec.diffusion(y) if a is None else a)
+                * (_s.deriv(y) if ds is None else ds) / _s(y))
 
     return DiffusionSpec(
         interval=spec.interval,
@@ -59,7 +61,8 @@ def transform(spec: DiffusionSpec, s: ScaleFunction) -> DiffusionSpec:
 
 
 def downward_scale(s: ScaleFunction) -> ScaleFunction:
-    """Scale of the upward-conditioned process: -1/s, derivative s'/s^2.
+    """Scale of the upward-conditioned process: -1/s, derivative s'/s^2,
+    evaluated through s itself, so between grid points too.
 
     Requires an L-normalized input (s > 0).  When s(r) = inf the result is
     R-normalized with limit 0 at r; for finite s(r) no normalization tag is
@@ -70,20 +73,16 @@ def downward_scale(s: ScaleFunction) -> ScaleFunction:
     values = np.asarray(s.values)
     if np.any(values <= 0):
         raise ValueError("scale must be positive on the grid")
-    lim_l, lim_r = s.boundary_limits
-    new_lim_r = 0.0 if lim_r == math.inf else -1.0 / lim_r
-    fn = s._s_fn
-    dfn = s._ds_fn
+    lim_r = s.boundary_limits[1]
     return ScaleFunction(
         grid=s.grid,
         values=-1.0 / values,
         derivs=np.asarray(s.derivs) / values**2,
         normalization=Normalization.R if lim_r == math.inf else None,
-        boundary_limits=(-math.inf, new_lim_r),
+        boundary_limits=(-math.inf, 0.0 if lim_r == math.inf else -1.0 / lim_r),
         label=f"-1/({s.label})" if s.label else "",
-        _s_fn=(lambda y, fn=fn: -1.0 / fn(y)) if fn is not None else None,
-        _ds_fn=(lambda y, fn=fn, dfn=dfn: dfn(y) / fn(y) ** 2)
-        if (fn is not None and dfn is not None) else None,
+        _s_fn=lambda y: -1.0 / s(y),
+        _ds_fn=lambda y: s.deriv(y) / s(y) ** 2,
     )
 
 

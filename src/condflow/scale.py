@@ -33,9 +33,14 @@ A diffusion with zero drift is a local martingale and is in natural scale:
 s' is constant, so with the anchor's s' = 1 the scale is s(y) = y - l when
 L-normalized, y - r when R-normalized, and its limits are the interval ends
 shifted the same way (Karatzas & Shreve 1991 5.5; Revuz & Yor VII.3).
-`compute_scale` returns that closed form for a `Const(0.0)` drift, so the
-conditioned drift of `transform` is the exact a(y)/(y - l) upward, or
-a(y)/(y - r) downward, with no spline.
+`compute_scale` returns that closed form for a `Const(0.0)` drift, with s'
+given as `Const(1.0)`.  `transform` reads that constant instead of calling
+it, so the conditioned drift is the exact a(y)/(y - l) upward, or
+a(y)/(y - r) downward, with one scale call and no spline.
+
+A `ScaleFunction` evaluates s and s' through two callables fixed when it is
+built: the closed forms of `exact_scale`, or else monotone cubic (PCHIP)
+interpolants of the grid data.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from .errors import QuadratureError
-from .model import DiffusionSpec, Interval, const_value
+from .model import Const, DiffusionSpec, Interval, const_value
 
 __all__ = [
     "Normalization",
@@ -131,17 +136,10 @@ class _Pchip:
         return d
 
     def __call__(self, y):
-        return self.at(*self.locate(y))
-
-    def locate(self, y):
-        """Index i of the cubic holding each y, and y's offset from x_i."""
         y = np.asarray(y, dtype=np.float64)
         # cubic i spans [x_i, x_i+1); the end cubics extend outward
         i = np.searchsorted(self._x[1:-1], y, side="right")
-        return i, y - self._x[i]
-
-    def at(self, i, s):
-        """Cubic i at offset s from its left knot."""
+        s = y - self._x[i]
         c3, c2, c1, c0 = (c[i] for c in self._coeffs)
         s2 = s * s
         return np.asarray(0.0 + c0 + c1 * s + c2 * s2 + c3 * (s2 * s))
@@ -151,8 +149,9 @@ class _Pchip:
 class ScaleFunction:
     """Grid-backed strictly increasing scale function with derivative.
 
-    When built from a closed form, `_s_fn`/`_ds_fn` are used directly;
-    otherwise evaluation interpolates the grid data with monotone cubics.
+    `_s_fn` and `_ds_fn` evaluate s and s'.  They are the closed forms when
+    given (`exact_scale`); otherwise construction sets them to monotone
+    cubics over the grid data.
     """
 
     grid: np.ndarray
@@ -179,37 +178,15 @@ class ScaleFunction:
             raise ValueError("normalization L requires boundary limit 0 at l")
         if self.normalization is Normalization.R and hi != 0.0:
             raise ValueError("normalization R requires boundary limit 0 at r")
+        if self._s_fn is None:
+            object.__setattr__(self, "_s_fn", _Pchip(g, v))
+            object.__setattr__(self, "_ds_fn", _Pchip(g, d))
 
-    def __call__(self, y, with_deriv: bool = False):
-        """s(y), or the pair (s(y), s'(y)) when `with_deriv` is set; on grid
-        data the pair shares one knot lookup."""
-        if with_deriv:
-            if self._s_fn is None and self._ds_fn is None:
-                i, offset = self._spline().locate(y)
-                return self._spline().at(i, offset), self._dspline().at(i, offset)
-            return self(y), self.deriv(y)
-        if self._s_fn is not None:
-            return self._s_fn(np.asarray(y, dtype=np.float64))
-        return self._spline()(y)
+    def __call__(self, y):
+        return self._s_fn(np.asarray(y, dtype=np.float64))
 
     def deriv(self, y):
-        if self._ds_fn is not None:
-            return self._ds_fn(np.asarray(y, dtype=np.float64))
-        return self._dspline()(y)
-
-    def _spline(self):
-        spline = getattr(self, "_spline_cache", None)
-        if spline is None:
-            spline = _Pchip(self.grid, self.values)
-            object.__setattr__(self, "_spline_cache", spline)
-        return spline
-
-    def _dspline(self):
-        spline = getattr(self, "_dspline_cache", None)
-        if spline is None:
-            spline = _Pchip(self.grid, self.derivs)
-            object.__setattr__(self, "_dspline_cache", spline)
-        return spline
+        return self._ds_fn(np.asarray(y, dtype=np.float64))
 
     def to_csv(self, stream: TextIO) -> None:
         stream.write("y,s,s_prime\n")
@@ -455,7 +432,7 @@ def compute_scale(
         l, r = float(spec.interval.l), float(spec.interval.r)
         normalization = _side(name, l, r, normalization)
         origin = l if normalization is Normalization.L else r
-        return exact_scale(lambda y: y - origin, lambda y: np.ones(np.shape(y)), g,
+        return exact_scale(lambda y: y - origin, Const(1.0), g,
                            normalization, (l - origin, r - origin), label=spec.label)
 
     def phi(v, _owner=None):

@@ -203,6 +203,8 @@ def scenario_counterexample(n: int = 10_000, dt: float = 1e-3, seed: int = 2028)
 def scenario_jumpwalk(n: int = 10_000, seed: int = 2029, n_ks: int = 10_000) -> dict:
     """Exact lattice identities, generator convergence, positivity of the
     conditioned walk, and the diffusion-limit smoke check."""
+    if n < 1:  # before any work: n sets the walk's length below
+        raise ValueError(f"n_paths must be positive, got {n}")
     checks = []
     quad_errs = []
     for n_lat in (4, 10, 50):

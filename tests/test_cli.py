@@ -167,6 +167,11 @@ def test_verify_roundtrip_passes(tmp_path):
         "generator-identity-max-error", "fd-error-ratio", "up-down-drift-roundtrip"}
 
 
+def test_verify_jumpwalk_refuses_no_paths(tmp_path, capsys):
+    assert main(["verify", "jumpwalk", "--n", "0", "--out", str(tmp_path / "v.json")]) == 2
+    assert capsys.readouterr().err == "config error: n_paths must be positive, got 0\n"
+
+
 def test_verify_reports_are_identical_across_thread_counts(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -182,6 +187,13 @@ def test_missing_config_is_config_error():
 def test_bad_expression_is_config_error(tmp_path):
     cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "1 +"\na = "1"\n')
     assert main(["scale", "--config", cfg]) == 2
+
+
+def test_deeply_nested_expression_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", f'[spec]\nfamily = custom\nb = "{"-" * 3000}y"\na = "1"\n')
+    assert main(["scale", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("config error: bad coefficient expression: "
+                                       "expression nests too deeply (at offset 0)\n")
 
 
 def test_unknown_family_is_config_error(tmp_path):

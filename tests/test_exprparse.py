@@ -99,6 +99,18 @@ def test_unbalanced_paren():
         parse_expr("(1 + y")
 
 
+@pytest.mark.parametrize("source", [
+    "-" * 1000 + "y",      # past the recursion limit while building the evaluator
+    "-" * 3000 + "y",      # past it inside ast.parse
+    "+".join(["y"] * 5001),
+    "^".join(["y"] * 3001),  # Python's parser stack: a MemoryError
+], ids=["neg1000", "neg3000", "sum5001", "pow3000"])
+def test_deep_nesting_is_a_parse_error(source):
+    with pytest.raises(ParseError, match="nests too deeply") as err:
+        parse_expr(source)
+    assert err.value.offset == 0
+
+
 def test_array_evaluation_broadcasts():
     ys = np.array([1.0, 2.0, 4.0])
     np.testing.assert_allclose(parse_expr("y^2").eval(ys), [1.0, 4.0, 16.0])

@@ -11,7 +11,7 @@ from condflow.htransform import (
     transform,
 )
 from condflow.model import Const, DiffusionSpec, Interval, bessel3, bm, gbm
-from condflow.scale import GridConfig, Normalization, compute_scale, exact_scale
+from condflow.scale import GridConfig, Normalization, _Pchip, compute_scale, exact_scale
 
 _PROBE = np.linspace(0.2, 5.0, 97)
 
@@ -188,6 +188,20 @@ def test_round_trip_restores_drift_computed_scale():
     assert np.max(np.abs(down.drift(probe))) <= 1e-6
 
 
+def test_downward_scale_composes_a_grid_backed_scale():
+    # -1/s and s'/s^2 of the input's own evaluators, between knots too, so
+    # the round trip b + a s'/s + a (s'/s^2)/(-1/s) returns b to rounding
+    base = DiffusionSpec(Interval(0.0, math.inf), Const(-0.5), Const(1.0))
+    s = compute_scale(base, 1.0, GridConfig(y_min=0.01, y_max=10.0), Normalization.L)
+    assert isinstance(s._s_fn, _Pchip)
+    down = downward_scale(s)
+    ys = np.geomspace(0.01, 10.0, 701)
+    assert down(ys).tobytes() == (-1.0 / s(ys)).tobytes()
+    assert down.deriv(ys).tobytes() == (s.deriv(ys) / s(ys) ** 2).tobytes()
+    round_trip = transform(transform(base, s), down).drift(ys)
+    assert np.max(np.abs(round_trip + 0.5)) <= 1e-12 * np.max(1.0 / ys)
+
+
 def test_fd_error_second_order():
     # curved scale and nonzero drift so the h^2 term does not cancel
     drifted = DiffusionSpec(Interval(0.0, math.inf),
@@ -204,8 +218,8 @@ def test_fd_error_second_order():
     assert 3.5 <= ratio <= 4.5
 
 
-def test_grid_backed_drift_shares_one_knot_lookup():
-    # s and s' come from one knot lookup, bit for bit equal to two lookups,
+def test_grid_backed_drift_is_b_plus_a_ds_over_s():
+    # the drift is b + a s'/s from the scale's own evaluators, bit for bit,
     # inside the grid, on its knots and on the extrapolated ends; b = -y/2,
     # a = y^2 has s' = y, and a drift keeps its scale grid-backed
     drifted = DiffusionSpec(Interval(0.0, math.inf),
@@ -213,7 +227,7 @@ def test_grid_backed_drift_shares_one_knot_lookup():
                             lambda y: np.square(np.asarray(y, dtype=float)), label="gbm-drifted")
     for spec, norm in ((drifted, Normalization.L), (bessel3(), Normalization.R)):
         s = compute_scale(spec, 1.0, GridConfig(y_min=0.01, y_max=50.0), norm)
-        assert s._s_fn is None
+        assert isinstance(s._s_fn, _Pchip) and isinstance(s._ds_fn, _Pchip)
         drift = transform(spec, s).drift
         for ys in (np.concatenate([np.geomspace(5e-3, 80.0, 701), s.grid]), np.float64(1.7)):
             expected = spec.drift(ys) + spec.diffusion(ys) * s.deriv(ys) / s(ys)

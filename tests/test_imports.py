@@ -1,7 +1,8 @@
 """Every import in src/condflow is used: a stdlib-only stand-in for a
 linter's unused-import rule.  The package exports exactly its modules'
-public names.  One step kernel: only `simulate` draws step normals.  And no
-module executes text: config expressions are parsed, never run."""
+public names.  One step kernel: only `simulate` draws step normals.  No
+module executes text: config expressions are parsed, never run.  And the
+only scipy import is `ndtri`."""
 
 from __future__ import annotations
 
@@ -108,3 +109,35 @@ def test_no_module_executes_text(module):
     # a coefficient expression from a config reaches ast.parse and a
     # whitelisted walk, never the interpreter
     assert exec_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Each scipy import of a module, as `import scipy.x` or
+    `from scipy.x import name`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[0] == "scipy"):
+            found += [f"from {node.module} import {alias.name}" for alias in node.names]
+    return found
+
+
+def test_detects_scipy_imports():
+    source = ("import scipy\nimport scipy.stats as st\nimport scipyx\n"
+              "from scipy.interpolate import PchipInterpolator, interp1d\n"
+              "from .scale import scipy\nfrom numpy import scipy_like\n")
+    assert scipy_imports(source) == [
+        "import scipy", "import scipy.stats",
+        "from scipy.interpolate import PchipInterpolator",
+        "from scipy.interpolate import interp1d"]
+
+
+def test_only_scipy_import_is_ndtri():
+    # scipy.interpolate costs tens of MB of resident memory, so the scale's
+    # PCHIP is written out (scale._Pchip) instead of imported
+    found = [line for p in sorted(SRC.glob("*.py"))
+             for line in scipy_imports(p.read_text(encoding="utf-8"))]
+    assert found == ["from scipy.special import ndtri"]

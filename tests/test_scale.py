@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from condflow.errors import QuadratureError
 from condflow.exprparse import parse_expr
-from condflow.model import DiffusionSpec, Interval, bessel3, bm, gbm
+from condflow.model import Const, DiffusionSpec, Interval, bessel3, bm, gbm
 from condflow.scale import (
     BoundaryClass,
     GridConfig,
     Normalization,
+    ScaleFunction,
     _Pchip,
     classify_boundaries,
     compute_scale,
@@ -315,7 +316,8 @@ def test_driftless_scale_is_the_natural_scale(spec, grid, norm, cls, limits):
     for side in (norm, None):  # None picks the same side
         s = compute_scale(spec, 1.0, grid, side)
         origin = spec.interval.l if norm is Normalization.L else spec.interval.r
-        assert s.normalization is norm and s._s_fn is not None
+        assert s.normalization is norm and not isinstance(s._s_fn, _Pchip)
+        assert s._ds_fn == Const(1.0)
         assert s.values.tobytes() == (s.grid - origin).tobytes()
         assert np.all(s.derivs == 1.0)
         ys = np.linspace(grid.y_min, grid.y_max, 37)
@@ -333,7 +335,7 @@ def test_natural_scale_agrees_with_quadrature(spec, grid, norm, cls, limits):
                           label=spec.label)
     s = compute_scale(spec, 1.0, grid, norm)
     q = compute_scale(zeros, 1.0, grid, norm)
-    assert q._s_fn is None
+    assert isinstance(q._s_fn, _Pchip) and isinstance(q._ds_fn, _Pchip)
     assert np.array_equal(s.grid, q.grid)
     assert np.max(np.abs(s.values - q.values)) <= 1e-12 * np.max(np.abs(q.values))
     np.testing.assert_allclose(s.derivs, q.derivs, rtol=1e-12)
@@ -359,11 +361,15 @@ def test_natural_scale_refusals_match_quadrature(interval, grid, norm, message):
             compute_scale(case, 1.0, GridConfig(*grid), norm)
 
 
-def test_natural_scale_transformed_drift_is_exact():
+def test_natural_scale_transformed_drift_is_exact(monkeypatch):
     # the conditioned drift is a(y)/(y - l) upward and a(y)/(y - r) downward,
-    # bit for bit
+    # bit for bit, and the natural scale's s' = 1 is read, never evaluated
     from condflow.htransform import transform
 
+    deriv_calls = []
+    deriv = ScaleFunction.deriv
+    monkeypatch.setattr(ScaleFunction, "deriv",
+                        lambda self, y: deriv_calls.append(y) or deriv(self, y))
     ys = np.concatenate([np.geomspace(5e-3, 80.0, 401), [1.0, 2.5]])
     for spec, grid in ((gbm(), GridConfig(1e-3, 50.0)), (_Y4, GridConfig(1e-2, 50.0)),
                        (bm(0.0, 2.0), GridConfig(1e-3, 1.999))):
@@ -375,3 +381,4 @@ def test_natural_scale_transformed_drift_is_exact():
     s = compute_scale(down, 1.0, GridConfig(-50.0, 4.999), Normalization.R)
     at = np.linspace(-40.0, 4.99, 301)
     assert transform(down, s).drift(at).tobytes() == (1.0 / (at - 5.0)).tobytes()
+    assert deriv_calls == []
