@@ -14,15 +14,17 @@ flags (--seed, --n, --out) override the file; --threads is accepted and
 changes nothing, because every run uses one thread.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
-error, 3 numeric failure.  JSON reports are UTF-8 with sorted keys and carry
-"schema": 1 (condition: "schema": 3, with its three reports and one KS);
-CSV output is comma-separated with a header row and '.' as the decimal mark.
+error (an output that cannot be written is one), 3 numeric failure.  JSON
+reports are UTF-8 with sorted keys and carry "schema": 1 (condition:
+"schema": 3, with its three reports and one KS); CSV output is
+comma-separated with a header row and '.' as the decimal mark.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import io
 import json
 import math
@@ -218,9 +220,17 @@ def _scale(conf, spec: DiffusionSpec, x0: float) -> ScaleFunction:
     return compute_scale(spec, x0, grid, _direction(conf))
 
 
+def _open_out(path: str):
+    """`path` opened for writing; one that cannot be opened is a config error."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -258,14 +268,14 @@ def cmd_simulate(conf, args) -> int:
     spec = _build_spec(conf)
     cfg = _build_sim(conf, args)
     x0 = _get(conf, "scenario", "x0", 1.0, float)
-    res = simulate_ensemble(spec, x0, cfg)
-    payload = {"schema": 1, **res.summary()}
-    _emit(_json_report(payload), args.out)
     dump = _get(conf, "output", "dump_paths", 0, int)
-    if dump > 0:
-        stride = max(1, _get(conf, "output", "downsample", 10, int))
-        path_file = _get(conf, "output", "paths_csv", "paths.csv")
-        with open(path_file, "w", encoding="utf-8") as fh:
+    # the dump opens first: a path that cannot be written fails before any run
+    with (_open_out(_get(conf, "output", "paths_csv", "paths.csv")) if dump > 0
+          else contextlib.nullcontext()) as fh:
+        res = simulate_ensemble(spec, x0, cfg)
+        _emit(_json_report({"schema": 1, **res.summary()}), args.out)
+        if dump > 0:
+            stride = max(1, _get(conf, "output", "downsample", 10, int))
             fh.write("path,t,x\n")
             for index in range(min(dump, cfg.n_paths)):
                 sample = simulate_path(spec, x0, cfg, index)

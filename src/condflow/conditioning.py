@@ -17,6 +17,12 @@ Never-hit events are operationalized by the divergence cap (first exceedance
 of `cfg.cap` plays the hit of infinity) and by the horizon; the fraction of
 paths the horizon truncated is a mandatory report field, and more than 1%
 unresolved raises NeedLongerHorizonError.
+
+`verify_identity_of_measures` measures when P conditioned on the upward
+event equals Q, the law of `transform(base, s)`: when the coordinate is a
+bounded martingale (r finite: stopped BM on (0, 2)).  A true martingale
+that is not uniformly integrable (r infinite: driftless GBM) never reaches
+l, so conditioning leaves P as it is, and Q differs.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ import numpy as np
 
 from .errors import EvalDomainError, NeedLongerHorizonError
 from .htransform import transform
-from .model import DiffusionSpec, McEstimate, bm, gbm
-from .scale import GridConfig, Normalization, compute_scale
+from .model import DiffusionSpec, McEstimate
+from .scale import ScaleFunction
 from .simulate import EnsembleResult, SimConfig, simulate_ensemble
 from .stats import KsResult, effective_sample_size, ks_two_sample, ks_weighted
 
@@ -300,58 +306,31 @@ def compare_reports(left: ConditioningReport, right: ConditioningReport) -> KsRe
 # --- scenario measurements ----------------------------------------------------
 
 
-def _bm_unit_interval_dynamics(r: float = 2.0) -> DiffusionSpec:
-    base = bm(0.0, r)
-    s = compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=r - 1e-4), Normalization.L)
-    return transform(base, s)
-
-
-def _gbm_unit_drift_dynamics() -> DiffusionSpec:
-    base = gbm()
-    s = compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=50.0), Normalization.L)
-    return transform(base, s)
-
-
-def verify_identity_of_measures(scenario: str, cfg: SimConfig) -> dict:
-    """Measure conditional against transformed dynamics for the two
-    textbook cases with a positive no-absorption probability; the verdicts
-    are the `stopped-bm` and `gbm` scenarios' (see `scenarios.py`).
-
-    scenario "STOPPED_BM_POSITIVE_B": coordinate process absorbed at {0, 2};
-    reports the KS between the conditional law given absorption at 2 and
-    the transformed dynamics, and the acceptance estimate.  scenario
-    "GBM_B_POSITIVE_NOT_UI": driftless geometric Brownian motion never hits
-    0, but its transform is a different measure; reports the KS between the
-    two laws at t = 1.
+def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFunction,
+                                functional) -> dict:
+    """KS between the base law from 1 conditioned on its upward event and
+    the law of `transform(base, s)` from 1 (when they agree: the module
+    docstring), with the acceptance and the larger truncated fraction.  With
+    r finite both runs stop at r and the 1% horizon rule applies to both;
+    with r infinite the event is never reaching l, which no horizon
+    resolves, so both runs go to the horizon and a base reaching l raises.
     """
-    if scenario == "STOPPED_BM_POSITIVE_B":
-        functional = TimeAverageUntilStop()
-        base_cfg = replace(cfg, watch_levels=(), track_time_average=True)
-        res = simulate_ensemble(bm(0.0, 2.0), 1.0, base_cfg)
-        accepted = res.absorbed_at == 2.0
-        samples = functional.extract(res)[accepted]
-        direct = direct_sample(_bm_unit_interval_dynamics(2.0), 1.0, functional, cfg,
-                               stop_level=2.0)
-        ks = ks_two_sample(samples, direct.functional_samples)
-        acceptance = McEstimate.from_binomial(int(np.sum(accepted)), res.n)
-        return {
-            "scenario": scenario,
-            "ks": ks.as_dict(),
-            "acceptance": {"value": acceptance.value, "stderr": acceptance.stderr},
-            "truncated_fraction": res.truncated_fraction(),
-        }
-    if scenario == "GBM_B_POSITIVE_NOT_UI":
-        horizon_cfg = replace(cfg, horizon=max(cfg.horizon, 1.0 + cfg.dt),
-                              snapshot_times=(1.0,))
-        p_run = simulate_ensemble(gbm(), 1.0, horizon_cfg)
-        q_run = simulate_ensemble(_gbm_unit_drift_dynamics(), 1.0, horizon_cfg)
-        ks = ks_two_sample(p_run.snapshots[1.0], q_run.snapshots[1.0])
-        return {
-            "scenario": scenario,
-            "ks": ks.as_dict(),
-            "truncated_fraction": q_run.truncated_fraction(),
-        }
-    raise ValueError(f"unknown scenario {scenario!r}")
+    l, r = base.interval.l, base.interval.r
+    bounded = math.isfinite(r)
+    res = _run(base, 1.0, functional, cfg, stop_level=r)
+    if bounded:
+        _check_horizon(res, "verify_identity_of_measures")
+    elif np.any(res.absorbed_at == l):
+        raise ValueError(f"base reaches l = {l:g}, which the horizon cannot rule out")
+    kept = res.absorbed_at == r if bounded else res.absorbed_at != l
+    direct = direct_sample(transform(base, s), 1.0, functional, cfg, stop_level=r,
+                           allow_truncated=not bounded)
+    acceptance = McEstimate.from_binomial(int(np.sum(kept)), res.n)
+    return {
+        "ks": ks_two_sample(functional.extract(res)[kept], direct.functional_samples).as_dict(),
+        "acceptance": {"value": acceptance.value, "stderr": acceptance.stderr},
+        "truncated_fraction": max(res.truncated_fraction(), direct.truncated_fraction),
+    }
 
 
 def verify_local_martingality_of_reciprocal(

@@ -91,10 +91,17 @@ _FUNCTIONS = {
 }
 
 
-def _build(node: ast.AST, source: str, origin: list[int]) -> Callable:
+# deepest tree `_build` accepts: evaluation takes a frame per level, and 200
+# leaves most of the recursion limit (1,000) to callers such as compute_scale
+_MAX_DEPTH = 200
+
+
+def _build(node: ast.AST, source: str, origin: list[int], depth: int = 0) -> Callable:
     """The evaluator of a parsed tree, a function of y.  A node outside the
     grammar is a ParseError at its offset in `source`, where `origin[i]` is
     the offset of the parsed text's character i."""
+    if depth > _MAX_DEPTH:
+        raise ParseError("expression nests too deeply", 0)
     at = origin[node.col_offset]
     text = source[at:origin[node.end_col_offset]]
     if isinstance(node, ast.Name) and node.id == "y":
@@ -107,11 +114,11 @@ def _build(node: ast.AST, source: str, origin: list[int]) -> Callable:
         value = float(text)
         return lambda y: value
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        f = _build(node.operand, source, origin)
+        f = _build(node.operand, source, origin, depth + 1)
         return lambda y: -f(y)
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        return _BINARY[type(node.op)](_build(node.left, source, origin),
-                                      _build(node.right, source, origin))
+        return _BINARY[type(node.op)](_build(node.left, source, origin, depth + 1),
+                                      _build(node.right, source, origin, depth + 1))
     # a call names its function bare: not `(exp)(y)`
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.col_offset == node.col_offset and node.func.id in _FUNCTIONS):
@@ -120,7 +127,7 @@ def _build(node: ast.AST, source: str, origin: list[int]) -> Callable:
         if (len(node.args) != arity or node.keywords
                 or "," in source[origin[node.args[-1].end_col_offset]:origin[node.end_col_offset]]):
             raise ParseError(f"{node.func.id} takes {arity} argument(s)", at)
-        return build(*(_build(a, source, origin) for a in node.args))
+        return build(*(_build(a, source, origin, depth + 1) for a in node.args))
     if isinstance(node, ast.Call):
         _build(node.func, source, origin)  # an unknown name is refused as one
     raise ParseError(f"unexpected {text!r}", at)
@@ -178,7 +185,7 @@ def parse_expr(source: str) -> CoeffExpr:
         raise ParseError(exc.msg, origin[min(offset, len(text))]) from None
     except (RecursionError, MemoryError):
         # deep nesting without parentheses: Python's parser stack (MemoryError)
-        # or the recursion limit, in ast.parse or in _build
+        # or the recursion limit in ast.parse; _build stops at _MAX_DEPTH
         raise ParseError("expression nests too deeply", 0) from None
     uses_y = any(isinstance(node, ast.Name) and node.id == "y" for node in ast.walk(tree))
     return CoeffExpr(source, uses_y, evaluate)

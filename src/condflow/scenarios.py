@@ -18,6 +18,7 @@ import numpy as np
 
 from .conditioning import (
     StoppedValueAt,
+    TimeAverageUntilStop,
     compare_reports,
     condition_downward,
     condition_upward,
@@ -74,11 +75,12 @@ def scenario_bm_bessel(n: int = 100_000, n_ks: int = 10_000, dt: float = 1e-3,
             unresolved=rep["unresolved"], ties=rep["ties"],
         ))
 
-    # the rejection side keeps about half its paths, so run twice as many
+    # the rejection side keeps about half its paths, so run twice as many;
+    # the direct route runs BM's h-transform, BES(3)
     cfg = SimConfig(dt=dt, horizon=20.0, seed=seed + 1, n_paths=2 * n_ks)
     rejection, _weighted = condition_upward(bm(), 1.0, 2.0, StoppedValueAt(0.25), cfg)
-    direct = direct_sample(bessel3(), 1.0,
-                           StoppedValueAt(0.25),
+    s = compute_scale(bm(), 1.0, GridConfig(y_min=1e-3, y_max=50.0), Normalization.L)
+    direct = direct_sample(transform(bm(), s), 1.0, StoppedValueAt(0.25),
                            replace(cfg, seed=seed + 2, n_paths=n_ks), stop_level=2.0)
     ks = compare_reports(rejection, direct)
     checks.append(_check(
@@ -160,9 +162,7 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
         mean=mean, stderr=sem, target=0.5,
     ))
 
-    ident = verify_identity_of_measures(
-        "GBM_B_POSITIVE_NOT_UI",
-        SimConfig(dt=dt, horizon=1.0 + dt, seed=seed + 1, n_paths=n))
+    ident = verify_identity_of_measures(base, replace(cfg, seed=seed + 1), s, StoppedValueAt(1.0))
     checks.append(_check("p-and-q-measures-differ", not ident["ks"]["pass"], **ident["ks"]))
     return _bundle("gbm", checks)
 
@@ -170,8 +170,10 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
 def scenario_stopped_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2027) -> dict:
     """Rejection conditioning on absorption at the top equals the
     transformed dynamics when the coordinate is a bounded martingale."""
-    cfg = SimConfig(dt=dt, horizon=30.0, seed=seed, n_paths=n)
-    ident = verify_identity_of_measures("STOPPED_BM_POSITIVE_B", cfg)
+    base = bm(0.0, 2.0)
+    s = compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=2.0 - 1e-4), Normalization.L)
+    ident = verify_identity_of_measures(base, SimConfig(dt=dt, horizon=30.0, seed=seed, n_paths=n),
+                                        s, TimeAverageUntilStop())
     checks = [
         _check("rejection-matches-transformed", ident["ks"]["pass"], **ident["ks"]),
         _check(

@@ -117,6 +117,17 @@ def test_simulate_path_dump(tmp_path):
     assert any(line.startswith("1,") for line in lines[1:])
 
 
+def test_unwritable_path_dump_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "p.csv"
+    text = BM_UNIT + f"\n[output]\ndump_paths = 1\npaths_csv = {missing}\n"
+    cfg = _write(tmp_path, "c.ini", text)
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--config", cfg, "--n", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {missing}: ")
+    # the dump opens before the run, so no report is written
+    assert not out.exists()
+
+
 def test_simulate_counts_paths_stopped_at_the_cap(tmp_path):
     # a drift of 1e308 sends every path past the cap on its first step
     text = '[spec]\nfamily = custom\nb = "1e308"\na = "1"\n\n[sim]\ndt = 10\nhorizon = 20\nn_paths = 5\n'
@@ -167,6 +178,14 @@ def test_verify_roundtrip_passes(tmp_path):
         "generator-identity-max-error", "fd-error-ratio", "up-down-drift-roundtrip"}
 
 
+def test_unwritable_output_is_config_error(tmp_path, capsys):
+    # exit 1 means a check failed; a report that cannot be written is exit 2
+    out = tmp_path / "missing" / "verify.json"
+    assert main(["verify", "roundtrip", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"config error: cannot write {out}: ")
+
+
 def test_verify_jumpwalk_refuses_no_paths(tmp_path, capsys):
     assert main(["verify", "jumpwalk", "--n", "0", "--out", str(tmp_path / "v.json")]) == 2
     assert capsys.readouterr().err == "config error: n_paths must be positive, got 0\n"
@@ -191,6 +210,16 @@ def test_bad_expression_is_config_error(tmp_path):
 
 def test_deeply_nested_expression_is_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, "c.ini", f'[spec]\nfamily = custom\nb = "{"-" * 3000}y"\na = "1"\n')
+    assert main(["scale", "--config", cfg]) == 2
+    assert capsys.readouterr().err == ("config error: bad coefficient expression: "
+                                       "expression nests too deeply (at offset 0)\n")
+
+
+def test_long_sum_is_config_error(tmp_path, capsys):
+    # 990 terms parse in Python but their evaluator overflowed the stack
+    # inside compute_scale; the tree's depth is bounded at parse
+    b = " + ".join(["0*y"] * 990)
+    cfg = _write(tmp_path, "c.ini", f'[spec]\nfamily = custom\nb = "{b}"\na = "1"\n')
     assert main(["scale", "--config", cfg]) == 2
     assert capsys.readouterr().err == ("config error: bad coefficient expression: "
                                        "expression nests too deeply (at offset 0)\n")

@@ -22,7 +22,8 @@ from condflow.conditioning import (
     verify_local_martingality_of_reciprocal,
 )
 from condflow.errors import InsufficientSamplesError, NeedLongerHorizonError, NumericFailure
-from condflow.model import McEstimate, bessel3, bm
+from condflow.model import McEstimate, bessel3, bm, gbm
+from condflow.scale import GridConfig, Normalization, compute_scale
 from condflow.simulate import SimConfig, simulate_ensemble
 from condflow.stats import ecdf, ks_two_sample, weighted_ecdf
 
@@ -176,20 +177,54 @@ def test_first_hit_time_functional():
     assert abs(hit.value - 0.5) <= 4 * hit.stderr
 
 
+def _upward_scale(base, y_max):
+    return compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=y_max), Normalization.L)
+
+
 def test_identity_scenarios_smoke():
+    # stopped BM on (0, 2) is a bounded martingale: the laws agree
+    base = bm(0.0, 2.0)
     cfg = SimConfig(dt=2e-3, horizon=30.0, seed=62, n_paths=2_000)
-    stopped = verify_identity_of_measures("STOPPED_BM_POSITIVE_B", cfg)
+    stopped = verify_identity_of_measures(base, cfg, _upward_scale(base, 2.0 - 1e-4),
+                                          TimeAverageUntilStop())
     acceptance = stopped["acceptance"]
     assert stopped["ks"]["pass"]
     assert abs(acceptance["value"] - 0.5) <= 4 * max(acceptance["stderr"], 1e-12)
+    # driftless GBM never reaches 0 but is not uniformly integrable: they differ
     gbm_cfg = SimConfig(dt=2e-3, horizon=1.1, seed=63, n_paths=2_000)
-    differ = verify_identity_of_measures("GBM_B_POSITIVE_NOT_UI", gbm_cfg)
+    differ = verify_identity_of_measures(gbm(), gbm_cfg, _upward_scale(gbm(), 50.0),
+                                         StoppedValueAt(1.0))
     assert not differ["ks"]["pass"]
+    assert differ["acceptance"] == {"value": 1.0, "stderr": 0.0}
     # the library measures; the verdicts are the scenarios'
     for report in (stopped, differ):
         assert not report.keys() & {"pass", "measures_differ", "expected_acceptance"}
-    with pytest.raises(ValueError):
-        verify_identity_of_measures("NO_SUCH", cfg)
+
+
+def test_identity_of_measures_on_a_wider_interval():
+    # no bundle runs BM on (0, 4): from 1 it reaches 4 first with
+    # probability 1/4, and conditioned on that it is the transformed law
+    base = bm(0.0, 4.0)
+    cfg = SimConfig(dt=2e-3, horizon=60.0, seed=64, n_paths=2_000)
+    ident = verify_identity_of_measures(base, cfg, _upward_scale(base, 4.0 - 1e-4),
+                                        TimeAverageUntilStop())
+    acceptance = ident["acceptance"]
+    assert abs(acceptance["value"] - 0.25) <= 4 * acceptance["stderr"]
+    assert ident["ks"]["pass"]
+    assert ident["truncated_fraction"] == 0.0
+
+
+def test_identity_of_measures_refuses_an_unresolved_upward_event():
+    # on (0, 2) a horizon of 0.5 leaves most base paths in the interval
+    base = bm(0.0, 2.0)
+    short = SimConfig(dt=1e-2, horizon=0.5, seed=65, n_paths=200)
+    with pytest.raises(NeedLongerHorizonError, match="verify_identity_of_measures"):
+        verify_identity_of_measures(base, short, _upward_scale(base, 2.0 - 1e-4),
+                                    TimeAverageUntilStop())
+    # BM on (0, inf) reaches 0, so a path alive at the horizon may still do so
+    cfg = SimConfig(dt=1e-2, horizon=1.1, seed=65, n_paths=200)
+    with pytest.raises(ValueError, match="base reaches l = 0"):
+        verify_identity_of_measures(bm(), cfg, _upward_scale(bm(), 50.0), StoppedValueAt(1.0))
 
 
 def test_downward_rejects_infinite_weight():

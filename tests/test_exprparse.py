@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from condflow.errors import EvalDomainError
 from condflow.exprparse import ParseError, parse_expr
+from condflow.model import Const, DiffusionSpec, Interval
+from condflow.scale import GridConfig, Normalization, compute_scale
 
 
 def test_constant_zero():
@@ -109,6 +112,29 @@ def test_deep_nesting_is_a_parse_error(source):
     with pytest.raises(ParseError, match="nests too deeply") as err:
         parse_expr(source)
     assert err.value.offset == 0
+
+
+@pytest.mark.parametrize("source, refused", [
+    ("-" * 200 + "y", False), ("-" * 201 + "y", True),
+    (" + ".join(["0*y"] * 200), False), (" + ".join(["0*y"] * 201), True),
+], ids=["neg200", "neg201", "sum200", "sum201"])
+def test_tree_depth_is_bounded_at_200(source, refused):
+    # Python's own limit on nested parentheses; below the root, a sum of n
+    # products is n levels deep
+    if refused:
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse_expr(source)
+    else:
+        assert parse_expr(source).eval(2.0) in (2.0, 0.0)
+
+
+def test_long_sum_evaluates_inside_compute_scale():
+    # compute_scale calls the evaluator deep in its own stack; 990 terms
+    # overflowed it there before the depth bound refused them at parse
+    b = parse_expr(" + ".join(["0*y"] * 150))
+    spec = DiffusionSpec(Interval(0.0, math.inf), b.eval, Const(1.0))
+    s = compute_scale(spec, 1.0, GridConfig(y_min=1e-2, y_max=10.0), Normalization.L)
+    assert s(np.array([0.5, 2.0])) == pytest.approx([0.5, 2.0], rel=1e-6)
 
 
 def test_array_evaluation_broadcasts():

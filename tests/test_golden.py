@@ -24,6 +24,9 @@ import tempfile
 from pathlib import Path
 
 from condflow.cli import main
+from condflow.model import bm
+from condflow.scale import GridConfig, Normalization, compute_scale
+from condflow.simulate import SimConfig
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -105,6 +108,32 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     with tracing.instrument(tracing.Tracer()):
         assert condflow.simulate.simulate_ensemble is not original
     assert condflow.simulate.simulate_ensemble is original
+
+
+def test_benchmark_tracer_reads_the_conditioning_calls(monkeypatch):
+    # the tracer reads the identity routine's cfg as its second argument and
+    # condition_upward's result as a report pair; a signature or return
+    # type that breaks those reads breaks `perfbench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import tracing
+
+    from condflow import conditioning
+
+    base = bm(0.0, 2.0)
+    s = compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=2.0 - 1e-4), Normalization.L)
+    cfg = SimConfig(dt=1e-2, horizon=30.0, seed=5, n_paths=200)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        ident = conditioning.verify_identity_of_measures(
+            base, cfg, s, conditioning.TimeAverageUntilStop())
+        rejection, _ = conditioning.condition_upward(
+            bm(), 1.0, 2.0, conditioning.StoppedValueAt(0.25), cfg)
+    spans = {span.name: span.counts for span in tracer.spans}
+    identity = spans["conditioning.verify_identity_of_measures"]
+    assert identity == {"accepted": round(ident["acceptance"]["value"] * 200), "simulated": 200}
+    assert 0 < identity["accepted"] < 200
+    upward = spans["conditioning.condition_upward"]
+    assert (upward["accepted"], upward["simulated"]) == (rejection.n_accepted, 200)
 
 
 def moved_values(old, new, path: str = ""):
