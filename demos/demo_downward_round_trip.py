@@ -29,7 +29,7 @@ cfg = SimConfig(dt=1e-3, horizon=10_000.0, cap=100.0, seed=7, n_paths=10_000,
 rejection, weighted = condition_downward(bessel3(), 1.0, 0.5, StoppedValueAt(0.1), cfg)
 reference = direct_sample(bm(), 1.0, StoppedValueAt(0.1),
                           SimConfig(dt=1e-3, horizon=0.2, seed=8, n_paths=10_000),
-                          stop_level=0.5, allow_truncated=True)
+                          stop_level=0.5)
 ks = compare_reports(weighted, reference)
 print(f"acceptance fraction:   {rejection.acceptance.value:.4f} (target 1/2)")
 print(f"weighted sample vs base dynamics: KS {ks.statistic:.4f} "

@@ -335,12 +335,9 @@ def cmd_condition(conf, args) -> int:
 def cmd_verify(conf, args) -> int:
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {args.scenario!r}; known: {sorted(SCENARIOS)}")
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.n is not None and args.scenario != "roundtrip":
-        kwargs["n"] = args.n
-    report = run_scenario(args.scenario, **kwargs)
+    # roundtrip draws nothing: it takes no seed or n
+    flags = {} if args.scenario == "roundtrip" else {"seed": args.seed, "n": args.n}
+    report = run_scenario(args.scenario, **{k: v for k, v in flags.items() if v is not None})
     for check in report["checks"]:
         flag = "PASS" if check["pass"] else "FAIL"
         sys.stderr.write(f"[{flag}] {report['scenario']}/{check['name']}\n")

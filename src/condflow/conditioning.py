@@ -2,9 +2,9 @@
 
 * REJECTION keeps the paths on which the conditioning event happened, at
   uniform weight.
-* WEIGHTED keeps every resolved path, weighted by the stopped martingale
-  relative to the start point: (X_stop - l)/(x0 - l) upward, x0/X_stop
-  downward.
+* WEIGHTED keeps every path, weighted by the stopped martingale relative
+  to the start point: (X_stop - l)/(x0 - l) upward, x0/X_stop downward,
+  with X_stop the value at the horizon on a path the horizon truncated.
 * DIRECT simulates the transformed dynamics outright.
 
 All three produce a ConditioningReport carrying one functional sample per
@@ -16,7 +16,8 @@ diffusion through its scale function first).
 Never-hit events are operationalized by the divergence cap (first exceedance
 of `cfg.cap` plays the hit of infinity) and by the horizon; the fraction of
 paths the horizon truncated is a mandatory report field, and more than 1%
-unresolved raises NeedLongerHorizonError.
+unresolved raises NeedLongerHorizonError (but not from a direct sample of a
+functional with snapshot times: see `direct_sample`).
 
 `verify_identity_of_measures` measures when P conditioned on the upward
 event equals Q, the law of `transform(base, s)`: when the coordinate is a
@@ -210,10 +211,9 @@ def _unit_report(mode: Mode, res: EnsembleResult, samples: np.ndarray, trunc: fl
 
 
 def _rejection_and_weighted(res: EnsembleResult, functional, level: float, trunc: float,
-                            weights: np.ndarray, keep) -> tuple[ConditioningReport, ...]:
+                            weights: np.ndarray) -> tuple[ConditioningReport, ...]:
     """The (REJECTION, WEIGHTED) pair of one run stopped at `level`: rejection
-    keeps the paths that hit `level`, weighting keeps rows `keep` of the
-    functional sample at `weights`."""
+    keeps the paths that hit `level`, weighting keeps every path at `weights`."""
     samples = functional.extract(res)
     accepted = np.isfinite(res.hit_times[level])
     acceptance = McEstimate.from_binomial(int(np.sum(accepted)), res.n)
@@ -223,7 +223,7 @@ def _rejection_and_weighted(res: EnsembleResult, functional, level: float, trunc
         n_total=res.n,
         n_accepted=rejection.n_accepted,
         weights=weights,
-        functional_samples=samples[keep],
+        functional_samples=samples,
         ess=effective_sample_size(weights),
         truncated_fraction=trunc,
         tie_count=res.tie_count,
@@ -238,18 +238,19 @@ def condition_upward(spec: DiffusionSpec, x0: float, a: float, functional,
     boundary l; returns (REJECTION, WEIGHTED) reports.
 
     Rejection keeps paths whose first hit among {a, l} is `a`; weighting
-    assigns each resolved path the h-transform weight (X_stop - l)/(x0 - l),
-    which is (a - l)/(x0 - l) on the acceptance event and 0 on absorption at
-    l.  At l = 0 this is the stopped value over x0.
+    assigns every path the h-transform weight (X_stop - l)/(x0 - l), which
+    is (a - l)/(x0 - l) on the acceptance event, 0 on absorption at l and
+    (X_T - l)/(x0 - l) on a path the horizon T truncated: the stopped
+    martingale at the stop or T, whose mean is exactly 1.  At l = 0 this is
+    the stopped value over x0.
     """
     l = spec.interval.l
     if not (math.isfinite(l) and l < x0 <= a < spec.interval.r):
         raise ValueError("need a finite l and l < x0 <= a < r")
     res = _run(spec, x0, functional, cfg, stop_level=a)
     trunc = _check_horizon(res, "condition_upward")
-    resolved = ~res.truncated
-    weights = (res.final_values[resolved] - l) / (x0 - l)
-    return _rejection_and_weighted(res, functional, a, trunc, weights, resolved)
+    weights = (res.final_values - l) / (x0 - l)
+    return _rejection_and_weighted(res, functional, a, trunc, weights)
 
 
 def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functional,
@@ -276,19 +277,21 @@ def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functiona
         raise EvalDomainError(
             f"condition_downward: {infinite} of {res.n} paths stopped at 0, where the "
             f"weight x0/value is not finite")
-    return _rejection_and_weighted(res, functional, level, trunc, weights, slice(None))
+    return _rejection_and_weighted(res, functional, level, trunc, weights)
 
 
 def direct_sample(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
-                  stop_level: float, allow_truncated: bool = False) -> ConditioningReport:
+                  stop_level: float) -> ConditioningReport:
     """Simulate (transformed) dynamics directly and sample the functional.
 
-    Set allow_truncated when the functional is fully determined before the
-    horizon (for example a stopped value at a small t), so paths that have
-    not yet reached the stopping level are legitimate samples.
+    A functional with snapshot times (`StoppedValueAt`, `ValueAtTimeOrLevel`)
+    reads nothing past its time, which is at most the horizon, so a path the
+    horizon truncated is a sample of it too.  For any other functional more
+    than 1% unresolved raises NeedLongerHorizonError.
     """
     res = _run(spec, x0, functional, cfg, stop_level=stop_level)
-    trunc = res.truncated_fraction() if allow_truncated else _check_horizon(res, "direct_sample")
+    trunc = (res.truncated_fraction() if functional.snapshot_times
+             else _check_horizon(res, "direct_sample"))
     return _unit_report(Mode.DIRECT, res, functional.extract(res), trunc)
 
 
@@ -311,9 +314,11 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     """KS between the base law from 1 conditioned on its upward event and
     the law of `transform(base, s)` from 1 (when they agree: the module
     docstring), with the acceptance and the larger truncated fraction.  With
-    r finite both runs stop at r and the 1% horizon rule applies to both;
-    with r infinite the event is never reaching l, which no horizon
-    resolves, so both runs go to the horizon and a base reaching l raises.
+    r finite both runs stop at r and the 1% horizon rule applies to the
+    base run (to the transformed one as `direct_sample` applies it); with r
+    infinite the event is never reaching l, which no horizon resolves, so
+    both runs go to the horizon, a base reaching l raises, and only a
+    functional with snapshot times is fixed by then.
     """
     l, r = base.interval.l, base.interval.r
     bounded = math.isfinite(r)
@@ -323,8 +328,7 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     elif np.any(res.absorbed_at == l):
         raise ValueError(f"base reaches l = {l:g}, which the horizon cannot rule out")
     kept = res.absorbed_at == r if bounded else res.absorbed_at != l
-    direct = direct_sample(transform(base, s), 1.0, functional, cfg, stop_level=r,
-                           allow_truncated=not bounded)
+    direct = direct_sample(transform(base, s), 1.0, functional, cfg, stop_level=r)
     acceptance = McEstimate.from_binomial(int(np.sum(kept)), res.n)
     return {
         "ks": ks_two_sample(functional.extract(res)[kept], direct.functional_samples).as_dict(),
@@ -333,45 +337,39 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     }
 
 
-def verify_local_martingality_of_reciprocal(
-    spec_q: DiffusionSpec,
-    cfg: SimConfig,
-    x0: float = 1.0,
-    band: tuple[float, float] = (0.1, 10.0),
-    t: float = 1.0,
-    divergence_level: float = 10.0,
-    divergence_horizon: float = 200.0,
-) -> dict:
-    """Measure whether the reciprocal of the transformed coordinate behaves
-    like a martingale inside a band, and whether paths diverge past a level;
-    the verdicts are the `bessel-bm` scenario's (see `scenarios.py`).
+def verify_local_martingality_of_reciprocal(spec_q: DiffusionSpec, cfg: SimConfig,
+                                            band: tuple[float, float] = (0.1, 10.0)) -> dict:
+    """Measure whether the reciprocal of the transformed coordinate from 1
+    behaves like a martingale inside a band, and whether paths diverge past
+    10; the verdicts are the `bessel-bm` scenario's (see `scenarios.py`).
 
-    Part 1: the mean of 1/X at t stopped at the band edges (a martingale
-    keeps it at 1/x0).  The band run reads only its snapshot at t, so it
-    stops at t + cfg.dt, whatever cfg.horizon; the returned `tie_count` and
+    Part 1: the mean of 1/X at t = 1 stopped at the band edges (a martingale
+    keeps it at 1).  The band run reads only its snapshot at t, so it stops
+    at t + cfg.dt, whatever cfg.horizon; the returned `tie_count` and
     `truncated_fraction` are that run's and so cover [0, t + cfg.dt] (no
-    `verify` JSON prints them).  Part 2: the fraction of paths exceeding
-    `divergence_level` before `divergence_horizon` (it tends to one as the
-    horizon grows).
+    `verify` JSON prints them).  Part 2: the fraction of paths exceeding 10
+    before cfg.horizon (it tends to one as the horizon grows), on
+    cfg.dt_schedule or, without one, a grid of cfg.dt up to t = 1 that then
+    coarsens to a hundredth of the horizon.
     """
+    t, level = 1.0, 10.0
     lo, hi = band
     band_cfg = replace(cfg, watch_levels=(), stop_levels=(lo, hi),
                        snapshot_times=(t,), horizon=t + cfg.dt)
-    res = simulate_ensemble(spec_q, x0, band_cfg)
+    res = simulate_ensemble(spec_q, 1.0, band_cfg)
     stopped = res.snapshots[t]
     recip = McEstimate.from_samples(1.0 / stopped)
 
     div_cfg = replace(
         cfg,
         watch_levels=(),
-        stop_levels=(divergence_level,),
-        horizon=divergence_horizon,
+        stop_levels=(level,),
         snapshot_times=(),
-        dt_schedule=cfg.dt_schedule or ((min(1.0, divergence_horizon / 2), cfg.dt),
-                                        (divergence_horizon, min(100 * cfg.dt, divergence_horizon / 100))),
+        dt_schedule=cfg.dt_schedule or ((min(1.0, cfg.horizon / 2), cfg.dt),
+                                        (cfg.horizon, min(100 * cfg.dt, cfg.horizon / 100))),
     )
-    div = simulate_ensemble(spec_q, x0, div_cfg)
-    frac = McEstimate.from_binomial(int(np.sum(np.isfinite(div.hit_times[divergence_level]))), div.n)
+    div = simulate_ensemble(spec_q, 1.0, div_cfg)
+    frac = McEstimate.from_binomial(int(np.sum(np.isfinite(div.hit_times[level]))), div.n)
     return {
         "reciprocal_mean": {"value": recip.value, "stderr": recip.stderr},
         "divergence_fraction": {"value": frac.value, "stderr": frac.stderr},

@@ -43,6 +43,7 @@ __all__ = [
 
 _REGIME_SWITCH_HI = 0.75
 _REGIME_SWITCH_LO = 0.25
+_T_SNAP = 0.5  # the time at which the transformed process's mean is taken
 
 
 def _tilde_formula(x: np.ndarray, before_hi: np.ndarray, between: np.ndarray) -> np.ndarray:
@@ -76,17 +77,17 @@ class TildeEnsemble:
     run: EnsembleResult
     hit_a_time: np.ndarray        # nan = did not hit a
     regime_at_stop: np.ndarray
-    tilde_at_snap: np.ndarray     # tilde value at t_snap ^ stop
+    tilde_at_snap: np.ndarray     # tilde value at 1/2 ^ stop
 
 
-def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> TildeEnsemble:
+def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0) -> TildeEnsemble:
     """Walk Brownian paths from 1, tracking the transformed process, until
     the transformed process hits `a` or the base path is absorbed at 0.
 
     The walk is one run of the simulator's kernel: it watches the switch
     levels and stops each path at the X level where tilde(X) = a in its
-    regime.  Of `cfg` it reads the grid, horizon, cap, seed, path count and
-    bridge correction.
+    regime, and records the transformed value at t = 1/2.  Of `cfg` it reads
+    the grid, horizon, cap, seed, path count and bridge correction.
     """
     if a <= 1.0:
         raise ValueError("a must exceed the start point 1")
@@ -94,16 +95,16 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> T
     run_cfg = replace(cfg, watch_levels=switches, stop_levels=(), track_time_average=False)
     # tilde(X) = a at X = (a + 1)/2, 2a - 1/4 and a in regimes 0, 1 and 2
     levels = ((a + 1.0) / 2.0, 2.0 * a - 0.25, a)
-    res = _simulate(bm(), 1.0, run_cfg, 0, cfg.n_paths, [t_snap], levels_by_regime=levels)
+    res = _simulate(bm(), 1.0, run_cfg, 0, cfg.n_paths, [_T_SNAP], levels_by_regime=levels)
 
     hit_a = ~res.truncated & np.isnan(res.absorbed_at)
     # a switch counts from the step after its crossing, so the regime at a
     # grid time takes the switches crossed strictly before it; the snapshot's
-    # grid time is the first from t_snap - _TIME_SLACK on
+    # grid time is the first from _T_SNAP - _TIME_SLACK on
     t_switch = [res.hit_times[level] for level in switches]
-    t_snap_ref = np.minimum(res.stop_times, t_snap - _TIME_SLACK)
+    t_snap_ref = np.minimum(res.stop_times, _T_SNAP - _TIME_SLACK)
     regime_at_snap = _regime([t < t_snap_ref for t in t_switch])
-    x_snap = res.snapshots[t_snap]
+    x_snap = res.snapshots[_T_SNAP]
     tilde_at_snap = _tilde_formula(x_snap, regime_at_snap == 0, regime_at_snap == 1)
     tilde_at_snap[x_snap == 0.0] = 0.0  # tilde(X) is 0 exactly where X is
     return TildeEnsemble(
@@ -114,17 +115,17 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> T
     )
 
 
-def compare_conditionings(cfg: SimConfig, a: float = 2.0, t_snap: float = 0.5) -> dict:
+def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
     """Conditional law along the transformed sequence vs the stopped-value
     weighting, on independent halves of the ensemble.
 
     Measures the frequency of {X != tilde(X) at the stop}, the KS statistic
     between the two conditional samples of the hitting time of `a`, and the
-    mean of the transformed process at `t_snap`; the verdicts are the
+    mean of the transformed process at t = 1/2; the verdicts are the
     `counterexample` scenario's (see `scenarios.py`).  More than 1% of paths
     unresolved at the horizon raises NeedLongerHorizonError.
     """
-    tilde = run_tilde_ensemble(cfg, a=a, t_snap=t_snap)
+    tilde = run_tilde_ensemble(cfg, a=a)
     res = tilde.run
     trunc = _check_horizon(res, "compare_conditionings")
     resolved = ~res.truncated

@@ -201,22 +201,20 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
     }
 
 
-def walk_vs_bessel(N: int, x0: float = 1.0, t: float = 1.0, n_paths: int = 10_000,
-                   seed: int = 0) -> KsResult:
-    """KS between the Q-walk marginal at t and BES(3) from x0 at t, the law
-    of the conditioned diffusion (drift 1/x, unit coefficient), drawn exactly
-    with seed + 1.
+def walk_vs_bessel(N: int, n_paths: int = 10_000, seed: int = 0) -> KsResult:
+    """KS between the Q-walk from 1 at t = 1 and BES(3) from 1 at t = 1,
+    the law of the conditioned diffusion (drift 1/x, unit coefficient), drawn
+    exactly with seed + 1.
 
     Weak convergence has no usable rate here: the acceptance threshold is
     twice the 1% critical value, a smoke check rather than a sharp test.
     """
-    walk = simulate_walk(JumpWalkSpec(N=N, measure=Measure.Q, x0=x0), t, n_paths, seed)
-    return ks_two_sample(walk["final"], exact_bessel3(x0, t, n_paths, seed + 1))
+    walk = simulate_walk(JumpWalkSpec(N=N, measure=Measure.Q, x0=1.0), 1.0, n_paths, seed)
+    return ks_two_sample(walk["final"], exact_bessel3(1.0, 1.0, n_paths, seed + 1))
 
 
-def walk_vs_bm(N: int, x0: float = 1.0, t: float = 1.0, n_paths: int = 10_000,
-               seed: int = 0) -> KsResult:
-    """KS between the P-walk stopped at 0 and Brownian motion stopped at 0,
-    drawn exactly at t with seed + 1."""
-    walk = simulate_walk(JumpWalkSpec(N=N, measure=Measure.P, x0=x0), t, n_paths, seed)
-    return ks_two_sample(walk["final"], exact_stopped_bm(x0, t, n_paths, seed + 1))
+def walk_vs_bm(N: int, n_paths: int = 10_000, seed: int = 0) -> KsResult:
+    """KS between the P-walk from 1 stopped at 0 and Brownian motion from 1
+    stopped at 0, drawn exactly at t = 1 with seed + 1."""
+    walk = simulate_walk(JumpWalkSpec(N=N, measure=Measure.P, x0=1.0), 1.0, n_paths, seed)
+    return ks_two_sample(walk["final"], exact_stopped_bm(1.0, 1.0, n_paths, seed + 1))

@@ -44,9 +44,17 @@ from .simulate import SimConfig, estimate_hitting_prob, simulate_ensemble
 
 __all__ = ["SCENARIOS", "run_scenario"]
 
+_DT = 1e-3       # the Euler step of every simulated bundle (the early step, where it coarsens)
+_N_KS = 10_000   # paths per KS sample (bm-bessel's rejection side runs twice as many)
+
 
 def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "pass": bool(passed), "detail": detail}
+
+
+def _within_4se(value: float, target: float, stderr: float) -> bool:
+    """The randomized checks' rule: within 4 stderr (at least 1e-12) of the target."""
+    return abs(value - target) <= 4.0 * max(stderr, 1e-12)
 
 
 def _bundle(scenario: str, checks: list[dict]) -> dict:
@@ -58,30 +66,28 @@ def _bundle(scenario: str, checks: list[dict]) -> dict:
     }
 
 
-def scenario_bm_bessel(n: int = 100_000, n_ks: int = 10_000, dt: float = 1e-3,
-                       seed: int = 2024) -> dict:
+def scenario_bm_bessel(n: int = 100_000, seed: int = 2024) -> dict:
     """Hitting identity for the coordinate martingale, and upward
     conditioning against directly simulated conditioned dynamics."""
     checks = []
     for a, horizon in ((2.0, 20.0), (4.0, 40.0)):
-        cfg = SimConfig(dt=dt, horizon=horizon, seed=seed, n_paths=n)
+        cfg = SimConfig(dt=_DT, horizon=horizon, seed=seed, n_paths=n)
         est, rep = estimate_hitting_prob(bm(), 1.0, a, 0.0, cfg)
         target = 1.0 / a
-        tol = 4.0 * max(est.stderr, 1e-12)
         checks.append(_check(
             f"hitting-identity-a{int(a)}",
-            abs(est.value - target) <= tol,
+            _within_4se(est.value, target, est.stderr),
             estimate=est.value, stderr=est.stderr, target=target,
             unresolved=rep["unresolved"], ties=rep["ties"],
         ))
 
     # the rejection side keeps about half its paths, so run twice as many;
     # the direct route runs BM's h-transform, BES(3)
-    cfg = SimConfig(dt=dt, horizon=20.0, seed=seed + 1, n_paths=2 * n_ks)
+    cfg = SimConfig(dt=_DT, horizon=20.0, seed=seed + 1, n_paths=2 * _N_KS)
     rejection, _weighted = condition_upward(bm(), 1.0, 2.0, StoppedValueAt(0.25), cfg)
     s = compute_scale(bm(), 1.0, GridConfig(y_min=1e-3, y_max=50.0), Normalization.L)
     direct = direct_sample(transform(bm(), s), 1.0, StoppedValueAt(0.25),
-                           replace(cfg, seed=seed + 2, n_paths=n_ks), stop_level=2.0)
+                           replace(cfg, seed=seed + 2, n_paths=_N_KS), stop_level=2.0)
     ks = compare_reports(rejection, direct)
     checks.append(_check(
         "upward-conditioning-matches-direct",
@@ -93,20 +99,19 @@ def scenario_bm_bessel(n: int = 100_000, n_ks: int = 10_000, dt: float = 1e-3,
     return _bundle("bm-bessel", checks)
 
 
-def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025) -> dict:
+def scenario_bessel_bm(n: int = 10_000, seed: int = 2025) -> dict:
     """Downward conditioning of the conditioned dynamics recovers the base
     law, plus reciprocal-martingale and divergence checks."""
     checks = []
     # conditioned dynamics run to a long horizon; hits of the low level are
     # detected on the fine early grid, the slow divergence on a coarse one
     cfg_down = SimConfig(
-        dt=dt, horizon=10_000.0, cap=100.0, seed=seed, n_paths=n,
-        dt_schedule=((1.0, dt), (10.0, 10 * dt), (10_000.0, 0.25)),
+        dt=_DT, horizon=10_000.0, cap=100.0, seed=seed, n_paths=n,
+        dt_schedule=((1.0, _DT), (10.0, 10 * _DT), (10_000.0, 0.25)),
     )
     rejection, weighted = condition_downward(bessel3(), 1.0, 0.5, StoppedValueAt(0.1), cfg_down)
-    cfg_ref = SimConfig(dt=dt, horizon=0.2, seed=seed + 1, n_paths=n)
-    reference = direct_sample(bm(), 1.0, StoppedValueAt(0.1), cfg_ref, stop_level=0.5,
-                              allow_truncated=True)
+    cfg_ref = SimConfig(dt=_DT, horizon=0.2, seed=seed + 1, n_paths=n)
+    reference = direct_sample(bm(), 1.0, StoppedValueAt(0.1), cfg_ref, stop_level=0.5)
     ks = compare_reports(weighted, reference)
     checks.append(_check(
         "downward-roundtrip-ks",
@@ -117,18 +122,17 @@ def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025) -> d
     acc = rejection.acceptance
     checks.append(_check(
         "downward-acceptance-half",
-        abs(acc.value - 0.5) <= 4.0 * max(acc.stderr, 1e-12),
+        _within_4se(acc.value, 0.5, acc.stderr),
         acceptance=acc.value, stderr=acc.stderr, target=0.5,
     ))
 
-    cfg_band = SimConfig(dt=dt, horizon=2.0, seed=seed + 2, n_paths=n)
-    recip = verify_local_martingality_of_reciprocal(
-        bessel3(), cfg_band, x0=1.0, band=(0.1, 10.0), t=1.0,
-        divergence_level=10.0, divergence_horizon=200.0)
+    # the band run stops just after t = 1; the divergence run goes to the horizon
+    cfg_recip = SimConfig(dt=_DT, horizon=200.0, seed=seed + 2, n_paths=n)
+    recip = verify_local_martingality_of_reciprocal(bessel3(), cfg_recip, band=(0.1, 10.0))
     mean = recip["reciprocal_mean"]
     checks.append(_check(
         "reciprocal-band-martingale",
-        abs(mean["value"] - 1.0) <= 4.0 * max(mean["stderr"], 1e-15),
+        _within_4se(mean["value"], 1.0, mean["stderr"]),
         **mean, target=1.0,
     ))
     checks.append(_check(
@@ -140,7 +144,7 @@ def scenario_bessel_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2025) -> d
     return _bundle("bessel-bm", checks)
 
 
-def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
+def scenario_gbm(n: int = 10_000, seed: int = 2026) -> dict:
     """Unit-drift transform of geometric Brownian motion, and the strict
     difference between base and transformed laws."""
     checks = []
@@ -151,14 +155,14 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
     drift_err = float(np.max(np.abs(result.drift(grid) - grid)))
     checks.append(_check("transformed-drift-is-y", drift_err <= 1e-6, max_error=drift_err))
 
-    cfg = SimConfig(dt=dt, horizon=1.0 + dt, seed=seed, n_paths=n, snapshot_times=(1.0,))
+    cfg = SimConfig(dt=_DT, horizon=1.0 + _DT, seed=seed, n_paths=n, snapshot_times=(1.0,))
     run = simulate_ensemble(result, 1.0, cfg)
     logs = np.log(run.snapshots[1.0])
     mean = float(np.mean(logs))
     sem = float(np.std(logs, ddof=1) / math.sqrt(n))
     checks.append(_check(
         "log-mean-at-1-is-half",
-        abs(mean - 0.5) <= 4.0 * sem,
+        _within_4se(mean, 0.5, sem),
         mean=mean, stderr=sem, target=0.5,
     ))
 
@@ -167,42 +171,42 @@ def scenario_gbm(n: int = 10_000, dt: float = 1e-3, seed: int = 2026) -> dict:
     return _bundle("gbm", checks)
 
 
-def scenario_stopped_bm(n: int = 10_000, dt: float = 1e-3, seed: int = 2027) -> dict:
+def scenario_stopped_bm(n: int = 10_000, seed: int = 2027) -> dict:
     """Rejection conditioning on absorption at the top equals the
     transformed dynamics when the coordinate is a bounded martingale."""
     base = bm(0.0, 2.0)
     s = compute_scale(base, 1.0, GridConfig(y_min=1e-4, y_max=2.0 - 1e-4), Normalization.L)
-    ident = verify_identity_of_measures(base, SimConfig(dt=dt, horizon=30.0, seed=seed, n_paths=n),
+    ident = verify_identity_of_measures(base, SimConfig(dt=_DT, horizon=30.0, seed=seed, n_paths=n),
                                         s, TimeAverageUntilStop())
     checks = [
         _check("rejection-matches-transformed", ident["ks"]["pass"], **ident["ks"]),
         _check(
             "acceptance-fraction-half",
-            abs(ident["acceptance"]["value"] - 0.5) <= 4.0 * max(ident["acceptance"]["stderr"], 1e-12),
+            _within_4se(ident["acceptance"]["value"], 0.5, ident["acceptance"]["stderr"]),
             **ident["acceptance"],
         ),
     ]
     return _bundle("stopped-bm", checks)
 
 
-def scenario_counterexample(n: int = 10_000, dt: float = 1e-3, seed: int = 2028) -> dict:
+def scenario_counterexample(n: int = 10_000, seed: int = 2028) -> dict:
     """Two approximating sequences of the same nullset induce different
     conditional measures."""
-    cfg = SimConfig(dt=dt, horizon=60.0, seed=seed, n_paths=n,
-                    dt_schedule=((2.0, dt), (60.0, 10 * dt)))
-    rep = compare_conditionings(cfg, a=2.0, t_snap=0.5)
+    cfg = SimConfig(dt=_DT, horizon=60.0, seed=seed, n_paths=n,
+                    dt_schedule=((2.0, _DT), (60.0, 10 * _DT)))
+    rep = compare_conditionings(cfg, a=2.0)
     mean = rep["martingale_mean"]
     checks = [
         _check("stop-values-differ-frequently", rep["freq_stop_value_differs"] > 0.1,
                frequency=rep["freq_stop_value_differs"]),
         _check("conditional-measures-differ", not rep["ks"]["pass"], **rep["ks"]),
         _check("transformed-path-martingale",
-               abs(mean["value"] - 1.0) <= 4.0 * max(mean["stderr"], 1e-12), **mean),
+               _within_4se(mean["value"], 1.0, mean["stderr"]), **mean),
     ]
     return _bundle("counterexample", checks)
 
 
-def scenario_jumpwalk(n: int = 10_000, seed: int = 2029, n_ks: int = 10_000) -> dict:
+def scenario_jumpwalk(n: int = 10_000, seed: int = 2029) -> dict:
     """Exact lattice identities, generator convergence, positivity of the
     conditioned walk, and the diffusion-limit smoke check."""
     if n < 1:  # before any work: n sets the walk's length below
@@ -244,7 +248,7 @@ def scenario_jumpwalk(n: int = 10_000, seed: int = 2029, n_ks: int = 10_000) -> 
         min_value=float(np.min(walk["min_value"])), steps=total_steps,
     ))
 
-    ks = walk_vs_bessel(50, x0=1.0, t=1.0, n_paths=n_ks, seed=seed + 1)
+    ks = walk_vs_bessel(50, n_paths=_N_KS, seed=seed + 1)
     checks.append(_check(
         "walk-limit-smoke-check",
         ks.statistic < 2.0 * ks.critical_1pct,
@@ -253,9 +257,10 @@ def scenario_jumpwalk(n: int = 10_000, seed: int = 2029, n_ks: int = 10_000) -> 
     return _bundle("jumpwalk", checks)
 
 
-def scenario_roundtrip(seed: int = 2030) -> dict:
+def scenario_roundtrip() -> dict:
     """Generator identity at finite differences, its second-order error law,
-    and the up-then-down drift round trip."""
+    and the up-then-down drift round trip; it draws nothing, so it takes no
+    seed or path count."""
     checks = []
     s = compute_scale(bm(), 1.0, GridConfig(1e-3, 50.0, 201))  # the natural scale, y
     grid = np.linspace(0.5, 3.0, 101)

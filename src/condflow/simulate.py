@@ -279,27 +279,27 @@ def _coeff_failure(b, a, xa, t, pos, first_id):
         f"coefficient failure on path {first_id + int(pos[i])} at t={t}, y={float(xa[i])}")
 
 
-def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap: float,
-           marks: list[float], l: float, r: float) -> bool:
-    """True when steps from values in [x_lo, x_hi] to proposals in
-    [p_lo, p_hi], with step variance a dt at most `a_dt`, hold no event.
+def _quiet(lo: float, hi: float, a_dt: float, cap: float, marks: list[float], l: float,
+           r: float) -> bool:
+    """True when steps between values in [lo, hi], with step variance a dt
+    at most `a_dt`, hold no event.
 
-    That is so when every proposal stays below the cap and more than
+    That is so when every value stays below the cap and more than
     _BOUNDARY_CLAMP inside l and r, and each mark (a watched level or a finite
-    boundary) has both ranges strictly on one side, with the nearest ends'
+    boundary) has the range strictly on one side, with the nearest end's
     bridge exponent -2 gap / a_dt at or below -37.  Rounding is monotone, so
     every path's exponent is then at or below -37 too: `_crossings` finds no
     candidate, no uniform is drawn and no flag changes.  A NaN fails every
     comparison and so makes the steps eventful.
     """
-    if not (p_hi < cap and l - p_lo < -_BOUNDARY_CLAMP and p_hi - r < -_BOUNDARY_CLAMP
+    if not (hi < cap and l - lo < -_BOUNDARY_CLAMP and hi - r < -_BOUNDARY_CLAMP
             and a_dt > 0.0):
         return False
     for m in marks:
-        if x_lo > m and p_lo > m:
-            gap = (x_lo - m) * (p_lo - m)
-        elif x_hi < m and p_hi < m:
-            gap = (x_hi - m) * (p_hi - m)
+        if lo > m:
+            gap = (lo - m) * (lo - m)
+        elif hi < m:
+            gap = (hi - m) * (hi - m)
         else:
             return False
         if not -2.0 * gap / a_dt <= -37.0:
@@ -310,8 +310,7 @@ def _quiet(x_lo: float, x_hi: float, p_lo: float, p_hi: float, a_dt: float, cap:
 def _near(span, levels: list[float], l: float = -math.inf, r: float = math.inf) -> bool:
     """Whether an eventful block may hold an event at `levels`: `_quiet` on
     those marks alone, with no cap, and with the clamp distance at l or r
-    for a boundary mark.  `span` is the block's (x_lo, x_hi, p_lo, p_hi,
-    a_dt)."""
+    for a boundary mark.  `span` is the block's (lo, hi, a_dt)."""
     return not _quiet(*span, math.inf, levels, l, r)
 
 
@@ -420,11 +419,12 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     is recorded for L_r.
     """
     l, r = spec.interval.l, spec.interval.r
-    b_fix, a_fix = const_value(spec.drift), const_value(spec.diffusion)  # None: per row
+    # None: evaluated per row, as is a constant no coefficient may take, so
+    # that the row checks fail it on the first step, naming the first path
+    b_fix, a_fix = const_value(spec.drift), const_value(spec.diffusion)
+    b_fix = b_fix if b_fix is not None and math.isfinite(b_fix) else None
+    a_fix = a_fix if a_fix is not None and 0.0 < a_fix < math.inf else None
     evaluated = b_fix is None or a_fix is None
-    # a bad constant fails the first step, naming the first path
-    bad_const = not ((a_fix is None or 0.0 < a_fix < math.inf)
-                     and (b_fix is None or math.isfinite(b_fix)))
     watch = _watched(cfg)
     # (value, is the upper end, bridge stream) of each finite boundary
     boundaries = [(boundary, upper, stream) for boundary, upper, stream in
@@ -501,7 +501,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
             z = (rng.normals(keys, range(k, k + n_rows), rng.STREAM_STEP_NORMAL) if n_rows > 1
                  else rng.normals(keys, k, rng.STREAM_STEP_NORMAL).reshape(1, m))
             noise = None  # the steps' noise when a is constant
-            if a_fix is not None and not bad_const:
+            if a_fix is not None:
                 # the guard alone reads the normals after this
                 noise = np.multiply(z, math.sqrt(a_fix) * sqrt_dt, out=None if guarded else z)
             # row i holds the proposals of the block's step i, which step
@@ -533,8 +533,6 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                             break
                         raise EvalDomainError(
                             f"coefficient evaluation failed at t={t}: {exc}") from exc
-                if bad_const:
-                    _coeff_failure(b, a, x, t, pos, first_id)
                 if a_fix is None:
                     if isinstance(a, float):
                         a_hi, a_ok = a, 0.0 < a < math.inf
@@ -650,7 +648,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
 
             # a quiet block has no event: it only moves the paths; an eventful
             # one tests the marks on the same range one by one
-            span = (lo, hi, lo, hi, a_max * dt)
+            span = (lo, hi, a_max * dt)
             stopping = _NO_PATHS  # the paths that stop in the block, and their stop rows
             last = None           # each path's stop row, done if it runs on
             firsts = {}

@@ -17,12 +17,12 @@ from condflow.scenarios import run_scenario
 _CACHE: dict[str, dict] = {}
 
 _FULL_SIZES = {
-    "bm-bessel": dict(n=100_000, n_ks=10_000),
+    "bm-bessel": dict(n=100_000),
     "bessel-bm": dict(n=10_000),
     "gbm": dict(n=10_000),
     "stopped-bm": dict(n=10_000),
     "counterexample": dict(n=10_000),
-    "jumpwalk": dict(n=10_000, n_ks=10_000),
+    "jumpwalk": dict(n=10_000),
     "roundtrip": dict(),
 }
 

@@ -176,6 +176,11 @@ def test_verify_roundtrip_passes(tmp_path):
     assert payload["schema"] == 1 and payload["pass"]
     assert {check["name"] for check in payload["checks"]} == {
         "generator-identity-max-error", "fd-error-ratio", "up-down-drift-roundtrip"}
+    # roundtrip draws nothing: --seed and --n change no byte
+    seeded = tmp_path / "seeded.json"
+    argv = ["verify", "roundtrip", "--seed", "5", "--n", "10", "--threads", "1", "--out", str(seeded)]
+    assert main(argv) == 0
+    assert seeded.read_bytes() == out.read_bytes()
 
 
 def test_unwritable_output_is_config_error(tmp_path, capsys):

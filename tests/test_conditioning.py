@@ -104,10 +104,34 @@ def test_downward_matches_base_dynamics():
                     dt_schedule=((1.0, 1e-3), (10.0, 1e-2), (10_000.0, 0.25)))
     _, weighted = condition_downward(bessel3(), 1.0, 0.5, StoppedValueAt(0.1), cfg)
     ref_cfg = SimConfig(dt=1e-3, horizon=0.2, seed=56, n_paths=4_000)
-    reference = direct_sample(bm(), 1.0, StoppedValueAt(0.1), ref_cfg, stop_level=0.5,
-                              allow_truncated=True)
+    reference = direct_sample(bm(), 1.0, StoppedValueAt(0.1), ref_cfg, stop_level=0.5)
     ks = compare_reports(weighted, reference)
     assert ks.passed
+
+
+def test_direct_sample_keeps_truncated_snapshot_samples():
+    # at horizon 0.2 most BM paths from 1 reach neither 0.5 nor 0 (the
+    # 0.5-level stop): a value at t <= horizon is still a sample of them,
+    # while a time average until the stop is not
+    cfg = SimConfig(dt=1e-3, horizon=0.2, seed=56, n_paths=500)
+    report = direct_sample(bm(), 1.0, StoppedValueAt(0.1), cfg, stop_level=0.5)
+    assert report.truncated_fraction > 0.01
+    assert report.functional_samples.size == cfg.n_paths
+    with pytest.raises(NeedLongerHorizonError, match="direct_sample"):
+        direct_sample(bm(), 1.0, TimeAverageUntilStop(), cfg, stop_level=0.5)
+
+
+def test_upward_weights_every_path_the_horizon_truncated():
+    # BM from 1 on (0, 2) is still inside at T = 5 with probability about
+    # 0.3%: those paths weigh X_T/x0, the stopped martingale at T, so the
+    # weights cover all n paths and their mean is 1
+    cfg = SimConfig(dt=1e-2, horizon=5.0, seed=66, n_paths=4_000)
+    _, weighted = condition_upward(bm(), 1.0, 2.0, TerminalValue(), cfg)
+    assert 0.0 < weighted.truncated_fraction <= 0.01
+    assert weighted.weights.size == weighted.functional_samples.size == cfg.n_paths
+    mean = float(np.mean(weighted.weights))
+    stderr = float(np.std(weighted.weights, ddof=1) / math.sqrt(weighted.weights.size))
+    assert abs(mean - 1.0) <= 4 * stderr
 
 
 def test_consistency_across_conditioning_levels():
@@ -131,10 +155,8 @@ def test_direct_sample_mode_and_weights():
 
 
 def test_degenerate_band_gives_exact_reciprocal():
-    cfg = SimConfig(dt=1e-3, horizon=2.0, seed=60, n_paths=200)
-    out = verify_local_martingality_of_reciprocal(
-        bessel3(), cfg, x0=1.0, band=(1.0, 1.0), t=1.0,
-        divergence_level=10.0, divergence_horizon=50.0)
+    cfg = SimConfig(dt=1e-3, horizon=50.0, seed=60, n_paths=200)
+    out = verify_local_martingality_of_reciprocal(bessel3(), cfg, band=(1.0, 1.0))
     assert out["reciprocal_mean"]["value"] == pytest.approx(1.0)
     assert out["reciprocal_mean"]["stderr"] == 0.0
 
@@ -143,15 +165,23 @@ def test_reciprocal_band_run_stops_at_t():
     # the band run reads only its snapshot at t = 1, so it stops at t + dt;
     # run on to the horizon 2, the same paths give the same mean bit for bit
     cfg = SimConfig(dt=1e-2, horizon=2.0, seed=62, n_paths=400)
-    out = verify_local_martingality_of_reciprocal(
-        bessel3(), cfg, x0=1.0, band=(0.5, 2.0), t=1.0,
-        divergence_level=10.0, divergence_horizon=20.0)
+    out = verify_local_martingality_of_reciprocal(bessel3(), cfg, band=(0.5, 2.0))
     full = simulate_ensemble(bessel3(), 1.0, replace(cfg, stop_levels=(0.5, 2.0),
                                                     snapshot_times=(1.0,)))
     recip = McEstimate.from_samples(1.0 / full.snapshots[1.0])
     assert out["reciprocal_mean"] == {"value": recip.value, "stderr": recip.stderr}
     # paths stop between t + dt and 2, and the band run counts them as truncated
     assert out["truncated_fraction"] > full.truncated_fraction()
+
+
+def test_divergence_run_reads_the_horizon():
+    # BES(3) from 1 passes 10 before t = 5 on few paths, before t = 200 on
+    # nearly all: the divergence run goes to cfg.horizon
+    cfg = SimConfig(dt=1e-2, horizon=5.0, seed=67, n_paths=400)
+    short = verify_local_martingality_of_reciprocal(bessel3(), cfg)["divergence_fraction"]
+    long = verify_local_martingality_of_reciprocal(
+        bessel3(), replace(cfg, horizon=200.0))["divergence_fraction"]
+    assert short["value"] < 0.5 and long["value"] >= 0.95
 
 
 def test_time_average_functional():
@@ -171,10 +201,13 @@ def test_first_hit_time_functional():
     assert times.tobytes() == res.hit_times[2.0].tobytes()
     never = np.isnan(times)
     assert np.all(res.absorbed_at[never] == 0.0) and np.all(times[~never] > 0.0)
-    report = direct_sample(bm(), 1.0, functional, cfg, stop_level=0.0, allow_truncated=True)
-    assert report.functional_samples.tobytes() == times.tobytes()
     hit = McEstimate.from_binomial(int(np.count_nonzero(~never)), cfg.n_paths)
     assert abs(hit.value - 0.5) <= 4 * hit.stderr
+    # a hit time has no snapshot time: with more than 1% of paths running
+    # at the horizon, a direct sample of it is refused
+    assert res.truncated_fraction() > 0.01
+    with pytest.raises(NeedLongerHorizonError, match="direct_sample"):
+        direct_sample(bm(), 1.0, functional, cfg, stop_level=0.0)
 
 
 def _upward_scale(base, y_max):

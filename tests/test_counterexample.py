@@ -84,7 +84,7 @@ def test_zero_hit_equivalence_and_continuity_on_simulated_paths():
 def test_ensemble_martingale_and_acceptance():
     cfg = SimConfig(dt=1e-3, horizon=60.0, seed=18, n_paths=4_000,
                     dt_schedule=((2.0, 1e-3), (60.0, 1e-2)))
-    res = run_tilde_ensemble(cfg, a=2.0, t_snap=0.5)
+    res = run_tilde_ensemble(cfg, a=2.0)
     mean = float(np.mean(res.tilde_at_snap))
     stderr = float(np.std(res.tilde_at_snap, ddof=1) / math.sqrt(res.run.n))
     assert abs(mean - 1.0) <= 4 * stderr
@@ -128,10 +128,10 @@ def test_level_must_exceed_start():
 def test_ensemble_agrees_with_path_api():
     # the one-path run watching the switch levels (on the same streams) has
     # the ensemble path's values until it stops: a path still running at
-    # t_snap has the same tilde value there, and a stopped path's regime is
+    # t = 1/2 has the same tilde value there, and a stopped path's regime is
     # the one its switch hits before the stop give
     cfg = SimConfig(dt=1e-3, horizon=0.6, seed=31, n_paths=200)
-    res = run_tilde_ensemble(cfg, a=2.0, t_snap=0.5)
+    res = run_tilde_ensemble(cfg, a=2.0)
     path_cfg = replace(cfg, n_paths=1, watch_levels=(0.75, 0.25))
     running, regimes = 0, []
     for i in range(cfg.n_paths):

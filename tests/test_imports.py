@@ -1,6 +1,7 @@
 """Every import in src/condflow is used: a stdlib-only stand-in for a
-linter's unused-import rule.  The package exports exactly its modules'
-public names.  One step kernel: only `simulate` draws step normals.  No
+linter's unused-import rule.  Every parameter is read, so no function takes
+a setting it ignores.  The package exports exactly its modules' public
+names.  One step kernel: only `simulate` draws step normals.  No
 module executes text: config expressions are parsed, never run.  And the
 only scipy import is `ndtri`."""
 
@@ -51,6 +52,52 @@ def test_detects_unused_import():
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function(parameter)` for each parameter a function's body never
+    reads, nested functions included.  Names starting with `_`, lambdas
+    and a method's first parameter (its receiver) are exempt."""
+    tree = ast.parse(source)
+    receivers = {id(method.args.args[0]) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for method in cls.body if isinstance(method, ast.FunctionDef) and method.args.args
+                 and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in method.decorator_list)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        params = [arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg)
+                  if arg is not None and id(arg) not in receivers]
+        read = {name.id for stmt in node.body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}({arg.arg})" for arg in params
+                  if not arg.arg.startswith("_") and arg.arg not in read]
+    return found
+
+
+def test_detects_unread_parameters():
+    source = ("def f(a, b, _c, *args, d=1, **kw):\n    return a + sum(args)\n"
+              "def g(x):\n    def inner(y):\n        return x\n    return inner\n"
+              "class C:\n    def m(self, v):\n        return 0\n"
+              "    @staticmethod\n    def s(v):\n        return 0\n"
+              "h = lambda unused: 0\n")
+    assert unread_parameters(source) == ["f(b)", "f(d)", "f(kw)", "inner(y)", "m(v)", "s(v)"]
+
+
+# parameters kept unread on purpose, each with its reason
+_UNREAD_BY_DESIGN = {
+    "cli.py": ["cmd_verify(conf)"],         # every subcommand takes (conf, args)
+    "scenarios.py": ["run_scenario(threads)"],  # accepted and ignored until ROADMAP item 11
+}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_unread_parameters(module):
+    found = unread_parameters((SRC / module).read_text(encoding="utf-8"))
+    assert found == _UNREAD_BY_DESIGN.get(module, [])
 
 
 def test_package_exports_the_public_names():

@@ -444,9 +444,9 @@ def test_quiet_reads_the_stop_levels_of_present_regimes(monkeypatch):
     marked = []
     quiet = simulate._quiet
 
-    def recording(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r):
+    def recording(lo, hi, a_dt, cap, marks, l, r):
         marked.append(list(marks))
-        return quiet(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r)
+        return quiet(lo, hi, a_dt, cap, marks, l, r)
 
     monkeypatch.setattr(simulate, "_quiet", recording)
     cfg = SimConfig(dt=1e-2, horizon=30.0, seed=1, n_paths=2_000, watch_levels=(0.75, 0.25))
@@ -606,9 +606,9 @@ def test_quiet_drops_a_level_every_running_path_crossed(monkeypatch):
     marked = []
     quiet = simulate._quiet
 
-    def recording(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r):
+    def recording(lo, hi, a_dt, cap, marks, l, r):
         marked.append(1.2 in marks)
-        return quiet(x_lo, x_hi, p_lo, p_hi, a_dt, cap, marks, l, r)
+        return quiet(lo, hi, a_dt, cap, marks, l, r)
 
     monkeypatch.setattr(simulate, "_quiet", recording)
     simulate_ensemble(*_QUIET_CASES[5])
@@ -633,31 +633,31 @@ def test_quiet_steps_keep_tiny_coefficients_silent(monkeypatch):
 
 
 def test_quiet_declines_at_every_reach():
-    # from [1, 1.1] to [1.05, 1.2] with a dt = 0.01, level 0.5's nearest
-    # exponent is -2 (0.5)(0.55) / 0.01 = -55
-    args = dict(x_lo=1.0, x_hi=1.1, p_lo=1.05, p_hi=1.2, a_dt=0.01, cap=10.0, l=0.0, r=math.inf)
+    # steps within [1, 1.2] with a dt = 0.01: level 0.5's nearest exponent
+    # is -2 (0.5)(0.5) / 0.01 = -50
+    args = dict(lo=1.0, hi=1.2, a_dt=0.01, cap=10.0, l=0.0, r=math.inf)
     assert simulate._quiet(**args, marks=[0.5, 3.0])
-    assert not simulate._quiet(**args, marks=[0.6])           # exponent -36: within reach
-    assert not simulate._quiet(**args, marks=[1.08])          # inside the ranges
+    assert not simulate._quiet(**args, marks=[0.6])           # exponent -32: within reach
+    assert not simulate._quiet(**args, marks=[1.08])          # inside the range
     assert not simulate._quiet(**{**args, "cap": 1.2}, marks=[])      # at the cap
-    assert not simulate._quiet(**{**args, "l": 1.05}, marks=[])       # at a boundary
+    assert not simulate._quiet(**{**args, "l": 1.0}, marks=[])        # at a boundary
     assert not simulate._quiet(**{**args, "r": 1.2 + 1e-13}, marks=[])
-    assert not simulate._quiet(**{**args, "p_lo": math.nan}, marks=[])
+    assert not simulate._quiet(**{**args, "lo": math.nan}, marks=[])
     assert not simulate._quiet(**{**args, "a_dt": 0.0}, marks=[0.5])
     # values reaching past a finite boundary, as after the halving guard
     # moved a proposal back inside, make the step eventful
-    assert not simulate._quiet(**{**args, "x_lo": -0.1}, marks=[0.0])
-    assert not simulate._quiet(**{**args, "x_hi": 4.5, "r": 4.0}, marks=[4.0])
+    assert not simulate._quiet(**{**args, "lo": -0.1}, marks=[0.0])
+    assert not simulate._quiet(**{**args, "hi": 4.5, "r": 4.0}, marks=[4.0])
     # one mark on its own, as an eventful step tests it: no cap, and the
     # clamp distance only at a boundary mark
     one = {**args, "cap": math.inf, "l": -math.inf}
     assert simulate._quiet(**one, marks=[0.5])                            # a level
     assert not simulate._quiet(**one, marks=[0.6])
     assert simulate._quiet(**{**one, "l": 0.5}, marks=[0.5])             # a lower boundary
-    near_l = 1.05 - 5e-13                                                # within the clamp
+    near_l = 1.0 - 5e-13                                                 # within the clamp
     assert not simulate._quiet(**{**one, "l": near_l}, marks=[near_l])
     assert simulate._quiet(**{**one, "r": 3.0}, marks=[3.0])             # an upper boundary
-    assert not simulate._quiet(**{**one, "r": 1.3}, marks=[1.3])         # exponent -4
+    assert not simulate._quiet(**{**one, "r": 1.3}, marks=[1.3])         # exponent -2
 
 
 # bessel3 at dt 0.5 with one path and one watch level: the halving guard
