@@ -31,7 +31,7 @@ with open(out_dir / "tilde_path.csv", "w") as fh:
     for t, x, v in zip(path.times[::10], path.values[::10], tilde[::10]):
         fh.write(f"{float(t)!r},{float(x)!r},{float(v)!r}\n")
 print(f"sample trajectory written to {out_dir}/tilde_path.csv "
-      f"(path {path.seed_index}, both regime switches crossed)")
+      f"(path {index}, both regime switches crossed)")
 
 # the two conditional samples disagree
 cfg = SimConfig(dt=1e-3, horizon=60.0, seed=13, n_paths=10_000,

@@ -152,17 +152,26 @@ class TerminalValue(_Functional):
 
 @dataclass
 class ConditioningReport:
-    """Weighted or unweighted conditional sample of one path functional."""
+    """Weighted or unweighted conditional sample of one path functional, with
+    `ess` (of `weights`: n_accepted for unit weights) and `acceptance`
+    (n_accepted of n_total, None for a direct sample) computed from it."""
 
     mode: Mode
     n_total: int
     n_accepted: int
     weights: np.ndarray
     functional_samples: np.ndarray
-    ess: float
     truncated_fraction: float
-    tie_count: int = 0
-    acceptance: McEstimate | None = None
+
+    @property
+    def ess(self) -> float:
+        return effective_sample_size(self.weights)
+
+    @property
+    def acceptance(self) -> McEstimate | None:
+        if self.mode is Mode.DIRECT:
+            return None
+        return McEstimate.from_binomial(self.n_accepted, self.n_total)
 
     def as_dict(self) -> dict:
         return {
@@ -194,8 +203,8 @@ def _check_horizon(res: EnsembleResult, what: str) -> float:
     return trunc
 
 
-def _unit_report(mode: Mode, res: EnsembleResult, samples: np.ndarray, trunc: float,
-                 acceptance: McEstimate | None = None) -> ConditioningReport:
+def _unit_report(mode: Mode, res: EnsembleResult, samples: np.ndarray,
+                 trunc: float) -> ConditioningReport:
     """Unit-weight report: rejection's accepted paths or a direct sample."""
     return ConditioningReport(
         mode=mode,
@@ -203,10 +212,7 @@ def _unit_report(mode: Mode, res: EnsembleResult, samples: np.ndarray, trunc: fl
         n_accepted=samples.size,
         weights=np.ones(samples.size),
         functional_samples=samples,
-        ess=float(samples.size),
         truncated_fraction=trunc,
-        tie_count=res.tie_count,
-        acceptance=acceptance,
     )
 
 
@@ -216,18 +222,14 @@ def _rejection_and_weighted(res: EnsembleResult, functional, level: float, trunc
     keeps the paths that hit `level`, weighting keeps every path at `weights`."""
     samples = functional.extract(res)
     accepted = np.isfinite(res.hit_times[level])
-    acceptance = McEstimate.from_binomial(int(np.sum(accepted)), res.n)
-    rejection = _unit_report(Mode.REJECTION, res, samples[accepted], trunc, acceptance)
+    rejection = _unit_report(Mode.REJECTION, res, samples[accepted], trunc)
     weighted = ConditioningReport(
         mode=Mode.WEIGHTED,
         n_total=res.n,
         n_accepted=rejection.n_accepted,
         weights=weights,
         functional_samples=samples,
-        ess=effective_sample_size(weights),
         truncated_fraction=trunc,
-        tie_count=res.tie_count,
-        acceptance=acceptance,
     )
     return rejection, weighted
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conditioning import _check_horizon
-from .errors import NeedLongerHorizonError
+from .errors import InsufficientSamplesError
 from .model import McEstimate, PathSample, bm
 from .simulate import _TIME_SLACK, EnsembleResult, SimConfig, _regime, _simulate
 from .stats import effective_sample_size, ks_weighted
@@ -123,7 +123,9 @@ def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
     between the two conditional samples of the hitting time of `a`, and the
     mean of the transformed process at t = 1/2; the verdicts are the
     `counterexample` scenario's (see `scenarios.py`).  More than 1% of paths
-    unresolved at the horizon raises NeedLongerHorizonError.
+    unresolved at the horizon raises NeedLongerHorizonError, and a half with
+    no usable path (no hit of `a` in the first, no positive weight in the
+    second) InsufficientSamplesError.
     """
     tilde = run_tilde_ensemble(cfg, a=a)
     res = tilde.run
@@ -139,8 +141,14 @@ def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
     weights = res.final_values[wgt_mask]
     # never-hit paths carry weight 0 (X stopped at 0); drop their nan times
     keep = weights > 0
-    if not np.any(rej_mask) or not np.any(keep):
-        raise NeedLongerHorizonError("no accepted paths", unresolved_fraction=1.0)
+    if not np.any(rej_mask):
+        raise InsufficientSamplesError(
+            f"compare_conditionings: the rejection half (n = {res.n // 2}) has no path "
+            f"that hit a = {a:g}")
+    if not np.any(keep):
+        raise InsufficientSamplesError(
+            f"compare_conditionings: the weighted half (n = {res.n - res.n // 2}) has no "
+            f"path of positive weight")
     ks = ks_weighted(weighted_sample[keep], weights[keep], rejection_sample)
 
     differs = accept_a & (tilde.regime_at_stop < 2)

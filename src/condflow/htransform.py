@@ -29,9 +29,9 @@ __all__ = [
 def transform(spec: DiffusionSpec, s: ScaleFunction) -> DiffusionSpec:
     """Conditioned dynamics: drift gains a*s'/s, diffusion is unchanged.
 
-    Upward for an L-normalized scale with s > 0 on its grid, downward for an
-    R-normalized one with s < 0; any other scale (no normalization tag, or s
-    vanishing on the grid) is rejected.
+    Upward for an L-normalized scale (s(l) = 0) with s > 0 on its grid,
+    downward for an R-normalized one (s(r) = 0) with s < 0; any other scale
+    (neither limit 0, or s of the wrong sign on the grid) is rejected.
     """
     values = np.asarray(s.values)
     if s.normalization is Normalization.L and np.all(values > 0):
@@ -64,9 +64,9 @@ def downward_scale(s: ScaleFunction) -> ScaleFunction:
     """Scale of the upward-conditioned process: -1/s, derivative s'/s^2,
     evaluated through s itself, so between grid points too.
 
-    Requires an L-normalized input (s > 0).  When s(r) = inf the result is
-    R-normalized with limit 0 at r; for finite s(r) no normalization tag is
-    set (the image of the r-limit is then nonzero).
+    Requires an L-normalized input (s > 0).  Its limits are (-inf, -1/s(r)):
+    (-inf, 0), so R-normalized, when s(r) = inf, and no normalization for
+    finite s(r), whose image is nonzero.
     """
     if s.normalization is not Normalization.L:
         raise ValueError("downward_scale expects an L-normalized scale")
@@ -78,9 +78,7 @@ def downward_scale(s: ScaleFunction) -> ScaleFunction:
         grid=s.grid,
         values=-1.0 / values,
         derivs=np.asarray(s.derivs) / values**2,
-        normalization=Normalization.R if lim_r == math.inf else None,
         boundary_limits=(-math.inf, 0.0 if lim_r == math.inf else -1.0 / lim_r),
-        label=f"-1/({s.label})" if s.label else "",
         _s_fn=lambda y: -1.0 / s(y),
         _ds_fn=lambda y: s.deriv(y) / s(y) ** 2,
     )

@@ -115,7 +115,6 @@ class PathSample:
     absorbed_at: float
     truncated: bool
     hit_times: dict[float, float]
-    seed_index: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.times)

@@ -151,15 +151,14 @@ class ScaleFunction:
 
     `_s_fn` and `_ds_fn` evaluate s and s'.  They are the closed forms when
     given (`exact_scale`); otherwise construction sets them to monotone
-    cubics over the grid data.
+    cubics over the grid data.  The normalization is read off
+    `boundary_limits`: the end whose limit is 0.
     """
 
     grid: np.ndarray
     values: np.ndarray
     derivs: np.ndarray
-    normalization: Normalization | None
     boundary_limits: tuple[float, float]
-    label: str = ""
     _s_fn: Callable | None = None
     _ds_fn: Callable | None = None
 
@@ -173,14 +172,15 @@ class ScaleFunction:
             raise ValueError("scale values must be strictly increasing")
         if np.any(d <= 0):
             raise ValueError("scale derivative must be positive")
-        lo, hi = self.boundary_limits
-        if self.normalization is Normalization.L and lo != 0.0:
-            raise ValueError("normalization L requires boundary limit 0 at l")
-        if self.normalization is Normalization.R and hi != 0.0:
-            raise ValueError("normalization R requires boundary limit 0 at r")
         if self._s_fn is None:
             object.__setattr__(self, "_s_fn", _Pchip(g, v))
             object.__setattr__(self, "_ds_fn", _Pchip(g, d))
+
+    @property
+    def normalization(self) -> Normalization | None:
+        """L if s(l) = 0, R if s(r) = 0 (at most one: s is strictly increasing)."""
+        lo, hi = self.boundary_limits
+        return Normalization.L if lo == 0.0 else Normalization.R if hi == 0.0 else None
 
     def __call__(self, y):
         return self._s_fn(np.asarray(y, dtype=np.float64))
@@ -198,19 +198,19 @@ def exact_scale(
     s_fn: Callable,
     ds_fn: Callable,
     grid: Sequence[float],
-    normalization: Normalization | None,
     boundary_limits: tuple[float, float],
-    label: str = "",
 ) -> ScaleFunction:
-    """Scale function backed by closed forms (grid data filled from them)."""
+    """Scale function backed by closed forms (grid data filled from them).
+
+    Its normalization is the end of `boundary_limits` that is 0: (0, r-limit)
+    is L, (l-limit, 0) is R, and neither is None, which `transform` refuses.
+    """
     g = np.asarray(grid, dtype=np.float64)
     return ScaleFunction(
         grid=g,
         values=np.asarray(s_fn(g), dtype=np.float64),
         derivs=np.asarray(ds_fn(g), dtype=np.float64),
-        normalization=normalization,
         boundary_limits=boundary_limits,
-        label=label,
         _s_fn=s_fn,
         _ds_fn=ds_fn,
     )
@@ -432,8 +432,7 @@ def compute_scale(
         l, r = float(spec.interval.l), float(spec.interval.r)
         normalization = _side(name, l, r, normalization)
         origin = l if normalization is Normalization.L else r
-        return exact_scale(lambda y: y - origin, Const(1.0), g,
-                           normalization, (l - origin, r - origin), label=spec.label)
+        return exact_scale(lambda y: y - origin, Const(1.0), g, (l - origin, r - origin))
 
     def phi(v, _owner=None):
         ratio = 2.0 * np.asarray(spec.drift(v), dtype=np.float64) / np.asarray(
@@ -463,24 +462,14 @@ def compute_scale(
     lim_l = values[0] - drop_l if math.isfinite(drop_l) else -math.inf
     lim_r = values[-1] + gain_r if math.isfinite(gain_r) else math.inf
 
+    # the chosen side's limit is finite, so shifting by it makes it exactly 0
     normalization = _side(name, lim_l, lim_r, normalization)
     shift = lim_l if normalization is Normalization.L else lim_r
-    values = values - shift
-    lim_l = lim_l - shift if math.isfinite(lim_l) else lim_l
-    lim_r = lim_r - shift if math.isfinite(lim_r) else lim_r
-    # pin the normalized side to exactly zero
-    if normalization is Normalization.L:
-        lim_l = 0.0
-    else:
-        lim_r = 0.0
-
     return ScaleFunction(
         grid=g,
-        values=values,
+        values=values - shift,
         derivs=np.exp(logsp),
-        normalization=normalization,
-        boundary_limits=(lim_l, lim_r),
-        label=spec.label,
+        boundary_limits=(lim_l - shift, lim_r - shift),
     )
 
 

@@ -38,7 +38,7 @@ from .jumpwalk import (
     verify_reciprocal_supermartingale,
     walk_vs_bessel,
 )
-from .model import DiffusionSpec, Interval, bessel3, bm, gbm
+from .model import DiffusionSpec, Interval, McEstimate, bessel3, bm, gbm
 from .scale import GridConfig, Normalization, compute_scale, exact_scale
 from .simulate import SimConfig, estimate_hitting_prob, simulate_ensemble
 
@@ -157,13 +157,11 @@ def scenario_gbm(n: int = 10_000, seed: int = 2026) -> dict:
 
     cfg = SimConfig(dt=_DT, horizon=1.0 + _DT, seed=seed, n_paths=n, snapshot_times=(1.0,))
     run = simulate_ensemble(result, 1.0, cfg)
-    logs = np.log(run.snapshots[1.0])
-    mean = float(np.mean(logs))
-    sem = float(np.std(logs, ddof=1) / math.sqrt(n))
+    log_mean = McEstimate.from_samples(np.log(run.snapshots[1.0]))
     checks.append(_check(
         "log-mean-at-1-is-half",
-        _within_4se(mean, 0.5, sem),
-        mean=mean, stderr=sem, target=0.5,
+        _within_4se(log_mean.value, 0.5, log_mean.stderr),
+        mean=log_mean.value, stderr=log_mean.stderr, target=0.5,
     ))
 
     ident = verify_identity_of_measures(base, replace(cfg, seed=seed + 1), s, StoppedValueAt(1.0))
@@ -280,8 +278,7 @@ def scenario_roundtrip() -> dict:
                             label="unit-drift")
     s_exp = exact_scale(lambda y: 0.5 * (1.0 - np.exp(-2.0 * np.asarray(y, dtype=float))),
                         lambda y: np.exp(-2.0 * np.asarray(y, dtype=float)),
-                        np.geomspace(1e-3, 8.0, 201), Normalization.L, (0.0, 0.5),
-                        label="exp-scale")
+                        np.geomspace(1e-3, 8.0, 201), (0.0, 0.5))
     e_h = check_generator_identity(drifted, s_exp, phis["log y"], grid, h=0.02)
     e_h2 = check_generator_identity(drifted, s_exp, phis["log y"], grid, h=0.01)
     ratio = e_h / e_h2

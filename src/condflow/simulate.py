@@ -181,9 +181,9 @@ class SimConfig:
 
 @dataclass
 class EnsembleResult:
-    """Per-path summaries of one Monte Carlo ensemble (index = path_index)."""
+    """Per-path summaries of one Monte Carlo ensemble (index = path_index);
+    `n`, the path count, is the length of `final_values`."""
 
-    n: int
     final_values: np.ndarray
     stop_times: np.ndarray          # absorption/cap/first-hit time; horizon if truncated
     absorbed_at: np.ndarray         # boundary value, +inf for cap exceedance, nan otherwise
@@ -192,6 +192,10 @@ class EnsembleResult:
     snapshots: dict[float, np.ndarray] = field(default_factory=dict)   # value at t ^ stop
     time_integral: np.ndarray | None = None
     tie_count: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.final_values.size
 
     def truncated_fraction(self) -> float:
         return float(np.mean(self.truncated))
@@ -873,7 +877,6 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     np.copyto(snaps, final, where=np.isnan(snaps))
 
     return EnsembleResult(
-        n=n,
         final_values=final,
         stop_times=stop_t,
         absorbed_at=absorbed,
@@ -922,7 +925,6 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
         absorbed_at=float(summary.absorbed_at[0]),
         truncated=bool(summary.truncated[0]),
         hit_times={level: float(t[0]) for level, t in summary.hit_times.items()},
-        seed_index=path_index,
     )
 
 

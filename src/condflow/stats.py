@@ -36,13 +36,21 @@ _KS_COEFF_1PCT = 1.628
 
 @dataclass(frozen=True)
 class KsResult:
-    """Two-sample Kolmogorov-Smirnov comparison at the 1% level."""
+    """Two-sample Kolmogorov-Smirnov comparison at the 1% level: the
+    statistic and the (effective) sample sizes, from which the critical
+    value and the verdict follow."""
 
     statistic: float
     n1: int
     n2: int
-    critical_1pct: float
-    passed: bool
+
+    @property
+    def critical_1pct(self) -> float:
+        return _KS_COEFF_1PCT * math.sqrt((self.n1 + self.n2) / (self.n1 * self.n2))
+
+    @property
+    def passed(self) -> bool:
+        return self.statistic < self.critical_1pct
 
     def as_dict(self) -> dict:
         return {
@@ -50,10 +58,6 @@ class KsResult:
             "critical_1pct": self.critical_1pct,
             "pass": self.passed,
         }
-
-
-def _critical_1pct(n1: int, n2: int) -> float:
-    return _KS_COEFF_1PCT * math.sqrt((n1 + n2) / (n1 * n2))
 
 
 def _cumulative(xs, ws):
@@ -92,9 +96,7 @@ def _ks(xs, lookup, n1: int, ys) -> KsResult:
             f"KS needs >= 50 (effective) samples per side, got {n1}, {n2}")
     pooled = np.concatenate([xs, ys])
     f2 = np.searchsorted(ys, pooled, side="right") / n2
-    stat = float(np.max(np.abs(lookup(pooled) - f2)))
-    crit = _critical_1pct(n1, n2)
-    return KsResult(statistic=stat, n1=n1, n2=n2, critical_1pct=crit, passed=stat < crit)
+    return KsResult(float(np.max(np.abs(lookup(pooled) - f2))), n1, n2)
 
 
 def ks_two_sample(xs, ys) -> KsResult:

@@ -196,6 +196,23 @@ def test_verify_jumpwalk_refuses_no_paths(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: n_paths must be positive, got 0\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_gbm_with_one_path_fails_without_warnings(tmp_path, capsys):
+    # one path has no sample variance: its stderr is 0, with no numpy
+    # warning, and the KS refusal is the only line
+    assert main(["verify", "gbm", "--n", "1", "--out", str(tmp_path / "v.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric failure: KS needs >= 50 (effective) samples per side, got 1, 1"]
+
+
+def test_verify_counterexample_with_one_path_names_the_empty_half(tmp_path, capsys):
+    # the horizon resolves the one path; the rejection half holds none
+    assert main(["verify", "counterexample", "--n", "1", "--out", str(tmp_path / "v.json")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: compare_conditionings: the rejection half (n = 0) has no path "
+        "that hit a = 2\n")
+
+
 def test_verify_reports_are_identical_across_thread_counts(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -291,7 +291,7 @@ def test_upward_requires_finite_lower_end():
 
 def _report(weights, samples):
     return ConditioningReport(mode=Mode.WEIGHTED, n_total=samples.size, n_accepted=0,
-                              weights=weights, functional_samples=samples, ess=0.0,
+                              weights=weights, functional_samples=samples,
                               truncated_fraction=0.0)
 
 

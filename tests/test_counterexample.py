@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from condflow.counterexample import (
     compare_conditionings,
     run_tilde_ensemble,
 )
-from condflow.errors import NeedLongerHorizonError
+from condflow.errors import InsufficientSamplesError, NeedLongerHorizonError
 from condflow.model import PathSample
 from condflow.simulate import EnsembleResult, SimConfig, simulate_path
 from condflow.model import bm
@@ -116,6 +117,19 @@ def test_compare_conditionings_refuses_a_short_horizon():
     with pytest.raises(NeedLongerHorizonError,
                        match=r"^compare_conditionings: [0-9.]+% of paths resolved neither "
                              r"level before the horizon$"):
+        compare_conditionings(cfg)
+
+
+@pytest.mark.parametrize("n_paths, seed, message", [
+    (1, 19, "the rejection half (n = 0) has no path that hit a = 2"),
+    (2, 1, "the weighted half (n = 1) has no path of positive weight"),
+], ids=["rejection-half", "weighted-half"])
+def test_compare_conditionings_names_an_empty_half(n_paths, seed, message):
+    # the horizon resolves every path; what is missing is a sample in one half
+    cfg = SimConfig(dt=1e-3, horizon=60.0, seed=seed, n_paths=n_paths,
+                    dt_schedule=((2.0, 1e-3), (60.0, 1e-2)))
+    with pytest.raises(InsufficientSamplesError,
+                       match=f"^compare_conditionings: {re.escape(message)}$"):
         compare_conditionings(cfg)
 
 

@@ -19,15 +19,14 @@ _PROBE = np.linspace(0.2, 5.0, 97)
 def _identity_scale(hi=50.0):
     grid = np.geomspace(1e-3, hi, 201)
     ones = lambda y: np.ones_like(np.asarray(y, dtype=float))
-    return exact_scale(lambda y: np.asarray(y, dtype=float), ones, grid,
-                       Normalization.L, (0.0, math.inf), label="identity")
+    return exact_scale(lambda y: np.asarray(y, dtype=float), ones, grid, (0.0, math.inf))
 
 
 def _reciprocal_scale(hi=50.0):
     grid = np.geomspace(1e-2, hi, 201)
     return exact_scale(lambda y: -1.0 / np.asarray(y, dtype=float),
                        lambda y: 1.0 / np.square(np.asarray(y, dtype=float)),
-                       grid, Normalization.R, (-math.inf, 0.0), label="recip")
+                       grid, (-math.inf, 0.0))
 
 
 def test_bm_upward_gains_reciprocal_drift():
@@ -47,22 +46,41 @@ def test_gbm_upward_gains_unit_drift():
 
 
 def test_scale_without_normalization_rejected():
-    # the normalization is the direction: an untagged scale has none
+    # the normalization is the direction: a scale with neither limit at 0 has none
     grid = np.linspace(0.01, 0.99, 99)
     ones = lambda y: np.ones_like(np.asarray(y, dtype=float))
-    s = exact_scale(lambda y: np.asarray(y, dtype=float), ones, grid,
-                    Normalization.L, (0.0, 1.0), label="unit")
+    s = exact_scale(lambda y: np.asarray(y, dtype=float), ones, grid, (0.0, 1.0))
     untagged = downward_scale(s)
     assert untagged.normalization is None
     with pytest.raises(ValueError):
         transform(bm(0.0, 1.0), untagged)
 
 
+def test_direction_is_the_end_whose_limit_is_zero():
+    # L where s(l) = 0, R where s(r) = 0, and no direction otherwise
+    grid = np.linspace(0.1, 0.9, 9)
+    up = exact_scale(lambda y: np.asarray(y, dtype=float),
+                     lambda y: np.ones_like(np.asarray(y, dtype=float)), grid, (0.0, 1.0))
+    down = exact_scale(lambda y: -1.0 / np.asarray(y, dtype=float),
+                       lambda y: 1.0 / np.square(np.asarray(y, dtype=float)),
+                       grid, (-math.inf, 0.0))
+    neither = exact_scale(lambda y: -1.0 / np.asarray(y, dtype=float) - 0.5,
+                          lambda y: 1.0 / np.square(np.asarray(y, dtype=float)),
+                          grid, (-math.inf, -0.5))
+    assert up.normalization is Normalization.L
+    assert down.normalization is Normalization.R
+    assert neither.normalization is None
+    assert transform(bm(0.0, 1.0), up).label == "bm^up"
+    assert transform(bessel3(), down).label == "bessel3^down"
+    with pytest.raises(ValueError, match="^transform needs"):
+        transform(bessel3(), neither)
+
+
 def test_scale_vanishing_on_grid_rejected():
     grid = np.linspace(0.5, 2.0, 31)
     ones = lambda y: np.ones_like(np.asarray(y, dtype=float))
     crossing = exact_scale(lambda y: np.asarray(y, dtype=float) - 1.0, ones, grid,
-                           Normalization.L, (0.0, math.inf), label="crossing")
+                           (0.0, math.inf))
     with pytest.raises(ValueError):
         transform(bm(), crossing)
 
@@ -156,8 +174,7 @@ def test_downward_scale_values_and_limits():
 def test_downward_scale_on_bounded_interval():
     grid = np.linspace(0.01, 0.99, 99)
     ones = lambda y: np.ones_like(np.asarray(y, dtype=float))
-    s = exact_scale(lambda y: np.asarray(y, dtype=float), ones, grid,
-                    Normalization.L, (0.0, 1.0), label="unit")
+    s = exact_scale(lambda y: np.asarray(y, dtype=float), ones, grid, (0.0, 1.0))
     down = downward_scale(s)
     assert down(1.0) == pytest.approx(-1.0)
     assert down.boundary_limits[0] == -math.inf
@@ -210,7 +227,7 @@ def test_fd_error_second_order():
                             label="unit-drift")
     s = exact_scale(lambda y: 0.5 * (1.0 - np.exp(-2.0 * np.asarray(y, dtype=float))),
                     lambda y: np.exp(-2.0 * np.asarray(y, dtype=float)),
-                    np.geomspace(1e-3, 8.0, 201), Normalization.L, (0.0, 0.5))
+                    np.geomspace(1e-3, 8.0, 201), (0.0, 0.5))
     grid = np.linspace(0.5, 3.0, 41)
     phi = parse_expr("log(y)")
     ratio = (check_generator_identity(drifted, s, phi, grid, h=0.02)

@@ -1,6 +1,7 @@
 """Every import in src/condflow is used: a stdlib-only stand-in for a
 linter's unused-import rule.  Every parameter is read, so no function takes
-a setting it ignores.  The package exports exactly its modules' public
+a setting it ignores, and every dataclass field is read, so no record keeps
+a value nothing uses.  The package exports exactly its modules' public
 names.  One step kernel: only `simulate` draws step normals.  No
 module executes text: config expressions are parsed, never run.  And the
 only scipy import is `ndtri`."""
@@ -98,6 +99,43 @@ _UNREAD_BY_DESIGN = {
 def test_no_unread_parameters(module):
     found = unread_parameters((SRC / module).read_text(encoding="utf-8"))
     assert found == _UNREAD_BY_DESIGN.get(module, [])
+
+
+def unread_fields(sources: list[str]) -> list[str]:
+    """`Class.field` for each field of a `@dataclass` in `sources` that no
+    source reads as an attribute (`obj.field`, not a store).  The match is by
+    name alone, whatever the object: a field whose name is read off some
+    other record (a `label` beside `DiffusionSpec.label`, say) counts as
+    read, so this catches a field no code reads under any owner."""
+    trees = [ast.parse(source) for source in sources]
+    fields = [f"{cls.name}.{stmt.target.id}" for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              and any(ast.unparse(d).split("(")[0] == "dataclass" for d in cls.decorator_list)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [name for name in fields if name.split(".")[1] not in read]
+
+
+def test_detects_unread_fields():
+    records = ("from dataclasses import dataclass\n"
+               "@dataclass\nclass A:\n    x: int\n    y: int = 0\n    k = 1\n"
+               "@dataclass(frozen=True)\nclass B:\n    w: int\n"
+               "class C:\n    v: int\n")
+    reader = "def f(a, b, c):\n    a.y = b.w\n    return a.x\n"
+    assert unread_fields([records, reader]) == ["A.y"]
+
+
+# fields kept unread on purpose, each with its reason
+_UNREAD_FIELDS_BY_DESIGN = [
+    "SimConfig.n_threads",  # accepted and ignored until ROADMAP item 1 or 11
+]
+
+
+def test_every_dataclass_field_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unread_fields(sources) == _UNREAD_FIELDS_BY_DESIGN
 
 
 def test_package_exports_the_public_names():

@@ -68,7 +68,7 @@ def test_classifications(bm_scale, bessel_scale, gbm_scale):
 def test_unsupported_when_both_limits_infinite():
     grid = np.linspace(-3.0, 3.0, 41)
     s = exact_scale(lambda y: np.asarray(y, float), lambda y: np.ones_like(np.asarray(y, float)),
-                    grid, None, (-math.inf, math.inf))
+                    grid, (-math.inf, math.inf))
     assert classify_boundaries(s) is BoundaryClass.UNSUPPORTED
 
 
@@ -113,11 +113,11 @@ def test_classification_affine_invariant(c, d):
     grid = np.geomspace(0.01, 100.0, 64)
     s = exact_scale(lambda y: -1.0 / np.asarray(y, float),
                     lambda y: 1.0 / np.square(np.asarray(y, float)),
-                    grid, Normalization.R, (-math.inf, 0.0))
-    # the affine image c s + d of the R-normalized s, with no normalization
+                    grid, (-math.inf, 0.0))
+    # the affine image c s + d of the R-normalized s, R-normalized only at d = 0
     image = exact_scale(lambda y: -c / np.asarray(y, float) + d,
                         lambda y: c / np.square(np.asarray(y, float)),
-                        grid, None, (-math.inf, d))
+                        grid, (-math.inf, d))
     assert classify_boundaries(s) is BoundaryClass.HITS_R_ONLY
     assert classify_boundaries(image) is classify_boundaries(s)
 
