@@ -22,6 +22,7 @@ from .conditioning import (
     TimeAverageUntilStop,
     ValueAtTimeOrLevel,
     compare_reports,
+    condition,
     condition_downward,
     condition_upward,
     direct_sample,

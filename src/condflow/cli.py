@@ -9,9 +9,12 @@ error, as is a value its key cannot read, and so is `[spec] b`, `a`, `l` or
 `r` beside a named family (bm by default).  `[scenario] x0` is the start of
 a simulation and the anchor of a scale; `direction` (upward or downward)
 picks the side for scale, transform and condition, and without it the
-scale is normalized at l when s(l) is finite, else at r.  Command-line
-flags (--seed, --n, --out) override the file; --threads is accepted and
-changes nothing, because every run uses one thread.
+scale is normalized at l when s(l) is finite, else at r.  `condition`
+weighs every path by that scale, s(X_stop)/s(x0), so it reads s up to the
+level upward and up to `[sim] cap` downward; either beyond `[scenario]
+y_max`, past which s is extrapolated, is a configuration error.
+Command-line flags (--seed, --n, --out) override the file; --threads is
+accepted and changes nothing, because every run uses one thread.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error (an output that cannot be written is one), 3 numeric failure.  JSON
@@ -33,8 +36,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conditioning import (StoppedValueAt, compare_reports, condition_downward, condition_upward,
-                           direct_sample)
+from .conditioning import StoppedValueAt, compare_reports, condition, direct_sample
 from .errors import ConfigError, NumericFailure
 from .exprparse import ParseError, parse_expr
 from .htransform import transform
@@ -307,18 +309,15 @@ def cmd_condition(conf, args) -> int:
     s = _scale(conf, spec, x0)
     transformed = transform(spec, s)
     upward = s.normalization is Normalization.L
-    condition = condition_upward if upward else condition_downward
     level = _get(conf, "scenario", "level", 2.0 if upward else 0.5, float)
-    # the weighted route weighs by the coordinate, (X - l)/(x0 - l) upward
-    # and x0/X downward, which is the h-transform weight s(X)/s(x0) only
-    # when the coordinate is a local martingale
-    y, l = s.grid, spec.interval.l
-    coordinate = (y - l) / (x0 - l) if upward else x0 / y
-    departure = float(np.max(np.abs(s.values / s(x0) / coordinate - 1.0)))
-    if departure > 1e-6:
-        raise ConfigError(f"coordinate weights depart from s(y)/s(x0) by {departure:.3g} "
-                          f"(relative): the coordinate is not a local martingale")
-    rejection, weighted = condition(spec, x0, level, functional, cfg)
+    # the weights and the transformed drift read s up to the highest stop,
+    # the level upward and the cap downward; past the grid s is extrapolated
+    top, name = (level, "[scenario] level") if upward else (cfg.cap, "[sim] cap")
+    if top > s.grid[-1]:
+        raise ConfigError(f"{name} = {top:g} lies beyond [scenario] y_max = {s.grid[-1]:g}, "
+                          f"past which the scale is extrapolated: the level upward and "
+                          f"[sim] cap downward must lie within it")
+    rejection, weighted = condition(spec, s, x0, level, functional, cfg)
     direct = direct_sample(transformed, x0, functional, replace(cfg, seed=cfg.seed + 1),
                            stop_level=level)
     ks = compare_reports(weighted, direct)

@@ -2,16 +2,15 @@
 
 * REJECTION keeps the paths on which the conditioning event happened, at
   uniform weight.
-* WEIGHTED keeps every path, weighted by the stopped martingale relative
-  to the start point: (X_stop - l)/(x0 - l) upward, x0/X_stop downward,
-  with X_stop the value at the horizon on a path the horizon truncated.
+* WEIGHTED keeps every path at the h-transform weight s(X_stop)/s(x0),
+  with s the scale normalized at the end not conditioned on and X_stop the
+  value at the horizon on a path the horizon truncated.
 * DIRECT simulates the transformed dynamics outright.
 
-All three produce a ConditioningReport carrying one functional sample per
-path; `compare_reports` gives the weighted KS statistic of two reports.
-The operations run in local-martingale coordinates: pass dynamics whose
-coordinate process is itself a nonnegative local martingale (map a general
-diffusion through its scale function first).
+`condition` gives the first two from one run, upward for an L-normalized
+s and downward for an R-normalized one.  All three produce a
+ConditioningReport carrying one functional sample per path;
+`compare_reports` gives the weighted KS statistic of two reports.
 
 Never-hit events are operationalized by the divergence cap (first exceedance
 of `cfg.cap` plays the hit of infinity) and by the horizon; the fraction of
@@ -36,8 +35,8 @@ import numpy as np
 
 from .errors import EvalDomainError, NeedLongerHorizonError
 from .htransform import transform
-from .model import DiffusionSpec, McEstimate
-from .scale import ScaleFunction
+from .model import Const, DiffusionSpec, McEstimate
+from .scale import Normalization, ScaleFunction, exact_scale
 from .simulate import EnsembleResult, SimConfig, simulate_ensemble
 from .stats import KsResult, effective_sample_size, ks_two_sample, ks_weighted
 
@@ -49,6 +48,7 @@ __all__ = [
     "TimeAverageUntilStop",
     "FirstHitTime",
     "TerminalValue",
+    "condition",
     "condition_upward",
     "condition_downward",
     "direct_sample",
@@ -216,70 +216,69 @@ def _unit_report(mode: Mode, res: EnsembleResult, samples: np.ndarray,
     )
 
 
-def _rejection_and_weighted(res: EnsembleResult, functional, level: float, trunc: float,
-                            weights: np.ndarray) -> tuple[ConditioningReport, ...]:
-    """The (REJECTION, WEIGHTED) pair of one run stopped at `level`: rejection
-    keeps the paths that hit `level`, weighting keeps every path at `weights`."""
+def condition(spec: DiffusionSpec, s: ScaleFunction, x0: float, level: float, functional,
+              cfg: SimConfig) -> tuple[ConditioningReport, ConditioningReport]:
+    """Condition `spec` from x0 to hit `level` first: upward (before l) for
+    an L-normalized s, downward (before r, the cap playing an infinite r)
+    for an R-normalized one.  Returns the (REJECTION, WEIGHTED) reports of
+    one run stopped at `level`: rejection keeps the paths that hit it,
+    weighting keeps every path at s(X_stop)/s(x0), with X_stop the value at
+    the stop or the horizon and s of a finite end read off
+    `s.boundary_limits`.  A weight that is not finite (a path absorbed
+    where s is infinite) raises EvalDomainError.  A grid-backed s
+    extrapolates past its grid, so its grid must cover every stopped value.
+    """
+    l, r = spec.interval.l, spec.interval.r
+    if s.normalization is None:
+        raise ValueError("s must be normalized at l or at r to condition")
+    upward = s.normalization is Normalization.L
+    what = "condition_upward" if upward else "condition_downward"
+    if not (l < x0 <= level < r if upward else l < level <= x0 < r):
+        raise ValueError("need l < x0 <= level < r" if upward else "need l < level <= x0 < r")
+    res = _run(spec, x0, functional, cfg, stop_level=level)
+    trunc = _check_horizon(res, what)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = s(res.final_values)
+        for end, limit in zip((l, r), s.boundary_limits):
+            if math.isfinite(end):
+                h = np.where(res.absorbed_at == end, limit, h)
+        weights = h / s(x0)
+    infinite = int(np.count_nonzero(~np.isfinite(weights)))
+    if infinite:
+        raise EvalDomainError(f"{what}: {infinite} of {res.n} paths stopped where the weight "
+                              f"s(X)/s(x0) is not finite")
     samples = functional.extract(res)
     accepted = np.isfinite(res.hit_times[level])
     rejection = _unit_report(Mode.REJECTION, res, samples[accepted], trunc)
-    weighted = ConditioningReport(
-        mode=Mode.WEIGHTED,
-        n_total=res.n,
-        n_accepted=rejection.n_accepted,
-        weights=weights,
-        functional_samples=samples,
-        truncated_fraction=trunc,
-    )
-    return rejection, weighted
+    return rejection, ConditioningReport(
+        mode=Mode.WEIGHTED, n_total=res.n, n_accepted=rejection.n_accepted, weights=weights,
+        functional_samples=samples, truncated_fraction=trunc)
+
+
+def _coordinate_scale(s_fn, ds_fn, spec: DiffusionSpec, x0: float) -> ScaleFunction:
+    """The closed form `s_fn` on the grid {x0}, with its values at the ends as limits."""
+    with np.errstate(divide="ignore"):
+        lim_l, lim_r = s_fn(np.array([spec.interval.l, spec.interval.r]))
+    return exact_scale(s_fn, ds_fn, [x0], (float(lim_l), float(lim_r)))
 
 
 def condition_upward(spec: DiffusionSpec, x0: float, a: float, functional,
                      cfg: SimConfig) -> tuple[ConditioningReport, ConditioningReport]:
-    """Condition a local martingale to hit `a` before the finite lower
-    boundary l; returns (REJECTION, WEIGHTED) reports.
-
-    Rejection keeps paths whose first hit among {a, l} is `a`; weighting
-    assigns every path the h-transform weight (X_stop - l)/(x0 - l), which
-    is (a - l)/(x0 - l) on the acceptance event, 0 on absorption at l and
-    (X_T - l)/(x0 - l) on a path the horizon T truncated: the stopped
-    martingale at the stop or T, whose mean is exactly 1.  At l = 0 this is
-    the stopped value over x0.
-    """
+    """`condition` upward to `a` for a local martingale with a finite l: its
+    scale is the coordinate (y - l)/(x0 - l)."""
     l = spec.interval.l
     if not (math.isfinite(l) and l < x0 <= a < spec.interval.r):
         raise ValueError("need a finite l and l < x0 <= a < r")
-    res = _run(spec, x0, functional, cfg, stop_level=a)
-    trunc = _check_horizon(res, "condition_upward")
-    weights = (res.final_values - l) / (x0 - l)
-    return _rejection_and_weighted(res, functional, a, trunc, weights)
+    s = _coordinate_scale(lambda y: (y - l) / (x0 - l), Const(1.0 / (x0 - l)), spec, x0)
+    return condition(spec, s, x0, a, functional, cfg)
 
 
 def condition_downward(spec_q: DiffusionSpec, x0: float, level: float, functional,
                        cfg: SimConfig) -> tuple[ConditioningReport, ConditioningReport]:
-    """Condition transformed dynamics to hit a low level before diverging.
-
-    The divergence cap plays the hit of infinity: rejection keeps paths that
-    reach `level` before exceeding the cap; weighting assigns x0 over the
-    stopped value, so exactly x0/level on the acceptance event and a small
-    weight on diverged paths.  Horizon-truncated paths stay in the weighted
-    sample at x0 over their horizon value, which keeps the stopped
-    reciprocal-martingale identity exact.  A path stopped at 0 (absorbed at
-    a reachable boundary there) would carry an infinite weight, so any such
-    path raises EvalDomainError.
-    """
-    if not spec_q.interval.l < level <= x0 < spec_q.interval.r:
-        raise ValueError("need l < level <= x0 < r")
-    res = _run(spec_q, x0, functional, cfg, stop_level=level)
-    trunc = _check_horizon(res, "condition_downward")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = x0 / res.final_values
-    infinite = int(np.count_nonzero(~np.isfinite(weights)))
-    if infinite:
-        raise EvalDomainError(
-            f"condition_downward: {infinite} of {res.n} paths stopped at 0, where the "
-            f"weight x0/value is not finite")
-    return _rejection_and_weighted(res, functional, level, trunc, weights)
+    """`condition` downward to `level` for dynamics on (l, inf) whose
+    reciprocal is a local martingale: their scale is -x0/y."""
+    s = _coordinate_scale(lambda y: -x0 / y, lambda y: x0 / (y * y), spec_q, x0)
+    return condition(spec_q, s, x0, level, functional, cfg)
 
 
 def direct_sample(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,

@@ -20,8 +20,8 @@ from .conditioning import (
     StoppedValueAt,
     TimeAverageUntilStop,
     compare_reports,
+    condition,
     condition_downward,
-    condition_upward,
     direct_sample,
     verify_identity_of_measures,
     verify_local_martingality_of_reciprocal,
@@ -84,8 +84,8 @@ def scenario_bm_bessel(n: int = 100_000, seed: int = 2024) -> dict:
     # the rejection side keeps about half its paths, so run twice as many;
     # the direct route runs BM's h-transform, BES(3)
     cfg = SimConfig(dt=_DT, horizon=20.0, seed=seed + 1, n_paths=2 * _N_KS)
-    rejection, _weighted = condition_upward(bm(), 1.0, 2.0, StoppedValueAt(0.25), cfg)
     s = compute_scale(bm(), 1.0, GridConfig(y_min=1e-3, y_max=50.0), Normalization.L)
+    rejection, _weighted = condition(bm(), s, 1.0, 2.0, StoppedValueAt(0.25), cfg)
     direct = direct_sample(transform(bm(), s), 1.0, StoppedValueAt(0.25),
                            replace(cfg, seed=seed + 2, n_paths=_N_KS), stop_level=2.0)
     ks = compare_reports(rejection, direct)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from condflow import cli
 from condflow.cli import main
+from condflow.conditioning import StoppedValueAt, condition, condition_downward
 from condflow.model import Const, bm, named_family
 from condflow.simulate import SimConfig, simulate_ensemble
 
@@ -153,20 +155,83 @@ def test_condition_json_report(tmp_path):
     assert abs(payload["acceptance"] - 0.5) < 0.05
 
 
-def test_condition_refuses_coordinate_weights_it_cannot_use(tmp_path, capsys, monkeypatch):
-    # 1/y + 0.3 is not driftless in the scale of its coordinate, so x0/X is
-    # not its downward weight; the refusal comes before any simulation
-    # (default bm upward passes the same check: test_condition_json_report)
+DRIFTED_DOWN = """
+[spec]
+family = custom
+b = "1/y + 0.3"
+a = "1"
+
+[scenario]
+direction = downward
+level = 0.5
+y_max = 12
+
+[sim]
+dt = 1e-2
+horizon = 60
+cap = 10
+n_paths = 4000
+seed = 1
+"""
+
+
+def test_condition_weighs_a_drifted_diffusion_by_its_scale(tmp_path):
+    # 1/y + 0.3 is not driftless in the scale of its coordinate: x0/X weights
+    # average about 0.66, while s(X)/s(x0) is a martingale weight
+    cfg = _write(tmp_path, "c.ini", DRIFTED_DOWN)
+    conf = cli._load_config(cfg)
+    spec = cli._build_spec(conf)
+    s = cli._scale(conf, spec, 1.0)
+    sim = cli._build_sim(conf, argparse.Namespace(seed=None, n=None))
+    functional = StoppedValueAt(0.25)
+
+    def mean_and_stderr(w):
+        return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(w.size))
+
+    rejection, weighted = condition(spec, s, 1.0, 0.5, functional, sim)
+    mean, stderr = mean_and_stderr(weighted.weights)
+    assert abs(mean - 1.0) <= 4 * stderr
+    acc, target = rejection.acceptance, float(s(1.0) / s(0.5))
+    assert abs(acc.value - target) <= 4 * acc.stderr
+    # the coordinate weight x0/X, on the same run, is not a martingale weight
+    _, coordinate = condition_downward(spec, 1.0, 0.5, functional, sim)
+    mean, stderr = mean_and_stderr(coordinate.weights)
+    assert abs(mean - 1.0) > 4 * stderr
+
+    out = tmp_path / "cond.json"
+    assert main(["condition", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["acceptance"] == acc.value
+
+
+@pytest.mark.parametrize("family, scenario, name", [
+    # the defaults: cap 1e8 against y_max = 10 x0
+    ("bessel3", "direction = downward\n", "[sim] cap = 1e+08"),
+    ("bm", "direction = upward\nlevel = 20\n", "[scenario] level = 20"),
+])
+def test_condition_refuses_a_stop_beyond_the_scale_grid(tmp_path, capsys, monkeypatch,
+                                                        family, scenario, name):
+    # past y_max the scale's end cubics are extrapolated (bessel3's s(100)
+    # would read -113.7, not -0.01); the refusal comes before any simulation
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before refusing")
 
-    for name in ("condition_upward", "condition_downward", "direct_sample"):
-        monkeypatch.setattr(cli, name, no_simulation)
-    cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "1/y + 0.3"\na = "1"\n'
-                                    "[scenario]\ndirection = downward\n")
+    for routine in ("condition", "direct_sample"):
+        monkeypatch.setattr(cli, routine, no_simulation)
+    cfg = _write(tmp_path, "c.ini", f"[spec]\nfamily = {family}\n[scenario]\n{scenario}")
     assert main(["condition", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "not a local martingale" in err
+    assert err.startswith(f"config error: {name} lies beyond [scenario] y_max = 10")
+    assert "[sim] cap" in err
+
+
+def test_condition_downward_with_the_cap_inside_the_grid(tmp_path):
+    cfg = _write(tmp_path, "c.ini", "[spec]\nfamily = bessel3\n"
+                                    "[scenario]\ndirection = downward\ny_max = 5\n"
+                                    "[sim]\ndt = 1e-2\nhorizon = 60\ncap = 5\nn_paths = 1000\n")
+    out = tmp_path / "cond.json"
+    assert main(["condition", "--config", cfg, "--out", str(out)]) == 0
+    # BES(3) from 1 reaches 0.5 before 5 with probability (1 - 1/5)/(2 - 1/5)
+    assert abs(json.loads(out.read_text())["acceptance"] - 0.8 / 1.8) < 0.07
 
 
 def test_verify_roundtrip_passes(tmp_path):

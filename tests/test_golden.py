@@ -20,6 +20,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -134,6 +135,27 @@ def test_benchmark_tracer_reads_the_conditioning_calls(monkeypatch):
     assert 0 < identity["accepted"] < 200
     upward = spans["conditioning.condition_upward"]
     assert (upward["accepted"], upward["simulated"]) == (rejection.n_accepted, 200)
+
+
+def test_benchmark_horizon_refusal_matches_condition(monkeypatch, tmp_path):
+    # verify-mix counts a bessel-bm run refused for its horizon as unsolved
+    # only while `workloads.HORIZON_REFUSAL` matches the message in full, so
+    # a horizon too short for the event must read that way in both directions
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import workloads
+
+    refusal = workloads.HORIZON_REFUSAL
+    for family, direction, level, cap in (("bm", "upward", 2.0, 1e8),
+                                          ("bessel3", "downward", 0.5, 5.0)):
+        config = tmp_path / f"{family}.ini"
+        config.write_text(f"[spec]\nfamily = {family}\n[scenario]\ndirection = {direction}\n"
+                          f"level = {level}\nt = 0.005\ny_max = 5\n"
+                          f"[sim]\ndt = 1e-3\nhorizon = 0.01\ncap = {cap}\nn_paths = 300\n",
+                          encoding="utf-8")
+        rc, _out, err = _run(["condition", "--config", str(config)])
+        assert rc == refusal.rc == 3
+        assert re.fullmatch(refusal.message, err.splitlines()[-1]), err
+        assert err.startswith(f"numeric failure: condition_{direction}: ")
 
 
 def moved_values(old, new, path: str = ""):
