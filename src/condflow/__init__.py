@@ -15,12 +15,9 @@ transition probabilities (jumpwalk).
 
 from .conditioning import (
     ConditioningReport,
-    FirstHitTime,
     Mode,
     StoppedValueAt,
-    TerminalValue,
     TimeAverageUntilStop,
-    ValueAtTimeOrLevel,
     compare_reports,
     condition,
     condition_downward,

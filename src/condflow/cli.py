@@ -11,8 +11,9 @@ a simulation and the anchor of a scale; `direction` (upward or downward)
 picks the side for scale, transform and condition, and without it the
 scale is normalized at l when s(l) is finite, else at r.  `condition`
 weighs every path by that scale, s(X_stop)/s(x0), so it reads s up to the
-level upward and up to `[sim] cap` downward; either beyond `[scenario]
-y_max`, past which s is extrapolated, is a configuration error.
+level upward and from the level up to `[sim] cap` downward; a stop beyond
+`[scenario] y_max`, or a downward level below `y_min`, where s is
+extrapolated, is a configuration error.
 Command-line flags (--seed, --n, --out) override the file; --threads is
 accepted and changes nothing, because every run uses one thread.
 
@@ -311,12 +312,17 @@ def cmd_condition(conf, args) -> int:
     upward = s.normalization is Normalization.L
     level = _get(conf, "scenario", "level", 2.0 if upward else 0.5, float)
     # the weights and the transformed drift read s up to the highest stop,
-    # the level upward and the cap downward; past the grid s is extrapolated
+    # the level upward and the cap downward, and down to the level downward;
+    # off the grid s is extrapolated
     top, name = (level, "[scenario] level") if upward else (cfg.cap, "[sim] cap")
     if top > s.grid[-1]:
         raise ConfigError(f"{name} = {top:g} lies beyond [scenario] y_max = {s.grid[-1]:g}, "
                           f"past which the scale is extrapolated: the level upward and "
                           f"[sim] cap downward must lie within it")
+    if not upward and level < s.grid[0]:
+        raise ConfigError(f"[scenario] level = {level:g} lies below [scenario] y_min = "
+                          f"{s.grid[0]:g}, past which the scale is extrapolated: the level "
+                          f"downward must lie within it")
     rejection, weighted = condition(spec, s, x0, level, functional, cfg)
     direct = direct_sample(transformed, x0, functional, replace(cfg, seed=cfg.seed + 1),
                            stop_level=level)

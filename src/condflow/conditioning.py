@@ -44,10 +44,7 @@ __all__ = [
     "Mode",
     "ConditioningReport",
     "StoppedValueAt",
-    "ValueAtTimeOrLevel",
     "TimeAverageUntilStop",
-    "FirstHitTime",
-    "TerminalValue",
     "condition",
     "condition_upward",
     "condition_downward",
@@ -71,11 +68,10 @@ class Mode(enum.Enum):
 
 class _Functional:
     """What a functional needs its run to record, beyond the stop level:
-    snapshot times, watched levels and the running time integral.  Nothing
-    by default; a functional overrides what it reads."""
+    snapshot times and the running time integral.  Nothing by default; a
+    functional overrides what it reads."""
 
     snapshot_times: tuple[float, ...] = ()
-    watch_levels: tuple[float, ...] = ()
     track_time_average: bool = False
 
 
@@ -94,27 +90,6 @@ class StoppedValueAt(_Functional):
 
 
 @dataclass(frozen=True)
-class ValueAtTimeOrLevel(_Functional):
-    """Path value at t, frozen at `level` if that level was crossed first
-    (for functionals measurable before the run's own stopping level)."""
-
-    t: float
-    level: float
-
-    @property
-    def snapshot_times(self) -> tuple[float, ...]:
-        return (self.t,)
-
-    @property
-    def watch_levels(self) -> tuple[float, ...]:
-        return (self.level,)
-
-    def extract(self, res: EnsembleResult) -> np.ndarray:
-        hit = res.hit_times[self.level]
-        return np.where(np.isfinite(hit) & (hit <= self.t), self.level, res.snapshots[self.t])
-
-
-@dataclass(frozen=True)
 class TimeAverageUntilStop(_Functional):
     """Time average of the path up to its stop (absorption or freeze)."""
 
@@ -123,28 +98,6 @@ class TimeAverageUntilStop(_Functional):
     def extract(self, res: EnsembleResult) -> np.ndarray:
         stop = res.stop_times
         return np.where(stop > 0, res.time_integral / np.maximum(stop, 1e-300), res.final_values)
-
-
-@dataclass(frozen=True)
-class FirstHitTime(_Functional):
-    """First crossing time of one level (nan where it never crossed)."""
-
-    level: float
-
-    @property
-    def watch_levels(self) -> tuple[float, ...]:
-        return (self.level,)
-
-    def extract(self, res: EnsembleResult) -> np.ndarray:
-        return res.hit_times[self.level].copy()
-
-
-@dataclass(frozen=True)
-class TerminalValue(_Functional):
-    """Value at the stop (absorption value, freeze level, or horizon value)."""
-
-    def extract(self, res: EnsembleResult) -> np.ndarray:
-        return res.final_values.copy()
 
 
 # --- reports -----------------------------------------------------------------
@@ -186,9 +139,10 @@ class ConditioningReport:
 def _run(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
          stop_level: float) -> EnsembleResult:
     """One run stopped at `stop_level` that records what `functional` reads:
-    its watch levels, snapshot times and time integral replace the cfg's."""
+    its snapshot times and time integral replace the cfg's, and it watches
+    no other level."""
     return simulate_ensemble(spec, x0, replace(
-        cfg, stop_levels=(stop_level,), watch_levels=functional.watch_levels,
+        cfg, stop_levels=(stop_level,), watch_levels=(),
         snapshot_times=functional.snapshot_times,
         track_time_average=functional.track_time_average))
 
@@ -285,10 +239,10 @@ def direct_sample(spec: DiffusionSpec, x0: float, functional, cfg: SimConfig,
                   stop_level: float) -> ConditioningReport:
     """Simulate (transformed) dynamics directly and sample the functional.
 
-    A functional with snapshot times (`StoppedValueAt`, `ValueAtTimeOrLevel`)
-    reads nothing past its time, which is at most the horizon, so a path the
-    horizon truncated is a sample of it too.  For any other functional more
-    than 1% unresolved raises NeedLongerHorizonError.
+    A functional with a snapshot time (`StoppedValueAt`) reads nothing past
+    its time, which is at most the horizon, so a path the horizon truncated
+    is a sample of it too.  For any other functional (`TimeAverageUntilStop`)
+    more than 1% unresolved raises NeedLongerHorizonError.
     """
     res = _run(spec, x0, functional, cfg, stop_level=stop_level)
     trunc = (res.truncated_fraction() if functional.snapshot_times

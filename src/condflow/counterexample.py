@@ -32,7 +32,7 @@ from .conditioning import _check_horizon
 from .errors import InsufficientSamplesError
 from .model import McEstimate, PathSample, bm
 from .simulate import _TIME_SLACK, EnsembleResult, SimConfig, _regime, _simulate
-from .stats import effective_sample_size, ks_weighted
+from .stats import ks_weighted
 
 __all__ = [
     "build_tilde",
@@ -41,8 +41,7 @@ __all__ = [
     "compare_conditionings",
 ]
 
-_REGIME_SWITCH_HI = 0.75
-_REGIME_SWITCH_LO = 0.25
+_SWITCHES = (0.75, 0.25)  # the regime switch levels, in the order X reaches them
 _T_SNAP = 0.5  # the time at which the transformed process's mean is taken
 
 
@@ -56,9 +55,9 @@ def build_tilde(path: PathSample) -> np.ndarray:
     The path must carry hit times for levels 3/4 and 1/4 (watch them when
     simulating); regime switches are taken from those.
     """
-    if not {_REGIME_SWITCH_HI, _REGIME_SWITCH_LO} <= path.hit_times.keys():
+    if not set(_SWITCHES) <= path.hit_times.keys():
         raise ValueError("path lacks hit times for levels 3/4 and 1/4")
-    switches = (path.hit_times[_REGIME_SWITCH_HI], path.hit_times[_REGIME_SWITCH_LO])
+    switches = [path.hit_times[level] for level in _SWITCHES]
     # a level never hit switches at infinity: times <= nan would all be False
     t_hi, t_lo = (math.inf if math.isnan(t) else t for t in switches)
     times = np.asarray(path.times)
@@ -69,15 +68,38 @@ def build_tilde(path: PathSample) -> np.ndarray:
 
 @dataclass
 class TildeEnsemble:
-    """The kernel's record of the walk stopped at {a, 0}, with what the
-    tilde construction adds.  `run.final_values` is X at the stop (the
+    """The kernel's record of the walk stopped at {a, 0}, and what the tilde
+    construction reads off it.  `run.final_values` is X at the stop (the
     recipe's weight), and `run.absorbed_at` is 0 where X (and tilde) hit 0
     first."""
 
     run: EnsembleResult
-    hit_a_time: np.ndarray        # nan = did not hit a
-    regime_at_stop: np.ndarray
-    tilde_at_snap: np.ndarray     # tilde value at 1/2 ^ stop
+
+    @property
+    def hit_a_time(self) -> np.ndarray:
+        """The stop time of a path that stopped at a, nan on the others."""
+        res = self.run
+        return np.where(~res.truncated & np.isnan(res.absorbed_at), res.stop_times, np.nan)
+
+    def _regime_before(self, t: np.ndarray) -> np.ndarray:
+        # a switch counts from the step after its crossing, so the regime at
+        # a grid time takes the switches crossed strictly before it
+        return _regime([self.run.hit_times[level] < t for level in _SWITCHES])
+
+    @property
+    def regime_at_stop(self) -> np.ndarray:
+        return self._regime_before(self.run.stop_times)
+
+    @property
+    def tilde_at_snap(self) -> np.ndarray:
+        """The tilde value at 1/2, or at the stop before it."""
+        res = self.run
+        # the snapshot's grid time is the first from _T_SNAP - _TIME_SLACK on
+        regime = self._regime_before(np.minimum(res.stop_times, _T_SNAP - _TIME_SLACK))
+        x_snap = res.snapshots[_T_SNAP]
+        tilde = _tilde_formula(x_snap, regime == 0, regime == 1)
+        tilde[x_snap == 0.0] = 0.0  # tilde(X) is 0 exactly where X is
+        return tilde
 
 
 def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0) -> TildeEnsemble:
@@ -86,33 +108,16 @@ def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0) -> TildeEnsemble:
 
     The walk is one run of the simulator's kernel: it watches the switch
     levels and stops each path at the X level where tilde(X) = a in its
-    regime, and records the transformed value at t = 1/2.  Of `cfg` it reads
-    the grid, horizon, cap, seed, path count and bridge correction.
+    regime, and records X at t = 1/2.  Of `cfg` it reads the grid, horizon,
+    cap, seed, path count and bridge correction.
     """
     if a <= 1.0:
         raise ValueError("a must exceed the start point 1")
-    switches = (_REGIME_SWITCH_HI, _REGIME_SWITCH_LO)
-    run_cfg = replace(cfg, watch_levels=switches, stop_levels=(), track_time_average=False)
+    run_cfg = replace(cfg, watch_levels=_SWITCHES, stop_levels=(), track_time_average=False)
     # tilde(X) = a at X = (a + 1)/2, 2a - 1/4 and a in regimes 0, 1 and 2
     levels = ((a + 1.0) / 2.0, 2.0 * a - 0.25, a)
-    res = _simulate(bm(), 1.0, run_cfg, 0, cfg.n_paths, [_T_SNAP], levels_by_regime=levels)
-
-    hit_a = ~res.truncated & np.isnan(res.absorbed_at)
-    # a switch counts from the step after its crossing, so the regime at a
-    # grid time takes the switches crossed strictly before it; the snapshot's
-    # grid time is the first from _T_SNAP - _TIME_SLACK on
-    t_switch = [res.hit_times[level] for level in switches]
-    t_snap_ref = np.minimum(res.stop_times, _T_SNAP - _TIME_SLACK)
-    regime_at_snap = _regime([t < t_snap_ref for t in t_switch])
-    x_snap = res.snapshots[_T_SNAP]
-    tilde_at_snap = _tilde_formula(x_snap, regime_at_snap == 0, regime_at_snap == 1)
-    tilde_at_snap[x_snap == 0.0] = 0.0  # tilde(X) is 0 exactly where X is
-    return TildeEnsemble(
-        run=res,
-        hit_a_time=np.where(hit_a, res.stop_times, np.nan),
-        regime_at_stop=_regime([t < res.stop_times for t in t_switch]),
-        tilde_at_snap=tilde_at_snap,
-    )
+    return TildeEnsemble(_simulate(bm(), 1.0, run_cfg, 0, cfg.n_paths, [_T_SNAP],
+                                   levels_by_regime=levels))
 
 
 def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
@@ -133,11 +138,12 @@ def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
     resolved = ~res.truncated
 
     first = np.arange(res.n) < res.n // 2
-    accept_a = np.isfinite(tilde.hit_a_time)
+    hit_a_time = tilde.hit_a_time
+    accept_a = np.isfinite(hit_a_time)
     rej_mask = first & accept_a & resolved
     wgt_mask = ~first & resolved
-    rejection_sample = tilde.hit_a_time[rej_mask]
-    weighted_sample = tilde.hit_a_time[wgt_mask]
+    rejection_sample = hit_a_time[rej_mask]
+    weighted_sample = hit_a_time[wgt_mask]
     weights = res.final_values[wgt_mask]
     # never-hit paths carry weight 0 (X stopped at 0); drop their nan times
     keep = weights > 0
@@ -155,13 +161,9 @@ def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
     freq_diff = float(np.sum(differs & resolved)) / max(int(np.sum(resolved)), 1)
     mart = McEstimate.from_samples(tilde.tilde_at_snap)
     return {
-        "a": a,
-        "n": res.n,
         "freq_stop_value_differs": freq_diff,
         "ks": ks.as_dict(),
         "martingale_mean": {"value": mart.value, "stderr": mart.stderr},
-        "acceptance_fraction": float(np.mean(accept_a[resolved])),
-        "ess_weighted": effective_sample_size(weights[keep]),
         "tie_count": res.tie_count,
         "truncated_fraction": trunc,
     }

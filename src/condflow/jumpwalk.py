@@ -164,8 +164,8 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
     and each equals the one-step draw.  Under Q, p_up is read from a table
     over the lattice points a walk can reach, 1 ... start + n_steps, built
     with the exact (s + 1) / (2 s).  Returns final values, the minimum value
-    each path visited, and the fraction absorbed (the conditioned walk never
-    reaches 0).  Raises ValueError unless n_paths >= 1.
+    each path visited and the step count.  Raises ValueError unless
+    n_paths >= 1.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
@@ -196,7 +196,6 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
     return {
         "final": state * h,
         "min_value": min_state * h,
-        "absorbed_fraction": float(np.mean(state == 0)) if spec.measure is Measure.P else 0.0,
         "n_steps": n_steps,
     }
 

@@ -235,10 +235,11 @@ def scenario_jumpwalk(n: int = 10_000, seed: int = 2029) -> dict:
         interior=recip_interior, floor=recip_floor,
     ))
 
-    # walk long enough that the positivity guarantee covers 10^6 steps at
-    # any path count
-    t_walk = max(1.0, 1_000_000 / (n * spec10.N**2))
-    walk = simulate_walk(spec10, t=t_walk, n_paths=n, seed=seed)
+    # walk ceil(10^6 / n) whole steps (at least 100, t = 1), so that the
+    # positivity guarantee covers 10^6 path-steps at any path count; half a
+    # step more in t keeps the walk's floor(t N^2) from dropping one
+    n_steps = max(100, -(-1_000_000 // n))
+    walk = simulate_walk(spec10, t=(n_steps + 0.5) / spec10.N**2, n_paths=n, seed=seed)
     total_steps = walk["n_steps"] * n
     checks.append(_check(
         "conditioned-walk-stays-positive",

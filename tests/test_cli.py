@@ -212,16 +212,33 @@ def test_condition_refuses_a_stop_beyond_the_scale_grid(tmp_path, capsys, monkey
                                                         family, scenario, name):
     # past y_max the scale's end cubics are extrapolated (bessel3's s(100)
     # would read -113.7, not -0.01); the refusal comes before any simulation
-    def no_simulation(*args, **kwargs):
-        raise AssertionError("simulated before refusing")
-
-    for routine in ("condition", "direct_sample"):
-        monkeypatch.setattr(cli, routine, no_simulation)
+    _forbid_simulation(monkeypatch)
     cfg = _write(tmp_path, "c.ini", f"[spec]\nfamily = {family}\n[scenario]\n{scenario}")
     assert main(["condition", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {name} lies beyond [scenario] y_max = 10")
     assert "[sim] cap" in err
+
+
+def test_condition_refuses_a_downward_level_below_the_scale_grid(tmp_path, capsys, monkeypatch):
+    # below y_min the end cubic is extrapolated too: on bessel3's default
+    # grid (y_min = 0.01) s(0.005) would read -156.8, not -200, and weigh
+    # every accepted path
+    _forbid_simulation(monkeypatch)
+    cfg = _write(tmp_path, "c.ini", "[spec]\nfamily = bessel3\n"
+                                    "[scenario]\ndirection = downward\nlevel = 0.005\n"
+                                    "[sim]\ncap = 5\n")
+    assert main(["condition", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: [scenario] level = 0.005 lies below [scenario] y_min = 0.01")
+
+
+def _forbid_simulation(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before refusing")
+
+    for routine in ("condition", "direct_sample"):
+        monkeypatch.setattr(cli, routine, no_simulation)
 
 
 def test_condition_downward_with_the_cap_inside_the_grid(tmp_path):

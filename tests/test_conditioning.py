@@ -7,12 +7,9 @@ import pytest
 
 from condflow.conditioning import (
     ConditioningReport,
-    FirstHitTime,
     Mode,
     StoppedValueAt,
-    TerminalValue,
     TimeAverageUntilStop,
-    ValueAtTimeOrLevel,
     compare_reports,
     condition_downward,
     condition_upward,
@@ -124,9 +121,10 @@ def test_direct_sample_keeps_truncated_snapshot_samples():
 def test_upward_weights_every_path_the_horizon_truncated():
     # BM from 1 on (0, 2) is still inside at T = 5 with probability about
     # 0.3%: those paths weigh X_T/x0, the stopped martingale at T, so the
-    # weights cover all n paths and their mean is 1
+    # weights cover all n paths and their mean is 1 (the functional only
+    # rides along: the weights do not depend on it)
     cfg = SimConfig(dt=1e-2, horizon=5.0, seed=66, n_paths=4_000)
-    _, weighted = condition_upward(bm(), 1.0, 2.0, TerminalValue(), cfg)
+    _, weighted = condition_upward(bm(), 1.0, 2.0, StoppedValueAt(1.0), cfg)
     assert 0.0 < weighted.truncated_fraction <= 0.01
     assert weighted.weights.size == weighted.functional_samples.size == cfg.n_paths
     mean = float(np.mean(weighted.weights))
@@ -135,14 +133,16 @@ def test_upward_weights_every_path_the_horizon_truncated():
 
 
 def test_consistency_across_conditioning_levels():
-    # a functional frozen at the lower level has the same law whichever
-    # higher level the conditioning uses
-    functional_low = StoppedValueAt(0.25)
+    # the value at 1/4 frozen at 2 has the same law whether the paths are
+    # conditioned to hit 2 or the higher level 4: the second sample comes
+    # from one run stopped at 4 that watches 2, kept on the paths that hit 4
     cfg_a = SimConfig(dt=1e-3, horizon=20.0, seed=57, n_paths=8_000)
-    rej_a, _ = condition_upward(bm(), 1.0, 2.0, functional_low, cfg_a)
-    cfg_b = SimConfig(dt=1e-3, horizon=40.0, seed=58, n_paths=16_000)
-    rej_b, _ = condition_upward(bm(), 1.0, 4.0, ValueAtTimeOrLevel(0.25, 2.0), cfg_b)
-    ks = ks_two_sample(rej_a.functional_samples, rej_b.functional_samples)
+    rej_a, _ = condition_upward(bm(), 1.0, 2.0, StoppedValueAt(0.25), cfg_a)
+    cfg_b = SimConfig(dt=1e-3, horizon=40.0, seed=58, n_paths=16_000, stop_levels=(4.0,),
+                      watch_levels=(2.0,), snapshot_times=(0.25,))
+    res = simulate_ensemble(bm(), 1.0, cfg_b)
+    frozen = np.where(res.hit_times[2.0] <= 0.25, 2.0, res.snapshots[0.25])
+    ks = ks_two_sample(rej_a.functional_samples, frozen[np.isfinite(res.hit_times[4.0])])
     assert ks.passed
 
 
@@ -189,25 +189,6 @@ def test_time_average_functional():
     report = direct_sample(bm(0.0, 2.0), 1.0, TimeAverageUntilStop(), cfg, stop_level=2.0)
     samples = report.functional_samples
     assert np.all(samples > 0.0) and np.all(samples < 2.0)
-
-
-def test_first_hit_time_functional():
-    # BM from 1 stopped at 0 hits 2 first with probability 1/2; a path that
-    # hits 2 runs on, so its hit time is fixed before the horizon
-    cfg = SimConfig(dt=1e-2, horizon=20.0, seed=62, n_paths=2_000)
-    functional = FirstHitTime(2.0)
-    res = _run(bm(), 1.0, functional, cfg, stop_level=0.0)
-    times = functional.extract(res)
-    assert times.tobytes() == res.hit_times[2.0].tobytes()
-    never = np.isnan(times)
-    assert np.all(res.absorbed_at[never] == 0.0) and np.all(times[~never] > 0.0)
-    hit = McEstimate.from_binomial(int(np.count_nonzero(~never)), cfg.n_paths)
-    assert abs(hit.value - 0.5) <= 4 * hit.stderr
-    # a hit time has no snapshot time: with more than 1% of paths running
-    # at the horizon, a direct sample of it is refused
-    assert res.truncated_fraction() > 0.01
-    with pytest.raises(NeedLongerHorizonError, match="direct_sample"):
-        direct_sample(bm(), 1.0, functional, cfg, stop_level=0.0)
 
 
 def _upward_scale(base, y_max):
@@ -265,7 +246,7 @@ def test_downward_rejects_infinite_weight():
     # the level to below 0 in one step, stop at 0 and would weigh x0/0
     cfg = SimConfig(dt=0.5, horizon=50.0, seed=3, n_paths=400)
     with pytest.raises(NumericFailure, match=r"condition_downward: [1-9][0-9]* of 400 paths"):
-        condition_downward(bm(), 1.0, 0.9, TerminalValue(), cfg)
+        condition_downward(bm(), 1.0, 0.9, StoppedValueAt(1.0), cfg)
 
 
 def test_upward_weights_with_nonzero_lower_end():
@@ -323,11 +304,11 @@ def test_same_step_absorption_beats_the_stop_level():
     # the absorption at 0 wins final_values while hit_times records the
     # crossing, so rejection accepts such a path and weighting gives it 0
     cfg = SimConfig(dt=0.25, horizon=50.0, seed=3, n_paths=2_000)
-    res = _run(bm(), 0.5, TerminalValue(), cfg, stop_level=0.7)
+    res = _run(bm(), 0.5, StoppedValueAt(1.0), cfg, stop_level=0.7)
     assert res.tie_count == 231
     tied = (res.absorbed_at == 0.0) & np.isfinite(res.hit_times[0.7])
     assert int(np.count_nonzero(tied)) == 231
     np.testing.assert_array_equal(res.final_values[tied], 0.0)
-    rejection, weighted = condition_upward(bm(), 0.5, 0.7, TerminalValue(), cfg)
+    rejection, weighted = condition_upward(bm(), 0.5, 0.7, StoppedValueAt(1.0), cfg)
     assert rejection.n_accepted == 1_474
     assert int(np.count_nonzero(weighted.weights > 0.0)) == 1_243

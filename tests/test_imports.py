@@ -2,7 +2,8 @@
 linter's unused-import rule.  Every parameter is read, so no function takes
 a setting it ignores, and every dataclass field is read, so no record keeps
 a value nothing uses.  The package exports exactly its modules' public
-names.  One step kernel: only `simulate` draws step normals.  No
+names, and a program (the package itself or a demo) reads each of them.
+One step kernel: only `simulate` draws step normals.  No
 module executes text: config expressions are parsed, never run.  And the
 only scipy import is `ndtri`."""
 
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "condflow"
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "condflow"
 
 
 def declared_all(tree: ast.Module) -> set[str]:
@@ -148,6 +150,50 @@ def test_package_exports_the_public_names():
                            for p in SRC.glob("*.py")
                            if p.name not in ("__init__.py", "cli.py", "rng.py")))
     assert exported == public
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module reads, as a loaded `Name` or attribute; a name
+    read only inside its own top-level definition does not count."""
+    read = set()
+    for stmt in tree.body:
+        own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
+        read |= {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+                 if isinstance(node, (ast.Name, ast.Attribute))
+                 and isinstance(node.ctx, ast.Load)} - own
+    return read
+
+
+def unread_public_names(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.name` for each name a module of `modules` lists in `__all__`
+    that no source, of `modules` or `callers`, reads.  Imports and the
+    strings of `__all__` are not reads."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = set().union(*map(_reads, [*trees.values(), *map(ast.parse, callers)]))
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for name in declared_all(tree) if name not in read)
+
+
+def test_detects_unread_public_names():
+    lib = ("__all__ = ['f', 'g', 'h', 'C']\n"
+           "def f():\n    return f()\n"
+           "def g():\n    return 0\n"
+           "def h():\n    return g()\n"
+           "class C:\n    def m(self):\n        return C\n")
+    caller = "import lib\nfrom lib import f\nlib.h()\n"
+    assert unread_public_names({"lib": lib}, [caller]) == ["lib.C", "lib.f"]
+
+
+# public names no program reads: named by perfbench/tracing._SPANS until
+# ROADMAP item 1
+_UNCALLED_BY_DESIGN = ["jumpwalk.walk_vs_bm", "stats.ecdf", "stats.weighted_ecdf"]
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public name that only tests read is code kept for the tests' sake
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    demos = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "demos").glob("*.py"))]
+    assert unread_public_names(modules, demos) == _UNCALLED_BY_DESIGN
 
 
 def normals_callers(source: str) -> bool:

@@ -19,6 +19,7 @@ from condflow.jumpwalk import (
     walk_vs_bessel,
     walk_vs_bm,
 )
+from condflow.scenarios import scenario_jumpwalk
 
 
 def test_q_step_probabilities_exact():
@@ -129,13 +130,23 @@ def test_q_walk_never_absorbs():
     assert float(np.min(walk["min_value"])) > 0.0
 
 
+@pytest.mark.parametrize("n", [3, 60, 3000])
+def test_verify_walks_a_million_path_steps_at_any_path_count(n):
+    # the bundle walks ceil(10^6 / n) whole steps; a walk sized as a time
+    # t = 10^6 / (n N^2) floors to fewer (16,666 steps of 60 paths)
+    check = next(c for c in scenario_jumpwalk(n=n)["checks"]
+                 if c["name"] == "conditioned-walk-stays-positive")
+    assert check["pass"]
+    assert check["detail"]["steps"] == n * -(-1_000_000 // n)
+
+
 def test_p_walk_is_martingale_when_stopped_at_zero():
     spec = JumpWalkSpec(N=10, measure=Measure.P, x0=1.0)
     walk = simulate_walk(spec, t=2.0, n_paths=20_000, seed=6)
     mean = float(np.mean(walk["final"]))
     stderr = float(np.std(walk["final"], ddof=1) / math.sqrt(20_000))
     assert abs(mean - 1.0) <= 4 * stderr
-    assert walk["absorbed_fraction"] > 0.0
+    assert np.any(walk["final"] == 0.0)
 
 
 def _one_step_walk(spec, t, n_paths, seed):
@@ -168,7 +179,7 @@ def test_walk_equals_one_step_reference(measure, x0, n_paths, t):
     assert np.array_equal(walk["final"], final)
     assert np.array_equal(walk["min_value"], min_value)
     if measure is Measure.P:
-        assert 0.0 < walk["absorbed_fraction"] == float(np.mean(final == 0.0))
+        assert np.any(final == 0.0)
 
 
 def test_walk_spec_validation():
