@@ -36,7 +36,7 @@ print(f"sample trajectory written to {out_dir}/tilde_path.csv "
 # the two conditional samples disagree
 cfg = SimConfig(dt=1e-3, horizon=60.0, seed=13, n_paths=10_000,
                 dt_schedule=((2.0, 1e-3), (60.0, 1e-2)))
-report = compare_conditionings(cfg, a=2.0)
+report = compare_conditionings(cfg)
 print(f"\nstop values differ on {100 * report['freq_stop_value_differs']:.1f}% of paths")
 print(f"KS between the two conditional samples: {report['ks']['stat']:.4f} "
       f"(critical {report['ks']['critical_1pct']:.4f})")

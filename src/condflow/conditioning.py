@@ -8,9 +8,11 @@
 * DIRECT simulates the transformed dynamics outright.
 
 `condition` gives the first two from one run, upward for an L-normalized
-s and downward for an R-normalized one.  All three produce a
-ConditioningReport carrying one functional sample per path;
-`compare_reports` gives the weighted KS statistic of two reports.
+s and downward for an R-normalized one.  Both read its stop record, so a
+path whose stop step both crosses the level and is absorbed counts as
+absorbed in each: rejection drops it and weighting gives it s(end)/s(x0).
+All three produce a ConditioningReport carrying one functional sample per
+path; `compare_reports` gives the weighted KS statistic of two reports.
 
 Never-hit events are operationalized by the divergence cap (first exceedance
 of `cfg.cap` plays the hit of infinity) and by the horizon; the fraction of
@@ -55,6 +57,7 @@ __all__ = [
 ]
 
 _MAX_UNRESOLVED = 0.01
+_BAND = (0.1, 10.0)  # the stop levels of the reciprocal's martingale check
 
 
 class Mode(enum.Enum):
@@ -175,10 +178,10 @@ def condition(spec: DiffusionSpec, s: ScaleFunction, x0: float, level: float, fu
     """Condition `spec` from x0 to hit `level` first: upward (before l) for
     an L-normalized s, downward (before r, the cap playing an infinite r)
     for an R-normalized one.  Returns the (REJECTION, WEIGHTED) reports of
-    one run stopped at `level`: rejection keeps the paths that hit it,
-    weighting keeps every path at s(X_stop)/s(x0), with X_stop the value at
-    the stop or the horizon and s of a finite end read off
-    `s.boundary_limits`.  A weight that is not finite (a path absorbed
+    one run stopped at `level`: rejection keeps the paths the stop record
+    says stopped at it, weighting keeps every path at s(X_stop)/s(x0), with
+    X_stop the value at the stop or the horizon and s of a finite end read
+    off `s.boundary_limits`.  A weight that is not finite (a path absorbed
     where s is infinite) raises EvalDomainError.  A grid-backed s
     extrapolates past its grid, so its grid must cover every stopped value.
     """
@@ -202,7 +205,7 @@ def condition(spec: DiffusionSpec, s: ScaleFunction, x0: float, level: float, fu
         raise EvalDomainError(f"{what}: {infinite} of {res.n} paths stopped where the weight "
                               f"s(X)/s(x0) is not finite")
     samples = functional.extract(res)
-    accepted = np.isfinite(res.hit_times[level])
+    accepted = res.stopped_at(level)
     rejection = _unit_report(Mode.REJECTION, res, samples[accepted], trunc)
     return rejection, ConditioningReport(
         mode=Mode.WEIGHTED, n_total=res.n, n_accepted=rejection.n_accepted, weights=weights,
@@ -269,11 +272,12 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     """KS between the base law from 1 conditioned on its upward event and
     the law of `transform(base, s)` from 1 (when they agree: the module
     docstring), with the acceptance and the larger truncated fraction.  With
-    r finite both runs stop at r and the 1% horizon rule applies to the
-    base run (to the transformed one as `direct_sample` applies it); with r
+    r finite both runs stop at r, the 1% horizon rule applies to the base
+    run (to the transformed one as `direct_sample` applies it) and the
+    accepted base paths are those its stop record stops at r; with r
     infinite the event is never reaching l, which no horizon resolves, so
-    both runs go to the horizon, a base reaching l raises, and only a
-    functional with snapshot times is fixed by then.
+    both runs go to the horizon, a base reaching l raises, every other path
+    is accepted, and only a functional with snapshot times is fixed by then.
     """
     l, r = base.interval.l, base.interval.r
     bounded = math.isfinite(r)
@@ -282,7 +286,7 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
         _check_horizon(res, "verify_identity_of_measures")
     elif np.any(res.absorbed_at == l):
         raise ValueError(f"base reaches l = {l:g}, which the horizon cannot rule out")
-    kept = res.absorbed_at == r if bounded else res.absorbed_at != l
+    kept = res.stopped_at(r) if bounded else np.full(res.n, True)
     direct = direct_sample(transform(base, s), 1.0, functional, cfg, stop_level=r)
     acceptance = McEstimate.from_binomial(int(np.sum(kept)), res.n)
     return {
@@ -292,11 +296,11 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     }
 
 
-def verify_local_martingality_of_reciprocal(spec_q: DiffusionSpec, cfg: SimConfig,
-                                            band: tuple[float, float] = (0.1, 10.0)) -> dict:
+def verify_local_martingality_of_reciprocal(spec_q: DiffusionSpec, cfg: SimConfig) -> dict:
     """Measure whether the reciprocal of the transformed coordinate from 1
-    behaves like a martingale inside a band, and whether paths diverge past
-    10; the verdicts are the `bessel-bm` scenario's (see `scenarios.py`).
+    behaves like a martingale inside the band (1/10, 10), and whether paths
+    diverge past 10; the verdicts are the `bessel-bm` scenario's (see
+    `scenarios.py`).
 
     Part 1: the mean of 1/X at t = 1 stopped at the band edges (a martingale
     keeps it at 1).  The band run reads only its snapshot at t, so it stops
@@ -308,8 +312,7 @@ def verify_local_martingality_of_reciprocal(spec_q: DiffusionSpec, cfg: SimConfi
     coarsens to a hundredth of the horizon.
     """
     t, level = 1.0, 10.0
-    lo, hi = band
-    band_cfg = replace(cfg, watch_levels=(), stop_levels=(lo, hi),
+    band_cfg = replace(cfg, watch_levels=(), stop_levels=_BAND,
                        snapshot_times=(t,), horizon=t + cfg.dt)
     res = simulate_ensemble(spec_q, 1.0, band_cfg)
     stopped = res.snapshots[t]
@@ -324,7 +327,7 @@ def verify_local_martingality_of_reciprocal(spec_q: DiffusionSpec, cfg: SimConfi
                                         (cfg.horizon, min(100 * cfg.dt, cfg.horizon / 100))),
     )
     div = simulate_ensemble(spec_q, 1.0, div_cfg)
-    frac = McEstimate.from_binomial(int(np.sum(np.isfinite(div.hit_times[level]))), div.n)
+    frac = McEstimate.from_binomial(int(np.sum(div.stopped_at(level))), div.n)
     return {
         "reciprocal_mean": {"value": recip.value, "stderr": recip.stderr},
         "divergence_fraction": {"value": frac.value, "stderr": frac.stderr},

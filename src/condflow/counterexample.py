@@ -23,7 +23,6 @@ to the earlier regime (the affected fraction of steps vanishes with dt).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +41,7 @@ __all__ = [
 ]
 
 _SWITCHES = (0.75, 0.25)  # the regime switch levels, in the order X reaches them
+_A = 2.0  # the level tilde(X) is conditioned to hit before 0, above its start 1
 _T_SNAP = 0.5  # the time at which the transformed process's mean is taken
 
 
@@ -53,17 +53,14 @@ def build_tilde(path: PathSample) -> np.ndarray:
     """The two-regime transformation of a full path, on the path's grid.
 
     The path must carry hit times for levels 3/4 and 1/4 (watch them when
-    simulating); regime switches are taken from those.
+    simulating); the regime at each grid time takes the switches hit
+    strictly before it, as `TildeEnsemble` reads it.
     """
     if not set(_SWITCHES) <= path.hit_times.keys():
         raise ValueError("path lacks hit times for levels 3/4 and 1/4")
-    switches = [path.hit_times[level] for level in _SWITCHES]
-    # a level never hit switches at infinity: times <= nan would all be False
-    t_hi, t_lo = (math.inf if math.isnan(t) else t for t in switches)
     times = np.asarray(path.times)
-    before_hi = times <= t_hi
-    between = (times > t_hi) & (times <= t_lo)
-    return _tilde_formula(np.asarray(path.values), before_hi, between)
+    regime = _regime([path.hit_times[level] < times for level in _SWITCHES])  # nan: never
+    return _tilde_formula(np.asarray(path.values), regime == 0, regime == 1)
 
 
 @dataclass
@@ -102,37 +99,35 @@ class TildeEnsemble:
         return tilde
 
 
-def run_tilde_ensemble(cfg: SimConfig, a: float = 2.0) -> TildeEnsemble:
+def run_tilde_ensemble(cfg: SimConfig) -> TildeEnsemble:
     """Walk Brownian paths from 1, tracking the transformed process, until
-    the transformed process hits `a` or the base path is absorbed at 0.
+    the transformed process hits a = 2 or the base path is absorbed at 0.
 
     The walk is one run of the simulator's kernel: it watches the switch
     levels and stops each path at the X level where tilde(X) = a in its
     regime, and records X at t = 1/2.  Of `cfg` it reads the grid, horizon,
     cap, seed, path count and bridge correction.
     """
-    if a <= 1.0:
-        raise ValueError("a must exceed the start point 1")
     run_cfg = replace(cfg, watch_levels=_SWITCHES, stop_levels=(), track_time_average=False)
     # tilde(X) = a at X = (a + 1)/2, 2a - 1/4 and a in regimes 0, 1 and 2
-    levels = ((a + 1.0) / 2.0, 2.0 * a - 0.25, a)
+    levels = ((_A + 1.0) / 2.0, 2.0 * _A - 0.25, _A)
     return TildeEnsemble(_simulate(bm(), 1.0, run_cfg, 0, cfg.n_paths, [_T_SNAP],
                                    levels_by_regime=levels))
 
 
-def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
+def compare_conditionings(cfg: SimConfig) -> dict:
     """Conditional law along the transformed sequence vs the stopped-value
     weighting, on independent halves of the ensemble.
 
     Measures the frequency of {X != tilde(X) at the stop}, the KS statistic
-    between the two conditional samples of the hitting time of `a`, and the
+    between the two conditional samples of the hitting time of a = 2, and the
     mean of the transformed process at t = 1/2; the verdicts are the
     `counterexample` scenario's (see `scenarios.py`).  More than 1% of paths
     unresolved at the horizon raises NeedLongerHorizonError, and a half with
-    no usable path (no hit of `a` in the first, no positive weight in the
+    no usable path (no hit of a in the first, no positive weight in the
     second) InsufficientSamplesError.
     """
-    tilde = run_tilde_ensemble(cfg, a=a)
+    tilde = run_tilde_ensemble(cfg)
     res = tilde.run
     trunc = _check_horizon(res, "compare_conditionings")
     resolved = ~res.truncated
@@ -150,7 +145,7 @@ def compare_conditionings(cfg: SimConfig, a: float = 2.0) -> dict:
     if not np.any(rej_mask):
         raise InsufficientSamplesError(
             f"compare_conditionings: the rejection half (n = {res.n // 2}) has no path "
-            f"that hit a = {a:g}")
+            f"that hit a = {_A:g}")
     if not np.any(keep):
         raise InsufficientSamplesError(
             f"compare_conditionings: the weighted half (n = {res.n - res.n // 2}) has no "

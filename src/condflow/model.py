@@ -4,7 +4,7 @@ Monte Carlo estimates.
 A hitting time that never occurs is nan, in a one-path record as in an
 ensemble.  At a finite horizon nan stands for both "at infinity" and "beyond
 infinity", which a simulation cannot tell apart (paths that run out of
-horizon are flagged `truncated` instead).
+horizon are flagged `truncated` in the ensemble's stop record instead).
 """
 
 from __future__ import annotations
@@ -101,19 +101,14 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class PathSample:
-    """One simulated trajectory, recorded as `EnsembleResult` records a path.
-
-    Values are constant after the stop.  `absorbed_at` is the boundary the
-    path was absorbed at, +inf if it passed the cap, nan otherwise;
-    `truncated` means the horizon ended the path before it stopped.
-    `hit_times` maps each watched level to its first hitting time, nan for
-    never.
+    """One simulated trajectory on its time grid, with values constant
+    after the stop.  `hit_times` maps each watched level that is not a stop
+    level to its first hitting time, nan for never, as `EnsembleResult`
+    records it; that record's stop record says where the path stopped.
     """
 
     times: np.ndarray
     values: np.ndarray
-    absorbed_at: float
-    truncated: bool
     hit_times: dict[float, float]
 
     def __post_init__(self):
@@ -132,11 +127,8 @@ class McEstimate:
 
     value: float
     stderr: float
-    n: int
 
     def __post_init__(self):
-        if self.n <= 0:
-            raise ValueError("n must be positive")
         if self.stderr < 0:
             raise ValueError("stderr must be nonnegative")
 
@@ -144,14 +136,16 @@ class McEstimate:
     def from_samples(samples: np.ndarray) -> "McEstimate":
         samples = np.asarray(samples, dtype=np.float64)
         n = samples.size
+        if n == 0:
+            raise ValueError("no sample to estimate from")
         value = float(samples.mean())
         stderr = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        return McEstimate(value=value, stderr=stderr, n=n)
+        return McEstimate(value=value, stderr=stderr)
 
     @staticmethod
     def from_binomial(successes: int, n: int) -> "McEstimate":
         p = successes / n
-        return McEstimate(value=p, stderr=math.sqrt(max(p * (1.0 - p), 0.0) / n), n=n)
+        return McEstimate(value=p, stderr=math.sqrt(max(p * (1.0 - p), 0.0) / n))
 
 
 # --- named coefficient families --------------------------------------------

@@ -128,7 +128,7 @@ def scenario_bessel_bm(n: int = 10_000, seed: int = 2025) -> dict:
 
     # the band run stops just after t = 1; the divergence run goes to the horizon
     cfg_recip = SimConfig(dt=_DT, horizon=200.0, seed=seed + 2, n_paths=n)
-    recip = verify_local_martingality_of_reciprocal(bessel3(), cfg_recip, band=(0.1, 10.0))
+    recip = verify_local_martingality_of_reciprocal(bessel3(), cfg_recip)
     mean = recip["reciprocal_mean"]
     checks.append(_check(
         "reciprocal-band-martingale",
@@ -192,7 +192,7 @@ def scenario_counterexample(n: int = 10_000, seed: int = 2028) -> dict:
     conditional measures."""
     cfg = SimConfig(dt=_DT, horizon=60.0, seed=seed, n_paths=n,
                     dt_schedule=((2.0, _DT), (60.0, 10 * _DT)))
-    rep = compare_conditionings(cfg, a=2.0)
+    rep = compare_conditionings(cfg)
     mean = rep["martingale_mean"]
     checks = [
         _check("stop-values-differ-frequently", rep["freq_stop_value_differs"] > 0.1,

@@ -48,8 +48,11 @@ discrete stop (absorption, the cap or a stop level's crossing without the
 bridge): no later row of it is read.  The uniforms of one mark come from one
 call for all the block's rows, each keyed by its own (path, step, stream),
 so a draw on a row after the path's stop (a speculative draw) changes no
-other and no result.  A crossing of both watched levels detected on the same
-step counts toward the upper level; such ties are counted and reported.
+other and no result.  A step that ends a path at more than one mark is a
+tie, counted and reported; the stop record takes absorption at the lower
+boundary, then the upper, the cap, the stop levels from the top and the
+regime's level.  A stop level records no hit time, so that write order is
+the tie rule's one statement (`EnsembleResult.stopped_at` reads it).
 
 Most blocks of a sparse tail have no event.  A block is quiet when one range
 holding all its values and proposals sits strictly on one side of every
@@ -136,8 +139,10 @@ class SimConfig:
     A path stops at absorption, at the cap and at its first crossing of a
     stop level.  The run watches `stop_levels`, then the `watch_levels` not
     among them, each level once; the j-th watched level draws its bridge
-    uniforms from stream STREAM_WATCH + j.  Snapshot times record the path
-    value at t AND stop.
+    uniforms from stream STREAM_WATCH + j.  Only the watch levels that are
+    not stop levels get hit times; a stop level's crossing is read off the
+    stop record (`EnsembleResult.stopped_at`).  Snapshot times record the
+    path value at t AND stop.
 
     `dt`, `horizon` and each schedule dt must be finite; `cap` may be inf
     (no cap) but not NaN.
@@ -182,10 +187,12 @@ class SimConfig:
 @dataclass
 class EnsembleResult:
     """Per-path summaries of one Monte Carlo ensemble (index = path_index);
-    `n`, the path count, is the length of `final_values`."""
+    `n`, the path count, is the length of `final_values`.  The first four
+    fields are the stop record, the one statement of where each path stopped
+    (`stopped_at` reads it); `hit_times` holds the other watch levels."""
 
     final_values: np.ndarray
-    stop_times: np.ndarray          # absorption/cap/first-hit time; horizon if truncated
+    stop_times: np.ndarray          # absorption/cap/stop-level time; horizon if truncated
     absorbed_at: np.ndarray         # boundary value, +inf for cap exceedance, nan otherwise
     truncated: np.ndarray           # still running at the horizon
     hit_times: dict[float, np.ndarray] = field(default_factory=dict)   # nan = never
@@ -199,6 +206,12 @@ class EnsembleResult:
 
     def truncated_fraction(self) -> float:
         return float(np.mean(self.truncated))
+
+    def stopped_at(self, level: float) -> np.ndarray:
+        """Per path, whether it stopped at `level` (a stop level or a finite
+        boundary): before the horizon, not at the cap, with its final value
+        there.  A tie's losing marks do not count."""
+        return ~self.truncated & (self.final_values == level) & (self.absorbed_at != math.inf)
 
     def summary(self) -> dict:
         return {
@@ -460,14 +473,13 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     final = np.full(n, float(x0))
     stop_t = np.full(n, 0.0 if at_stop else np.nan)
     absorbed = np.full(n, np.nan)
-    hit_t = {level: np.full(n, np.nan) for level in watch}
+    hit_t = {level: np.full(n, np.nan) for level in watch if level not in cfg.stop_levels}
     snaps = np.full((len(snap_times), n), np.nan)
     tint = np.zeros(n) if cfg.track_time_average else None
     tie_count = 0
 
-    for level in watch:  # a watch level equal to the start is hit at time 0
-        if level == x0:
-            hit_t[level][:] = 0.0
+    if x0 in hit_t:  # a watch level equal to the start is hit at time 0
+        hit_t[x0][:] = 0.0
 
     # compacted state of the running paths, in path order; crossing a stop
     # level stops a path, so only the other levels keep "not yet hit" flags
@@ -791,9 +803,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         n_events += regime_fired
                     tie_events.append(np.repeat(s * m + stopping, n_events))
 
-                    # hit times (boundary-sitting levels follow absorption)
-                    for j, flags in fired.items():
-                        hit_t[interior[j]][ps[flags]] = t_stop[flags]
+                    # hit times of watch levels on a boundary follow absorption
                     for boundary, flags in ended:
                         if boundary in hit_t:
                             hit_t[boundary][ps[flags]] = t_stop[flags]
@@ -912,7 +922,7 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
 
     Values agree exactly with the corresponding entry of simulate_ensemble
     under the same seed and config, and stay constant after the stop; the
-    hit times, absorption and truncation are that entry's records.
+    hit times are that entry's.
     """
     _check_start(spec, x0, cfg)
     # the grid times, summed in order as the kernel sums them
@@ -922,28 +932,26 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
     return PathSample(
         times=times,
         values=np.concatenate([[float(x0)], *summary.snapshots.values()]),
-        absorbed_at=float(summary.absorbed_at[0]),
-        truncated=bool(summary.truncated[0]),
         hit_times={level: float(t[0]) for level, t in summary.hit_times.items()},
     )
 
 
 def estimate_hitting_prob(spec: DiffusionSpec, x0: float, level_up: float,
                           level_down: float, cfg: SimConfig) -> tuple[McEstimate, dict]:
-    """Fraction of paths whose first crossing among {up, down} is up.
+    """Fraction of paths whose first crossing among {up, down} is up, read
+    off the stop record of one run stopped at both.
 
-    Ties break toward the upper level.  Paths reaching neither level by the
-    horizon are excluded from the estimate and counted in the report.
+    A step that crosses both counts for the mark the kernel's tie rule
+    keeps: the upper level when both are interior, a level on a boundary
+    otherwise.  Paths reaching neither level by the horizon are excluded
+    from the estimate and counted in the report.
     """
     if not (level_down <= x0 <= level_up) or level_down >= level_up:
         raise ValueError("need level_down <= x0 <= level_up with level_down < level_up")
     run_cfg = replace(cfg, watch_levels=(), stop_levels=(level_up, level_down))
     res = simulate_ensemble(spec, x0, run_cfg)
-    t_up = res.hit_times[level_up]
-    t_dn = res.hit_times[level_down]
-    up_first = np.isfinite(t_up) & (~np.isfinite(t_dn) | (t_up <= t_dn))
-    dn_first = np.isfinite(t_dn) & ~up_first
-    resolved = int(np.sum(up_first | dn_first))
+    up_first = res.stopped_at(level_up)
+    resolved = int(np.sum(up_first | res.stopped_at(level_down)))
     report = {
         "n": cfg.n_paths,
         "resolved": resolved,

@@ -7,10 +7,6 @@ bit for bit.
 """
 
 import json
-import math
-
-import numpy as np
-import pytest
 
 from condflow.scenarios import run_scenario
 

@@ -142,7 +142,7 @@ def test_consistency_across_conditioning_levels():
                       watch_levels=(2.0,), snapshot_times=(0.25,))
     res = simulate_ensemble(bm(), 1.0, cfg_b)
     frozen = np.where(res.hit_times[2.0] <= 0.25, 2.0, res.snapshots[0.25])
-    ks = ks_two_sample(rej_a.functional_samples, frozen[np.isfinite(res.hit_times[4.0])])
+    ks = ks_two_sample(rej_a.functional_samples, frozen[res.stopped_at(4.0)])
     assert ks.passed
 
 
@@ -154,19 +154,13 @@ def test_direct_sample_mode_and_weights():
     np.testing.assert_array_equal(report.weights, 1.0)
 
 
-def test_degenerate_band_gives_exact_reciprocal():
-    cfg = SimConfig(dt=1e-3, horizon=50.0, seed=60, n_paths=200)
-    out = verify_local_martingality_of_reciprocal(bessel3(), cfg, band=(1.0, 1.0))
-    assert out["reciprocal_mean"]["value"] == pytest.approx(1.0)
-    assert out["reciprocal_mean"]["stderr"] == 0.0
-
-
 def test_reciprocal_band_run_stops_at_t():
-    # the band run reads only its snapshot at t = 1, so it stops at t + dt;
-    # run on to the horizon 2, the same paths give the same mean bit for bit
+    # the band (1/10, 10) run reads only its snapshot at t = 1, so it stops at
+    # t + dt; run on to the horizon 2, the same paths give the same mean bit
+    # for bit
     cfg = SimConfig(dt=1e-2, horizon=2.0, seed=62, n_paths=400)
-    out = verify_local_martingality_of_reciprocal(bessel3(), cfg, band=(0.5, 2.0))
-    full = simulate_ensemble(bessel3(), 1.0, replace(cfg, stop_levels=(0.5, 2.0),
+    out = verify_local_martingality_of_reciprocal(bessel3(), cfg)
+    full = simulate_ensemble(bessel3(), 1.0, replace(cfg, stop_levels=(0.1, 10.0),
                                                     snapshot_times=(1.0,)))
     recip = McEstimate.from_samples(1.0 / full.snapshots[1.0])
     assert out["reciprocal_mean"] == {"value": recip.value, "stderr": recip.stderr}
@@ -301,14 +295,18 @@ def test_compare_reports_rejects_all_zero_weights():
 
 def test_same_step_absorption_beats_the_stop_level():
     # with dt = 0.25 a BM step from 0.5 often crosses 0.7 and lands below 0;
-    # the absorption at 0 wins final_values while hit_times records the
-    # crossing, so rejection accepts such a path and weighting gives it 0
+    # the absorption at 0 wins the stop record, which both routes read, so
+    # rejection drops such a path and weighting gives it 0
     cfg = SimConfig(dt=0.25, horizon=50.0, seed=3, n_paths=2_000)
     res = _run(bm(), 0.5, StoppedValueAt(1.0), cfg, stop_level=0.7)
-    assert res.tie_count == 231
-    tied = (res.absorbed_at == 0.0) & np.isfinite(res.hit_times[0.7])
+    assert res.tie_count == 231 and 0.7 not in res.hit_times
+    # watched without stopping (on the same stream), 0.7 is first crossed
+    # on the absorbing step of exactly the tied paths
+    watched = simulate_ensemble(bm(), 0.5, replace(cfg, watch_levels=(0.7,)))
+    tied = (watched.absorbed_at == 0.0) & (watched.hit_times[0.7] == watched.stop_times)
     assert int(np.count_nonzero(tied)) == 231
     np.testing.assert_array_equal(res.final_values[tied], 0.0)
+    assert not np.any(res.stopped_at(0.7)[tied])
     rejection, weighted = condition_upward(bm(), 0.5, 0.7, StoppedValueAt(1.0), cfg)
-    assert rejection.n_accepted == 1_474
+    assert rejection.n_accepted == 1_243
     assert int(np.count_nonzero(weighted.weights > 0.0)) == 1_243

@@ -20,8 +20,7 @@ from condflow.model import bm
 
 def _sample(times, values, hit_times):
     return PathSample(times=np.asarray(times, dtype=float),
-                      values=np.asarray(values, dtype=float),
-                      absorbed_at=math.nan, truncated=False, hit_times=hit_times)
+                      values=np.asarray(values, dtype=float), hit_times=hit_times)
 
 
 def _switches(t_hi, t_lo):
@@ -70,7 +69,7 @@ def test_zero_hit_equivalence_and_continuity_on_simulated_paths():
         path = simulate_path(bm(), 1.0, cfg, index)
         base = np.asarray(path.values)
         tv = build_tilde(path)
-        if path.absorbed_at == 0.0:
+        if base[-1] == 0.0:  # absorbed at 0
             found_absorbed = True
             k = int(np.argmax(base == 0.0))
             assert tv[k] == pytest.approx(0.0)       # reaches zero together
@@ -85,7 +84,7 @@ def test_zero_hit_equivalence_and_continuity_on_simulated_paths():
 def test_ensemble_martingale_and_acceptance():
     cfg = SimConfig(dt=1e-3, horizon=60.0, seed=18, n_paths=4_000,
                     dt_schedule=((2.0, 1e-3), (60.0, 1e-2)))
-    res = run_tilde_ensemble(cfg, a=2.0)
+    res = run_tilde_ensemble(cfg)
     mean = float(np.mean(res.tilde_at_snap))
     stderr = float(np.std(res.tilde_at_snap, ddof=1) / math.sqrt(res.run.n))
     assert abs(mean - 1.0) <= 4 * stderr
@@ -101,7 +100,7 @@ def test_ensemble_martingale_and_acceptance():
 def test_compare_conditionings_report():
     cfg = SimConfig(dt=1e-3, horizon=60.0, seed=19, n_paths=6_000,
                     dt_schedule=((2.0, 1e-3), (60.0, 1e-2)))
-    rep = compare_conditionings(cfg, a=2.0)
+    rep = compare_conditionings(cfg)
     # any hit of the level while the regimes disagree leaves different stop
     # values; that event has probability at least 1/3
     assert rep["freq_stop_value_differs"] > 0.1
@@ -133,19 +132,13 @@ def test_compare_conditionings_names_an_empty_half(n_paths, seed, message):
         compare_conditionings(cfg)
 
 
-def test_level_must_exceed_start():
-    cfg = SimConfig(dt=1e-3, horizon=5.0, seed=20, n_paths=100)
-    with pytest.raises(ValueError):
-        run_tilde_ensemble(cfg, a=0.9)
-
-
 def test_ensemble_agrees_with_path_api():
     # the one-path run watching the switch levels (on the same streams) has
     # the ensemble path's values until it stops: a path still running at
     # t = 1/2 has the same tilde value there, and a stopped path's regime is
     # the one its switch hits before the stop give
     cfg = SimConfig(dt=1e-3, horizon=0.6, seed=31, n_paths=200)
-    res = run_tilde_ensemble(cfg, a=2.0)
+    res = run_tilde_ensemble(cfg)
     path_cfg = replace(cfg, n_paths=1, watch_levels=(0.75, 0.25))
     running, regimes = 0, []
     for i in range(cfg.n_paths):

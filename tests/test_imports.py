@@ -1,9 +1,9 @@
-"""Every import in src/condflow is used: a stdlib-only stand-in for a
-linter's unused-import rule.  Every parameter is read, so no function takes
-a setting it ignores, and every dataclass field is read, so no record keeps
-a value nothing uses.  The package exports exactly its modules' public
-names, and a program (the package itself or a demo) reads each of them.
-One step kernel: only `simulate` draws step normals.  No
+"""Every import in src/condflow, tests/ and demos/ is used: a stdlib-only
+stand-in for a linter's unused-import rule.  Every parameter is read, so no
+function takes a setting it ignores, and every dataclass field is read, so
+no record keeps a value nothing uses.  The package exports exactly its
+modules' public names, and a program (the package itself or a demo) reads
+each of them.  One step kernel: only `simulate` draws step normals.  No
 module executes text: config expressions are parsed, never run.  And the
 only scipy import is `ndtri`."""
 
@@ -55,6 +55,12 @@ def test_detects_unused_import():
                                           if p.name != "__init__.py"))
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(f"{folder}/{p.name}" for folder in ("tests", "demos")
+                                        for p in (ROOT / folder).glob("*.py")))
+def test_no_unused_imports_in_tests_and_demos(path):
+    assert unused_imports((ROOT / path).read_text(encoding="utf-8")) == []
 
 
 def unread_parameters(source: str) -> list[str]:

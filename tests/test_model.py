@@ -19,8 +19,7 @@ from condflow.simulate import SimConfig, simulate_ensemble, simulate_path
 
 def test_terminal_value_requires_nonempty():
     with pytest.raises(ValueError):
-        PathSample(times=np.zeros(0), values=np.zeros(0), absorbed_at=math.nan,
-                   truncated=False, hit_times={})
+        PathSample(times=np.zeros(0), values=np.zeros(0), hit_times={})
 
 
 def test_terminal_mass_matches_first_passage_law():
@@ -46,18 +45,16 @@ def test_interval_validation():
 
 def test_path_times_must_increase():
     with pytest.raises(ValueError):
-        PathSample(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3),
-                   absorbed_at=math.nan, truncated=False, hit_times={})
+        PathSample(times=np.array([0.0, 0.0, 1.0]), values=np.zeros(3), hit_times={})
     with pytest.raises(ValueError):
-        PathSample(times=np.array([0.5, 1.0]), values=np.zeros(2),
-                   absorbed_at=math.nan, truncated=False, hit_times={})
+        PathSample(times=np.array([0.5, 1.0]), values=np.zeros(2), hit_times={})
 
 
 def test_absorption_freezes_values():
     cfg = SimConfig(dt=1e-3, horizon=30.0, seed=21, n_paths=1, watch_levels=(0.0,))
     for index in range(12):
         path = simulate_path(bm(), 0.3, cfg, index)
-        if path.absorbed_at == 0.0:
+        if math.isfinite(path.hit_times[0.0]):  # the watch level 0 follows absorption
             k = np.searchsorted(path.times, path.hit_times[0.0])
             assert path.times[k] == path.hit_times[0.0]
             assert np.all(path.values[k:] == 0.0)
@@ -68,14 +65,14 @@ def test_absorption_freezes_values():
 
 def test_mc_estimate_helpers():
     est = McEstimate.from_samples(np.array([1.0, 1.0, 1.0]))
-    assert est.value == 1.0 and est.stderr == 0.0 and est.n == 3
+    assert est.value == 1.0 and est.stderr == 0.0
     est = McEstimate.from_binomial(25, 100)
     assert est.value == 0.25
     assert est.stderr == pytest.approx(math.sqrt(0.25 * 0.75 / 100))
     with pytest.raises(ValueError):
-        McEstimate(value=0.0, stderr=-1.0, n=10)
-    with pytest.raises(ValueError):
-        McEstimate(value=0.0, stderr=0.0, n=0)
+        McEstimate(value=0.0, stderr=-1.0)
+    with pytest.raises(ValueError, match="no sample"):
+        McEstimate.from_samples(np.zeros(0))
 
 
 def test_named_families():

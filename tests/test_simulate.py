@@ -55,7 +55,7 @@ def test_bessel_hits_half_with_probability_half():
                     stop_levels=(0.5,), cap=1e6,
                     dt_schedule=((1.0, 1e-3), (10.0, 1e-2), (1600.0, 0.1)))
     res = simulate_ensemble(bessel3(), 1.0, cfg)
-    freq = float(np.mean(np.isfinite(res.hit_times[0.5])))
+    freq = float(np.mean(res.stopped_at(0.5)))
     stderr = math.sqrt(0.25 / cfg.n_paths)
     assert abs(freq - 0.5) <= 3 * stderr
     assert np.sum(res.absorbed_at == 0.0) == 0  # repelling drift guard
@@ -113,7 +113,6 @@ def test_single_path_matches_ensemble_entry():
         path = simulate_path(bm(), 1.0, cfg, index)
         assert path.values[-1] == res.final_values[index]
         assert _same_bits(path.hit_times[0.0], res.hit_times[0.0][index])  # nan: never
-        assert path.truncated == bool(res.truncated[index])
 
 
 def test_bridge_correction_reduces_hitting_bias():
@@ -147,7 +146,7 @@ def test_snapshot_frozen_after_stop():
     cfg = SimConfig(dt=1e-3, horizon=5.0, seed=8, n_paths=2_000,
                     stop_levels=(1.5,), snapshot_times=(4.0,))
     res = simulate_ensemble(bm(), 1.0, cfg)
-    hit = np.isfinite(res.hit_times[1.5]) & (res.hit_times[1.5] <= 4.0)
+    hit = res.stopped_at(1.5) & (res.stop_times <= 4.0)
     np.testing.assert_array_equal(res.snapshots[4.0][hit], 1.5)
     absorbed = np.isfinite(res.absorbed_at) & (res.stop_times <= 4.0)
     np.testing.assert_array_equal(res.snapshots[4.0][absorbed], 0.0)
@@ -218,12 +217,23 @@ def _same_bits(x, y) -> bool:
 
 
 def _same_record(path, other) -> bool:
-    """Whether two one-path samples have the same hit times, stop and
-    truncation flag, bit for bit (so nan equals nan)."""
+    """Whether two one-path samples have the same hit times, bit for bit (so
+    nan equals nan)."""
     return (list(path.hit_times) == list(other.hit_times)
-            and _same_bits(list(path.hit_times.values()), list(other.hit_times.values()))
-            and _same_bits(path.absorbed_at, other.absorbed_at)
-            and path.truncated == other.truncated)
+            and _same_bits(list(path.hit_times.values()), list(other.hit_times.values())))
+
+
+def test_stop_levels_record_no_hit_time():
+    # where a path stopped is stated once, in the stop record: a stop level
+    # gets no hit time, also when it is watched, and `stopped_at` reads it
+    cfg = SimConfig(dt=1e-2, horizon=2.0, seed=6, n_paths=400, stop_levels=(1.5,),
+                    watch_levels=(0.5, 1.5))
+    res = simulate_ensemble(bm(), 1.0, cfg)
+    assert list(res.hit_times) == list(simulate_path(bm(), 1.0, cfg, 0).hit_times) == [0.5]
+    at_level = res.stopped_at(1.5)
+    np.testing.assert_array_equal(at_level, ~res.truncated & np.isnan(res.absorbed_at))
+    np.testing.assert_array_equal(res.stopped_at(0.0), res.absorbed_at == 0.0)
+    assert np.any(at_level) and np.any(res.absorbed_at == 0.0) and np.any(res.truncated)
 
 
 def test_path_records_match_the_ensemble():
@@ -235,8 +245,6 @@ def test_path_records_match_the_ensemble():
         path = simulate_path(bm(), 1.0, cfg, index)
         assert list(path.hit_times) == list(res.hit_times) == [2.0]
         assert _same_bits(path.hit_times[2.0], res.hit_times[2.0][index]), index
-        assert _same_bits(path.absorbed_at, res.absorbed_at[index]), index
-        assert path.truncated is bool(res.truncated[index])
         assert _same_bits(path.values[-1], res.final_values[index]), index
     assert np.any(res.absorbed_at == 0.0) and np.any(res.absorbed_at == math.inf)
     assert np.any(res.truncated) and np.any(np.isfinite(res.hit_times[2.0]) & res.truncated)
@@ -282,7 +290,6 @@ def test_step_normal_blocks_change_no_byte(spec, x0, cfg, monkeypatch):
     per_step = simulate_path(spec, x0, cfg, 7)
     assert _same_bits(path.times, per_step.times) and _same_bits(path.values, per_step.values)
     assert path.values[-1] == blocked.final_values[7]
-    assert path.truncated == bool(blocked.truncated[7])
 
 
 def test_block_cases_exercise_every_event(monkeypatch):
@@ -294,8 +301,13 @@ def test_block_cases_exercise_every_event(monkeypatch):
     assert ends.tie_count > 0
     for value in (0.0, 0.2, 1.9, 2.0):
         assert np.any(ends.final_values == value), value
-    # a level crossed on the step that absorbs: hit there, stopped at the end
-    assert np.any(np.isfinite(ends.hit_times[1.9]) & (ends.absorbed_at == 2.0))
+    # a level crossed on the step that absorbs: watched without stopping (on
+    # the same streams), 1.9 is first crossed on the step that absorbs a path
+    # the stop record has at 2
+    spec, x0, cfg = _BLOCK_CASES[4]
+    watched = simulate_ensemble(spec, x0, replace(cfg, stop_levels=(), watch_levels=(1.9, 0.2)))
+    tied = (watched.absorbed_at == 2.0) & (watched.hit_times[1.9] == watched.stop_times)
+    assert np.any(tied & (ends.absorbed_at == 2.0))
     # bessel3 never reaches 0; without halvings its overshoots absorb there
     assert not np.any(halving.absorbed_at == 0.0)
     monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
