@@ -123,6 +123,14 @@ def _get(conf, section: str, key: str, default=None, cast=str):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _seed(raw) -> int:
+    """A seed: an integer in [0, 2**64), which the generator takes as one 64-bit word."""
+    seed = int(raw)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _levels(raw: str) -> tuple[float, ...]:
     """A comma-separated list of numbers; empty items are skipped."""
     return tuple(float(tok) for tok in raw.split(",") if tok.strip())
@@ -190,7 +198,7 @@ def _build_spec(conf) -> DiffusionSpec:
 
 
 def _build_sim(conf, args) -> SimConfig:
-    seed = args.seed if args.seed is not None else _get(conf, "sim", "seed", 0, int)
+    seed = args.seed if args.seed is not None else _get(conf, "sim", "seed", 0, _seed)
     n = args.n if args.n is not None else _get(conf, "sim", "n_paths", 10_000, int)
     try:
         return SimConfig(
@@ -379,6 +387,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            _seed(args.seed)
         conf = _load_config(args.config)
         return args.runner(conf, args)
     except (ConfigError, ParseError) as exc:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EvalDomainError, NeedLongerHorizonError
+from .errors import EvalDomainError, InsufficientSamplesError, NeedLongerHorizonError
 from .htransform import transform
 from .model import Const, DiffusionSpec, McEstimate
 from .scale import Normalization, ScaleFunction, exact_scale
@@ -274,7 +274,8 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     docstring), with the acceptance and the larger truncated fraction.  With
     r finite both runs stop at r, the 1% horizon rule applies to the base
     run (to the transformed one as `direct_sample` applies it) and the
-    accepted base paths are those its stop record stops at r; with r
+    accepted base paths are those its stop record stops at r (none raises
+    InsufficientSamplesError); with r
     infinite the event is never reaching l, which no horizon resolves, so
     both runs go to the horizon, a base reaching l raises, every other path
     is accepted, and only a functional with snapshot times is fixed by then.
@@ -287,6 +288,9 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     elif np.any(res.absorbed_at == l):
         raise ValueError(f"base reaches l = {l:g}, which the horizon cannot rule out")
     kept = res.stopped_at(r) if bounded else np.full(res.n, True)
+    if not np.any(kept):
+        raise InsufficientSamplesError(f"verify_identity_of_measures: the base run "
+                                       f"(n = {res.n}) has no path stopped at r = {r:g}")
     direct = direct_sample(transform(base, s), 1.0, functional, cfg, stop_level=r)
     acceptance = McEstimate.from_binomial(int(np.sum(kept)), res.n)
     return {

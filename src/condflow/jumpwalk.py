@@ -183,9 +183,7 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
     n_rows = max(1, _BLOCK_DRAWS // n_paths)
     for k in range(0, n_steps, n_rows):
         rows = range(k, min(k + n_rows, n_steps))
-        # a one-step block takes the one-step call, which forms no counter column
-        steps = rows if len(rows) > 1 else k
-        for u_row in np.atleast_2d(rng.uniforms(keys, steps, rng.STREAM_WALK)):
+        for u_row in rng.uniforms(keys, rows, rng.STREAM_WALK):
             if spec.measure is Measure.P:
                 step = jump.take((u_row < 0.5).view(np.uint8))
                 step *= state > 0  # absorbed at 0

@@ -5,11 +5,11 @@ path's noise does not depend on how paths are batched or scheduled across
 workers, nor on how many steps one call draws.  There is no shared mutable
 generator state anywhere.  A call takes one step index; or a range of step
 indices, and then returns one row per step; or an integer array of step
-indices, one per key.  The simulator draws its step normals in blocks of
-steps (a one-step block with the one-step call, which forms no counter
-column), and the bridge uniforms of a block with one step index per draw;
-the lattice walk draws its uniforms in blocks of steps too.  Every draw
-equals the one-step call.
+indices, one per key.  The simulator draws its step normals with the range
+call, one row per step of a block, and the bridge uniforms of a block with one
+step index per draw; the lattice walk draws its uniforms in blocks of steps
+too.  A one-step range costs what one step index does, and every draw equals
+the one-step call.
 
 The mixer is the splitmix64 finalizer (two xor-shift/multiply rounds), applied
 twice: once to fold the step/stream counter, once to fold the per-path key.
@@ -105,12 +105,15 @@ def path_keys(seed: int, path_indices: np.ndarray) -> np.ndarray:
 def _raw(keys: np.ndarray, steps: int | range | np.ndarray, stream: int) -> np.ndarray:
     """_mix64(keys + counter), with the mix's leading add folded into the
     counter and the rest done in place on one array.  For a range of steps
-    the counters form a column and the result has one row per step; for an
-    array of step indices each key gets its own counter.
+    the counters form a column and the result has one row per step (one
+    step's counter is formed as for a step index, which takes no numpy
+    call); for an array of step indices each key gets its own counter.
 
     Array arithmetic on uint64 wraps modulo 2**64 without a warning, so no
     error-state context is needed here (only numpy scalar arithmetic warns).
     """
+    if isinstance(steps, range) and len(steps) == 1:
+        return _raw(keys, steps.start, stream)[None]
     if isinstance(steps, int):
         c = np.uint64((_counter(steps, stream) + _GAMMA_INT) & _M64)
     else:

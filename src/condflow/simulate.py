@@ -48,11 +48,12 @@ discrete stop (absorption, the cap or a stop level's crossing without the
 bridge): no later row of it is read.  The uniforms of one mark come from one
 call for all the block's rows, each keyed by its own (path, step, stream),
 so a draw on a row after the path's stop (a speculative draw) changes no
-other and no result.  A step that ends a path at more than one mark is a
-tie, counted and reported; the stop record takes absorption at the lower
-boundary, then the upper, the cap, the stop levels from the top and the
-regime's level.  A stop level records no hit time, so that write order is
-the tie rule's one statement (`EnsembleResult.stopped_at` reads it).
+other and no result.  The kernel's marks form one list: the lower boundary,
+the upper, the cap, the stop levels from the top, the watch levels that stop
+no path, and the regime's level.  A step that ends a path at more than one
+mark is a tie, counted and reported (the boundaries and the cap count as one
+event), and the path stops at the first mark in the list that fires on its
+stop row: the list's order is the tie rule's one statement.
 
 Most blocks of a sparse tail have no event.  A block is quiet when one range
 holding all its values and proposals sits strictly on one side of every
@@ -69,16 +70,17 @@ again) and max a (which also checks the diffusion coefficient, and is a
 itself when a is constant).  With constant coefficients and no guard to run,
 a block takes the range of all its proposals at once.
 
-An eventful block does work only at the marks some path can reach in it.
-It applies the quiet test to each mark on its own (a finite boundary with
-the clamp distance, an interior watched level, or the stop levels of the
-regimes the block's paths are in, as one row), on the same range; a mark
-that passes gets no flag array, no crossing test and no bridge uniform.  That
-is exact for the reason a quiet block is.  At a mark in reach, the discrete
-and bridge crossing tests run over the whole (R, m) array.  Each path's stop
-row is its first row with absorption, the cap or a stop level's crossing,
-found by argmax over the paths that have one; hits, ties, snapshots and the
-time integral are recorded from the rows up to it.
+An eventful block does work only at the marks some path can reach in it:
+each mark takes the quiet test on its own, on the same range (a boundary
+with the clamp distance, the regime's stop levels as one mark), and one
+that passes gets no flag array, no crossing test and no bridge uniform,
+which is exact for the reason a quiet block is.  The discrete tests of the
+marks in reach run over the whole (R, m) array, and then one loop over the
+list runs their bridge tests; the regime's level follows the block's
+switches, so that loop tests it after the watch levels.  Each path's stop
+row is its first row at a stop mark, found by argmax over the paths that
+have one; hits, ties, snapshots and the time integral are recorded from the
+rows up to it.
 
 Two guards keep singular drifts honest near a boundary the process cannot
 actually reach (for example the 1/y drift of an upward-conditioned process
@@ -324,13 +326,6 @@ def _quiet(lo: float, hi: float, a_dt: float, cap: float, marks: list[float], l:
     return True
 
 
-def _near(span, levels: list[float], l: float = -math.inf, r: float = math.inf) -> bool:
-    """Whether an eventful block may hold an event at `levels`: `_quiet` on
-    those marks alone, with no cap, and with the clamp distance at l or r
-    for a boundary mark.  `span` is the block's (lo, hi, a_dt)."""
-    return not _quiet(*span, math.inf, levels, l, r)
-
-
 def _regime(crossed: list[np.ndarray]) -> np.ndarray:
     """Per path, how many of the levels, taken in order, it has crossed: a
     level counts only once every level before it has.  `crossed` holds one
@@ -345,16 +340,19 @@ def _regime(crossed: list[np.ndarray]) -> np.ndarray:
 
 def _first_rows(flags: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The paths on which any of `flags` (each one row per step, one column
-    per path) holds, and for each its first such row.  The argmax runs only
-    over those paths."""
+    per path) holds, and each path's first such row, the row count where
+    there is none.  The argmax runs only over those paths."""
     event = flags[0]
     for more in flags[1:]:
         event = event | more
+    first = np.full(event.shape[1], len(event))
     if len(event) == 1:
         cols = event[0].nonzero()[0]
-        return cols, np.zeros(cols.size, dtype=np.intp)
-    cols = event.any(axis=0).nonzero()[0]
-    return cols, event[:, cols].argmax(axis=0)
+        first[cols] = 0
+    else:
+        cols = event.any(axis=0).nonzero()[0]
+        first[cols] = event[:, cols].argmax(axis=0)
+    return cols, first
 
 
 def _gaps(start: np.ndarray, props: np.ndarray, level) -> np.ndarray:
@@ -407,6 +405,66 @@ def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
     return idx
 
 
+class _Mark:
+    """A mark the event pass tests: a "lower" or "upper" boundary, the
+    "cap", a "stop" level, a "watch" level that stops no path, or the
+    "regime" level (one per path, or per row and path in a block where a
+    path switches).  It carries its level, its bridge stream, the levels its
+    reach test reads and, for a watch level, each running path's "not yet
+    hit" flag."""
+
+    def __init__(self, kind: str, level, stream: int | None, unhit=None):
+        self.kind, self.level, self.stream, self.unhit = kind, level, stream, unhit
+        self.near = [] if kind == "cap" else [level]
+
+
+def _reached(mark: _Mark, span) -> bool:
+    """Whether an eventful block may hold an event at `mark`: `_quiet` on its
+    reach levels alone, with no cap, and with the clamp distance at a
+    boundary; the cap where the range reaches it.  `span` is the block's
+    (lo, hi, a_dt)."""
+    if mark.kind == "cap":
+        return not span[1] < mark.level
+    l = mark.level if mark.kind == "lower" else -math.inf
+    r = mark.level if mark.kind == "upper" else math.inf
+    return bool(mark.near) and not _quiet(*span, math.inf, mark.near, l, r)
+
+
+def _discrete(mark: _Mark, start: np.ndarray, props: np.ndarray):
+    """A mark's discrete test on each step of a block (see `_gaps`): its
+    flags, only on paths yet to hit a watch level, and its gaps (None at
+    the cap and a boundary, whose test reads the proposals alone)."""
+    if mark.kind == "cap":
+        return props >= mark.level, None
+    if mark.kind == "lower":
+        # props - boundary is the negation of the overshoot at the lower end
+        return (props - mark.level) <= _BOUNDARY_CLAMP, None
+    if mark.kind == "upper":
+        return (props - mark.level) >= -_BOUNDARY_CLAMP, None
+    gap = _gaps(start, props, mark.level)
+    crossed = gap <= 0.0
+    if mark.unhit is not None:
+        crossed &= mark.unhit
+    return crossed, gap
+
+
+def _regime_in_block(mark: _Mark, table: np.ndarray, regime: np.ndarray, switch_marks: list,
+                     firsts: dict, rows: int) -> None:
+    """Set the regime mark's level for a block of `rows` rows, table[regime]
+    per path; where a path crosses a switch mark in it (`firsts`), per row
+    from the row after, with the levels of every regime a path is in as the
+    mark's reach levels."""
+    mark.level = table[regime]
+    if not any(switch in firsts for switch in switch_marks):
+        return
+    row = np.arange(rows + 1)[:, None]  # and one row for after the block
+    by_row = _regime([~switch.unhit | ((firsts[switch][1] if switch in firsts else rows) < row)
+                      for switch in switch_marks])
+    mark.level = table[by_row[:-1]]
+    mark.near = [level for q, level in enumerate(table.tolist())
+                 if np.any((regime <= q) & (q <= by_row[-1]))]
+
+
 def _overflow_is_no_error(kernel):
     """`kernel` with numpy's overflow warnings ignored for the whole run: a
     finite drift may overflow a step, sending the path past the cap, and the
@@ -431,9 +489,10 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     levels it crossed, in order, before the step (see `_regime`); so a switch
     applies from the next step.  Those m levels must be interior watch
     levels, not stop levels.  Crossings of L_r draw their bridge uniforms
-    from stream STREAM_WATCH + len(watched) and stop the path at L_r, after
-    every stop level of `cfg`, whose write wins a same-step tie.  No hit time
-    is recorded for L_r.
+    from stream STREAM_WATCH + len(watched) and stop the path at L_r.  No
+    hit time is recorded for L_r.  A path stops at the first mark that fires
+    on its stop row, in the list's order: lower boundary, upper boundary,
+    cap, the stop levels from the top, L_r.
     """
     l, r = spec.interval.l, spec.interval.r
     # None: evaluated per row, as is a constant no coefficient may take, so
@@ -453,53 +512,49 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                if b_fix is None or (b_fix < 0.0 if upper else b_fix > 0.0)]
     # the coefficient checks, the guard and parking need each row's range
     per_row = evaluated or bool(guarded)
-    # watch levels sitting on an absorbing boundary share its crossing events
-    interior = [level for level in watch if level != l and level != r]
-    watch_stream = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)}
-    interior_streams = [watch_stream[level] for level in interior]
-    # the higher stop level wins a same-step tie, so they are processed from the top
-    stop_desc = sorted((j for j, lv in enumerate(interior) if lv in cfg.stop_levels),
-                       key=lambda j: interior[j], reverse=True)
-    # the finite boundaries from the top: absorption is written in this order,
-    # so the lower boundary wins a same-step tie
-    from_top = boundaries[::-1]
-    ends = [boundary for boundary, _upper, _stream in from_top]
+    # the bridge streams of the interior watched levels: watch levels sitting
+    # on an absorbing boundary share its crossing events
+    interior = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)
+                if level != l and level != r}
     table = np.asarray(levels_by_regime, dtype=np.float64)
-    n_switch = len(levels_by_regime) - 1
-    regime_stream = rng.STREAM_WATCH + len(watch)
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
     final = np.full(n, float(x0))
     stop_t = np.full(n, 0.0 if at_stop else np.nan)
     absorbed = np.full(n, np.nan)
-    hit_t = {level: np.full(n, np.nan) for level in watch if level not in cfg.stop_levels}
+    # a watch level equal to the start is hit at time 0
+    hit_t = {level: np.full(n, 0.0 if level == x0 else np.nan)
+             for level in watch if level not in cfg.stop_levels}
     snaps = np.full((len(snap_times), n), np.nan)
     tint = np.zeros(n) if cfg.track_time_average else None
     tie_count = 0
-
-    if x0 in hit_t:  # a watch level equal to the start is hit at time 0
-        hit_t[x0][:] = 0.0
 
     # compacted state of the running paths, in path order; crossing a stop
     # level stops a path, so only the other levels keep "not yet hit" flags
     pos = np.arange(0 if at_stop else n)
     keys = rng.path_keys(cfg.seed, first_id + pos)
     xa = np.full(pos.size, float(x0))
-    unhit = [None if level in cfg.stop_levels else np.full(pos.size, level != x0)
-             for level in interior]
     tint_a = np.zeros(pos.size) if tint is not None else None
-    # each running path's regime; its stop level is table[regime]
-    regime = None
+
+    # the marks, in tie order (the watch levels stop no path, and set the regime's level)
+    marks = [_Mark("upper" if upper else "lower", boundary, stream)
+             for boundary, upper, stream in boundaries]
+    marks.append(_Mark("cap", cfg.cap, None))
+    marks += [_Mark("stop", level, interior[level])
+              for level in sorted(interior, reverse=True) if level in cfg.stop_levels]
+    watch_marks = [_Mark("watch", level, stream, np.full(pos.size, level != x0))
+                   for level, stream in interior.items() if level not in cfg.stop_levels]
+    marks += watch_marks
+    switch_marks, regime, regime_mark = [], None, None
     if levels_by_regime:
-        regime = (_regime([~flags for flags in unhit[:n_switch]]) if n_switch
+        # each running path's regime; its stop level is table[regime]
+        switch_marks = watch_marks[:len(levels_by_regime) - 1]
+        regime = (_regime([~mark.unhit for mark in switch_marks]) if switch_marks
                   else np.zeros(pos.size, dtype=np.intp))
-    # a quiet block keeps clear of the interior levels some running path has
-    # yet to hit, the finite boundaries and the stop levels of the regimes
-    # some running path is in
-    watching = [True] * len(interior)
-    regime_levels = [] if regime is None else table[np.unique(regime)].tolist()
-    marks = interior + ends + regime_levels
+        regime_mark = _Mark("regime", None, rng.STREAM_WATCH + len(watch))
+        marks.append(regime_mark)
+    stale = True  # whether stops or hits may have changed the marks' reach levels
     x_lo = x_hi = float(x0)  # the range of xa, as far as _quiet needs it
 
     t = 0.0
@@ -511,11 +566,12 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
         while left and pos.size:
             # a block: up to n_rows steps of the m running paths, with
             # n_rows m <= _BLOCK_DRAWS unless it is one step
+            stopping = _NO_PATHS  # the paths that stop in the block, and their stop rows
+            last = None           # each path's stop row, done if it runs on
+            firsts = {}           # each watch mark's crossing paths and first rows
             m = pos.size
             n_rows = min(max(1, _BLOCK_DRAWS // m), left)
-            # a one-row block takes the one-step call, which forms no counter column
-            z = (rng.normals(keys, range(k, k + n_rows), rng.STREAM_STEP_NORMAL) if n_rows > 1
-                 else rng.normals(keys, k, rng.STREAM_STEP_NORMAL).reshape(1, m))
+            z = rng.normals(keys, range(k, k + n_rows), rng.STREAM_STEP_NORMAL)
             noise = None  # the steps' noise when a is constant
             if a_fix is not None:
                 # the guard alone reads the normals after this
@@ -662,184 +718,118 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 acc[0] += tint_a
                 np.add.accumulate(acc, axis=0, out=acc)
 
+            if stale:
+                # a quiet block keeps clear of every mark's reach levels: a watch level only
+                # while a running path has yet to hit it, the regimes' stop levels in use
+                for mark in watch_marks:
+                    mark.near = [mark.level] if mark.unhit.any() else []
+                if regime is not None:
+                    regime_mark.near = table[np.unique(regime)].tolist()
+                near = [level for mark in marks for level in mark.near]
             # a quiet block has no event: it only moves the paths; an eventful
             # one tests the marks on the same range one by one
             span = (lo, hi, a_max * dt)
-            stopping = _NO_PATHS  # the paths that stop in the block, and their stop rows
-            last = None           # each path's stop row, done if it runs on
-            firsts = {}
-            if not _quiet(*span, cfg.cap, marks, l, r):
+            if not _quiet(*span, cfg.cap, near, l, r):
                 a_dt = None
                 if cfg.bridge_correction:
                     a_dt = a_fix * dt if a_fix is not None else _per_row(a_rows, m) * dt
 
-                # the discrete tests: boundary absorption at each finite
-                # boundary in reach, the cap where the range reaches it, and
-                # crossings of the interior watched levels in reach
-                absorb = []
-                for boundary, upper, stream in from_top:
-                    clamped = (-math.inf, boundary) if upper else (boundary, math.inf)
-                    if _near(span, [boundary], *clamped):
-                        # props - boundary is the negation of the overshoot at
-                        # the lower end
-                        crossed = ((props - boundary) >= -_BOUNDARY_CLAMP if upper
-                                   else (props - boundary) <= _BOUNDARY_CLAMP)
-                        absorb.append((boundary, upper, stream, crossed))
-                over_cap = None if hi < cfg.cap else props >= cfg.cap
-                cross = []
-                for j, level in enumerate(interior):
-                    if not (watching[j] and _near(span, [level])):
+                # the discrete tests of the marks in reach, (flags, gaps) by
+                # mark; the regime's level waits for this block's switches
+                tests = {mark: _discrete(mark, xa, props) for mark in marks
+                         if mark is not regime_mark and _reached(mark, span)}
+                stops = [crossed for mark, (crossed, _gap) in tests.items() if mark.kind != "watch"]
+                # rows after a path's first discrete stop are never read, so
+                # they draw no bridge uniform
+                live = None
+                if cfg.bridge_correction and done > 1 and stops:
+                    cols, first = _first_rows(stops)
+                    if cols.size:
+                        live = np.arange(done)[:, None] <= first
+
+                # the bridge tests, which add their crossings to the flags in
+                # place, and the first crossings of the watch levels
+                for mark in marks:
+                    if mark is regime_mark:
+                        _regime_in_block(mark, table, regime, switch_marks, firsts, done)
+                        if _reached(mark, span):
+                            tests[mark] = _discrete(mark, xa, props)
+                            stops.append(tests[mark][0])
+                    if mark not in tests:
                         continue
-                    gap = _gaps(xa, props, level)
-                    crossed = gap <= 0.0
-                    if unhit[j] is not None:
-                        crossed &= unhit[j]
-                    cross.append((j, gap, crossed))
-
-                # the flags that stop a path; the bridge tests below add theirs
-                # in place
-                stops = ([crossed for *_mark, crossed in absorb]
-                         + [crossed for j, _gap, crossed in cross if unhit[j] is None]
-                         + ([] if over_cap is None else [over_cap]))
-                if cfg.bridge_correction:
-                    # rows after a path's first discrete stop are never read,
-                    # so they draw no bridge uniform
-                    live = None
-                    if done > 1 and stops:
-                        cols, at = _first_rows(stops)
-                        if cols.size:
-                            first_stop = np.full(m, done)
-                            first_stop[cols] = at
-                            live = np.arange(done)[:, None] <= first_stop
-
-                    # bridge crossings; the boundary test is skipped where the
-                    # drift repels
-                    bs = b_fix if b_fix is not None else (_per_row(b_rows, m) if absorb else None)
-                    for boundary, upper, stream, crossed in absorb:
-                        toward = bs >= 0.0 if upper else bs <= 0.0
-                        if _any(toward):
-                            toward = toward & ~crossed
-                            if live is not None:
-                                toward &= live
-                            gap = _gaps(xa, props, boundary)
-                            crossed.flat[_crossings(gap, a_dt, toward, keys, k0, stream)] = True
-                    for j, gap, crossed in cross:
-                        maybe = ~crossed if unhit[j] is None else unhit[j] & ~crossed
-                        if live is not None:
-                            maybe &= live
-                        stream = interior_streams[j]
-                        crossed.flat[_crossings(gap, a_dt, maybe, keys, k0, stream)] = True
-
-                # first crossings of the levels that do not stop a path
-                for j, _gap, crossed in cross:
-                    if unhit[j] is not None:
-                        cols, at = _first_rows([crossed])
-                        if cols.size:
-                            firsts[j] = (cols, at)
-
-                # the regime's stop level, per row once a path switches in
-                # the block; only the levels of regimes a running path is in
-                # can be in reach
-                regime_hit = None
-                if regime is not None:
-                    stop_at = table[regime]
-                    in_play = regime_levels
-                    switches = [j for j in firsts if j < n_switch]
-                    if switches:
-                        now, then = [], []
-                        rows = np.arange(done)[:, None]
-                        for j in range(n_switch):
-                            first_row = np.full(m, done)
-                            if j in switches:
-                                cols, at = firsts[j]
-                                first_row[cols] = at
-                            before = ~unhit[j]
-                            now.append(before | (first_row < rows))
-                            then.append(before | (first_row < done))
-                        row_regime = _regime(now)
-                        stop_at = table[row_regime]
-                        end_regime = _regime(then)
-                        in_play = [level for q, level in enumerate(levels_by_regime)
-                                   if np.any((regime <= q) & (q <= end_regime))]
-                    if _near(span, in_play):
-                        gap = _gaps(xa, props, stop_at)
-                        regime_hit = gap <= 0.0
-                        if cfg.bridge_correction:
-                            maybe = ~regime_hit
+                    crossed, gap = tests[mark]
+                    if a_dt is not None and mark.stream is not None:
+                        maybe = mark.unhit
+                        if gap is None:  # a boundary: tested where the drift does not repel
+                            bs = b_fix if b_fix is not None else _per_row(b_rows, m)
+                            maybe = bs >= 0.0 if mark.kind == "upper" else bs <= 0.0
+                            if _any(maybe):
+                                gap = _gaps(xa, props, mark.level)
+                        if gap is not None:
+                            maybe = ~crossed if maybe is None else maybe & ~crossed
                             if live is not None:
                                 maybe &= live
-                            regime_hit.flat[_crossings(gap, a_dt, maybe, keys, k0,
-                                                       regime_stream)] = True
+                            crossed.flat[_crossings(gap, a_dt, maybe, keys, k0, mark.stream)] = True
+                    if mark.unhit is not None:
+                        cols, first = _first_rows([crossed])
+                        if cols.size:
+                            firsts[mark] = (cols, first)
 
-                # each path's stop row: its first row with absorption, the cap
-                # or a stop level's crossing
-                if regime_hit is not None:
-                    stops.append(regime_hit)
+                # each path's stop row: its first row at a stop mark
                 if stops:
-                    stopping, s = _first_rows(stops)
-                if stopping.size and (firsts or snap_rows):
-                    last = np.full(m, done)
-                    last[stopping] = s
-                if stopping.size or firsts:
-                    t_end = np.asarray(t_end)
+                    stopping, last = _first_rows(stops)
+                    s = last[stopping]
+                t_end = np.asarray(t_end)
                 tie_events = []
                 if stopping.size:
                     ps = pos[stopping]
                     t_stop = t_end[s]
-                    ended = [(boundary, crossed[s, stopping])
-                             for boundary, _upper, _stream, crossed in absorb]
-                    absorbed_now = np.zeros(stopping.size, dtype=bool)
-                    for _boundary, flags in ended:
-                        absorbed_now |= flags
-                    capped = (np.zeros(stopping.size, dtype=bool) if over_cap is None
-                              else over_cap[s, stopping] & ~absorbed_now)
-                    fired = {j: crossed[s, stopping] for j, _gap, crossed in cross
-                             if unhit[j] is None}
-                    n_events = absorbed_now.astype(np.int64) + capped
-                    for flags in fired.values():
-                        n_events += flags
-                    if regime_hit is not None:
-                        regime_fired = regime_hit[s, stopping]
-                        n_events += regime_fired
-                    tie_events.append(np.repeat(s * m + stopping, n_events))
-
-                    # hit times of watch levels on a boundary follow absorption
-                    for boundary, flags in ended:
-                        if boundary in hit_t:
-                            hit_t[boundary][ps[flags]] = t_stop[flags]
-
-                    # the stop: absorption, cap and stop levels (upper level
-                    # wins ties), then the regime's level
-                    claimed = absorbed_now | capped
+                    # the stop: the first mark in the list that fires on the
+                    # stop row wins
                     val = props[s, stopping]
-                    for j in stop_desc:
-                        if j in fired:
-                            newly = fired[j] & ~claimed
-                            val[newly] = interior[j]
-                            claimed |= newly
-                    if regime_hit is not None:
-                        newly = regime_fired & ~claimed
-                        at_level = stop_at[stopping] if stop_at.ndim == 1 else stop_at[s, stopping]
-                        val[newly] = at_level[newly]
-                    absorbed_val = np.where(capped, math.inf, np.nan)
-                    for boundary, flags in ended:
-                        val[flags] = boundary
-                        absorbed_val[flags] = boundary
+                    absorbed_val = np.full(stopping.size, np.nan)
+                    won = np.zeros(stopping.size, dtype=bool)
+                    n_events = np.zeros(stopping.size, dtype=np.int64)
+                    for mark in marks:
+                        if mark.kind == "watch" or mark not in tests:
+                            continue
+                        fired = tests[mark][0][s, stopping]
+                        newly = fired & ~won
+                        won |= fired
+                        level = mark.level
+                        if mark.kind == "cap":  # the value stays the proposal
+                            absorbed_val[newly] = math.inf
+                        elif mark is regime_mark:  # one level per path, or per row and path
+                            val[newly] = (level[stopping] if level.ndim == 1
+                                          else level[s, stopping])[newly]
+                        else:
+                            val[newly] = level
+                        if mark.kind in ("lower", "upper"):
+                            absorbed_val[newly] = level
+                            # a watch level on a boundary is hit where it absorbs
+                            if level in hit_t:
+                                hit_t[level][ps[fired]] = t_stop[fired]
+                        elif mark.kind != "cap":
+                            n_events += fired
+                    # the ends and the cap lead the list, so a path is absorbed
+                    # where any of them fires: that is one event, however many
+                    n_events += ~np.isnan(absorbed_val)
+                    tie_events.append(np.repeat(s * m + stopping, n_events))
                     final[ps] = val
                     stop_t[ps] = t_stop
                     absorbed[ps] = absorbed_val
                     if tint is not None:
                         tint[ps] = acc[s, stopping]
 
-                # first crossings of the other levels, up to the path's stop
+                # first crossings of the watch levels, up to the path's stop
                 switched = False
-                for j, (cols, at) in firsts.items():
+                for mark, (cols, first) in firsts.items():
                     if last is not None:
-                        up_to_stop = at <= last[cols]
-                        cols, at = cols[up_to_stop], at[up_to_stop]
-                    hit_t[interior[j]][pos[cols]] = t_end[at]
-                    unhit[j][cols] = False
-                    switched |= j < n_switch
+                        cols = cols[first[cols] <= last[cols]]
+                    at = first[cols]
+                    hit_t[mark.level][pos[cols]] = t_end[at]
+                    mark.unhit[cols] = False
+                    switched |= mark in switch_marks
                     tie_events.append(at * m + cols)
                 if len(tie_events) > 1:
                     _flat, counts = np.unique(np.concatenate(tie_events), return_counts=True)
@@ -847,7 +837,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 elif stopping.size:
                     tie_count += int(np.count_nonzero(n_events >= 2))
                 if switched:
-                    regime = _regime([~flags for flags in unhit[:n_switch]])
+                    regime = _regime([~mark.unhit for mark in switch_marks])
 
             # snapshots: the rows' values of the paths not yet stopped there
             if snap_rows:
@@ -864,18 +854,13 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 keep = np.ones(m, dtype=bool)
                 keep[stopping] = False
                 pos, keys, xa = pos[keep], keys[keep], xa[keep]
-                unhit = [flags if flags is None else flags[keep] for flags in unhit]
+                for mark in watch_marks:
+                    mark.unhit = mark.unhit[keep]
                 if tint_a is not None:
                     tint_a = tint_a[keep]
                 if regime is not None:
                     regime = regime[keep]
-            if stopping.size or firsts:
-                # stops and hits may have cleared a level's last flag or a regime
-                watching = [flags is None or flags.any() for flags in unhit]
-                if regime is not None:
-                    regime_levels = table[np.unique(regime)].tolist()
-                marks = ([level for level, w in zip(interior, watching) if w]
-                         + ends + regime_levels)
+            stale = stopping.size > 0 or bool(firsts)
 
     truncated = np.zeros(n, dtype=bool)
     truncated[pos] = True
@@ -941,10 +926,9 @@ def estimate_hitting_prob(spec: DiffusionSpec, x0: float, level_up: float,
     """Fraction of paths whose first crossing among {up, down} is up, read
     off the stop record of one run stopped at both.
 
-    A step that crosses both counts for the mark the kernel's tie rule
-    keeps: the upper level when both are interior, a level on a boundary
-    otherwise.  Paths reaching neither level by the horizon are excluded
-    from the estimate and counted in the report.
+    A step that crosses both counts for the one the kernel's list of marks
+    puts first (see `_simulate`).  Paths reaching neither level by the
+    horizon are excluded from the estimate and counted in the report.
     """
     if not (level_down <= x0 <= level_up) or level_down >= level_up:
         raise ValueError("need level_down <= x0 <= level_up with level_down < level_up")

@@ -295,6 +295,30 @@ def test_verify_counterexample_with_one_path_names_the_empty_half(tmp_path, caps
         "that hit a = 2\n")
 
 
+def test_verify_stopped_bm_with_one_path_names_the_empty_side(tmp_path, capsys):
+    # the one base path does not stop at r = 2, so no path is accepted
+    argv = ["verify", "stopped-bm", "--n", "1", "--seed", "3", "--out", str(tmp_path / "v.json")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: verify_identity_of_measures: the base run (n = 1) has no path "
+        "stopped at r = 2\n")
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_a_seed_outside_64_bits_is_refused(tmp_path, capsys, seed):
+    # a seed is one 64-bit word: any other integer would wrap to one
+    out = str(tmp_path / "s.json")
+    cfg = _write(tmp_path, "c.ini", BM_UNIT)
+    assert main(["simulate", "--config", cfg, "--seed", seed, "--n", "10", "--out", out]) == 2
+    assert capsys.readouterr().err == f"config error: seed must lie in [0, 2**64), got {seed}\n"
+    cfg = _write(tmp_path, "d.ini", BM_UNIT.replace("seed = 3", f"seed = {seed}"))
+    assert main(["simulate", "--config", cfg, "--n", "10", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [sim] seed = '{seed}': seed must lie in [0, 2**64), got {seed}\n")
+    top = str(2**64 - 1)
+    assert main(["simulate", "--config", cfg, "--seed", top, "--n", "10", "--out", out]) == 0
+
+
 def test_verify_reports_are_identical_across_thread_counts(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -4,8 +4,9 @@ function takes a setting it ignores, and every dataclass field is read, so
 no record keeps a value nothing uses.  The package exports exactly its
 modules' public names, and a program (the package itself or a demo) reads
 each of them.  One step kernel: only `simulate` draws step normals.  No
-module executes text: config expressions are parsed, never run.  And the
-only scipy import is `ndtri`."""
+module executes text: config expressions are parsed, never run.  The only
+scipy import is `ndtri`.  And a module imports another's private names
+only where listed, each with its reason."""
 
 from __future__ import annotations
 
@@ -278,3 +279,36 @@ def test_only_scipy_import_is_ndtri():
     found = [line for p in sorted(SRC.glob("*.py"))
              for line in scipy_imports(p.read_text(encoding="utf-8"))]
     assert found == ["from scipy.special import ndtri"]
+
+
+def private_imports(source: str) -> list[str]:
+    """`module.name` for each private name a module imports from a module of
+    its own package (`from .module import _name`); what a module imports it
+    may rename at will."""
+    return [".".join(filter(None, (node.module, alias.name)))
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_detects_private_imports():
+    source = ("from .simulate import SimConfig, _simulate\nfrom . import rng, _cache\n"
+              "from .model import bm as _bm\nfrom os import _exit\nimport numpy._core\n"
+              "from __future__ import annotations\n")
+    assert private_imports(source) == ["simulate._simulate", "_cache"]
+
+
+# private names imported across modules on purpose: the counterexample's walk
+# runs on the step kernel, with its snapshot slack, regime count and the
+# horizon rule, and the lattice walk shares the kernel's block size
+_PRIVATE_IMPORTS_BY_DESIGN = {
+    "counterexample.py": ["conditioning._check_horizon", "simulate._TIME_SLACK",
+                          "simulate._regime", "simulate._simulate"],
+    "jumpwalk.py": ["simulate._BLOCK_DRAWS"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_imports_another_modules_private_names(module):
+    found = private_imports((SRC / module).read_text(encoding="utf-8"))
+    assert found == _PRIVATE_IMPORTS_BY_DESIGN.get(module, [])

@@ -265,8 +265,11 @@ def _assert_same_ensemble(one: EnsembleResult, other: EnsembleResult) -> None:
 # cap, truncation and the time integral; bessel3 with coarse steps, whose
 # overshoots below 0 the halving guard takes back; the tied steps of
 # test_same_step_absorption_beats_the_stop_level; watched levels at both
-# ends of (0, 2) and inside it; and coarse steps between two ends and two
-# stop levels near them, with ties of a level and an end
+# ends of (0, 2) and inside it; coarse steps between two ends and two
+# stop levels near them, with ties of a level and an end; and ties of the
+# marks next to each other at the head of the kernel's list: both ends of
+# (0, 0.2), each watched; the end 2 and a cap of 1.5 below it; the cap and a
+# stop level below it
 _BLOCK_CASES = [
     (bessel3(), 1.0, SimConfig(
         dt=1e-2, horizon=40.0, cap=10.0, seed=4, n_paths=300, stop_levels=(0.5,),
@@ -278,6 +281,12 @@ _BLOCK_CASES = [
                                   watch_levels=(2.0, 0.0, 1.2), snapshot_times=(1.0,))),
     (bm(0.0, 2.0), 1.0, SimConfig(dt=0.5, horizon=10.0, seed=2, n_paths=2_000,
                                   stop_levels=(1.9, 0.2))),
+    (bm(0.0, 0.2), 0.1, SimConfig(dt=1.0, horizon=10.0, seed=1, n_paths=500,
+                                  watch_levels=(0.0, 0.2))),
+    (bm(0.0, 2.0), 1.0, SimConfig(dt=1.0, horizon=10.0, seed=1, n_paths=500, cap=1.5,
+                                  watch_levels=(2.0,))),
+    (bm(), 1.0, SimConfig(dt=1.0, horizon=10.0, seed=1, n_paths=500, cap=1.5,
+                          stop_levels=(1.2,))),
 ]
 
 
@@ -293,7 +302,7 @@ def test_step_normal_blocks_change_no_byte(spec, x0, cfg, monkeypatch):
 
 
 def test_block_cases_exercise_every_event(monkeypatch):
-    capped, halving, tied, levels, ends = (simulate_ensemble(*case) for case in _BLOCK_CASES)
+    capped, halving, tied, levels, ends = (simulate_ensemble(*case) for case in _BLOCK_CASES[:5])
     assert np.any(capped.absorbed_at == math.inf) and np.any(capped.truncated)
     assert np.any(capped.final_values == 0.5) and np.any(np.isfinite(capped.hit_times[2.0]))
     assert tied.tie_count > 0
@@ -308,10 +317,76 @@ def test_block_cases_exercise_every_event(monkeypatch):
     watched = simulate_ensemble(spec, x0, replace(cfg, stop_levels=(), watch_levels=(1.9, 0.2)))
     tied = (watched.absorbed_at == 2.0) & (watched.hit_times[1.9] == watched.stop_times)
     assert np.any(tied & (ends.absorbed_at == 2.0))
+    # both levels first crossed on one step: the higher stops the path, where
+    # no end absorbs it on that step
+    both = (watched.hit_times[1.9] == watched.hit_times[0.2]) & np.isnan(ends.absorbed_at)
+    assert np.any(both)
+    np.testing.assert_array_equal(ends.final_values[both], 1.9)
     # bessel3 never reaches 0; without halvings its overshoots absorb there
     assert not np.any(halving.absorbed_at == 0.0)
     monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
     assert np.count_nonzero(simulate_ensemble(*_BLOCK_CASES[1]).absorbed_at == 0.0) > 10
+
+
+# A tie ends a path at the first of its marks in the kernel's list: the
+# lower end, the upper end, the cap, the stop levels from the top, the
+# regime's level.  Each test below ties one pair next to each other in the
+# list on some path's stop row, sees both marks fire in a run that records
+# them, and checks the stop record.  A watch level on an end is hit wherever
+# that end fires, whether or not it is the stop.
+
+
+def test_a_tie_of_the_ends_stops_at_the_lower():
+    res = simulate_ensemble(*_BLOCK_CASES[5])
+    both = (res.hit_times[0.0] == res.stop_times) & (res.hit_times[0.2] == res.stop_times)
+    assert np.any(both)
+    np.testing.assert_array_equal(res.final_values[both], 0.0)
+    np.testing.assert_array_equal(res.absorbed_at[both], 0.0)
+    assert res.tie_count == 0  # both ends firing is one absorption
+
+
+def test_a_tie_of_an_end_and_the_cap_stops_at_the_end():
+    # without the end 2, the same paths are capped on the same step
+    spec, x0, cfg = _BLOCK_CASES[6]
+    res = simulate_ensemble(spec, x0, cfg)
+    open_end = simulate_ensemble(bm(), x0, replace(cfg, watch_levels=()))
+    both = ((res.hit_times[2.0] == res.stop_times) & (open_end.absorbed_at == math.inf)
+            & (open_end.stop_times == res.stop_times))
+    assert np.any(both)
+    np.testing.assert_array_equal(res.final_values[both], 2.0)
+    np.testing.assert_array_equal(res.absorbed_at[both], 2.0)
+    assert res.tie_count == 0  # an end and the cap firing is one absorption
+
+
+def test_a_tie_of_the_cap_and_a_stop_level_stops_at_the_cap():
+    # watched without stopping (on the same stream), 1.2 is first crossed on
+    # the step that caps the path
+    spec, x0, cfg = _BLOCK_CASES[7]
+    res = simulate_ensemble(spec, x0, cfg)
+    watched = simulate_ensemble(spec, x0, replace(cfg, stop_levels=(), watch_levels=(1.2,)))
+    both = (watched.absorbed_at == math.inf) & (watched.hit_times[1.2] == watched.stop_times)
+    assert np.any(both)
+    np.testing.assert_array_equal(res.absorbed_at[both], math.inf)
+    np.testing.assert_array_equal(res.final_values[both], watched.final_values[both])
+    assert np.all(res.final_values[both] >= cfg.cap)
+    assert res.tie_count >= np.count_nonzero(both)
+
+
+def test_a_tie_of_a_stop_level_and_the_regime_level_stops_at_the_stop_level():
+    # one regime: every path has the regime level 0.9 below the stop level
+    # 1.1; watched without stopping (on the same stream, and the regime's on
+    # the same next one), 1.1 is first crossed on the step that ends the path
+    # at 0.9
+    cfg = SimConfig(dt=1.0, horizon=10.0, seed=1, n_paths=500, stop_levels=(1.1,))
+    run = dict(snap_times=[], levels_by_regime=(0.9,))
+    res = simulate._simulate(bm(), 1.0, cfg, 0, cfg.n_paths, **run)
+    watched = simulate._simulate(bm(), 1.0, replace(cfg, stop_levels=(), watch_levels=(1.1,)),
+                                 0, cfg.n_paths, **run)
+    both = (watched.hit_times[1.1] == watched.stop_times) & (watched.final_values == 0.9)
+    assert np.any(both)
+    np.testing.assert_array_equal(res.final_values[both], 1.1)
+    assert np.all(np.isnan(res.absorbed_at[both]))
+    assert res.tie_count >= np.count_nonzero(both)
 
 
 def test_kernel_leaks_no_runtime_warning():
