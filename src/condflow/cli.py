@@ -15,7 +15,11 @@ level upward and from the level up to `[sim] cap` downward; a stop beyond
 `[scenario] y_max`, or a downward level below `y_min`, where s is
 extrapolated, is a configuration error.
 Command-line flags (--seed, --n, --out) override the file; --threads is
-accepted and changes nothing, because every run uses one thread.
+accepted and changes nothing, because every run uses one thread.  A seed
+lies in [0, 2**64).  A command's further runs draw on seed + 1 and
+seed + 2, modulo 2**64 (`condition`'s direct sample, the verify bundles'
+reference runs), so commands at neighbouring seeds share a run's noise,
+and seed 2**64 - 1's seed + 1 is seed 0.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error (an output that cannot be written is one), 3 numeric failure.  JSON
@@ -346,8 +350,6 @@ def cmd_condition(conf, args) -> int:
 
 
 def cmd_verify(conf, args) -> int:
-    if args.scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {args.scenario!r}; known: {sorted(SCENARIOS)}")
     # roundtrip draws nothing: it takes no seed or n
     flags = {} if args.scenario == "roundtrip" else {"seed": args.seed, "n": args.n}
     report = run_scenario(args.scenario, **{k: v for k, v in flags.items() if v is not None})

@@ -279,6 +279,11 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     infinite the event is never reaching l, which no horizon resolves, so
     both runs go to the horizon, a base reaching l raises, every other path
     is accepted, and only a functional with snapshot times is fixed by then.
+
+    Both runs take `cfg` as it is, seed included, so the transformed run
+    draws the base run's step normals: the two samples share their noise,
+    and the KS is not the independent two-sample test whose critical value
+    it reports.
     """
     l, r = base.interval.l, base.interval.r
     bounded = math.isfinite(r)

@@ -44,7 +44,7 @@ STREAM_STEP_NORMAL = 0    # Euler increment
 STREAM_BRIDGE_LOWER = 1   # bridge crossing of the lower boundary
 STREAM_BRIDGE_UPPER = 2   # bridge crossing of the upper boundary
 STREAM_WATCH = 3          # bridge crossing of watched level j: STREAM_WATCH + j; a
-                          # run's per-path regime stop level takes the next id
+                          # run's regime stop levels share the next id
 # jumpwalk
 STREAM_WALK = 64          # lattice-walk uniforms
 # exact samplers at a fixed time (simulate)

@@ -50,10 +50,12 @@ call for all the block's rows, each keyed by its own (path, step, stream),
 so a draw on a row after the path's stop (a speculative draw) changes no
 other and no result.  The kernel's marks form one list: the lower boundary,
 the upper, the cap, the stop levels from the top, the watch levels that stop
-no path, and the regime's level.  A step that ends a path at more than one
-mark is a tie, counted and reported (the boundaries and the cap count as one
-event), and the path stops at the first mark in the list that fires on its
-stop row: the list's order is the tie rule's one statement.
+no path, and the stop levels of the regimes.  A level mark may test only
+some running paths: a watch level those yet to hit it, a regime's level
+those in the regime.  A step that ends a path at more than one mark is a
+tie, counted and reported (each mark that fires counts), and the path stops
+at the first mark in the list that fires on its stop row: the list's order
+is the tie rule's one statement.
 
 Most blocks of a sparse tail have no event.  A block is quiet when one range
 holding all its values and proposals sits strictly on one side of every
@@ -72,15 +74,15 @@ a block takes the range of all its proposals at once.
 
 An eventful block does work only at the marks some path can reach in it:
 each mark takes the quiet test on its own, on the same range (a boundary
-with the clamp distance, the regime's stop levels as one mark), and one
+with the clamp distance, a level only while it tests some path), and one
 that passes gets no flag array, no crossing test and no bridge uniform,
 which is exact for the reason a quiet block is.  The discrete tests of the
 marks in reach run over the whole (R, m) array, and then one loop over the
-list runs their bridge tests; the regime's level follows the block's
-switches, so that loop tests it after the watch levels.  Each path's stop
-row is its first row at a stop mark, found by argmax over the paths that
-have one; hits, ties, snapshots and the time integral are recorded from the
-rows up to it.
+list runs their bridge tests; the regimes' paths follow the block's
+switches, so that loop tests their levels after the watch levels.  Each
+path's stop row is its first row at a stop mark, found by argmax over the
+paths that have one; hits, ties, snapshots and the time integral are
+recorded from the rows up to it.
 
 Two guards keep singular drifts honest near a boundary the process cannot
 actually reach (for example the 1/y drift of an upward-conditioned process
@@ -355,19 +357,16 @@ def _first_rows(flags: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return cols, first
 
 
-def _gaps(start: np.ndarray, props: np.ndarray, level) -> np.ndarray:
+def _gaps(start: np.ndarray, props: np.ndarray, level: float) -> np.ndarray:
     """(y0 - level)(y1 - level) on each step of a block: y1 is a row of
-    `props` and y0 the row before it (`start` for the first).  `level` is a
-    float, one value per path, or one per step and path.  Each step's
+    `props` and y0 the row before it (`start` for the first).  Each step's
     y0 - level is the step before's y1 - level, so it is formed once.  The
     product equals (level - y0)(level - y1), but for the sign of a zero."""
     ahead = props - level
     gap = np.empty_like(ahead)
-    per_step = isinstance(level, np.ndarray) and level.ndim == 2
-    np.multiply(start - (level[0] if per_step else level), ahead[0], out=gap[0])
+    np.multiply(start - level, ahead[0], out=gap[0])
     if len(gap) > 1:
-        behind = props[:-1] - level[1:] if per_step else ahead[:-1]
-        np.multiply(behind, ahead[1:], out=gap[1:])
+        np.multiply(ahead[:-1], ahead[1:], out=gap[1:])
     return gap
 
 
@@ -407,14 +406,14 @@ def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
 
 class _Mark:
     """A mark the event pass tests: a "lower" or "upper" boundary, the
-    "cap", a "stop" level, a "watch" level that stops no path, or the
-    "regime" level (one per path, or per row and path in a block where a
-    path switches).  It carries its level, its bridge stream, the levels its
-    reach test reads and, for a watch level, each running path's "not yet
-    hit" flag."""
+    "cap", a "stop" level, or a "watch" level that stops no path.  It
+    carries its level, its bridge stream, the levels its reach test reads
+    and, for a mark that tests only some running paths, the flags of the
+    paths it tests (one per path, or one per row and path): a watch level's
+    paths yet to hit it, a regime's stop level's paths in that regime."""
 
-    def __init__(self, kind: str, level, stream: int | None, unhit=None):
-        self.kind, self.level, self.stream, self.unhit = kind, level, stream, unhit
+    def __init__(self, kind: str, level: float, stream: int | None, tested=None):
+        self.kind, self.level, self.stream, self.tested = kind, level, stream, tested
         self.near = [] if kind == "cap" else [level]
 
 
@@ -432,8 +431,8 @@ def _reached(mark: _Mark, span) -> bool:
 
 def _discrete(mark: _Mark, start: np.ndarray, props: np.ndarray):
     """A mark's discrete test on each step of a block (see `_gaps`): its
-    flags, only on paths yet to hit a watch level, and its gaps (None at
-    the cap and a boundary, whose test reads the proposals alone)."""
+    flags, only on the paths it tests, and its gaps (None at the cap and a
+    boundary, whose test reads the proposals alone)."""
     if mark.kind == "cap":
         return props >= mark.level, None
     if mark.kind == "lower":
@@ -443,26 +442,26 @@ def _discrete(mark: _Mark, start: np.ndarray, props: np.ndarray):
         return (props - mark.level) >= -_BOUNDARY_CLAMP, None
     gap = _gaps(start, props, mark.level)
     crossed = gap <= 0.0
-    if mark.unhit is not None:
-        crossed &= mark.unhit
+    if mark.tested is not None:
+        crossed &= mark.tested
     return crossed, gap
 
 
-def _regime_in_block(mark: _Mark, table: np.ndarray, regime: np.ndarray, switch_marks: list,
-                     firsts: dict, rows: int) -> None:
-    """Set the regime mark's level for a block of `rows` rows, table[regime]
-    per path; where a path crosses a switch mark in it (`firsts`), per row
-    from the row after, with the levels of every regime a path is in as the
-    mark's reach levels."""
-    mark.level = table[regime]
-    if not any(switch in firsts for switch in switch_marks):
-        return
-    row = np.arange(rows + 1)[:, None]  # and one row for after the block
-    by_row = _regime([~switch.unhit | ((firsts[switch][1] if switch in firsts else rows) < row)
-                      for switch in switch_marks])
-    mark.level = table[by_row[:-1]]
-    mark.near = [level for q, level in enumerate(table.tolist())
-                 if np.any((regime <= q) & (q <= by_row[-1]))]
+def _regime_in_block(regime_marks: list, switch_marks: list, firsts: dict, rows: int) -> None:
+    """Give each regime's stop mark the running paths in that regime (see
+    `_regime`): per path from the switch marks' flags, or, where a path
+    crosses a switch mark in a block of `rows` rows (`firsts`), per row from
+    the row after.  A mark reaches its level only while its regime holds a
+    path."""
+    crossed = [~switch.tested for switch in switch_marks]
+    if firsts:
+        row = np.arange(rows)[:, None]
+        crossed = [flags | ((firsts[switch][1] if switch in firsts else rows) < row)
+                   for switch, flags in zip(switch_marks, crossed)]
+    regime = _regime(crossed)
+    for q, mark in enumerate(regime_marks):
+        mark.tested = regime == q
+        mark.near = [mark.level] if mark.tested.any() else []
 
 
 def _overflow_is_no_error(kernel):
@@ -488,8 +487,9 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     L_r, where the path's regime r is the number of the first m watched
     levels it crossed, in order, before the step (see `_regime`); so a switch
     applies from the next step.  Those m levels must be interior watch
-    levels, not stop levels.  Crossings of L_r draw their bridge uniforms
-    from stream STREAM_WATCH + len(watched) and stop the path at L_r.  No
+    levels, not stop levels.  Each L_q is a stop mark that tests the paths
+    in regime q; a path is in one regime on a step, so their crossings share
+    the stream STREAM_WATCH + len(watched) and draw each uniform once.  No
     hit time is recorded for L_r.  A path stops at the first mark that fires
     on its stop row, in the list's order: lower boundary, upper boundary,
     cap, the stop levels from the top, L_r.
@@ -516,7 +516,6 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     # on an absorbing boundary share its crossing events
     interior = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)
                 if level != l and level != r}
-    table = np.asarray(levels_by_regime, dtype=np.float64)
 
     # full per-path results, written when paths stop, at snapshots and at the end
     at_stop = x0 in cfg.stop_levels  # a stop level at the start stops every path at 0
@@ -537,7 +536,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     xa = np.full(pos.size, float(x0))
     tint_a = np.zeros(pos.size) if tint is not None else None
 
-    # the marks, in tie order (the watch levels stop no path, and set the regime's level)
+    # the marks, in tie order (the watch levels stop no path, and set the regimes)
     marks = [_Mark("upper" if upper else "lower", boundary, stream)
              for boundary, upper, stream in boundaries]
     marks.append(_Mark("cap", cfg.cap, None))
@@ -546,14 +545,12 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     watch_marks = [_Mark("watch", level, stream, np.full(pos.size, level != x0))
                    for level, stream in interior.items() if level not in cfg.stop_levels]
     marks += watch_marks
-    switch_marks, regime, regime_mark = [], None, None
-    if levels_by_regime:
-        # each running path's regime; its stop level is table[regime]
-        switch_marks = watch_marks[:len(levels_by_regime) - 1]
-        regime = (_regime([~mark.unhit for mark in switch_marks]) if switch_marks
-                  else np.zeros(pos.size, dtype=np.intp))
-        regime_mark = _Mark("regime", None, rng.STREAM_WATCH + len(watch))
-        marks.append(regime_mark)
+    # a stop mark per regime, testing the paths in it: a path is in one
+    # regime on a step, so the marks share one stream
+    regime_marks = [_Mark("stop", level, rng.STREAM_WATCH + len(watch))
+                    for level in levels_by_regime]
+    marks += regime_marks
+    switch_marks = watch_marks[:len(regime_marks) - 1] if regime_marks else []
     stale = True  # whether stops or hits may have changed the marks' reach levels
     x_lo = x_hi = float(x0)  # the range of xa, as far as _quiet needs it
 
@@ -720,11 +717,12 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
 
             if stale:
                 # a quiet block keeps clear of every mark's reach levels: a watch level only
-                # while a running path has yet to hit it, the regimes' stop levels in use
+                # while a running path has yet to hit it, a regime's stop level while a
+                # running path is in the regime
                 for mark in watch_marks:
-                    mark.near = [mark.level] if mark.unhit.any() else []
-                if regime is not None:
-                    regime_mark.near = table[np.unique(regime)].tolist()
+                    mark.near = [mark.level] if mark.tested.any() else []
+                if switch_marks:
+                    _regime_in_block(regime_marks, switch_marks, {}, done)
                 near = [level for mark in marks for level in mark.near]
             # a quiet block has no event: it only moves the paths; an eventful
             # one tests the marks on the same range one by one
@@ -735,9 +733,9 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     a_dt = a_fix * dt if a_fix is not None else _per_row(a_rows, m) * dt
 
                 # the discrete tests of the marks in reach, (flags, gaps) by
-                # mark; the regime's level waits for this block's switches
+                # mark; the regime marks wait for this block's switches
                 tests = {mark: _discrete(mark, xa, props) for mark in marks
-                         if mark is not regime_mark and _reached(mark, span)}
+                         if mark not in regime_marks and _reached(mark, span)}
                 stops = [crossed for mark, (crossed, _gap) in tests.items() if mark.kind != "watch"]
                 # rows after a path's first discrete stop are never read, so
                 # they draw no bridge uniform
@@ -750,8 +748,10 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 # the bridge tests, which add their crossings to the flags in
                 # place, and the first crossings of the watch levels
                 for mark in marks:
-                    if mark is regime_mark:
-                        _regime_in_block(mark, table, regime, switch_marks, firsts, done)
+                    if mark in regime_marks:
+                        if mark is regime_marks[0] and any(switch in firsts
+                                                           for switch in switch_marks):
+                            _regime_in_block(regime_marks, switch_marks, firsts, done)
                         if _reached(mark, span):
                             tests[mark] = _discrete(mark, xa, props)
                             stops.append(tests[mark][0])
@@ -759,7 +759,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         continue
                     crossed, gap = tests[mark]
                     if a_dt is not None and mark.stream is not None:
-                        maybe = mark.unhit
+                        maybe = mark.tested
                         if gap is None:  # a boundary: tested where the drift does not repel
                             bs = b_fix if b_fix is not None else _per_row(b_rows, m)
                             maybe = bs >= 0.0 if mark.kind == "upper" else bs <= 0.0
@@ -770,7 +770,7 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                             if live is not None:
                                 maybe &= live
                             crossed.flat[_crossings(gap, a_dt, maybe, keys, k0, mark.stream)] = True
-                    if mark.unhit is not None:
+                    if mark.kind == "watch":
                         cols, first = _first_rows([crossed])
                         if cols.size:
                             firsts[mark] = (cols, first)
@@ -796,24 +796,16 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         fired = tests[mark][0][s, stopping]
                         newly = fired & ~won
                         won |= fired
-                        level = mark.level
+                        n_events += fired
                         if mark.kind == "cap":  # the value stays the proposal
                             absorbed_val[newly] = math.inf
-                        elif mark is regime_mark:  # one level per path, or per row and path
-                            val[newly] = (level[stopping] if level.ndim == 1
-                                          else level[s, stopping])[newly]
-                        else:
-                            val[newly] = level
-                        if mark.kind in ("lower", "upper"):
-                            absorbed_val[newly] = level
+                            continue
+                        val[newly] = mark.level
+                        if mark.kind != "stop":  # an end
+                            absorbed_val[newly] = mark.level
                             # a watch level on a boundary is hit where it absorbs
-                            if level in hit_t:
-                                hit_t[level][ps[fired]] = t_stop[fired]
-                        elif mark.kind != "cap":
-                            n_events += fired
-                    # the ends and the cap lead the list, so a path is absorbed
-                    # where any of them fires: that is one event, however many
-                    n_events += ~np.isnan(absorbed_val)
+                            if mark.level in hit_t:
+                                hit_t[mark.level][ps[fired]] = t_stop[fired]
                     tie_events.append(np.repeat(s * m + stopping, n_events))
                     final[ps] = val
                     stop_t[ps] = t_stop
@@ -822,22 +814,18 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         tint[ps] = acc[s, stopping]
 
                 # first crossings of the watch levels, up to the path's stop
-                switched = False
                 for mark, (cols, first) in firsts.items():
                     if last is not None:
                         cols = cols[first[cols] <= last[cols]]
                     at = first[cols]
                     hit_t[mark.level][pos[cols]] = t_end[at]
-                    mark.unhit[cols] = False
-                    switched |= mark in switch_marks
+                    mark.tested[cols] = False
                     tie_events.append(at * m + cols)
                 if len(tie_events) > 1:
                     _flat, counts = np.unique(np.concatenate(tie_events), return_counts=True)
                     tie_count += int(np.count_nonzero(counts >= 2))
                 elif stopping.size:
                     tie_count += int(np.count_nonzero(n_events >= 2))
-                if switched:
-                    regime = _regime([~mark.unhit for mark in switch_marks])
 
             # snapshots: the rows' values of the paths not yet stopped there
             if snap_rows:
@@ -855,11 +843,9 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 keep[stopping] = False
                 pos, keys, xa = pos[keep], keys[keep], xa[keep]
                 for mark in watch_marks:
-                    mark.unhit = mark.unhit[keep]
+                    mark.tested = mark.tested[keep]
                 if tint_a is not None:
                     tint_a = tint_a[keep]
-                if regime is not None:
-                    regime = regime[keep]
             stale = stopping.size > 0 or bool(firsts)
 
     truncated = np.zeros(n, dtype=bool)

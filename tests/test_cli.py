@@ -319,6 +319,14 @@ def test_a_seed_outside_64_bits_is_refused(tmp_path, capsys, seed):
     assert main(["simulate", "--config", cfg, "--seed", top, "--n", "10", "--out", out]) == 0
 
 
+def test_an_unknown_verify_scenario_exits_2(capsys):
+    # the parser refuses it, naming the scenarios it knows
+    with pytest.raises(SystemExit) as refused:
+        main(["verify", "nosuch"])
+    assert refused.value.code == 2
+    assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
 def test_verify_reports_are_identical_across_thread_counts(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
