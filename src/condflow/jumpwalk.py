@@ -165,10 +165,12 @@ def simulate_walk(spec: JumpWalkSpec, t: float, n_paths: int, seed: int = 0) -> 
     over the lattice points a walk can reach, 1 ... start + n_steps, built
     with the exact (s + 1) / (2 s).  Returns final values, the minimum value
     each path visited and the step count.  Raises ValueError unless
-    n_paths >= 1.
+    n_paths >= 1 and t is finite and non-negative.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be positive, got {n_paths}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     n_steps = int(math.floor(t * spec.N**2))
     h = 1.0 / spec.N
     start = round(spec.x0 * spec.N)

@@ -54,8 +54,8 @@ no path, and the stop levels of the regimes.  A level mark may test only
 some running paths: a watch level those yet to hit it, a regime's level
 those in the regime.  A step that ends a path at more than one mark is a
 tie, counted and reported (each mark that fires counts), and the path stops
-at the first mark in the list that fires on its stop row: the list's order
-is the tie rule's one statement.
+at the argmax of a table of the marks, in list order, that fire on its stop
+row, the first that fires: the list's order is the tie rule's one statement.
 
 Most blocks of a sparse tail have no event.  A block is quiet when one range
 holding all its values and proposals sits strictly on one side of every
@@ -136,9 +136,9 @@ _NO_PATHS = np.empty(0, dtype=np.intp)
 class SimConfig:
     """Simulation parameters.
 
-    `dt_schedule` optionally coarsens the step after an accurate early
-    phase for long-horizon scenarios: (t_until, dt) segments covering the
-    horizon; when absent a single segment (horizon, dt) is used.
+    `dt_schedule` optionally coarsens the step after an accurate early phase
+    for long-horizon scenarios: (t_until, dt) segments, t_until increasing,
+    covering the horizon; when absent a single segment (horizon, dt) is used.
 
     A path stops at absorption, at the cap and at its first crossing of a
     stop level.  The run watches `stop_levels`, then the `watch_levels` not
@@ -183,6 +183,9 @@ class SimConfig:
                 raise ValueError(f"dt_schedule dt must be finite and positive, got {dt}")
             if math.isnan(t_until):
                 raise ValueError("dt_schedule t_until must not be NaN")
+        ends = [t_until for t_until, _dt in self.dt_schedule or ()]
+        if any(later <= earlier for earlier, later in zip(ends, ends[1:])):
+            raise ValueError("dt_schedule t_until must increase")
         for t in self.snapshot_times:
             if not 0.0 < t <= self.horizon:
                 raise ValueError("snapshot times must lie in (0, horizon]")
@@ -196,7 +199,7 @@ class EnsembleResult:
     (`stopped_at` reads it); `hit_times` holds the other watch levels."""
 
     final_values: np.ndarray
-    stop_times: np.ndarray          # absorption/cap/stop-level time; horizon if truncated
+    stop_times: np.ndarray          # absorption/cap/stop-level time; last grid time if truncated
     absorbed_at: np.ndarray         # boundary value, +inf for cap exceedance, nan otherwise
     truncated: np.ndarray           # still running at the horizon
     hit_times: dict[float, np.ndarray] = field(default_factory=dict)   # nan = never
@@ -490,9 +493,9 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     levels, not stop levels.  Each L_q is a stop mark that tests the paths
     in regime q; a path is in one regime on a step, so their crossings share
     the stream STREAM_WATCH + len(watched) and draw each uniform once.  No
-    hit time is recorded for L_r.  A path stops at the first mark that fires
-    on its stop row, in the list's order: lower boundary, upper boundary,
-    cap, the stop levels from the top, L_r.
+    hit time is recorded for L_r.  A path stops at the argmax, the first, of
+    the marks in reach that fire on its stop row, in the list's order: lower
+    boundary, upper boundary, cap, the stop levels from the top, L_r.
     """
     l, r = spec.interval.l, spec.interval.r
     # None: evaluated per row, as is a constant no coefficient may take, so
@@ -784,32 +787,25 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                 if stopping.size:
                     ps = pos[stopping]
                     t_stop = t_end[s]
-                    # the stop: the first mark in the list that fires on the
-                    # stop row wins
-                    val = props[s, stopping]
-                    absorbed_val = np.full(stopping.size, np.nan)
-                    won = np.zeros(stopping.size, dtype=bool)
-                    n_events = np.zeros(stopping.size, dtype=np.int64)
-                    for mark in marks:
-                        if mark.kind == "watch" or mark not in tests:
-                            continue
-                        fired = tests[mark][0][s, stopping]
-                        newly = fired & ~won
-                        won |= fired
-                        n_events += fired
-                        if mark.kind == "cap":  # the value stays the proposal
-                            absorbed_val[newly] = math.inf
-                            continue
-                        val[newly] = mark.level
-                        if mark.kind != "stop":  # an end
-                            absorbed_val[newly] = mark.level
-                            # a watch level on a boundary is hit where it absorbs
-                            if mark.level in hit_t:
-                                hit_t[mark.level][ps[fired]] = t_stop[fired]
-                    tie_events.append(np.repeat(s * m + stopping, n_events))
-                    final[ps] = val
+                    # the stop: the table of the stop marks in reach, in list
+                    # order, that fire on each path's stop row; its argmax,
+                    # the first that fires, wins
+                    in_reach = [mark for mark in marks if mark.kind != "watch" and mark in tests]
+                    fired = np.array([tests[mark][0][s, stopping] for mark in in_reach])
+                    won = fired.argmax(axis=0)
+                    n_events = fired.sum(axis=0)
+                    # each mark's final value (nan at the cap: the proposal) and absorbed_at
+                    value, end = np.array([(math.nan, math.inf) if mark.kind == "cap" else
+                                           (mark.level, math.nan if mark.kind == "stop"
+                                            else mark.level) for mark in in_reach]).T
+                    final[ps] = np.where(np.isnan(value[won]), props[s, stopping], value[won])
+                    absorbed[ps] = end[won]
                     stop_t[ps] = t_stop
-                    absorbed[ps] = absorbed_val
+                    # a watch level on a boundary is hit where it absorbs
+                    for mark, at_mark in zip(in_reach, fired):
+                        if mark.kind in ("lower", "upper") and mark.level in hit_t:
+                            hit_t[mark.level][ps[at_mark]] = t_stop[at_mark]
+                    tie_events.append(np.repeat(s * m + stopping, n_events))
                     if tint is not None:
                         tint[ps] = acc[s, stopping]
 
@@ -870,9 +866,12 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
 
 
 def _check_start(spec: DiffusionSpec, x0: float, cfg: SimConfig) -> None:
-    """Refuse a start outside the open interval or a watched level outside [l, r]."""
+    """Refuse a start outside the open interval or at or above the cap, or a
+    watched level outside [l, r]."""
     if not spec.interval.contains(x0):
         raise ValueError(f"x0={x0} outside the open interval")
+    if x0 >= cfg.cap:
+        raise ValueError(f"x0={x0} at or above the cap {cfg.cap}")
     for level in _watched(cfg):
         if not (spec.interval.l <= level <= spec.interval.r):
             raise ValueError(f"watch level {level} outside [l, r]")

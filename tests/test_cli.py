@@ -130,6 +130,14 @@ def test_unwritable_path_dump_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_start_at_the_cap(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", BM_UNIT + "cap = 0.5\n")
+    out = tmp_path / "s.json"
+    assert main(["simulate", "--config", cfg, "--n", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: x0=0.5 at or above the cap 0.5\n"
+    assert not out.exists()
+
+
 def test_simulate_counts_paths_stopped_at_the_cap(tmp_path):
     # a drift of 1e308 sends every path past the cap on its first step
     text = '[spec]\nfamily = custom\nb = "1e308"\na = "1"\n\n[sim]\ndt = 10\nhorizon = 20\nn_paths = 5\n'

@@ -211,3 +211,12 @@ def test_walk_refuses_no_paths(n_paths):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"n_paths must be positive, got {n_paths}"):
             simulate_walk(spec, t=1.0, n_paths=n_paths)
+
+
+@pytest.mark.parametrize("measure", [Measure.P, Measure.Q])
+@pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
+def test_walk_refuses_a_negative_or_non_finite_time(measure, t):
+    # no step count fits: at t < 0 the Q-walk's p_up table would be empty
+    spec = JumpWalkSpec(N=10, measure=measure, x0=1.0)
+    with pytest.raises(ValueError, match=f"^t must be finite and non-negative, got {t}$"):
+        simulate_walk(spec, t=t, n_paths=5)

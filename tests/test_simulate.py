@@ -170,6 +170,16 @@ def test_dt_schedule_covers_horizon():
     assert steps[-1] == pytest.approx(1e-2)
 
 
+@pytest.mark.parametrize("x0", [0.5, 1.0])
+def test_a_start_at_or_above_the_cap_is_refused(x0):
+    # a path cannot start where it has already stopped at the cap
+    cfg = SimConfig(dt=0.01, horizon=1.0, cap=0.5, n_paths=5)
+    with pytest.raises(ValueError, match=f"^x0={x0} at or above the cap 0.5$"):
+        simulate_ensemble(bm(), x0, cfg)
+    with pytest.raises(ValueError, match=f"^x0={x0} at or above the cap 0.5$"):
+        simulate_path(bm(), x0, cfg, 0)
+
+
 def test_watch_level_outside_interval_rejected():
     # the one-path run refuses what the ensemble refuses
     for fields in (dict(watch_levels=(-1.0,)), dict(stop_levels=(-1.0,))):
@@ -203,6 +213,14 @@ def test_sim_config_validation():
 def test_sim_config_refuses_non_finite_values(fields, name):
     with pytest.raises(ValueError, match=rf"^{name} must"):
         SimConfig(**{"dt": 1e-2, "horizon": 1.0, **fields})
+
+
+@pytest.mark.parametrize("schedule", [((5.0, 0.5), (2.0, 0.01)), ((2.0, 0.5), (2.0, 0.01))])
+def test_sim_config_refuses_a_schedule_that_goes_back(schedule):
+    # a later segment ending no later than the one before it would be
+    # skipped, and its dt would fill the rest of the horizon
+    with pytest.raises(ValueError, match="^dt_schedule t_until must increase$"):
+        SimConfig(dt=0.5, horizon=10.0, dt_schedule=schedule)
 
 
 def test_sim_config_infinite_cap_means_no_cap():
@@ -535,6 +553,21 @@ def test_regime_run_blocks_change_no_byte(extra, ends, monkeypatch):
         monkeypatch.setattr(simulate, "_BLOCK_DRAWS", block_draws)
         monkeypatch.setattr(simulate, "_quiet", quiet)
         _assert_same_ensemble(blocked, simulate._simulate(*run, levels_by_regime=levels))
+
+
+def test_regime_counts_the_levels_crossed_in_order():
+    # a level counts only once every level before it has: the last path
+    # crossed the second level and not the first, so it is in regime 0
+    first = np.array([False, True, True, False])
+    second = np.array([False, False, True, True])
+    assert simulate._regime([first, second]).tolist() == [0, 1, 2, 0]
+    assert simulate._regime([first]).tolist() == [0, 1, 1, 0]
+    # per row and path, as a block's switches give them
+    first = np.array([[False, False, True], [True, False, True]])
+    second = np.array([[False, True, False], [True, True, True]])
+    third = np.array([[True, True, True], [False, True, True]])
+    assert simulate._regime([first, second]).tolist() == [[0, 0, 1], [2, 0, 2]]
+    assert simulate._regime([first, second, third]).tolist() == [[0, 0, 1], [2, 0, 3]]
 
 
 def _never_quiet(*_args):
