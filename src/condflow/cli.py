@@ -201,9 +201,15 @@ def _build_spec(conf) -> DiffusionSpec:
                          label="custom")
 
 
+def _seed_and_n(conf, args, seed=None, n=None) -> tuple:
+    """The run's seed and path count: a flag overrides `[sim] seed` and
+    `n_paths`, which override the defaults given."""
+    return (args.seed if args.seed is not None else _get(conf, "sim", "seed", seed, _seed),
+            args.n if args.n is not None else _get(conf, "sim", "n_paths", n, int))
+
+
 def _build_sim(conf, args) -> SimConfig:
-    seed = args.seed if args.seed is not None else _get(conf, "sim", "seed", 0, _seed)
-    n = args.n if args.n is not None else _get(conf, "sim", "n_paths", 10_000, int)
+    seed, n = _seed_and_n(conf, args, 0, 10_000)
     try:
         return SimConfig(
             dt=_get(conf, "sim", "dt", 1e-3, float),
@@ -350,9 +356,11 @@ def cmd_condition(conf, args) -> int:
 
 
 def cmd_verify(conf, args) -> int:
-    # roundtrip draws nothing: it takes no seed or n
-    flags = {} if args.scenario == "roundtrip" else {"seed": args.seed, "n": args.n}
-    report = run_scenario(args.scenario, **{k: v for k, v in flags.items() if v is not None})
+    # roundtrip draws nothing: it takes no seed or n; a seed or n that neither
+    # a flag nor the file gives keeps the bundle's default
+    seed, n = (None, None) if args.scenario == "roundtrip" else _seed_and_n(conf, args)
+    given = {key: value for key, value in (("seed", seed), ("n", n)) if value is not None}
+    report = run_scenario(args.scenario, **given)
     for check in report["checks"]:
         flag = "PASS" if check["pass"] else "FAIL"
         sys.stderr.write(f"[{flag}] {report['scenario']}/{check['name']}\n")

@@ -63,7 +63,9 @@ class Measure(enum.Enum):
 
 
 def _on_lattice(x: float, n: int) -> bool:
-    return abs(x * n - round(x * n)) <= 1e-9 * max(1.0, abs(x) * n)
+    """Whether x is a multiple of 1/n; a non-finite x is none."""
+    y = x * n
+    return math.isfinite(y) and abs(y - round(y)) <= 1e-9 * max(1.0, abs(y))
 
 
 @dataclass(frozen=True)

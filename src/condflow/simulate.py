@@ -16,6 +16,11 @@ draws its step normals in one call, forms the Euler proposals row by row,
 and then does its event work and its compaction once for all its rows, so a
 step with few paths costs few numpy calls.
 
+A finite drift may overflow a step, sending the path past the cap.  The run
+ignores overflow under `np.errstate(over="ignore")`, numpy's per-thread
+error state, so no warning reaches stderr and runs in different threads do
+not interfere.
+
 A row evaluates the drift b and the diffusion coefficient a once each, at
 the values of all the block's paths, and forms (x + b dt) + (sqrt(a)
 sqrt(dt)) z, the same IEEE operations in the same order whatever the block
@@ -106,7 +111,6 @@ kernel's, so the first m values of an n-path draw equal an m-path draw.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -137,8 +141,10 @@ class SimConfig:
     """Simulation parameters.
 
     `dt_schedule` optionally coarsens the step after an accurate early phase
-    for long-horizon scenarios: (t_until, dt) segments, t_until increasing,
-    covering the horizon; when absent a single segment (horizon, dt) is used.
+    for long-horizon scenarios: (t_until, dt) segments, t_until increasing.
+    A schedule that ends before the horizon runs its last dt on to it
+    (((5.0, 0.5),) with horizon 10 runs 20 steps of 0.5), and one that ends
+    past it is cut there; when absent a single segment (horizon, dt) is used.
 
     A path stops at absorption, at the cap and at its first crossing of a
     stop level.  The run watches `stop_levels`, then the `watch_levels` not
@@ -467,19 +473,7 @@ def _regime_in_block(regime_marks: list, switch_marks: list, firsts: dict, rows:
         mark.near = [mark.level] if mark.tested.any() else []
 
 
-def _overflow_is_no_error(kernel):
-    """`kernel` with numpy's overflow warnings ignored for the whole run: a
-    finite drift may overflow a step, sending the path past the cap, and the
-    warning would reach stderr.  np.errstate would slow every ufunc call of
-    the run; condflow runs in one thread, so the process-wide filter is safe."""
-    def run(*args, **kwargs):
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
-            return kernel(*args, **kwargs)
-    return run
-
-
-@_overflow_is_no_error
+@np.errstate(over="ignore")
 def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: int,
               snap_times: list[float], levels_by_regime: tuple[float, ...] = ()
               ) -> EnsembleResult:
@@ -496,6 +490,8 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     hit time is recorded for L_r.  A path stops at the argmax, the first, of
     the marks in reach that fire on its stop row, in the list's order: lower
     boundary, upper boundary, cap, the stop levels from the top, L_r.
+    Overflow is ignored under `np.errstate(over="ignore")`, which sets this
+    thread's numpy error state for the run alone.
     """
     l, r = spec.interval.l, spec.interval.r
     # None: evaluated per row, as is a constant no coefficient may take, so
@@ -894,6 +890,8 @@ def simulate_path(spec: DiffusionSpec, x0: float, cfg: SimConfig, path_index: in
     under the same seed and config, and stay constant after the stop; the
     hit times are that entry's.
     """
+    if not (isinstance(path_index, (int, np.integer)) and 0 <= path_index < 2**63):
+        raise ValueError(f"path_index must be an integer in [0, 2**63), got {path_index!r}")
     _check_start(spec, x0, cfg)
     # the grid times, summed in order as the kernel sums them
     times = np.concatenate(([0.0], np.cumsum([dt for n_steps, dt in _phases(cfg)
@@ -935,8 +933,8 @@ def estimate_hitting_prob(spec: DiffusionSpec, x0: float, level_up: float,
 def exact_bessel3(x0: float, t: float, n_paths: int, seed: int) -> np.ndarray:
     """BES(3) from x0 >= 0 at time t > 0, exactly: sqrt((x0 + sqrt(t) z1)^2
     + t z2^2 + t z3^2) from three keyed normals per path."""
-    if x0 < 0 or t <= 0:
-        raise ValueError("need x0 >= 0 and t > 0")
+    if not (0 <= x0 < math.inf and 0 < t < math.inf and n_paths >= 1):
+        raise ValueError(f"need 0 <= x0 < inf, 0 < t < inf, n_paths >= 1; got {x0}, {t}, {n_paths}")
     keys = rng.path_keys(seed, np.arange(n_paths, dtype=np.int64))
     z = rng.normals(keys, range(3), rng.STREAM_EXACT_BES3)
     return np.sqrt((x0 + math.sqrt(t) * z[0]) ** 2 + t * z[1] ** 2 + t * z[2] ** 2)
@@ -946,8 +944,8 @@ def exact_stopped_bm(x0: float, t: float, n_paths: int, seed: int) -> np.ndarray
     """Brownian motion from x0 > 0 absorbed at 0, at time t > 0, exactly:
     W = x0 + sqrt(t) z, set to 0 where W <= 0 or where a keyed uniform falls
     below exp(-2 x0 W / t), the chance that the bridge to W touched 0."""
-    if x0 <= 0 or t <= 0:
-        raise ValueError("need x0 > 0 and t > 0")
+    if not (0 < x0 < math.inf and 0 < t < math.inf and n_paths >= 1):
+        raise ValueError(f"need 0 < x0 < inf, 0 < t < inf, n_paths >= 1; got {x0}, {t}, {n_paths}")
     keys = rng.path_keys(seed, np.arange(n_paths, dtype=np.int64))
     w = x0 + math.sqrt(t) * rng.normals(keys, 0, rng.STREAM_EXACT_BM)
     u = rng.uniforms(keys, 0, rng.STREAM_EXACT_BM_BRIDGE)

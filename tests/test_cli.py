@@ -273,6 +273,24 @@ def test_verify_roundtrip_passes(tmp_path):
     assert seeded.read_bytes() == out.read_bytes()
 
 
+def test_verify_reads_seed_and_n_from_the_config(tmp_path):
+    # the file's [sim] seed and n_paths stand in for absent flags, a flag
+    # overrides the file, and a key the file leaves out keeps the bundle's
+    # default
+    def verify(name, *argv):
+        out = tmp_path / f"{name}.json"
+        assert main(["verify", "jumpwalk", *argv, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    both = _write(tmp_path, "both.ini", "[sim]\nseed = 7\nn_paths = 300\n")
+    seed_only = _write(tmp_path, "seed.ini", "[sim]\nseed = 7\n")
+    assert verify("file", "--config", both) == verify("flags", "--seed", "7", "--n", "300")
+    assert verify("file", "--config", both) != verify("default", "--n", "300")
+    assert (verify("override", "--config", both, "--seed", "8")
+            == verify("flags", "--seed", "8", "--n", "300"))
+    assert verify("seed", "--config", seed_only) == verify("flags", "--seed", "7")
+
+
 def test_unwritable_output_is_config_error(tmp_path, capsys):
     # exit 1 means a check failed; a report that cannot be written is exit 2
     out = tmp_path / "missing" / "verify.json"

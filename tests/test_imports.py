@@ -6,7 +6,8 @@ modules' public names, and a program (the package itself or a demo) reads
 each of them.  One step kernel: only `simulate` draws step normals.  No
 module executes text: config expressions are parsed, never run.  The only
 scipy import is `ndtri`.  And a module imports another's private names
-only where listed, each with its reason."""
+only where listed, each with its reason.  No module sets warning filters or
+numpy's error state beyond a call's own extent."""
 
 from __future__ import annotations
 
@@ -99,7 +100,6 @@ def test_detects_unread_parameters():
 
 # parameters kept unread on purpose, each with its reason
 _UNREAD_BY_DESIGN = {
-    "cli.py": ["cmd_verify(conf)"],         # every subcommand takes (conf, args)
     "scenarios.py": ["run_scenario(threads)"],  # accepted and ignored until ROADMAP item 11
 }
 
@@ -328,3 +328,35 @@ _PRIVATE_IMPORTS_BY_DESIGN = {
 def test_no_module_imports_another_modules_private_names(module):
     found = private_imports((SRC / module).read_text(encoding="utf-8"))
     assert found == _PRIVATE_IMPORTS_BY_DESIGN.get(module, [])
+
+
+_STATE_SETTERS = {"catch_warnings", "filterwarnings", "simplefilter", "resetwarnings",
+                  "seterr", "seterrcall"}
+
+
+def state_setter_calls(source: str) -> list[str]:
+    """In source order, each call a module makes to `warnings.catch_warnings`,
+    `filterwarnings`, `simplefilter` or `resetwarnings`, or to numpy's
+    `seterr` or `seterrcall`, matched by name whatever the owner."""
+    calls = sorted((node.lineno, node.col_offset, getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", "")) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Call))
+    return [name for _line, _col, name in calls if name in _STATE_SETTERS]
+
+
+def test_detects_state_setter_calls():
+    source = ("import warnings\nimport numpy as np\nfrom warnings import simplefilter\n"
+              "with warnings.catch_warnings():\n    warnings.filterwarnings('ignore')\n"
+              "simplefilter('error')\nwarnings.resetwarnings()\nold = np.seterr(over='ignore')\n"
+              "np.seterrcall(print)\nwarnings.warn('w')\nnp.geterr()\n"
+              "with np.errstate(over='ignore'):\n    pass\n")
+    assert state_setter_calls(source) == ["catch_warnings", "filterwarnings", "simplefilter",
+                                          "resetwarnings", "seterr", "seterrcall"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_module_sets_warning_or_error_state(module):
+    # a warnings filter is process-wide, so a run that set one could drop a
+    # filter another thread sets, and np.seterr outlives the call that sets
+    # it; np.errstate scopes numpy's error state to its own thread and block
+    assert state_setter_calls((SRC / module).read_text(encoding="utf-8")) == []

@@ -220,3 +220,15 @@ def test_walk_refuses_a_negative_or_non_finite_time(measure, t):
     spec = JumpWalkSpec(N=10, measure=measure, x0=1.0)
     with pytest.raises(ValueError, match=f"^t must be finite and non-negative, got {t}$"):
         simulate_walk(spec, t=t, n_paths=5)
+
+
+@pytest.mark.parametrize("x", [math.inf, math.nan])
+def test_a_non_finite_point_is_off_the_lattice(x):
+    # each refuses it with its own message, not with round's error
+    with pytest.raises(ValueError, match=r"^x0 must be a positive multiple of 1/10$"):
+        JumpWalkSpec(N=10, measure=Measure.Q, x0=x)
+    spec = JumpWalkSpec(N=10, measure=Measure.Q, x0=1.0)
+    with pytest.raises(ValueError, match=r"^x must be a lattice point >= 1/10$"):
+        discrete_generator(spec, parse_expr("y"), x)
+    with pytest.raises(ValueError, match=r"^x must be a lattice point >= 1/10$"):
+        verify_reciprocal_supermartingale(spec, x)

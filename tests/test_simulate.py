@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 from dataclasses import replace
 
@@ -642,6 +643,68 @@ def test_overflowing_finite_drift_leaks_no_warning():
     assert np.all(res.final_values == math.inf) and path.values[-1] == math.inf
 
 
+def _calling_first(drift, hook):
+    """`drift` that calls `hook()` before its first evaluation."""
+    pending = [hook]
+
+    def wrapped(y):
+        while pending:
+            pending.pop()()
+        return drift(y)
+    return wrapped
+
+
+def test_a_run_in_a_thread_changes_no_state_outside_itself():
+    # the overflow rule is numpy's per-thread error state: a filter the main
+    # thread sets while a run in a second thread is under way outlives the
+    # run, and two runs at once give the values of two runs in turn
+    started, released = threading.Event(), threading.Event()
+
+    def pause():
+        started.set()
+        released.wait()
+
+    spec = replace(bm(), drift=_calling_first(bm().drift, pause))
+    cfg = SimConfig(dt=1e-2, horizon=1.0, seed=1, n_paths=10)
+    error_state = np.geterr()
+    run = threading.Thread(target=simulate_ensemble, args=(spec, 1.0, cfg))
+    with warnings.catch_warnings():
+        run.start()
+        try:
+            assert started.wait(timeout=60)
+            assert np.geterr() == error_state  # the run's errstate is its own thread's
+            warnings.filterwarnings("error", category=RuntimeWarning)
+        finally:
+            released.set()
+            run.join()
+        assert warnings.filters[0] == ("error", None, RuntimeWarning, None, 0)
+
+    # an overflowing run beside a bessel3 run with a schedule, levels,
+    # snapshots and the time integral; each waits on its first drift call
+    # until both are under way
+    huge = replace(bm(), drift=lambda y: np.full(np.shape(y), 1e308))
+    runs = [(huge, 1.0, SimConfig(dt=10.0, horizon=20.0, n_paths=5)), _BLOCK_CASES[0]]
+    in_turn = [simulate_ensemble(replace(spec, drift=_calling_first(spec.drift, lambda: None)),
+                                 x0, cfg) for spec, x0, cfg in runs]
+    both_running = threading.Barrier(2, timeout=60)
+    at_once = [None, None]
+
+    def run_at_once(i):
+        spec, x0, cfg = runs[i]
+        spec = replace(spec, drift=_calling_first(spec.drift, both_running.wait))
+        at_once[i] = simulate_ensemble(spec, x0, cfg)
+
+    filters = list(warnings.filters)
+    threads = [threading.Thread(target=run_at_once, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert warnings.filters == filters
+    for one, other in zip(in_turn, at_once):
+        _assert_same_ensemble(one, other)
+
+
 # (spec, x0, config) for the quiet-step tests, each with quiet and eventful
 # steps: a bessel3 tail with snapshots, the time integral and a cap; BM
 # between two stop levels, with ties at dt 0.25 and then fine steps; bessel3
@@ -944,8 +1007,31 @@ def test_exact_sampler_prefix_equals_smaller_draw(sampler):
 
 
 def test_exact_samplers_refuse_bad_starts_and_times():
-    for sampler, x0, t in ((simulate.exact_bessel3, -1.0, 1.0), (simulate.exact_bessel3, 1.0, 0.0),
-                           (simulate.exact_stopped_bm, 0.0, 1.0),
-                           (simulate.exact_stopped_bm, 1.0, -1.0)):
-        with pytest.raises(ValueError):
-            sampler(x0, t, 10, 0)
+    # a non-finite start or time would give NaNs or infs, and n_paths < 1 an
+    # empty array
+    both = (simulate.exact_bessel3, simulate.exact_stopped_bm)
+    cases = [(simulate.exact_bessel3, -1.0, 1.0, 10), (simulate.exact_stopped_bm, 0.0, 1.0, 10)]
+    cases += [(sampler, x0, t, n_paths) for sampler in both
+              for x0, t, n_paths in ((1.0, 0.0, 10), (1.0, -1.0, 10), (1.0, math.nan, 3),
+                                     (1.0, math.inf, 3), (math.inf, 1.0, 3), (math.nan, 1.0, 3),
+                                     (1.0, 1.0, 0), (1.0, 1.0, -2))]
+    for sampler, x0, t, n_paths in cases:
+        with pytest.raises(ValueError, match=r"^need .* n_paths >= 1; got "):
+            sampler(x0, t, n_paths, 0)
+
+
+@pytest.mark.parametrize("path_index", [-1, 1.5, 2**63])
+def test_simulate_path_refuses_an_index_it_cannot_key(path_index):
+    # -1 would run path 2**64 - 1's noise, 1.5 path 1's, and 2**63 overflow
+    cfg = SimConfig(dt=0.1, horizon=1.0, seed=3)
+    with pytest.raises(ValueError, match=rf"^path_index must be an integer in \[0, 2\*\*63\), "
+                                         rf"got {path_index}$"):
+        simulate_path(bm(), 1.0, cfg, path_index)
+
+
+def test_simulate_path_runs_the_first_and_last_index():
+    cfg = SimConfig(dt=0.1, horizon=1.0, seed=3)
+    for path_index in (0, 2**63 - 1):
+        path = simulate_path(bm(), 1.0, cfg, path_index)
+        ensemble = simulate._simulate(bm(), 1.0, cfg, path_index, 1, [])
+        assert _same_bits(path.values[-1], ensemble.final_values[0])
