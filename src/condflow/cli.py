@@ -6,14 +6,15 @@ Configuration is flat `key = value` text in INI sections ([spec], [sim],
 the same section/key layout is accepted as well.  `_SECTIONS` lists every
 key of every section once; any other section or key is a configuration
 error, as is a value its key cannot read, and so is `[spec] b`, `a`, `l` or
-`r` beside a named family (bm by default).  `[scenario] x0` is the start of
-a simulation and the anchor of a scale; `direction` (upward or downward)
-picks the side for scale, transform and condition, and without it the
-scale is normalized at l when s(l) is finite, else at r.  `condition`
-weighs every path by that scale, s(X_stop)/s(x0), so it reads s up to the
-level upward and from the level up to `[sim] cap` downward; a stop beyond
-`[scenario] y_max`, or a downward level below `y_min`, where s is
-extrapolated, is a configuration error.
+`r` beside a named family (bm by default), and any key but `[sim] seed` and
+`n_paths` given to `verify`, whose bundles fix their own runs.
+`[scenario] x0` is the start of a simulation and the anchor of a scale;
+`direction` (upward or downward) picks the side for scale, transform and
+condition, and without it the scale is normalized at l when s(l) is
+finite, else at r.  `condition` weighs every path by that scale,
+s(X_stop)/s(x0), so it reads s up to the level upward and from the level up
+to `[sim] cap` downward; a stop beyond `[scenario] y_max`, or a downward
+level below `y_min`, where s is extrapolated, is a configuration error.
 Command-line flags (--seed, --n, --out) override the file; --threads is
 accepted and changes nothing, because every run uses one thread.  A seed
 lies in [0, 2**64).  A command's further runs draw on seed + 1 and
@@ -356,6 +357,13 @@ def cmd_condition(conf, args) -> int:
 
 
 def cmd_verify(conf, args) -> int:
+    # a bundle fixes its own spec and run: of the file it reads only the
+    # seed and n, and any other key is refused before the bundle runs
+    unread = [f"[{section}] {key}" for section, entries in conf.items() for key in entries
+              if section != "sim" or key not in ("seed", "n_paths")]
+    if unread:
+        raise ConfigError(f"verify reads only [sim] seed and n_paths; "
+                          f"the config sets {', '.join(unread)}")
     # roundtrip draws nothing: it takes no seed or n; a seed or n that neither
     # a flag nor the file gives keeps the bundle's default
     seed, n = (None, None) if args.scenario == "roundtrip" else _seed_and_n(conf, args)

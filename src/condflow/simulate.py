@@ -28,9 +28,9 @@ size.  A `Const` coefficient is read once per run instead, and one that
 returns a plain float is carried the same way: as one Python float broadcast
 over the paths.  A constant a takes no reduction and forms sqrt(a) sqrt(dt)
 and a dt once, not per path; a constant b that cannot repel from a boundary
-skips the halving guard there.  The square root and the products of a
-constant are the same IEEE operations as their per-element forms, so a
-constant changes no value.
+skips the guard there.  The square root and the products of a constant are
+the same IEEE operations as their per-element forms, so a constant changes
+no value.
 
 The rows of a block run on past a path's stop: a path that crosses a stop
 level on row j still gets rows j + 1 onward, which the event work never
@@ -72,10 +72,10 @@ the clamp distance inside the boundaries.  That bound covers every row and
 path, so a quiet block draws no bridge uniform and records no event: it only
 moves the paths, and changes no value.  The range comes from reductions the
 rows take anyway: min and max of each row's proposals (which also check the
-drift; where the halving guard moved a proposal, the row's range is taken
-again) and max a (which also checks the diffusion coefficient, and is a
-itself when a is constant).  With constant coefficients and no guard to run,
-a block takes the range of all its proposals at once.
+drift; where the guard reflected a proposal, the row's range is taken again)
+and max a (which also checks the diffusion coefficient, and is a itself when
+a is constant).  With constant coefficients, which run no guard, a block
+takes the range of all its proposals at once.
 
 An eventful block does work only at the marks some path can reach in it:
 each mark takes the quiet test on its own, on the same range (a boundary
@@ -91,13 +91,16 @@ recorded from the rows up to it.
 
 Two guards keep singular drifts honest near a boundary the process cannot
 actually reach (for example the 1/y drift of an upward-conditioned process
-at its lower end).  When the drift at the current point pushes away from a
-boundary: (a) a proposal overshooting that boundary is retried with the step
-halved, same normal draw, up to a bounded number of times, and (b) the
-bridge absorption test at that boundary is skipped, because the frozen-
-coefficient bridge law is badly wrong there.  At a boundary the drift does
-not repel from, an overshoot is genuine absorption: the value is clamped to
-the boundary and the path frozen.
+at its lower end, which repels from it).  When the drift at the current
+point pushes away from a boundary: (a) a proposal overshooting that boundary
+by more than the clamp distance is reflected, to 2 boundary - proposal (the
+symmetrized Euler step of Bossy, Gobet & Talay 2004), and (b) the bridge
+absorption test at that boundary is skipped, because the frozen-coefficient
+bridge law is badly wrong there.  The guards cover every finite end of a
+diffusion with an evaluated coefficient, but none of one with constant b
+and a, whose finite ends are all regular: there, as at an end the drift
+does not repel from, an overshoot is genuine absorption, the value clamped
+to the boundary and the path frozen.
 
 Beside the kernel sit two exact samplers of a law at one fixed time t, for
 references that need no time grid: BES(3) from x0, as |x0 e1 + B_t| for a
@@ -130,7 +133,6 @@ __all__ = [
 ]
 
 _BOUNDARY_CLAMP = 1e-12  # a proposal this close to a boundary counts as reaching it
-_MAX_HALVINGS = 20       # step halvings before the guard absorbs at the boundary
 _BLOCK_DRAWS = 1 << 14   # step normals per draw call: the running paths times the block's steps
 _TIME_SLACK = 1e-12      # a grid time this close below a snapshot time counts as reaching it
 _NO_PATHS = np.empty(0, dtype=np.intp)
@@ -505,12 +507,12 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
     boundaries = [(boundary, upper, stream) for boundary, upper, stream in
                   ((l, False, rng.STREAM_BRIDGE_LOWER), (r, True, rng.STREAM_BRIDGE_UPPER))
                   if math.isfinite(boundary)]
-    # the halving guard's boundaries: a constant drift that does not repel
-    # from a boundary never needs it there
+    # the guard's boundaries, where an overshoot the drift repels from is
+    # reflected and no bridge test runs: none with constant coefficients,
+    # whose finite ends are all regular, and none where a constant drift
+    # does not repel
     guarded = [(boundary, upper) for boundary, upper, _stream in boundaries
-               if b_fix is None or (b_fix < 0.0 if upper else b_fix > 0.0)]
-    # the coefficient checks, the guard and parking need each row's range
-    per_row = evaluated or bool(guarded)
+               if evaluated and (b_fix is None or (b_fix < 0.0 if upper else b_fix > 0.0))]
     # the bridge streams of the interior watched levels: watch levels sitting
     # on an absorbing boundary share its crossing events
     interior = {level: rng.STREAM_WATCH + j for j, level in enumerate(watch)
@@ -568,10 +570,8 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
             m = pos.size
             n_rows = min(max(1, _BLOCK_DRAWS // m), left)
             z = rng.normals(keys, range(k, k + n_rows), rng.STREAM_STEP_NORMAL)
-            noise = None  # the steps' noise when a is constant
             if a_fix is not None:
-                # the guard alone reads the normals after this
-                noise = np.multiply(z, math.sqrt(a_fix) * sqrt_dt, out=None if guarded else z)
+                z *= math.sqrt(a_fix) * sqrt_dt  # the steps' noise
             # row i holds the proposals of the block's step i, which step
             # i + 1 starts from
             props = np.empty((n_rows, m))
@@ -616,11 +616,11 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     root = math.sqrt(a) if isinstance(a, float) else np.sqrt(a)
                     row_noise = root * sqrt_dt * z[i]
                 else:
-                    row_noise = noise[i]
+                    row_noise = z[i]
                 np.add(x, b * dt, out=prop)
                 prop += row_noise
 
-                if per_row:
+                if evaluated:
                     if held_at.size:
                         prop[held_at] = held
                     p_lo, p_hi = float(prop.min()), float(prop.max())
@@ -633,9 +633,10 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                             break
                         _coeff_failure(b, a, x, t, pos, first_id)
 
-                    # halving guard at boundaries the drift repels from; it
-                    # has nothing to do where the row's range shows no
-                    # proposal past the boundary or the drift repels on no path
+                    # the guard reflects an overshoot at a boundary the drift
+                    # repels from; it has nothing to do where the row's range
+                    # shows no proposal past the boundary or the drift repels
+                    # on no path
                     for boundary, upper in guarded:
                         if (p_hi - boundary if upper else boundary - p_lo) <= _BOUNDARY_CLAMP:
                             continue
@@ -643,41 +644,27 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                         if not _any(repels):
                             continue
                         over = prop - boundary if upper else boundary - prop
-                        fix = over > _BOUNDARY_CLAMP
-                        fix &= repels
-                        sub = fix.nonzero()[0]
-                        moved = sub.size > 0
-                        h = dt
-                        for _halving in range(_MAX_HALVINGS):
-                            if not sub.size:
-                                break
-                            h *= 0.5
-                            prop[sub] = (x[sub] + _at(b, sub) * h
-                                         + np.sqrt(_at(a, sub) * h) * z[i, sub])
-                            over = prop[sub] - boundary if upper else boundary - prop[sub]
-                            sub = sub[over > _BOUNDARY_CLAMP]
-                        if sub.size:
-                            prop[sub] = boundary  # give up: absorb there
-                        if moved:  # the row's range holds the moved values
+                        fix = (over > _BOUNDARY_CLAMP) & repels
+                        if fix.any():  # the row's range holds the reflected values
+                            prop[fix] = 2.0 * boundary - prop[fix]
                             p_lo, p_hi = float(prop.min()), float(prop.max())
 
                     # parking: a proposal at a boundary or the cap stops its
                     # path on this row, so no later row evaluates there
-                    if evaluated:
-                        reach = prop >= cfg.cap if p_hi >= cfg.cap else None
-                        for boundary, upper, _stream in boundaries:
-                            if (p_hi - boundary if upper else boundary - p_lo) >= -_BOUNDARY_CLAMP:
-                                over = prop - boundary if upper else boundary - prop
-                                at_end = over >= -_BOUNDARY_CLAMP
-                                reach = at_end if reach is None else reach | at_end
-                        if reach is not None:
-                            reach[held_at] = False
-                            new = reach.nonzero()[0]
-                            if new.size:
-                                parks.append((i, new, prop[new]))
-                                prop[new] = x[new]
-                                held_at = np.concatenate((held_at, new))
-                                held = np.concatenate((held, x[new]))
+                    reach = prop >= cfg.cap if p_hi >= cfg.cap else None
+                    for boundary, upper, _stream in boundaries:
+                        if (p_hi - boundary if upper else boundary - p_lo) >= -_BOUNDARY_CLAMP:
+                            over = prop - boundary if upper else boundary - prop
+                            at_end = over >= -_BOUNDARY_CLAMP
+                            reach = at_end if reach is None else reach | at_end
+                    if reach is not None:
+                        reach[held_at] = False
+                        new = reach.nonzero()[0]
+                        if new.size:
+                            parks.append((i, new, prop[new]))
+                            prop[new] = x[new]
+                            held_at = np.concatenate((held_at, new))
+                            held = np.concatenate((held, x[new]))
                     lo, hi = _lower(lo, p_lo), _upper(hi, p_hi)
                     row_lo, row_hi = p_lo, p_hi
 
@@ -692,14 +679,14 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     snap_rows.append((snap_i, i))
                     snap_i += 1
 
-            z = noise = None  # no longer needed: free them before the event work
+            z = None  # no longer needed: free it before the event work
             k0 = k
             k += done
             left -= done
             props = props[:done]
             for i, new, values in parks:
                 props[i, new] = values
-            if per_row:
+            if evaluated:
                 x_lo, x_hi = row_lo, row_hi
             else:
                 p_lo, p_hi = float(props.min()), float(props.max())
@@ -759,10 +746,11 @@ def _simulate(spec: DiffusionSpec, x0: float, cfg: SimConfig, first_id: int, n: 
                     crossed, gap = tests[mark]
                     if a_dt is not None and mark.stream is not None:
                         maybe = mark.tested
-                        if gap is None:  # a boundary: tested where the drift does not repel
-                            bs = b_fix if b_fix is not None else _per_row(b_rows, m)
-                            maybe = bs >= 0.0 if mark.kind == "upper" else bs <= 0.0
-                            if _any(maybe):
+                        if gap is None:  # a boundary: tested where the guard does not cover it
+                            if (mark.level, mark.kind == "upper") in guarded:
+                                bs = b_fix if b_fix is not None else _per_row(b_rows, m)
+                                maybe = bs >= 0.0 if mark.kind == "upper" else bs <= 0.0
+                            if maybe is None or _any(maybe):
                                 gap = _gaps(xa, props, mark.level)
                         if gap is not None:
                             maybe = ~crossed if maybe is None else maybe & ~crossed

@@ -98,6 +98,20 @@ def test_hitting_json_schema(tmp_path):
     assert abs(payload["estimate"] - 0.5) < 0.05
 
 
+def test_hitting_absorbs_a_constant_drift_at_the_end_it_points_away_from(tmp_path):
+    # BM with drift 0.3 from 1 hits 2 before 0 with probability
+    # (1 - e^-0.6) / (1 - e^-1.2): the end 0 absorbs though the drift points
+    # away from it
+    text = ('[spec]\nfamily = custom\nb = "0.3"\na = "1"\n'
+            "[sim]\ndt = 1e-2\nhorizon = 40\nn_paths = 20000\nseed = 1\n")
+    out = tmp_path / "hit.json"
+    assert main(["hitting", "--config", _write(tmp_path, "c.ini", text), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    exact = -math.expm1(-0.6) / -math.expm1(-1.2)
+    assert payload["unresolved"] == 0
+    assert abs(payload["estimate"] - exact) <= 4.0 * payload["stderr"]
+
+
 def test_simulate_deterministic_across_threads(tmp_path):
     cfg = _write(tmp_path, "c.ini", BM_UNIT)
     one = tmp_path / "one.json"
@@ -289,6 +303,21 @@ def test_verify_reads_seed_and_n_from_the_config(tmp_path):
     assert (verify("override", "--config", both, "--seed", "8")
             == verify("flags", "--seed", "8", "--n", "300"))
     assert verify("seed", "--config", seed_only) == verify("flags", "--seed", "7")
+
+
+@pytest.mark.parametrize("section, key, value", [("sim", "dt", "0.5"), ("spec", "family", "gbm"),
+                                                ("output", "dump_paths", "2")])
+def test_verify_refuses_a_config_key_it_does_not_read(tmp_path, capsys, section, key, value):
+    # a bundle fixes its own spec and run, so a key other than [sim] seed and
+    # n_paths is refused, naming it, before the bundle runs
+    text = f"[sim]\nseed = 7\n" + ("" if section == "sim" else f"[{section}]\n")
+    cfg = _write(tmp_path, "c.ini", text + f"{key} = {value}\n")
+    out = tmp_path / "v.json"
+    assert main(["verify", "jumpwalk", "--n", "300", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: verify reads only [sim] seed and n_paths; the config sets "
+        f"[{section}] {key}\n")
+    assert not out.exists()
 
 
 def test_unwritable_output_is_config_error(tmp_path, capsys):

@@ -7,7 +7,8 @@ each of them.  One step kernel: only `simulate` draws step normals.  No
 module executes text: config expressions are parsed, never run.  The only
 scipy import is `ndtri`.  And a module imports another's private names
 only where listed, each with its reason.  No module sets warning filters or
-numpy's error state beyond a call's own extent."""
+numpy's error state beyond a call's own extent.  Every module-level
+constant is read by the package itself."""
 
 from __future__ import annotations
 
@@ -145,6 +146,37 @@ _UNREAD_FIELDS_BY_DESIGN = [
 def test_every_dataclass_field_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert unread_fields(sources) == _UNREAD_FIELDS_BY_DESIGN
+
+
+def unread_constants(modules: dict[str, str]) -> list[str]:
+    """`module.NAME` for each module-level constant (an upper-case name,
+    leading underscores allowed) that no source of `modules` reads, as a
+    loaded `Name` or attribute.  As for fields, the match is by name alone;
+    reads in other sources, such as tests, do not count."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}.{target.id}" for module, tree in trees.items() for stmt in tree.body
+                  if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                  for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                  if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+                  and target.id not in read)
+
+
+def test_detects_unread_constants():
+    lib = ("A = 1\n_MAX_HALVINGS = 20\nC: int = 3\n_D = 4\nlower = 5\n__all__ = ['A']\n"
+           "def f():\n    E = 6\n    return A\n")
+    other = "from lib import _D\nimport lib\nprint(lib.C, _D)\n"
+    test = "import lib\nassert lib._MAX_HALVINGS == 20\n"
+    assert unread_constants({"lib": lib, "other": other}) == ["lib._MAX_HALVINGS"]
+    assert unread_constants({"lib": lib, "other": other + test}) == []
+
+
+def test_every_constant_is_read():
+    # a constant only tests read is a setting the program no longer has
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_constants(modules) == []
 
 
 def test_package_exports_the_public_names():

@@ -31,6 +31,20 @@ def test_bm_quarter_identity():
     assert abs(est.value - 0.25) <= 3 * est.stderr
 
 
+@pytest.mark.parametrize("drift, r", [(0.3, math.inf), (-0.3, 2.0)])
+def test_constant_coefficients_absorb_at_every_end(drift, r):
+    # every finite end of a diffusion with constant b and a is regular: BM
+    # with drift mu from 1 hits 2 before 0 with probability
+    # (1 - e^(-2 mu)) / (1 - e^(-4 mu)), whether or not the drift points away
+    # from an end
+    spec = DiffusionSpec(Interval(0.0, r), drift=Const(drift), diffusion=Const(1.0))
+    cfg = SimConfig(dt=1e-2, horizon=40.0, seed=1, n_paths=20_000)
+    est, rep = estimate_hitting_prob(spec, 1.0, 2.0, 0.0, cfg)
+    assert rep["unresolved"] == 0
+    exact = math.expm1(-2.0 * drift) / math.expm1(-4.0 * drift)
+    assert abs(est.value - exact) <= 4.0 * est.stderr
+
+
 def test_level_equal_to_start_hits_immediately():
     cfg = SimConfig(dt=1e-3, horizon=1.0, seed=1, n_paths=500)
     est, rep = estimate_hitting_prob(bm(), 1.0, 1.0, 0.0, cfg)
@@ -282,7 +296,7 @@ def _assert_same_ensemble(one: EnsembleResult, other: EnsembleResult) -> None:
 
 # (spec, x0, config): a dt schedule with snapshots, stop and watch levels, the
 # cap, truncation and the time integral; bessel3 with coarse steps, whose
-# overshoots below 0 the halving guard takes back; the tied steps of
+# overshoots below 0 the guard reflects; the tied steps of
 # test_same_step_absorption_beats_the_stop_level; watched levels at both
 # ends of (0, 2) and inside it; coarse steps between two ends and two
 # stop levels near them, with ties of a level and an end; and ties of the
@@ -320,8 +334,40 @@ def test_step_normal_blocks_change_no_byte(spec, x0, cfg, monkeypatch):
     assert path.values[-1] == blocked.final_values[7]
 
 
-def test_block_cases_exercise_every_event(monkeypatch):
-    capped, halving, tied, levels, ends = (simulate_ensemble(*case) for case in _BLOCK_CASES[:5])
+def _reflected_rows(spec, x0, cfg, path_index) -> list[int]:
+    """The rows on which path `path_index` of a run on (0, inf) with one dt
+    and no stop level was reflected at 0, checked bit for bit: each row's
+    Euler proposal, formed from the path's value and its step normal with
+    the kernel's operations, is the path's next value, or 2 * 0 - proposal
+    where it lies below 0 by more than the clamp distance.  The check ends
+    at the cap, where the path stops."""
+    path = simulate_path(spec, x0, cfg, path_index)
+    keys = rng.path_keys(cfg.seed, np.array([path_index]))
+    rows = []
+    for k in range(path.values.size - 1):
+        x = path.values[k:k + 1]
+        z = rng.normals(keys, range(k, k + 1), rng.STREAM_STEP_NORMAL)[0]
+        root = np.sqrt(np.asarray(spec.diffusion(x), dtype=float))
+        prop = (x + np.asarray(spec.drift(x), dtype=float) * cfg.dt) + root * math.sqrt(cfg.dt) * z
+        if prop[0] < -simulate._BOUNDARY_CLAMP:
+            assert _same_bits(path.values[k + 1], 2.0 * 0.0 - prop[0]), k
+            rows.append(k)
+        else:
+            assert _same_bits(path.values[k + 1], prop[0]), k
+            if prop[0] >= cfg.cap:
+                break
+    return rows
+
+
+def test_overshoots_past_a_repelling_end_are_reflected():
+    # bessel3 at dt 0.5: path 39 overshoots 0 on its first step and path
+    # 162 on its sixth, which the next steps start from
+    assert _reflected_rows(*_BLOCK_CASES[1], 39) == [0]
+    assert _reflected_rows(*_BLOCK_CASES[1], 162) == [5]
+
+
+def test_block_cases_exercise_every_event():
+    capped, reflected, tied, levels, ends = (simulate_ensemble(*case) for case in _BLOCK_CASES[:5])
     assert np.any(capped.absorbed_at == math.inf) and np.any(capped.truncated)
     assert np.any(capped.final_values == 0.5) and np.any(np.isfinite(capped.hit_times[2.0]))
     assert tied.tie_count > 0
@@ -341,10 +387,9 @@ def test_block_cases_exercise_every_event(monkeypatch):
     both = (watched.hit_times[1.9] == watched.hit_times[0.2]) & np.isnan(ends.absorbed_at)
     assert np.any(both)
     np.testing.assert_array_equal(ends.final_values[both], 1.9)
-    # bessel3 never reaches 0; without halvings its overshoots absorb there
-    assert not np.any(halving.absorbed_at == 0.0)
-    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
-    assert np.count_nonzero(simulate_ensemble(*_BLOCK_CASES[1]).absorbed_at == 0.0) > 10
+    # bessel3 never reaches 0: its overshoots there are reflected
+    assert not np.any(reflected.absorbed_at == 0.0)
+    assert _reflected_rows(*_BLOCK_CASES[1], 39)
 
 
 # A tie ends a path at the first of its marks in the kernel's list: the
@@ -434,8 +479,8 @@ def test_scalar_coefficients_run_like_arrays():
     _assert_same_ensemble(simulate_ensemble(flat, 1.0, cfg), simulate_ensemble(bm(), 1.0, cfg))
 
 
-def test_scalar_drift_runs_the_halving_guard(monkeypatch):
-    # a drift of 1 repels from 0, so the guard takes back the overshoots of
+def test_scalar_drift_runs_the_halving_guard():
+    # a drift of 1 repels from 0, so the guard reflects the overshoots of
     # the coarse steps from 0.2; it must index a plain-float drift like an array
     scalar = DiffusionSpec(Interval(0.0, math.inf), drift=lambda y: 1.0, diffusion=lambda y: 1.0)
     arrays = replace(scalar, drift=lambda y: np.ones(np.shape(y)),
@@ -446,8 +491,7 @@ def test_scalar_drift_runs_the_halving_guard(monkeypatch):
     path, twin = simulate_path(scalar, 0.2, cfg, 7), simulate_path(arrays, 0.2, cfg, 7)
     assert _same_bits(path.values, twin.values)
     assert not np.any(res.absorbed_at == 0.0)
-    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)  # the guard had overshoots to take back
-    assert np.any(simulate_ensemble(scalar, 0.2, cfg).absorbed_at == 0.0)
+    assert _reflected_rows(scalar, 0.2, cfg, 7)  # the guard had overshoots to reflect
 
 
 def test_repeated_levels_are_watched_once():
@@ -708,7 +752,7 @@ def test_a_run_in_a_thread_changes_no_state_outside_itself():
 # (spec, x0, config) for the quiet-step tests, each with quiet and eventful
 # steps: a bessel3 tail with snapshots, the time integral and a cap; BM
 # between two stop levels, with ties at dt 0.25 and then fine steps; bessel3
-# at dt 0.5, where the halving guard fires; levels at the finite end, inside
+# at dt 0.5, where the guard reflects; levels at the finite end, inside
 # and at the infinite end of (0, inf); no bridge correction; and a watch
 # level that every running path has crossed, which leaves the marks
 _QUIET_CASES = [
@@ -785,9 +829,9 @@ def test_quiet_steps_change_no_byte(spec, x0, cfg, monkeypatch):
         assert _same_record(path, slow)
 
 
-def test_quiet_cases_exercise_every_event(monkeypatch):
-    capped, tied, halving, levels, unbridged = (simulate_ensemble(*case)
-                                                for case in _QUIET_CASES[:5])
+def test_quiet_cases_exercise_every_event():
+    capped, tied, reflected, levels, unbridged = (simulate_ensemble(*case)
+                                                  for case in _QUIET_CASES[:5])
     assert np.any(capped.absorbed_at == math.inf) and np.any(capped.final_values == 0.5)
     assert np.any(np.isfinite(capped.hit_times[0.8]))
     assert tied.tie_count > 0
@@ -795,9 +839,8 @@ def test_quiet_cases_exercise_every_event(monkeypatch):
     assert np.any(levels.absorbed_at == 0.0) and np.any(np.isfinite(levels.hit_times[1.5]))
     assert np.all(np.isnan(levels.hit_times[math.inf]))
     assert np.any(unbridged.final_values == 0.5) and np.any(unbridged.absorbed_at == math.inf)
-    assert np.any(halving.truncated) and not np.any(halving.absorbed_at == 0.0)
-    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)
-    assert np.any(simulate_ensemble(*_QUIET_CASES[2]).absorbed_at == 0.0)
+    assert np.any(reflected.truncated) and not np.any(reflected.absorbed_at == 0.0)
+    assert _reflected_rows(*_QUIET_CASES[2], 39)
 
 
 def test_quiet_drops_a_level_every_running_path_crossed(monkeypatch):
@@ -844,8 +887,8 @@ def test_quiet_declines_at_every_reach():
     assert not simulate._quiet(**{**args, "r": 1.2 + 1e-13}, marks=[])
     assert not simulate._quiet(**{**args, "lo": math.nan}, marks=[])
     assert not simulate._quiet(**{**args, "a_dt": 0.0}, marks=[0.5])
-    # values reaching past a finite boundary, as after the halving guard
-    # moved a proposal back inside, make the step eventful
+    # values reaching past a finite boundary, as an overshooting proposal
+    # does, make the step eventful
     assert not simulate._quiet(**{**args, "lo": -0.1}, marks=[0.0])
     assert not simulate._quiet(**{**args, "hi": 4.5, "r": 4.0}, marks=[4.0])
     # one mark on its own, as an eventful step tests it: no cap, and the
@@ -860,16 +903,19 @@ def test_quiet_declines_at_every_reach():
     assert not simulate._quiet(**{**one, "r": 1.3}, marks=[1.3])         # exponent -2
 
 
-# bessel3 at dt 0.5 with one path and one watch level: the halving guard
-# moves the path's value up from below 0 to a value neither the values' nor
-# the proposals' range holds.  From 0.4 watching 3.5, on that same step the
-# level is within bridge reach of the moved value only; from 1 watching 4,
-# it is on the next step (each case draws one more uniform than a test on
-# the stale ranges would)
-@pytest.mark.parametrize("x0, level, seed", [(0.4, 3.5, 9), (0.4, 3.5, 11),
-                                             (1.0, 4.0, 242), (1.0, 4.0, 743)])
-def test_guarded_steps_keep_every_mark_in_reach(x0, level, seed, monkeypatch):
+# bessel3 at dt 0.5 with one path and one watch level, one step per block:
+# the guard reflects the path's value up from below 0 to a value neither the
+# values' nor the proposals' range holds.  From 0.4 watching 3.5, on that
+# same step the level is within bridge reach of the reflected value only
+# (seeds 474, 1164), or on the next step (2928, 3478); each case draws one
+# more uniform than a test on the stale ranges would.  In a block of all ten
+# steps the later values rise above the reflected one and hold the level in
+# reach anyway
+@pytest.mark.parametrize("seed", [474, 1164, 2928, 3478])
+def test_guarded_steps_keep_every_mark_in_reach(seed, monkeypatch):
+    x0, level = 0.4, 3.5
     cfg = SimConfig(dt=0.5, horizon=5.0, seed=seed, n_paths=1, watch_levels=(level,))
+    monkeypatch.setattr(simulate, "_BLOCK_DRAWS", 1)
     drawn = _uniform_draws(monkeypatch)
     fast = simulate_ensemble(bessel3(), x0, cfg)
     fast_draws = drawn[0]
@@ -877,8 +923,7 @@ def test_guarded_steps_keep_every_mark_in_reach(x0, level, seed, monkeypatch):
     drawn[0] = 0
     _assert_same_ensemble(fast, simulate_ensemble(bessel3(), x0, cfg))
     assert drawn[0] == fast_draws
-    monkeypatch.setattr(simulate, "_MAX_HALVINGS", 0)  # the guard fires: without it, absorbed
-    assert simulate_ensemble(bessel3(), x0, cfg).absorbed_at[0] == 0.0
+    assert _reflected_rows(bessel3(), x0, cfg, 0)  # the guard reflects
 
 
 def test_a_mark_out_of_reach_costs_nothing(monkeypatch):
@@ -971,7 +1016,7 @@ class _Unread(Const):
 @pytest.mark.parametrize("spec, x0, cfg", [_QUIET_CASES[1], _QUIET_CASES[3], _BLOCK_CASES[1]])
 def test_the_kernel_never_calls_a_constant(spec, x0, cfg):
     # BM with ties, levels at both ends and a snapshot; bessel3 through the
-    # halving guard
+    # guard
     unread = replace(spec, diffusion=_Unread(1.0))
     if const_value(spec.drift) is not None:
         unread = replace(unread, drift=_Unread(const_value(spec.drift)))
