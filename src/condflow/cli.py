@@ -3,11 +3,12 @@
 Subcommands: scale, transform, simulate, hitting, condition, verify.
 Configuration is flat `key = value` text in INI sections ([spec], [sim],
 [scenario], [output]); expression values may be quoted.  A JSON file with
-the same section/key layout is accepted as well.  `_SECTIONS` lists every
-key of every section once; any other section or key is a configuration
-error, as is a value its key cannot read, and so is `[spec] b`, `a`, `l` or
-`r` beside a named family (bm by default), and any key but `[sim] seed` and
-`n_paths` given to `verify`, whose bundles fix their own runs.
+the same section/key layout is accepted as well.  `_READS` lists the keys
+each command reads; any other key, one only another command reads included,
+is a configuration error naming the command and the key, as is a value its
+key cannot read (a count below its floor included), and so is `[spec] b`,
+`a`, `l` or `r` beside a named family (bm by default).  A verify bundle
+fixes its own run, so `verify` reads only `[sim] seed` and `n_paths`.
 `[scenario] x0` is the start of a simulation and the anchor of a scale;
 `direction` (upward or downward) picks the side for scale, transform and
 condition, and without it the scale is normalized at l when s(l) is
@@ -15,12 +16,13 @@ finite, else at r.  `condition` weighs every path by that scale,
 s(X_stop)/s(x0), so it reads s up to the level upward and from the level up
 to `[sim] cap` downward; a stop beyond `[scenario] y_max`, or a downward
 level below `y_min`, where s is extrapolated, is a configuration error.
-Command-line flags (--seed, --n, --out) override the file; --threads is
-accepted and changes nothing, because every run uses one thread.  A seed
-lies in [0, 2**64).  A command's further runs draw on seed + 1 and
-seed + 2, modulo 2**64 (`condition`'s direct sample, the verify bundles'
-reference runs), so commands at neighbouring seeds share a run's noise,
-and seed 2**64 - 1's seed + 1 is seed 0.
+Command-line flags (--seed, --n, --out) override the file, and --seed and
+--n exist where those keys are read; --threads is accepted and changes
+nothing, because every run uses one thread.  A seed lies in [0, 2**64).
+A command's further runs draw on seed + 1 and seed + 2, modulo 2**64
+(`condition`'s direct sample, the verify bundles' reference runs), so
+commands at neighbouring seeds share a run's noise, and seed 2**64 - 1's
+seed + 1 is seed 0.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error (an output that cannot be written is one), 3 numeric failure.  JSON
@@ -53,25 +55,33 @@ from .simulate import SimConfig, estimate_hitting_prob, simulate_ensemble, simul
 
 __all__ = ["main"]
 
-# every key each section takes; any other key is a configuration error
-_SECTIONS = {
-    "spec": ("family", "b", "a", "l", "r"),
-    "sim": ("dt", "horizon", "cap", "bridge", "watch_levels", "seed", "n_paths"),
-    "scenario": ("x0", "up", "down", "direction", "level", "t",
-                 "y_min", "y_max", "n_grid", "n_table"),
-    "output": ("dump_paths", "downsample", "paths_csv"),
+# the config keys each command reads, section by section: any other key is
+# refused, and --seed and --n exist only where [sim] seed and n_paths are read
+_SPEC = ("family", "b", "a", "l", "r")
+_SIM = ("dt", "horizon", "cap", "bridge", "seed", "n_paths")
+_GRID = ("x0", "direction", "y_min", "y_max", "n_grid")
+_READS = {
+    "scale": {"spec": _SPEC, "scenario": _GRID},
+    "transform": {"spec": _SPEC, "scenario": _GRID + ("n_table",)},
+    "simulate": {"spec": _SPEC, "sim": _SIM + ("watch_levels",), "scenario": ("x0",),
+                 "output": ("dump_paths", "downsample", "paths_csv")},
+    "hitting": {"spec": _SPEC, "sim": _SIM, "scenario": ("x0", "up", "down")},
+    "condition": {"spec": _SPEC, "sim": _SIM, "scenario": _GRID + ("t", "level")},
+    "verify": {"sim": ("seed", "n_paths")},
 }
 
 
-def _load_config(path: str | None) -> dict[str, dict[str, str]]:
-    conf = {name: {} for name in _SECTIONS}
+def _load_config(path: str | None, command: str) -> dict[str, dict[str, str]]:
+    reads = _READS[command]
+    conf = {section: {} for row in _READS.values() for section in row}
     if path is not None:
         _read_config(path, conf)
     for section, entries in conf.items():
         for key in entries:
-            if key not in _SECTIONS[section]:
-                raise ConfigError(f"unknown config key [{section}] {key!r}; "
-                                  f"known: {', '.join(_SECTIONS[section])}")
+            if key not in reads.get(section, ()):
+                listing = "; ".join(f"[{name}] {', '.join(keys)}" for name, keys in reads.items())
+                raise ConfigError(f"unknown config key [{section}] {key!r} for {command}, "
+                                  f"which reads {listing}")
     return conf
 
 
@@ -134,6 +144,15 @@ def _seed(raw) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return seed
+
+
+def _count(floor: int):
+    """An integer cast that refuses a value below `floor`."""
+    def cast(raw: str) -> int:
+        if int(raw) < floor:
+            raise ValueError(f"must be at least {floor}")
+        return int(raw)
+    return cast
 
 
 def _levels(raw: str) -> tuple[float, ...]:
@@ -209,7 +228,7 @@ def _seed_and_n(conf, args, seed=None, n=None) -> tuple:
             args.n if args.n is not None else _get(conf, "sim", "n_paths", n, int))
 
 
-def _build_sim(conf, args) -> SimConfig:
+def _build_sim(conf, args, watch_levels=()) -> SimConfig:
     seed, n = _seed_and_n(conf, args, 0, 10_000)
     try:
         return SimConfig(
@@ -217,7 +236,7 @@ def _build_sim(conf, args) -> SimConfig:
             horizon=_get(conf, "sim", "horizon", 20.0, float),
             cap=_get(conf, "sim", "cap", 1e8, float),
             bridge_correction=_get(conf, "sim", "bridge", True, bool),
-            watch_levels=_get(conf, "sim", "watch_levels", (), _levels),
+            watch_levels=watch_levels,
             seed=seed,
             n_paths=n,
         )
@@ -225,20 +244,16 @@ def _build_sim(conf, args) -> SimConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _grid_bounds(conf, spec: DiffusionSpec, x0: float) -> tuple[float, float]:
-    l, r = spec.interval.l, spec.interval.r
-    y_min = _get(conf, "scenario", "y_min", cast=float,
-                 default=(l + min(1e-2, (x0 - l) / 100.0)) if math.isfinite(l) else x0 - 10.0)
-    y_max = _get(conf, "scenario", "y_max", cast=float,
-                 default=(r - (r - x0) / 100.0) if math.isfinite(r) else 10.0 * max(1.0, x0))
-    return y_min, y_max
-
-
 def _scale(conf, spec: DiffusionSpec, x0: float) -> ScaleFunction:
     """The scale of `spec` anchored at x0, on the [scenario] grid, normalized
     on the side `direction` names (or the side compute_scale picks)."""
-    y_min, y_max = _grid_bounds(conf, spec, x0)
-    grid = GridConfig(y_min=y_min, y_max=y_max, n=_get(conf, "scenario", "n_grid", 257, int))
+    l, r = spec.interval.l, spec.interval.r
+    grid = GridConfig(
+        y_min=_get(conf, "scenario", "y_min", cast=float,
+                   default=(l + min(1e-2, (x0 - l) / 100.0)) if math.isfinite(l) else x0 - 10.0),
+        y_max=_get(conf, "scenario", "y_max", cast=float,
+                   default=(r - (r - x0) / 100.0) if math.isfinite(r) else 10.0 * max(1.0, x0)),
+        n=_get(conf, "scenario", "n_grid", 257, _count(2)))
     return compute_scale(spec, x0, grid, _direction(conf))
 
 
@@ -273,10 +288,10 @@ def cmd_scale(conf, args) -> int:
 
 def cmd_transform(conf, args) -> int:
     spec = _build_spec(conf)
-    x0 = _get(conf, "scenario", "x0", 1.0, float)
-    y_min, y_max = _grid_bounds(conf, spec, x0)
-    result = transform(spec, _scale(conf, spec, x0))
-    grid = np.linspace(y_min, y_max, _get(conf, "scenario", "n_table", 101, int))
+    s = _scale(conf, spec, _get(conf, "scenario", "x0", 1.0, float))
+    result = transform(spec, s)
+    # the scale's grid holds y_min and y_max exactly
+    grid = np.linspace(s.grid[0], s.grid[-1], _get(conf, "scenario", "n_table", 101, _count(1)))
     base_b = np.asarray(spec.drift(grid), dtype=float)
     new_b = np.asarray(result.drift(grid), dtype=float)
     lines = ["y,base_drift,transformed_drift"]
@@ -288,16 +303,16 @@ def cmd_transform(conf, args) -> int:
 
 def cmd_simulate(conf, args) -> int:
     spec = _build_spec(conf)
-    cfg = _build_sim(conf, args)
+    cfg = _build_sim(conf, args, _get(conf, "sim", "watch_levels", (), _levels))
     x0 = _get(conf, "scenario", "x0", 1.0, float)
-    dump = _get(conf, "output", "dump_paths", 0, int)
+    dump = _get(conf, "output", "dump_paths", 0, _count(0))
+    stride = _get(conf, "output", "downsample", 10, _count(1))
     # the dump opens first: a path that cannot be written fails before any run
     with (_open_out(_get(conf, "output", "paths_csv", "paths.csv")) if dump > 0
           else contextlib.nullcontext()) as fh:
         res = simulate_ensemble(spec, x0, cfg)
         _emit(_json_report({"schema": 1, **res.summary()}), args.out)
         if dump > 0:
-            stride = max(1, _get(conf, "output", "downsample", 10, int))
             fh.write("path,t,x\n")
             for index in range(min(dump, cfg.n_paths)):
                 sample = simulate_path(spec, x0, cfg, index)
@@ -357,13 +372,6 @@ def cmd_condition(conf, args) -> int:
 
 
 def cmd_verify(conf, args) -> int:
-    # a bundle fixes its own spec and run: of the file it reads only the
-    # seed and n, and any other key is refused before the bundle runs
-    unread = [f"[{section}] {key}" for section, entries in conf.items() for key in entries
-              if section != "sim" or key not in ("seed", "n_paths")]
-    if unread:
-        raise ConfigError(f"verify reads only [sim] seed and n_paths; "
-                          f"the config sets {', '.join(unread)}")
     # roundtrip draws nothing: it takes no seed or n; a seed or n that neither
     # a flag nor the file gives keeps the bundle's default
     seed, n = (None, None) if args.scenario == "roundtrip" else _seed_and_n(conf, args)
@@ -392,8 +400,9 @@ def _parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.set_defaults(runner=runner)
         cmd.add_argument("--config", default=None, metavar="PATH")
-        cmd.add_argument("--seed", type=int, default=None, metavar="U64")
-        cmd.add_argument("--n", type=int, default=None, metavar="INT")
+        if {"seed", "n_paths"} <= set(_READS[name].get("sim", ())):
+            cmd.add_argument("--seed", type=int, default=None, metavar="U64")
+            cmd.add_argument("--n", type=int, default=None, metavar="INT")
         cmd.add_argument("--out", default=None, metavar="PATH")
         cmd.add_argument("--threads", type=int, default=None, metavar="INT",
                          help="accepted and ignored: every run uses one thread")
@@ -405,9 +414,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             _seed(args.seed)
-        conf = _load_config(args.config)
+        conf = _load_config(args.config, args.command)
         return args.runner(conf, args)
     except (ConfigError, ParseError) as exc:
         sys.stderr.write(f"config error: {exc}\n")

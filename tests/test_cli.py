@@ -24,7 +24,8 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
-BM_UNIT = """
+# one config per command: a command refuses a key only another reads
+BM_SCALE = """
 [spec]
 family = custom
 b = "0"
@@ -34,19 +35,19 @@ r = 1
 
 [scenario]
 x0 = 0.5
-up = 0.75
-down = 0.25
-
+"""
+BM_SIMULATE = BM_SCALE + """
 [sim]
 dt = 1e-3
 horizon = 5
 n_paths = 2000
 seed = 3
 """
+BM_HITTING = BM_SIMULATE.replace("x0 = 0.5\n", "x0 = 0.5\nup = 0.75\ndown = 0.25\n")
 
 
 def test_scale_writes_csv_and_classifies(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.ini", BM_UNIT)
+    cfg = _write(tmp_path, "c.ini", BM_SCALE)
     out = tmp_path / "scale.csv"
     assert main(["scale", "--config", cfg, "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
@@ -89,7 +90,7 @@ def test_scale_picks_its_side_in_one_quadrature_pass(tmp_path, capsys, monkeypat
 
 
 def test_hitting_json_schema(tmp_path):
-    cfg = _write(tmp_path, "c.ini", BM_UNIT)
+    cfg = _write(tmp_path, "c.ini", BM_HITTING)
     out = tmp_path / "hit.json"
     assert main(["hitting", "--config", cfg, "--n", "3000", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
@@ -113,7 +114,7 @@ def test_hitting_absorbs_a_constant_drift_at_the_end_it_points_away_from(tmp_pat
 
 
 def test_simulate_deterministic_across_threads(tmp_path):
-    cfg = _write(tmp_path, "c.ini", BM_UNIT)
+    cfg = _write(tmp_path, "c.ini", BM_SIMULATE)
     one = tmp_path / "one.json"
     four = tmp_path / "four.json"
     assert main(["simulate", "--config", cfg, "--seed", "5", "--n", "4000",
@@ -124,7 +125,8 @@ def test_simulate_deterministic_across_threads(tmp_path):
 
 
 def test_simulate_path_dump(tmp_path):
-    text = BM_UNIT + f"\n[output]\ndump_paths = 2\ndownsample = 50\npaths_csv = {tmp_path}/p.csv\n"
+    text = BM_SIMULATE + ("\n[output]\ndump_paths = 2\ndownsample = 50\n"
+                          f"paths_csv = {tmp_path}/p.csv\n")
     cfg = _write(tmp_path, "c.ini", text)
     assert main(["simulate", "--config", cfg, "--n", "10",
                  "--out", str(tmp_path / "s.json")]) == 0
@@ -135,7 +137,7 @@ def test_simulate_path_dump(tmp_path):
 
 def test_unwritable_path_dump_is_config_error(tmp_path, capsys):
     missing = tmp_path / "missing" / "p.csv"
-    text = BM_UNIT + f"\n[output]\ndump_paths = 1\npaths_csv = {missing}\n"
+    text = BM_SIMULATE + f"\n[output]\ndump_paths = 1\npaths_csv = {missing}\n"
     cfg = _write(tmp_path, "c.ini", text)
     out = tmp_path / "s.json"
     assert main(["simulate", "--config", cfg, "--n", "10", "--out", str(out)]) == 2
@@ -145,7 +147,7 @@ def test_unwritable_path_dump_is_config_error(tmp_path, capsys):
 
 
 def test_simulate_refuses_a_start_at_the_cap(tmp_path, capsys):
-    cfg = _write(tmp_path, "c.ini", BM_UNIT + "cap = 0.5\n")
+    cfg = _write(tmp_path, "c.ini", BM_SIMULATE + "cap = 0.5\n")
     out = tmp_path / "s.json"
     assert main(["simulate", "--config", cfg, "--n", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: x0=0.5 at or above the cap 0.5\n"
@@ -201,7 +203,7 @@ def test_condition_weighs_a_drifted_diffusion_by_its_scale(tmp_path):
     # 1/y + 0.3 is not driftless in the scale of its coordinate: x0/X weights
     # average about 0.66, while s(X)/s(x0) is a martingale weight
     cfg = _write(tmp_path, "c.ini", DRIFTED_DOWN)
-    conf = cli._load_config(cfg)
+    conf = cli._load_config(cfg, "condition")
     spec = cli._build_spec(conf)
     s = cli._scale(conf, spec, 1.0)
     sim = cli._build_sim(conf, argparse.Namespace(seed=None, n=None))
@@ -255,11 +257,11 @@ def test_condition_refuses_a_downward_level_below_the_scale_grid(tmp_path, capsy
         "config error: [scenario] level = 0.005 lies below [scenario] y_min = 0.01")
 
 
-def _forbid_simulation(monkeypatch):
+def _forbid_simulation(monkeypatch, routines=("condition", "direct_sample")):
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated before refusing")
 
-    for routine in ("condition", "direct_sample"):
+    for routine in routines:
         monkeypatch.setattr(cli, routine, no_simulation)
 
 
@@ -307,16 +309,18 @@ def test_verify_reads_seed_and_n_from_the_config(tmp_path):
 
 @pytest.mark.parametrize("section, key, value", [("sim", "dt", "0.5"), ("spec", "family", "gbm"),
                                                 ("output", "dump_paths", "2")])
-def test_verify_refuses_a_config_key_it_does_not_read(tmp_path, capsys, section, key, value):
+def test_verify_refuses_a_config_key_it_does_not_read(tmp_path, capsys, monkeypatch,
+                                                      section, key, value):
     # a bundle fixes its own spec and run, so a key other than [sim] seed and
     # n_paths is refused, naming it, before the bundle runs
+    _forbid_simulation(monkeypatch, ("run_scenario",))
     text = f"[sim]\nseed = 7\n" + ("" if section == "sim" else f"[{section}]\n")
     cfg = _write(tmp_path, "c.ini", text + f"{key} = {value}\n")
     out = tmp_path / "v.json"
     assert main(["verify", "jumpwalk", "--n", "300", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        f"config error: verify reads only [sim] seed and n_paths; the config sets "
-        f"[{section}] {key}\n")
+        f"config error: unknown config key [{section}] {key!r} for verify, "
+        f"which reads [sim] seed, n_paths\n")
     assert not out.exists()
 
 
@@ -363,10 +367,10 @@ def test_verify_stopped_bm_with_one_path_names_the_empty_side(tmp_path, capsys):
 def test_a_seed_outside_64_bits_is_refused(tmp_path, capsys, seed):
     # a seed is one 64-bit word: any other integer would wrap to one
     out = str(tmp_path / "s.json")
-    cfg = _write(tmp_path, "c.ini", BM_UNIT)
+    cfg = _write(tmp_path, "c.ini", BM_SIMULATE)
     assert main(["simulate", "--config", cfg, "--seed", seed, "--n", "10", "--out", out]) == 2
     assert capsys.readouterr().err == f"config error: seed must lie in [0, 2**64), got {seed}\n"
-    cfg = _write(tmp_path, "d.ini", BM_UNIT.replace("seed = 3", f"seed = {seed}"))
+    cfg = _write(tmp_path, "d.ini", BM_SIMULATE.replace("seed = 3", f"seed = {seed}"))
     assert main(["simulate", "--config", cfg, "--n", "10", "--out", out]) == 2
     assert capsys.readouterr().err == (
         f"config error: [sim] seed = '{seed}': seed must lie in [0, 2**64), got {seed}\n")
@@ -436,9 +440,9 @@ def test_nonpositive_custom_diffusion_rejected(tmp_path):
     ("scale", "log(y - 20)", "1"),        # log of a negative number at 15
 ])
 def test_coefficients_are_probed_inside_the_interval(tmp_path, command, b, a):
+    run = "" if command == "scale" else "\n[sim]\nn_paths = 50\ndt = 0.01\nhorizon = 1\n"
     cfg = _write(tmp_path, "c.ini", f'[spec]\nfamily = custom\nb = "{b}"\na = "{a}"\n'
-                                    "l = 20\nr = 30\n\n[scenario]\nx0 = 25\n"
-                                    "\n[sim]\nn_paths = 50\ndt = 0.01\nhorizon = 1\n")
+                                    "l = 20\nr = 30\n\n[scenario]\nx0 = 25\n" + run)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
@@ -542,7 +546,7 @@ def test_transform_without_direction_takes_the_finite_side(tmp_path):
 
 def test_constant_expressions_are_const_coefficients(tmp_path):
     cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "0"\na = "1"\n')
-    spec = cli._build_spec(cli._load_config(cfg))
+    spec = cli._build_spec(cli._load_config(cfg, "scale"))
     assert spec.drift == Const(0.0) and spec.diffusion == Const(1.0)
     sim = SimConfig(dt=1e-2, horizon=40.0, watch_levels=(2.0,), stop_levels=(4.0,),
                     snapshot_times=(1.0,), seed=2, n_paths=2000)
@@ -555,7 +559,7 @@ def test_constant_expressions_are_const_coefficients(tmp_path):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
     # an expression that reads y stays an expression
     cfg = _write(tmp_path, "c.ini", '[spec]\nfamily = custom\nb = "0*y"\na = "exp(0)"\n')
-    spec = cli._build_spec(cli._load_config(cfg))
+    spec = cli._build_spec(cli._load_config(cfg, "scale"))
     assert not isinstance(spec.drift, Const) and spec.diffusion == Const(1.0)
 
 
@@ -572,19 +576,130 @@ def test_detects_read_keys():
     assert _read_keys(tree) == [("sim", "dt")]
 
 
+def _row(command: str) -> set[tuple[str, str]]:
+    return {(section, key) for section, keys in cli._READS[command].items() for key in keys}
+
+
 def test_every_declared_key_is_read_and_documented():
     tree = ast.parse((ROOT / "src" / "condflow" / "cli.py").read_text(encoding="utf-8"))
-    read = set(_read_keys(tree))
-    declared = {(section, key) for section, keys in cli._SECTIONS.items() for key in keys}
-    assert read == declared
-    # README's config block lists every key once, section by section
+    declared = set().union(*map(_row, cli._READS))
+    assert set(_read_keys(tree)) == declared
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("### Config files", 1)[1].split("```ini", 1)[1].split("```", 1)[0]
-    listed, section = {}, None
+    section_text = readme.split("### Config files", 1)[1].split("### ", 1)[0]
+    # the per-command table gives each command's row, section by section
+    header, _, *rows = [line for line in section_text.splitlines() if line.startswith("|")]
+    sections = [cell.strip(" `[]") for cell in header.strip("|").split("|")][1:]
+    tabled = {}
+    for line in rows:
+        command, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        tabled[command.strip("`")] = {section: tuple(cell.split(", "))
+                                      for section, cell in zip(sections, cells) if cell}
+    assert tabled == cli._READS
+    # the ini block lists every key once, section by section
+    block = section_text.split("```ini", 1)[1].split("```", 1)[0]
+    listed, section = [], None
     for line in block.splitlines():
         if match := re.fullmatch(r"\[(\w+)\]", line.strip()):
             section = match[1]
-            listed[section] = []
         elif "=" in line:
-            listed[section].append(line.split("=", 1)[0].strip())
-    assert listed == {section: list(keys) for section, keys in cli._SECTIONS.items()}
+            listed.append((section, line.split("=", 1)[0].strip()))
+    assert sorted(listed) == sorted(declared)
+
+
+# a value for every key of every row, at tiny size
+_EVERY_KEY = {
+    "spec": {"family": "custom", "b": '"0"', "a": '"1"', "l": "0", "r": "4"},
+    "sim": {"dt": "1e-2", "horizon": "20", "cap": "100", "bridge": "true",
+            "watch_levels": "1.5", "seed": "1", "n_paths": "300"},
+    "scenario": {"x0": "1", "direction": "upward", "y_min": "0.01", "y_max": "3.9",
+                 "n_grid": "65", "n_table": "5", "up": "2", "down": "0", "t": "0.25",
+                 "level": "2"},
+    "output": {"dump_paths": "1", "downsample": "10", "paths_csv": "p.csv"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._READS))
+def test_each_command_reads_exactly_its_row(tmp_path, monkeypatch, command):
+    # a config that sets every key of the row: each is read, and no other key
+    monkeypatch.chdir(tmp_path)   # where the path dump goes
+    text = "".join(f"[{section}]\n" + "".join(f"{key} = {_EVERY_KEY[section][key]}\n"
+                                               for key in keys)
+                   for section, keys in cli._READS[command].items())
+    get, read = cli._get, []
+
+    def recording_get(conf, section, key, *args, **kwargs):
+        read.append((section, key))
+        return get(conf, section, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_get", recording_get)
+    argv = [command] + (["jumpwalk"] if command == "verify" else [])
+    assert main(argv + ["--config", _write(tmp_path, "c.ini", text), "--out", "out"]) == 0
+    assert set(read) == _row(command)
+
+
+_ANOTHER_ROWS_KEY = [
+    ("scale", "sim", "dt", "0.5"), ("scale", "scenario", "n_table", "5"),
+    ("transform", "sim", "dt", "0.5"), ("transform", "output", "dump_paths", "1"),
+    ("simulate", "scenario", "direction", "upward"), ("simulate", "scenario", "up", "2"),
+    ("hitting", "sim", "watch_levels", "0.5, 1.5"), ("hitting", "output", "dump_paths", "3"),
+    ("condition", "scenario", "down", "0"), ("condition", "sim", "watch_levels", "0.5, 1.5"),
+]
+
+
+@pytest.mark.parametrize("command, section, key, value", _ANOTHER_ROWS_KEY)
+def test_a_key_of_another_commands_row_is_refused(tmp_path, capsys, monkeypatch,
+                                                 command, section, key, value):
+    # refused, naming the command and the key, before any quadrature or run
+    # (verify: test_verify_refuses_a_config_key_it_does_not_read)
+    _forbid_simulation(monkeypatch, ("compute_scale", "simulate_ensemble", "simulate_path",
+                                     "estimate_hitting_prob", "condition", "direct_sample"))
+    assert (section, key) not in _row(command)
+    cfg = _write(tmp_path, "c.ini", f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: unknown config key [{section}] {key!r} for {command}, which reads ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["scale", "--seed", "1"], ["transform", "--n", "5"]])
+def test_a_command_that_draws_nothing_takes_no_seed_or_n(capsys, argv):
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("transform", "[scenario]\nn_table = 0\n", "[scenario] n_table = '0': must be at least 1"),
+    ("scale", "[scenario]\nn_grid = 1\n", "[scenario] n_grid = '1': must be at least 2"),
+    ("scale", "[scenario]\nn_grid = -5\n", "[scenario] n_grid = '-5': must be at least 2"),
+    ("simulate", "[output]\ndump_paths = -2\n",
+     "[output] dump_paths = '-2': must be at least 0"),
+    ("simulate", "[output]\ndump_paths = 1\ndownsample = -3\n",
+     "[output] downsample = '-3': must be at least 1"),
+])
+def test_a_count_below_its_floor_is_refused(tmp_path, capsys, monkeypatch, command, text,
+                                            message):
+    monkeypatch.chdir(tmp_path)   # where a dump of the default paths.csv would go
+    out = tmp_path / "out"
+    argv = [command, "--config", _write(tmp_path, "c.ini", text), "--out", str(out)]
+    assert main(argv + (["--n", "5"] if command == "simulate" else [])) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_the_benchmarks_argv_prints_the_golden_bytes(tmp_path, monkeypatch):
+    # perfbench runs scale and transform with --threads 1 and verify with
+    # --seed and --threads 1; roundtrip draws nothing, so any seed gives its
+    # golden report
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    ops = workloads.build("scale-table", 1, tmp_path) + [workloads._verify_op("roundtrip", 5, None)]
+    for op in ops:
+        outcome = op.run()
+        assert outcome.wrong is None, outcome.wrong
+        golden = ROOT / "tests" / "golden" / f"{op.name}.{'json' if 'verify' in op.name else 'csv'}"
+        if golden.exists():
+            assert outcome.output.startswith(golden.read_text(encoding="utf-8")), op.name
