@@ -19,10 +19,10 @@ level below `y_min`, where s is extrapolated, is a configuration error.
 Command-line flags (--seed, --n, --out) override the file, and --seed and
 --n exist where those keys are read; --threads is accepted and changes
 nothing, because every run uses one thread.  A seed lies in [0, 2**64).
-A command's further runs draw on seed + 1 and seed + 2, modulo 2**64
-(`condition`'s direct sample, the verify bundles' reference runs), so
-commands at neighbouring seeds share a run's noise, and seed 2**64 - 1's
-seed + 1 is seed 0.
+A command's further runs (`condition`'s direct sample, the verify bundles'
+reference runs) draw on `rng.run_seed(seed, k)`, a hash of the seed and
+the run, so no two runs of a command, nor runs of commands at neighbouring
+seeds, share their noise.
 
 Exit codes: 0 success, 1 verify reported a failing check, 2 configuration
 error (an output that cannot be written is one), 3 numeric failure.  JSON
@@ -44,6 +44,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import rng
 from .conditioning import StoppedValueAt, compare_reports, condition, direct_sample
 from .errors import ConfigError, NumericFailure
 from .exprparse import ParseError, parse_expr
@@ -358,8 +359,8 @@ def cmd_condition(conf, args) -> int:
                           f"{s.grid[0]:g}, past which the scale is extrapolated: the level "
                           f"downward must lie within it")
     rejection, weighted = condition(spec, s, x0, level, functional, cfg)
-    direct = direct_sample(transformed, x0, functional, replace(cfg, seed=cfg.seed + 1),
-                           stop_level=level)
+    direct = direct_sample(transformed, x0, functional,
+                           replace(cfg, seed=rng.run_seed(cfg.seed, 1)), stop_level=level)
     ks = compare_reports(weighted, direct)
     payload = {
         "schema": 3,

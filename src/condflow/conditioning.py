@@ -35,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rng
 from .errors import EvalDomainError, InsufficientSamplesError, NeedLongerHorizonError
 from .htransform import transform
 from .model import Const, DiffusionSpec, McEstimate
@@ -280,10 +281,8 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     both runs go to the horizon, a base reaching l raises, every other path
     is accepted, and only a functional with snapshot times is fixed by then.
 
-    Both runs take `cfg` as it is, seed included, so the transformed run
-    draws the base run's step normals: the two samples share their noise,
-    and the KS is not the independent two-sample test whose critical value
-    it reports.
+    The transformed run draws on the seed's run 1, `rng.run_seed(cfg.seed, 1)`,
+    so the two samples are independent, as the two-sample KS assumes.
     """
     l, r = base.interval.l, base.interval.r
     bounded = math.isfinite(r)
@@ -296,7 +295,8 @@ def verify_identity_of_measures(base: DiffusionSpec, cfg: SimConfig, s: ScaleFun
     if not np.any(kept):
         raise InsufficientSamplesError(f"verify_identity_of_measures: the base run "
                                        f"(n = {res.n}) has no path stopped at r = {r:g}")
-    direct = direct_sample(transform(base, s), 1.0, functional, cfg, stop_level=r)
+    direct = direct_sample(transform(base, s), 1.0, functional,
+                           replace(cfg, seed=rng.run_seed(cfg.seed, 1)), stop_level=r)
     acceptance = McEstimate.from_binomial(int(np.sum(kept)), res.n)
     return {
         "ks": ks_two_sample(functional.extract(res)[kept], direct.functional_samples).as_dict(),

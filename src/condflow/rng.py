@@ -14,6 +14,8 @@ the one-step call.
 The mixer is the splitmix64 finalizer (two xor-shift/multiply rounds), applied
 twice: once to fold the step/stream counter, once to fold the per-path key.
 Uniforms take the top 53 bits; normals go through the inverse normal CDF.
+A seed is an integer in [0, 2**64), and a run beside the primary one draws
+on `run_seed(seed, k)`, never on seed + k, which is another seed's run.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "STREAM_EXACT_BES3",
     "STREAM_EXACT_BM",
     "STREAM_EXACT_BM_BRIDGE",
+    "run_seed",
     "path_keys",
     "uniforms",
     "normals",
@@ -91,14 +94,33 @@ def _counter(step_index: int, stream: int) -> int:
     return _mix64_int((step_index * _GAMMA_INT + stream) & _M64)
 
 
+def _check_seed(seed: int) -> None:
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def run_seed(seed: int, run: int) -> int:
+    """The seed of a command's run number `run`: run 0, the primary run, is
+    `seed` itself; a further run takes output `run` of a splitmix64
+    generator started at `_mix64(seed)`, a word in [0, 2**64) unrelated to
+    nearby seeds.  Raises ValueError for a seed `path_keys` refuses or a
+    negative run."""
+    _check_seed(seed)
+    if run < 0:
+        raise ValueError(f"run must be non-negative, got {run}")
+    return _mix64_int((_mix64_int(seed) + (run - 1) * _GAMMA_INT) & _M64) if run else seed
+
+
 def path_keys(seed: int, path_indices: np.ndarray) -> np.ndarray:
-    """Per-path 64-bit keys derived from the run seed.
+    """Per-path 64-bit keys derived from the run seed, an integer in
+    [0, 2**64) (any other raises ValueError).
 
     `path_indices` is an integer array; the result can be cached and reused
     for every step of those paths.
     """
+    _check_seed(seed)
     with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(seed & _M64) ^ _SEED_SALT)
+        s = _mix64(np.uint64(seed) ^ _SEED_SALT)
         return _mix64(s + np.asarray(path_indices, dtype=np.uint64) * _GAMMA)
 
 

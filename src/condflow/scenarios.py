@@ -6,7 +6,9 @@ subcommand and the acceptance test suite.  The library measures; every
 check's threshold and target is stated here, once.  Randomized checks use
 four standard errors of tolerance; distribution comparisons use the 1% KS
 critical value (or twice it where flagged as a smoke check).  Every check is
-deterministic given the seed.
+deterministic given the seed.  A bundle's further runs draw on
+`rng.run_seed(seed, k)`; runs whose samples no check compares with each
+other (bm-bessel's two hitting runs, the reciprocal routine's two) share one.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import rng
 from .conditioning import (
     StoppedValueAt,
     TimeAverageUntilStop,
@@ -83,11 +86,11 @@ def scenario_bm_bessel(n: int = 100_000, seed: int = 2024) -> dict:
 
     # the rejection side keeps about half its paths, so run twice as many;
     # the direct route runs BM's h-transform, BES(3)
-    cfg = SimConfig(dt=_DT, horizon=20.0, seed=seed + 1, n_paths=2 * _N_KS)
+    cfg = SimConfig(dt=_DT, horizon=20.0, seed=rng.run_seed(seed, 1), n_paths=2 * _N_KS)
     s = compute_scale(bm(), 1.0, GridConfig(y_min=1e-3, y_max=50.0), Normalization.L)
     rejection, _weighted = condition(bm(), s, 1.0, 2.0, StoppedValueAt(0.25), cfg)
     direct = direct_sample(transform(bm(), s), 1.0, StoppedValueAt(0.25),
-                           replace(cfg, seed=seed + 2, n_paths=_N_KS), stop_level=2.0)
+                           replace(cfg, seed=rng.run_seed(seed, 2), n_paths=_N_KS), stop_level=2.0)
     ks = compare_reports(rejection, direct)
     checks.append(_check(
         "upward-conditioning-matches-direct",
@@ -110,7 +113,7 @@ def scenario_bessel_bm(n: int = 10_000, seed: int = 2025) -> dict:
         dt_schedule=((1.0, _DT), (10.0, 10 * _DT), (10_000.0, 0.25)),
     )
     rejection, weighted = condition_downward(bessel3(), 1.0, 0.5, StoppedValueAt(0.1), cfg_down)
-    cfg_ref = SimConfig(dt=_DT, horizon=0.2, seed=seed + 1, n_paths=n)
+    cfg_ref = SimConfig(dt=_DT, horizon=0.2, seed=rng.run_seed(seed, 1), n_paths=n)
     reference = direct_sample(bm(), 1.0, StoppedValueAt(0.1), cfg_ref, stop_level=0.5)
     ks = compare_reports(weighted, reference)
     checks.append(_check(
@@ -127,7 +130,7 @@ def scenario_bessel_bm(n: int = 10_000, seed: int = 2025) -> dict:
     ))
 
     # the band run stops just after t = 1; the divergence run goes to the horizon
-    cfg_recip = SimConfig(dt=_DT, horizon=200.0, seed=seed + 2, n_paths=n)
+    cfg_recip = SimConfig(dt=_DT, horizon=200.0, seed=rng.run_seed(seed, 2), n_paths=n)
     recip = verify_local_martingality_of_reciprocal(bessel3(), cfg_recip)
     mean = recip["reciprocal_mean"]
     checks.append(_check(
@@ -164,7 +167,8 @@ def scenario_gbm(n: int = 10_000, seed: int = 2026) -> dict:
         mean=log_mean.value, stderr=log_mean.stderr, target=0.5,
     ))
 
-    ident = verify_identity_of_measures(base, replace(cfg, seed=seed + 1), s, StoppedValueAt(1.0))
+    ident = verify_identity_of_measures(base, replace(cfg, seed=rng.run_seed(seed, 1)), s,
+                                         StoppedValueAt(1.0))
     checks.append(_check("p-and-q-measures-differ", not ident["ks"]["pass"], **ident["ks"]))
     return _bundle("gbm", checks)
 
@@ -247,7 +251,7 @@ def scenario_jumpwalk(n: int = 10_000, seed: int = 2029) -> dict:
         min_value=float(np.min(walk["min_value"])), steps=total_steps,
     ))
 
-    ks = walk_vs_bessel(50, n_paths=_N_KS, seed=seed + 1)
+    ks = walk_vs_bessel(50, n_paths=_N_KS, seed=rng.run_seed(seed, 1))
     checks.append(_check(
         "walk-limit-smoke-check",
         ks.statistic < 2.0 * ks.critical_1pct,

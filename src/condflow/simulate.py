@@ -386,10 +386,10 @@ def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
     """Flat indices of the `candidates` whose Brownian bridge crosses a level
     between two grid values y0 and y1.
 
-    `gap` and `candidates` hold one row per step from `step` on (or just one
-    step's row) and one column per key; `gap` is (level - y0)(level - y1) and
-    `a_dt` the step variance a(y0) dt, of the same shape or scalar; the
-    crossing probability is exp(-2 gap / (a dt)).  Without candidates it
+    `gap` and `candidates` hold one row per step from `step` on and one
+    column per key; `gap` is (level - y0)(level - y1) and `a_dt` the step
+    variance a(y0) dt, of the same shape or scalar; the crossing
+    probability is exp(-2 gap / (a dt)).  Without candidates it
     returns at once.  The exponent and exp are formed only where
     gap < 18.5 a dt, and a uniform is drawn only where the probability
     exceeds 1e-16, which needs gap < 18.42 a dt; so the cut drops no draw.
@@ -406,7 +406,7 @@ def _crossings(gap, a_dt, candidates: np.ndarray, keys: np.ndarray, step: int,
         live = p > 1e-16
         idx, p = idx[live], p[live]
         if idx.size:
-            if gap.ndim == 1 or len(gap) == 1:
+            if len(gap) == 1:
                 u = rng.uniforms(keys[idx], step, stream)
             else:
                 row, col = np.divmod(idx, keys.size)

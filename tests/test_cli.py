@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condflow import cli
+from condflow import cli, rng
 from condflow.cli import main
-from condflow.conditioning import StoppedValueAt, condition, condition_downward
+from condflow.conditioning import StoppedValueAt, condition, condition_downward, direct_sample
 from condflow.model import Const, bm, named_family
 from condflow.simulate import SimConfig, simulate_ensemble
 
@@ -376,6 +376,21 @@ def test_a_seed_outside_64_bits_is_refused(tmp_path, capsys, seed):
         f"config error: [sim] seed = '{seed}': seed must lie in [0, 2**64), got {seed}\n")
     top = str(2**64 - 1)
     assert main(["simulate", "--config", cfg, "--seed", top, "--n", "10", "--out", out]) == 0
+
+
+def test_conditions_direct_run_draws_on_its_own_seed(tmp_path, monkeypatch):
+    # seed 5's direct run is neither seed 5's base run nor seed 6's
+    seeds = []
+
+    def spy(spec, x0, functional, cfg, stop_level):
+        seeds.append(cfg.seed)
+        return direct_sample(spec, x0, functional, cfg, stop_level)
+
+    monkeypatch.setattr(cli, "direct_sample", spy)
+    argv = ["condition", "--seed", "5", "--n", "300", "--out", str(tmp_path / "c.json")]
+    assert main(argv) == 0
+    assert seeds == [rng.run_seed(5, 1)]
+    assert seeds[0] not in (5, 6)
 
 
 def test_an_unknown_verify_scenario_exits_2(capsys):

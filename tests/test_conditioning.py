@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from condflow import conditioning, rng
 from condflow.conditioning import (
     ConditioningReport,
     Mode,
@@ -207,6 +208,23 @@ def test_identity_scenarios_smoke():
     # the library measures; the verdicts are the scenarios'
     for report in (stopped, differ):
         assert not report.keys() & {"pass", "measures_differ", "expected_acceptance"}
+
+
+def test_identity_of_measures_draws_its_two_samples_on_different_seeds(monkeypatch):
+    # the two-sample KS assumes independent samples: the transformed run
+    # takes the seed's run 1, never the base run's own seed
+    seeds = []
+
+    def spy(spec, x0, cfg):
+        seeds.append(cfg.seed)
+        return simulate_ensemble(spec, x0, cfg)
+
+    monkeypatch.setattr(conditioning, "simulate_ensemble", spy)
+    base = bm(0.0, 2.0)
+    cfg = SimConfig(dt=1e-2, horizon=30.0, seed=62, n_paths=200)
+    verify_identity_of_measures(base, cfg, _upward_scale(base, 2.0 - 1e-4),
+                                TimeAverageUntilStop())
+    assert seeds == [62, rng.run_seed(62, 1)]
 
 
 def test_identity_of_measures_on_a_wider_interval():

@@ -8,7 +8,8 @@ module executes text: config expressions are parsed, never run.  The only
 scipy import is `ndtri`.  And a module imports another's private names
 only where listed, each with its reason.  No module sets warning filters or
 numpy's error state beyond a call's own extent.  Every module-level
-constant is read by the package itself."""
+constant is read by the package itself.  And no module but `rng` does
+arithmetic on a seed: a further run's seed is `rng.run_seed(seed, k)`."""
 
 from __future__ import annotations
 
@@ -392,3 +393,36 @@ def test_no_module_sets_warning_or_error_state(module):
     # filter another thread sets, and np.seterr outlives the call that sets
     # it; np.errstate scopes numpy's error state to its own thread and block
     assert state_setter_calls((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def seed_arithmetic(source: str) -> list[str]:
+    """In source order, each arithmetic expression a module forms on a name
+    or attribute called `seed`: a binary or unary operation on it, or an
+    augmented assignment to it."""
+    def is_seed(node) -> bool:
+        return ((isinstance(node, ast.Name) and node.id == "seed")
+                or (isinstance(node, ast.Attribute) and node.attr == "seed"))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.BinOp) and (is_seed(node.left) or is_seed(node.right)))
+                or (isinstance(node, ast.UnaryOp) and not isinstance(node.op, ast.Not)
+                    and is_seed(node.operand))
+                or (isinstance(node, ast.AugAssign) and is_seed(node.target))):
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [text for _line, _col, text in sorted(found)]
+
+
+def test_detects_seed_arithmetic():
+    source = ("a = seed + 1\nb = 2 * cfg.seed\nseed += 3\nc = -seed\ncfg.seed -= 1\n"
+              "d = seed\ne = rng.run_seed(seed, 1)\nf = seeds + 1\ng = x.seed_count - 1\n"
+              "h = replace(cfg, seed=seed)\nok = 0 <= seed < 2**64 and not seed\n")
+    assert seed_arithmetic(source) == ["seed + 1", "2 * cfg.seed", "seed += 3", "-seed",
+                                       "cfg.seed -= 1"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "rng.py"))
+def test_no_module_derives_a_seed_by_arithmetic(module):
+    # a further run's seed is rng.run_seed(seed, k): seed + k would replay a
+    # neighbouring seed's run, so a seed sweep would count correlated trials
+    assert seed_arithmetic((SRC / module).read_text(encoding="utf-8")) == []

@@ -213,6 +213,15 @@ def test_walk_refuses_no_paths(n_paths):
             simulate_walk(spec, t=1.0, n_paths=n_paths)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_walk_refuses_a_seed_outside_64_bits(seed):
+    # -1 would run seed 2**64 - 1's noise, and 2**64 seed 0's
+    spec = JumpWalkSpec(N=4, measure=Measure.P, x0=1.0)
+    with pytest.raises(ValueError, match=rf"^seed must be an integer in \[0, 2\*\*64\), "
+                                         rf"got {seed}$"):
+        simulate_walk(spec, t=1.0, n_paths=5, seed=seed)
+
+
 @pytest.mark.parametrize("measure", [Measure.P, Measure.Q])
 @pytest.mark.parametrize("t", [-1.0, math.inf, math.nan])
 def test_walk_refuses_a_negative_or_non_finite_time(measure, t):

@@ -1,6 +1,8 @@
+import re
 import warnings
 
 import numpy as np
+import pytest
 
 from condflow import rng
 from condflow.stats import ks_two_sample
@@ -51,6 +53,30 @@ def test_seed_changes_draws():
     a = rng.normals(rng.path_keys(1, ids), 0)
     b = rng.normals(rng.path_keys(2, ids), 0)
     assert not np.array_equal(a, b)
+
+
+def test_run_zero_is_the_seed_and_further_runs_are_distinct_words():
+    for seed in (0, 5, 2**32, 2**64 - 1):
+        assert rng.run_seed(seed, 0) == seed
+    derived = [rng.run_seed(seed, run) for seed in range(10_000) for run in (1, 2, 3)]
+    # no two runs share a seed, and none is a small seed's primary run
+    assert len(set(derived)) == 30_000
+    assert 2**32 <= min(derived) and max(derived) < 2**64
+    assert rng.run_seed(2**64 - 1, 1) != 0  # no wrap to seed 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    message = rf"^seed must be an integer in \[0, 2\*\*64\), got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        rng.path_keys(seed, np.arange(3, dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        rng.run_seed(seed, 1)
+
+
+def test_a_negative_run_is_refused():
+    with pytest.raises(ValueError, match=r"^run must be non-negative, got -1$"):
+        rng.run_seed(5, -1)
 
 
 def test_uniforms_in_open_interval():

@@ -975,11 +975,12 @@ def test_crossings_cut_drops_no_draw(monkeypatch):
     assert 0 < expected.size < candidates.sum()
     with warnings.catch_warnings():  # the cut forms no exponent that overflows
         warnings.simplefilter("error")
-        assert simulate._crossings(gap, a_dt, candidates, keys, 0, 1).size == 0
+        # one step's row, as the kernel passes it
+        assert simulate._crossings(gap[None], a_dt[None], candidates[None], keys, 0, 1).size == 0
         assert _same_bits(drawn[0], keys[expected])
         drawn.clear()  # one step variance for all paths
         expected = _crossings_by_exponent(gap[:4001], 0.01, candidates[:4001])
-        simulate._crossings(gap[:4001], 0.01, candidates[:4001], keys[:4001], 0, 1)
+        simulate._crossings(gap[None, :4001], 0.01, candidates[None, :4001], keys[:4001], 0, 1)
         assert _same_bits(drawn[0], keys[expected])
 
 
@@ -1063,6 +1064,17 @@ def test_exact_samplers_refuse_bad_starts_and_times():
     for sampler, x0, t, n_paths in cases:
         with pytest.raises(ValueError, match=r"^need .* n_paths >= 1; got "):
             sampler(x0, t, n_paths, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_a_seed_outside_64_bits_is_refused(seed):
+    # -1 would run seed 2**64 - 1's noise, and 2**64 seed 0's
+    message = rf"^seed must be an integer in \[0, 2\*\*64\), got {seed}$"
+    with pytest.raises(ValueError, match=message):
+        simulate_ensemble(bm(), 1.0, SimConfig(dt=0.1, horizon=1.0, seed=seed, n_paths=5))
+    for sampler in (simulate.exact_bessel3, simulate.exact_stopped_bm):
+        with pytest.raises(ValueError, match=message):
+            sampler(1.0, 1.0, 5, seed)
 
 
 @pytest.mark.parametrize("path_index", [-1, 1.5, 2**63])
